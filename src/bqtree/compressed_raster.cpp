@@ -1,5 +1,7 @@
 #include "bqtree/compressed_raster.hpp"
 
+#include <numeric>
+
 #include "device/thread_pool.hpp"
 #include "obs/obs.hpp"
 
@@ -7,6 +9,9 @@ namespace zh {
 
 BqCompressedRaster BqCompressedRaster::encode(const DemRaster& raster,
                                               std::int64_t tile_size) {
+  ZH_REQUIRE(!raster.nodata().has_value(),
+             "a .bq container cannot store the raster's nodata value (",
+             *raster.nodata(), "); its nodata cells would be counted");
   ZH_TRACE_SPAN("bqtree.encode", "pipeline");
   BqCompressedRaster out(
       TilingScheme(raster.rows(), raster.cols(), tile_size),
@@ -52,25 +57,35 @@ BqCompressedRaster BqCompressedRaster::from_tiles(
 }
 
 DemRaster BqCompressedRaster::decode_all() const {
-  ZH_TRACE_SPAN("step0.decode_all", "pipeline");
-  ZH_COUNTER_ADD("bqtree.bytes_decoded", compressed_bytes());
-  ZH_COUNTER_ADD("bqtree.tiles_decoded", tiling_.tile_count());
+  std::vector<TileId> all(tiling_.tile_count());
+  std::iota(all.begin(), all.end(), TileId{0});
+  return decode_tiles(all);
+}
+
+DemRaster BqCompressedRaster::decode_tiles(
+    std::span<const TileId> tiles) const {
+  ZH_TRACE_SPAN("step0.decode", "pipeline");
   DemRaster raster(tiling_.raster_rows(), tiling_.raster_cols(), transform_);
-  const std::size_t n = tiling_.tile_count();
-  ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
-    std::vector<CellValue> cells;
-    for (std::size_t t = b; t < e; ++t) {
-      const TileId id = static_cast<TileId>(t);
-      const CellWindow w = tiling_.tile_window(id);
-      cells.resize(static_cast<std::size_t>(w.cell_count()));
-      decode_tile(id, cells);
-      for (std::int64_t r = 0; r < w.rows; ++r) {
-        std::copy(cells.begin() + static_cast<std::size_t>(r * w.cols),
-                  cells.begin() + static_cast<std::size_t>((r + 1) * w.cols),
-                  &raster.at(w.row0 + r, w.col0));
-      }
-    }
-  });
+  ThreadPool::global().parallel_for(
+      tiles.size(), [&](std::size_t b, std::size_t e) {
+        std::vector<CellValue> cells;
+        std::uint64_t bytes = 0;
+        for (std::size_t i = b; i < e; ++i) {
+          const TileId id = tiles[i];
+          const CellWindow w = tiling_.tile_window(id);
+          cells.resize(static_cast<std::size_t>(w.cell_count()));
+          decode_tile(id, cells);
+          bytes += tile(id).compressed_bytes();
+          for (std::int64_t r = 0; r < w.rows; ++r) {
+            std::copy(
+                cells.begin() + static_cast<std::size_t>(r * w.cols),
+                cells.begin() + static_cast<std::size_t>((r + 1) * w.cols),
+                &raster.at(w.row0 + r, w.col0));
+          }
+        }
+        ZH_COUNTER_ADD("bqtree.bytes_decoded", bytes);
+        ZH_COUNTER_ADD("bqtree.tiles_decoded", e - b);
+      });
   return raster;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bqtree/bqtree.hpp"
@@ -20,7 +21,9 @@ namespace zh {
 class BqCompressedRaster {
  public:
   /// Encode `raster` tile by tile (tiles encoded in parallel on the
-  /// global pool).
+  /// global pool). The container has no field for a nodata value, so a
+  /// raster that declares one is rejected (InvalidArgument) rather than
+  /// having its nodata cells counted after decoding.
   static BqCompressedRaster encode(const DemRaster& raster,
                                    std::int64_t tile_size);
 
@@ -46,6 +49,10 @@ class BqCompressedRaster {
 
   /// Decode the full raster (tiles decoded in parallel).
   [[nodiscard]] DemRaster decode_all() const;
+
+  /// Decode only `tiles` (in parallel) into a full-extent raster; the
+  /// cells of every other tile stay zero.
+  [[nodiscard]] DemRaster decode_tiles(std::span<const TileId> tiles) const;
 
   [[nodiscard]] std::size_t compressed_bytes() const;
   [[nodiscard]] std::size_t raw_bytes() const;

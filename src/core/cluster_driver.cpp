@@ -78,6 +78,12 @@ ClusterRunResult run_cluster_zonal(
   ZH_REQUIRE(rasters.size() == schemas.size(),
              "one partition schema per raster required");
   ZH_REQUIRE(config.ranks >= 1, "need at least one rank");
+  // Partitions are BQ-encoded on the ranks, and the container cannot
+  // store nodata: refuse here, before any partition is dispatched.
+  for (const DemRaster& r : rasters) {
+    ZH_REQUIRE(!config.compress || !r.nodata().has_value(),
+               "compressed cluster runs need rasters without nodata");
+  }
   ZH_TRACE_SPAN("cluster.run_zonal", "cluster");
   const FaultToleranceConfig& ft = config.fault_tolerance;
   const CheckpointConfig& ck = config.checkpoint;

@@ -67,7 +67,9 @@ struct ClusterRunConfig {
   std::size_t ranks = 1;
   ZonalConfig zonal;
   DeviceProfile device_profile = DeviceProfile::k20();
-  bool compress = false;  ///< run Step 0 from BQ-Tree-compressed partitions
+  /// Run Step 0 from BQ-Tree-compressed partitions; rasters with a
+  /// nodata value are rejected (the container cannot store it).
+  bool compress = false;
   PartitionAssignment assignment = PartitionAssignment::kRoundRobin;
   FaultToleranceConfig fault_tolerance;
   /// Durable checkpoint/resume wiring (journal-before-acknowledge +

@@ -70,6 +70,7 @@ class HistogramSet {
               "histogram table size overflows size_t: ", groups,
               " groups x ", bins, " bins");
     if (counts_.capacity() < n) {
+      counts_.clear();  // growing must not copy the old counts across
       counts_.reserve(n);
       if (n * sizeof(BinCount) >= kHugePageHintBytes) {
         hint_huge_pages(counts_.data(), n * sizeof(BinCount));

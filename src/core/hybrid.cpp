@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "core/perf_model.hpp"
-#include "core/step1_tile_hist.hpp"
 #include "obs/obs.hpp"
-#include "core/step2_pairing.hpp"
-#include "core/step3_aggregate.hpp"
-#include "core/step4_refine.hpp"
 
 namespace zh {
 
@@ -75,37 +72,21 @@ HybridResult run_hybrid(Device& primary, Device& secondary,
   ZH_REQUIRE(zc.bins >= 1, "bin count must be positive");
   ZH_TRACE_SPAN("hybrid.run", "pipeline");
 
-  HybridResult result;
-  result.per_polygon = HistogramSet(polygons.size(), zc.bins);
-  result.work.cells_total = static_cast<std::uint64_t>(raster.cell_count());
-  result.work.polygon_vertices = polygons.vertex_count();
-
   const TilingScheme tiling(raster.rows(), raster.cols(), zc.tile_size);
-  result.work.tiles_total = tiling.tile_count();
   const PolygonSoA soa = PolygonSoA::build(polygons);
-  Timer timer;
 
-  // Steps 1-3 on the primary device, exactly as in ZonalPipeline.
-  ZonalWorkspace ws;
-  timer.reset();
-  tile_histograms_into(primary, raster, tiling, zc.bins, zc.count_mode,
-                       ws.tile_hist, zc.cell_order);
-  result.times.seconds[1] = timer.seconds();
-
-  timer.reset();
-  const PairingResult pairing =
-      pair_and_group(polygons, tiling, raster.transform());
-  result.times.seconds[2] = timer.seconds();
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-
-  timer.reset();
-  aggregate_inside_tiles(primary, pairing.inside, ws.tile_hist,
-                         result.per_polygon);
-  result.times.seconds[3] = timer.seconds();
-  result.work.aggregate_bin_adds =
-      static_cast<std::uint64_t>(pairing.inside.pair_count()) * zc.bins;
+  // Steps 1-3 on the primary device through the executor; the intersect
+  // groups are held back for the split Step 4 below.
+  ZonalPlan plan = make_plan(polygons, tiling, raster.transform());
+  const PolygonTileGroups intersect =
+      std::exchange(plan.pairing.intersect, PolygonTileGroups{});
+  ZonalResult steps;
+  execute_plan(primary, plan, raster, soa, zc, steps);
+  HybridResult result;
+  result.per_polygon = std::move(steps.per_polygon);
+  result.times = steps.times;
+  result.work = steps.work;
+  result.work.pairs_intersect = intersect.pair_count();
 
   // Step 4: split by modeled device speeds unless a fraction is forced.
   double fraction = config.primary_fraction;
@@ -118,10 +99,10 @@ HybridResult run_hybrid(Device& primary, Device& secondary,
   }
   result.primary_fraction = std::clamp(fraction, 0.0, 1.0);
   const std::size_t split =
-      split_point(pairing.intersect, soa, tiling, result.primary_fraction);
-  const PolygonTileGroups head = slice_groups(pairing.intersect, 0, split);
-  const PolygonTileGroups tail = slice_groups(
-      pairing.intersect, split, pairing.intersect.group_count());
+      split_point(intersect, soa, tiling, result.primary_fraction);
+  const PolygonTileGroups head = slice_groups(intersect, 0, split);
+  const PolygonTileGroups tail =
+      slice_groups(intersect, split, intersect.group_count());
 
   // Each device refines into its own histogram set; a polygon's groups
   // live entirely on one side, so no cross-device row races exist and
@@ -130,7 +111,7 @@ HybridResult run_hybrid(Device& primary, Device& secondary,
   HistogramSet secondary_hist(polygons.size(), zc.bins);
   RefineCounters rc_primary;
   RefineCounters rc_secondary;
-  timer.reset();
+  Timer timer;
   {
     // The secondary device runs on its own thread, concurrently with
     // the primary (CP.25: joined before use of the results).

@@ -1,10 +1,5 @@
 #include "core/multiband.hpp"
 
-#include "core/step1_tile_hist.hpp"
-#include "core/step2_pairing.hpp"
-#include "core/step3_aggregate.hpp"
-#include "core/step4_refine.hpp"
-
 namespace zh {
 
 SeriesResult run_series(Device& device, std::span<const DemRaster> bands,
@@ -23,55 +18,21 @@ SeriesResult run_series(Device& device, std::span<const DemRaster> bands,
                "series bands must be co-registered");
   }
 
-  const TilingScheme tiling(first.rows(), first.cols(), config.tile_size);
-  const PolygonSoA soa = PolygonSoA::build(polygons);
-  Timer timer;
-
   // Step 2 once for the whole stack: geometry does not change per band.
-  const PairingResult pairing =
-      pair_and_group(polygons, tiling, first.transform());
-  result.times.seconds[2] = timer.seconds();
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-  result.work.tiles_total = tiling.tile_count();
-  result.work.polygon_vertices = polygons.vertex_count();
-
+  const ZonalPlan plan = make_plan(
+      polygons, TilingScheme(first.rows(), first.cols(), config.tile_size),
+      first.transform());
+  const PolygonSoA soa = PolygonSoA::build(polygons);
   ZonalWorkspace local_ws;
   ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-
+  ZonalResult acc;
   result.per_band.reserve(bands.size());
   for (const DemRaster& band : bands) {
-    HistogramSet polygon_hist(polygons.size(), config.bins);
-
-    timer.reset();
-    tile_histograms_into(device, band, tiling, config.bins,
-                         config.count_mode, ws.tile_hist,
-                         config.cell_order);
-    result.times.seconds[1] += timer.seconds();
-    result.work.cells_total += static_cast<std::uint64_t>(band.cell_count());
-
-    timer.reset();
-    aggregate_inside_tiles(device, pairing.inside, ws.tile_hist,
-                           polygon_hist);
-    result.times.seconds[3] += timer.seconds();
-    result.work.aggregate_bin_adds +=
-        static_cast<std::uint64_t>(pairing.inside.pair_count()) *
-        config.bins;
-
-    timer.reset();
-    const RefineCounters rc = refine_boundary_tiles(
-        device, pairing.intersect, soa, band, tiling, polygon_hist,
-        config.refine_granularity, config.refine_strategy);
-    result.times.seconds[4] += timer.seconds();
-    result.work.pip_cell_tests += rc.cell_tests;
-    result.work.pip_edge_tests += rc.edge_tests;
-    result.work.pip_rows_scanned += rc.rows_scanned;
-    result.work.pip_run_cells += rc.run_cells;
-    result.work.cells_in_polygons += polygon_hist.total();
-
-    result.per_band.push_back(std::move(polygon_hist));
+    execute_plan(device, plan, band, soa, config, acc, &ws);
+    result.per_band.push_back(std::move(acc.per_polygon));
   }
+  result.times = acc.times;
+  result.work = acc.work;
   return result;
 }
 

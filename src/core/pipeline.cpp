@@ -44,6 +44,137 @@ WorkCounters& WorkCounters::operator+=(const WorkCounters& o) {
   return *this;
 }
 
+ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
+                    const GeoTransform& transform) {
+  Timer timer;
+  ZonalPlan plan;
+  plan.tiling = tiling;
+  plan.pairing = pair_and_group(polygons, tiling, transform);
+  plan.zones = polygons.size();
+  plan.zone_vertices = polygons.vertex_count();
+
+  // Slot i of the Step-1 table is the i-th distinct tile an inside pair
+  // references; remap the inside groups to those slots.
+  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> slot(tiling.tile_count(), kNoSlot);
+  for (TileId& t : plan.pairing.inside.tid_v) {
+    if (slot[t] == kNoSlot) {
+      slot[t] = static_cast<std::uint32_t>(plan.demanded.size());
+      plan.demanded.push_back(t);
+    }
+    t = slot[t];
+  }
+  plan.seconds = timer.seconds();
+  ZH_LATENCY_RECORD("latency.step2", plan.seconds);
+  return plan;
+}
+
+void execute_plan(Device& device, const ZonalPlan& plan,
+                  const DemRaster& raster, const PolygonSoA& soa,
+                  const ZonalConfig& config, ZonalResult& result,
+                  ZonalWorkspace* workspace) {
+  ZH_REQUIRE(soa.polygon_count() == plan.zones,
+             "SoA does not match the plan's zone layer");
+  const TilingScheme& tiling = plan.tiling;
+  const PairingResult& pairing = plan.pairing;
+  result.per_polygon = HistogramSet(plan.zones, config.bins);
+  result.times.seconds[2] = plan.seconds;
+  WorkCounters& work = result.work;
+  work.tiles_total = tiling.tile_count();
+  work.polygon_vertices = plan.zone_vertices;
+  work.candidate_pairs = pairing.candidate_pairs;
+  work.pairs_inside = pairing.inside.pair_count();
+  work.pairs_intersect = pairing.intersect.pair_count();
+  work.cells_total += static_cast<std::uint64_t>(raster.cell_count());
+  work.raw_bytes +=
+      static_cast<std::uint64_t>(raster.cell_count()) * sizeof(CellValue);
+  Timer timer;
+
+  // Step 1: histograms of the demanded tiles only, one table row per
+  // slot. The table lives in the caller's workspace when one is
+  // supplied, so successive runs reuse the allocation.
+  ZonalWorkspace local_ws;
+  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
+  tile_histograms_into(device, raster, tiling, plan.demanded, config.bins,
+                       config.count_mode, ws.tile_hist, config.cell_order);
+  const double step1 = timer.seconds();
+  result.times.seconds[1] += step1;
+  ZH_LATENCY_RECORD("latency.step1", step1);
+
+  // Step 3: aggregate the inside tiles' rows of the compact table.
+  timer.reset();
+  aggregate_inside_tiles(device, pairing.inside, ws.tile_hist,
+                         result.per_polygon);
+  const double step3 = timer.seconds();
+  result.times.seconds[3] += step3;
+  ZH_LATENCY_RECORD("latency.step3", step3);
+  work.aggregate_bin_adds +=
+      static_cast<std::uint64_t>(pairing.inside.pair_count()) * config.bins;
+
+  // Step 4: cell-in-polygon refinement on boundary tiles.
+  timer.reset();
+  const RefineCounters rc = refine_boundary_tiles(
+      device, pairing.intersect, soa, raster, tiling, result.per_polygon,
+      config.refine_granularity, config.refine_strategy);
+  const double step4 = timer.seconds();
+  result.times.seconds[4] += step4;
+  ZH_LATENCY_RECORD("latency.step4", step4);
+  work.pip_cell_tests += rc.cell_tests;
+  work.pip_edge_tests += rc.edge_tests;
+  work.pip_rows_scanned += rc.rows_scanned;
+  work.pip_run_cells += rc.run_cells;
+  work.cells_in_polygons += result.per_polygon.total();
+}
+
+namespace {
+
+/// The compressed-input run: plan, decode the tiles the plan touches
+/// (inside and intersect) into a full-extent raster, execute.
+ZonalResult run_compressed(Device& device,
+                           const BqCompressedRaster& compressed,
+                           const PolygonSet& polygons,
+                           const ZonalConfig& config,
+                           ZonalWorkspace* workspace,
+                           LazyCounters* counters) {
+  ZH_REQUIRE(compressed.tiling().tile_size() == config.tile_size,
+             "compressed raster tiling does not match pipeline tile size");
+  ZH_TRACE_SPAN("pipeline.run_compressed", "pipeline");
+  const TilingScheme& tiling = compressed.tiling();
+  const ZonalPlan plan =
+      make_plan(polygons, tiling, compressed.transform());
+
+  // Step 0: decode only the demanded tiles; the rest are never read.
+  Timer timer;
+  std::vector<bool> needed(tiling.tile_count(), false);
+  for (const TileId t : plan.demanded) needed[t] = true;
+  for (const TileId t : plan.pairing.intersect.tid_v) needed[t] = true;
+  std::vector<TileId> decode;
+  std::uint64_t decoded_cells = 0;
+  for (TileId t = 0; t < needed.size(); ++t) {
+    if (!needed[t]) continue;
+    decode.push_back(t);
+    decoded_cells +=
+        static_cast<std::uint64_t>(tiling.tile_window(t).cell_count());
+  }
+  const DemRaster raster = compressed.decode_tiles(decode);
+  const double decode_seconds = timer.seconds();
+
+  ZonalResult result;
+  execute_plan(device, plan, raster, PolygonSoA::build(polygons), config,
+               result, workspace);
+  result.times.seconds[0] = decode_seconds;
+  result.work.compressed_bytes = compressed.compressed_bytes();
+  if (counters != nullptr) {
+    counters->tiles_total = tiling.tile_count();
+    counters->tiles_decoded = decode.size();
+    counters->tiles_histogrammed = plan.demanded.size();
+    counters->cells_decoded = decoded_cells;
+  }
+  return result;
+}
+
+}  // namespace
+
 ZonalResult ZonalPipeline::run(const DemRaster& raster,
                                const PolygonSet& polygons,
                                ZonalWorkspace* workspace) const {
@@ -55,67 +186,27 @@ ZonalResult ZonalPipeline::run(const DemRaster& raster,
                                const PolygonSet& polygons,
                                const PolygonSoA& soa,
                                ZonalWorkspace* workspace) const {
-  ZH_REQUIRE(soa.polygon_count() == polygons.size(),
-             "SoA does not match polygon set");
   ZH_TRACE_SPAN("pipeline.run", "pipeline");
-  ZonalResult result;
-  result.per_polygon = HistogramSet(polygons.size(), config_.bins);
-  result.work.polygon_vertices = polygons.vertex_count();
-  result.work.cells_total = static_cast<std::uint64_t>(raster.cell_count());
-  result.work.raw_bytes =
-      static_cast<std::uint64_t>(raster.cell_count()) * sizeof(CellValue);
-
   const TilingScheme tiling(raster.rows(), raster.cols(),
                             config_.tile_size);
-  result.work.tiles_total = tiling.tile_count();
-  Timer timer;
-
-  // Step 1: per-tile histograms (independent of the polygon layer). The
-  // table lives in the caller's workspace when one is supplied, so
-  // successive runs reuse the (potentially multi-GB) allocation.
-  timer.reset();
-  ZonalWorkspace local_ws;
-  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  tile_histograms_into(*device_, raster, tiling, config_.bins,
-                       config_.count_mode, ws.tile_hist,
-                       config_.cell_order);
-  const HistogramSet& tile_hist = ws.tile_hist;
-  result.times.seconds[1] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step1", result.times.seconds[1]);
-
-  // Step 2: MBB rasterization + tile classification + Fig. 4 grouping.
-  timer.reset();
-  const PairingResult pairing =
-      pair_and_group(polygons, tiling, raster.transform());
-  result.times.seconds[2] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step2", result.times.seconds[2]);
-  result.work.candidate_pairs = pairing.candidate_pairs;
-  result.work.pairs_inside = pairing.inside.pair_count();
-  result.work.pairs_intersect = pairing.intersect.pair_count();
-
-  // Step 3: aggregate completely-inside tile histograms.
-  timer.reset();
-  aggregate_inside_tiles(*device_, pairing.inside, tile_hist,
-                         result.per_polygon);
-  result.times.seconds[3] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step3", result.times.seconds[3]);
-  result.work.aggregate_bin_adds =
-      static_cast<std::uint64_t>(pairing.inside.pair_count()) *
-      config_.bins;
-
-  // Step 4: cell-in-polygon refinement on boundary tiles.
-  timer.reset();
-  const RefineCounters rc = refine_boundary_tiles(
-      *device_, pairing.intersect, soa, raster, tiling, result.per_polygon,
-      config_.refine_granularity, config_.refine_strategy);
-  result.times.seconds[4] = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step4", result.times.seconds[4]);
-  result.work.pip_cell_tests = rc.cell_tests;
-  result.work.pip_edge_tests = rc.edge_tests;
-  result.work.pip_rows_scanned = rc.rows_scanned;
-  result.work.pip_run_cells = rc.run_cells;
-  result.work.cells_in_polygons = result.per_polygon.total();
+  ZonalResult result;
+  execute_plan(*device_, make_plan(polygons, tiling, raster.transform()),
+               raster, soa, config_, result, workspace);
   return result;
+}
+
+ZonalResult ZonalPipeline::run(const BqCompressedRaster& compressed,
+                               const PolygonSet& polygons,
+                               ZonalWorkspace* workspace) const {
+  return run_compressed(*device_, compressed, polygons, config_, workspace,
+                        nullptr);
+}
+
+ZonalResult run_lazy(Device& device, const BqCompressedRaster& compressed,
+                     const PolygonSet& polygons, const ZonalConfig& config,
+                     LazyCounters* counters) {
+  return run_compressed(device, compressed, polygons, config, nullptr,
+                        counters);
 }
 
 ZonalResult ZonalPipeline::run_partitioned(const DemRaster& raster,
@@ -146,25 +237,6 @@ ZonalResult ZonalPipeline::run_partitioned(const DemRaster& raster,
   merged.work.polygon_vertices = polygons.vertex_count();
   merged.work.cells_in_polygons = merged.per_polygon.total();
   return merged;
-}
-
-ZonalResult ZonalPipeline::run(const BqCompressedRaster& compressed,
-                               const PolygonSet& polygons,
-                               ZonalWorkspace* workspace) const {
-  ZH_REQUIRE(compressed.tiling().tile_size() == config_.tile_size,
-             "compressed raster tiling does not match pipeline tile size");
-  ZH_TRACE_SPAN("pipeline.run_compressed", "pipeline");
-  Timer timer;
-  // Step 0: decode (tiles decoded in parallel; stand-in for the paper's
-  // on-device BQ-Tree decoding).
-  const DemRaster raster = compressed.decode_all();
-  const double decode_seconds = timer.seconds();
-
-  ZonalResult result = run(raster, polygons, workspace);
-  result.times.seconds[0] = decode_seconds;
-  result.work.compressed_bytes = compressed.compressed_bytes();
-  result.work.raw_bytes = compressed.raw_bytes();
-  return result;
 }
 
 }  // namespace zh

@@ -1,12 +1,19 @@
 // The end-to-end zonal-histogramming pipeline (Fig. 1 of the paper).
 //
-// Orchestrates Steps 0-4 on a device, with per-step wall times (the
-// Table-2 breakdown) and work counters (input to the performance model
-// and the ablation benches).
+// Every entry point runs Steps 0-4 through one filter-first executor:
+// make_plan runs the Step-2 pairing first (tile boxes only, no cell
+// data) and lists the tiles the inside pairs demand; execute_plan then
+// histograms only those tiles (Step 1), aggregates them (Step 3) and
+// refines the boundary tiles (Step 4). Compressed input decodes only the
+// tiles some zone touches (Step 0). Outputs are identical to the
+// paper's all-tiles order; only the undemanded work is skipped. Each
+// run reports per-step wall times (the Table-2 breakdown) and work
+// counters (input to the performance model and the ablation benches).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "bqtree/compressed_raster.hpp"
 #include "common/timer.hpp"
@@ -36,7 +43,7 @@ struct ZonalConfig {
 
 /// Work accounting of one pipeline run; all quantities exact.
 struct WorkCounters {
-  std::uint64_t cells_total = 0;        ///< raster cells histogrammed (Step 1)
+  std::uint64_t cells_total = 0;        ///< input raster cells
   std::uint64_t tiles_total = 0;
   std::uint64_t candidate_pairs = 0;    ///< MBB-rasterized pairs (Step 2)
   std::uint64_t pairs_inside = 0;
@@ -78,6 +85,37 @@ struct ZonalWorkspace {
   HistogramSet tile_hist;
 };
 
+/// One zone layer's Step-2 pairing against one tiling, plus the tiles it
+/// demands. Built from tile boxes alone, so it can run before any cell
+/// is read; one plan serves every co-registered band.
+struct ZonalPlan {
+  TilingScheme tiling{0, 0, 1};
+  /// Inside groups hold compact table slots, not tile ids: slot i is the
+  /// Step-1 row of tile demanded[i]. Intersect groups hold tile ids.
+  PairingResult pairing;
+  std::vector<TileId> demanded;  ///< distinct tiles of the inside pairs
+  std::size_t zones = 0;
+  std::uint64_t zone_vertices = 0;
+  double seconds = 0.0;  ///< Step-2 wall time
+};
+
+/// Step 2: pair `polygons` with the tiles of `tiling` and compact the
+/// inside pairs' tiles into table slots.
+[[nodiscard]] ZonalPlan make_plan(const PolygonSet& polygons,
+                                  const TilingScheme& tiling,
+                                  const GeoTransform& transform);
+
+/// Steps 1, 3 and 4 of `plan` over `raster`, which must match the plan's
+/// tiling; only the cells of the plan's tiles are read. Replaces
+/// `result.per_polygon` with the zones x config.bins histograms and adds
+/// the step times and per-cell work into `result`; Step 2's time and the
+/// pairing counters are set, not added, so a plan executed once per band
+/// charges them once. The Step-1 table lives in `workspace` when given.
+void execute_plan(Device& device, const ZonalPlan& plan,
+                  const DemRaster& raster, const PolygonSoA& soa,
+                  const ZonalConfig& config, ZonalResult& result,
+                  ZonalWorkspace* workspace = nullptr);
+
 class ZonalPipeline {
  public:
   ZonalPipeline(Device& device, ZonalConfig config)
@@ -93,9 +131,9 @@ class ZonalPipeline {
                                 const PolygonSet& polygons,
                                 ZonalWorkspace* workspace = nullptr) const;
 
-  /// Run Steps 0-4: decode the BQ-Tree raster first (timed as Step 0),
-  /// then the zonal steps. The compressed raster's tiling must use this
-  /// pipeline's tile size.
+  /// Run Steps 0-4 from BQ-Tree input: plan, decode only the tiles the
+  /// plan touches (timed as Step 0), then execute. The compressed
+  /// raster's tiling must use this pipeline's tile size.
   [[nodiscard]] ZonalResult run(const BqCompressedRaster& compressed,
                                 const PolygonSet& polygons,
                                 ZonalWorkspace* workspace = nullptr) const;
@@ -120,5 +158,21 @@ class ZonalPipeline {
   Device* device_;
   ZonalConfig config_;
 };
+
+struct LazyCounters {
+  std::uint64_t tiles_total = 0;
+  std::uint64_t tiles_decoded = 0;      ///< inside + intersect tiles
+  std::uint64_t tiles_histogrammed = 0; ///< tiles needing per-tile hist
+  std::uint64_t cells_decoded = 0;
+};
+
+/// ZonalPipeline(device, config).run(compressed, polygons) that also
+/// reports, in `counters`, how much decode and Step-1 work the plan
+/// skipped.
+[[nodiscard]] ZonalResult run_lazy(Device& device,
+                                   const BqCompressedRaster& compressed,
+                                   const PolygonSet& polygons,
+                                   const ZonalConfig& config,
+                                   LazyCounters* counters = nullptr);
 
 }  // namespace zh

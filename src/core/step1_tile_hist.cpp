@@ -1,6 +1,7 @@
 #include "core/step1_tile_hist.hpp"
 
 #include <atomic>
+#include <numeric>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -8,46 +9,43 @@
 
 namespace zh {
 
-HistogramSet tile_histograms(Device& device, const DemRaster& raster,
-                             const TilingScheme& tiling, BinIndex bins,
-                             CountMode mode, CellOrder order) {
-  HistogramSet hist;
-  tile_histograms_into(device, raster, tiling, bins, mode, hist, order);
-  return hist;
-}
+namespace {
 
-void tile_histograms_into(Device& device, const DemRaster& raster,
-                          const TilingScheme& tiling, BinIndex bins,
-                          CountMode mode, HistogramSet& hist,
-                          CellOrder order) {
+/// CellAggrKernel over `tiles`: block i histograms tile tiles[i] into
+/// row i of `hist`.
+void histogram_tiles(Device& device, const DemRaster& raster,
+                     const TilingScheme& tiling,
+                     std::span<const TileId> tiles, BinIndex bins,
+                     CountMode mode, HistogramSet& hist, CellOrder order) {
   ZH_REQUIRE(tiling.raster_rows() == raster.rows() &&
                  tiling.raster_cols() == raster.cols(),
              "tiling scheme does not match raster dims");
   ZH_TRACE_SPAN("step1.tile_hist", "pipeline");
-  ZH_COUNTER_ADD("step1.cells_histogrammed", raster.cell_count());
-  ZH_COUNTER_ADD("step1.tiles", tiling.tile_count());
-  hist.reset(tiling.tile_count(), bins);
-  if (tiling.tile_count() == 0) return;
+  hist.reset(tiles.size(), bins);
+  if (tiles.empty()) return;
 
   const std::optional<CellValue> nodata = raster.nodata();
   const std::span<const CellValue> cells = raster.cells();
   const std::int64_t cols = raster.cols();
   BinCount* out = hist.flat().data();
 
-  // CellAggrKernel analog: idx-th block handles the idx-th tile. The bin
+  // CellAggrKernel analog: block idx handles tile tiles[idx]. The bin
   // zeroing phase of Fig. 2 (lines 2-4) is done by HistogramSet's
   // zero-initialization; the cell loop (lines 6-11) is the strided loop
   // below. Atomic adds are kept even though one block owns one tile's
   // histogram -- faithful to the paper's kernel, and required if a future
   // scheduler splits tiles across blocks.
   std::atomic<std::uint64_t> clamped_values{0};
+  std::atomic<std::uint64_t> cells_histogrammed{0};
   device.launch_named(
-      "CellAggrKernel", static_cast<std::uint32_t>(tiling.tile_count()),
+      "CellAggrKernel", static_cast<std::uint32_t>(tiles.size()),
       [&, nodata, cols, out](const BlockContext& ctx) {
-    const TileId tile = ctx.block_id();
+    ZH_DCHECK_BOUNDS(ctx.block_id(), tiles.size());
+    const TileId tile = tiles[ctx.block_id()];
     ZH_DCHECK_BOUNDS(tile, tiling.tile_count());
     const CellWindow w = tiling.tile_window(tile);
-    BinCount* tile_hist = out + static_cast<std::size_t>(tile) * bins;
+    BinCount* tile_hist =
+        out + static_cast<std::size_t>(ctx.block_id()) * bins;
     const std::size_t n = static_cast<std::size_t>(w.cell_count());
     const std::size_t cell_count = cells.size();
     std::uint64_t clamped = 0;
@@ -122,8 +120,40 @@ void tile_histograms_into(Device& device, const DemRaster& raster,
       }
     }
     clamped_values.fetch_add(clamped, std::memory_order_relaxed);
+    cells_histogrammed.fetch_add(n, std::memory_order_relaxed);
   });
+  ZH_COUNTER_ADD("step1.cells_histogrammed", cells_histogrammed.load());
+  ZH_COUNTER_ADD("step1.tiles", tiles.size());
   note_values_clamped(clamped_values.load());
+}
+
+}  // namespace
+
+void tile_histograms_into(Device& device, const DemRaster& raster,
+                          const TilingScheme& tiling,
+                          std::span<const TileId> tiles, BinIndex bins,
+                          CountMode mode, HistogramSet& hist,
+                          CellOrder order) {
+  histogram_tiles(device, raster, tiling, tiles, bins, mode, hist, order);
+}
+
+void tile_histograms_into(Device& device, const DemRaster& raster,
+                          const TilingScheme& tiling, BinIndex bins,
+                          CountMode mode, HistogramSet& hist,
+                          CellOrder order) {
+  std::vector<TileId> all(tiling.tile_count());
+  std::iota(all.begin(), all.end(), TileId{0});
+  histogram_tiles(device, raster, tiling, all, bins, mode, hist, order);
+}
+
+HistogramSet tile_histograms(Device& device, const DemRaster& raster,
+                             const TilingScheme& tiling, BinIndex bins,
+                             CountMode mode, CellOrder order) {
+  std::vector<TileId> all(tiling.tile_count());
+  std::iota(all.begin(), all.end(), TileId{0});
+  HistogramSet hist;
+  histogram_tiles(device, raster, tiling, all, bins, mode, hist, order);
+  return hist;
 }
 
 }  // namespace zh

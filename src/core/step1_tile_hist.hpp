@@ -7,6 +7,8 @@
 // top bin (the paper assumes v < B; the clamp makes the API total).
 #pragma once
 
+#include <span>
+
 #include "common/types.hpp"
 #include "core/histogram.hpp"
 #include "device/device.hpp"
@@ -32,6 +34,16 @@ enum class CountMode {
 /// way -- histograms are order-independent.
 void tile_histograms_into(Device& device, const DemRaster& raster,
                           const TilingScheme& tiling, BinIndex bins,
+                          CountMode mode, HistogramSet& out,
+                          CellOrder order = CellOrder::kRowMajor);
+
+/// Compute per-tile histograms for the listed tiles only, into `out`
+/// (reshaped to tiles.size() x bins): row i holds tile tiles[i]. Only
+/// those tiles' cells are read, and the step1.* counters count only
+/// them. `mode` and `order` act as in the all-tiles form.
+void tile_histograms_into(Device& device, const DemRaster& raster,
+                          const TilingScheme& tiling,
+                          std::span<const TileId> tiles, BinIndex bins,
                           CountMode mode, HistogramSet& out,
                           CellOrder order = CellOrder::kRowMajor);
 

@@ -127,8 +127,6 @@ std::string prometheus_exposition(const std::vector<MetricRecord>& snapshot,
                                   const ExpositionOptions& options) {
   std::string out;
   out.reserve(4096);
-  const MetricRecord* cache_hits = nullptr;
-  const MetricRecord* cache_misses = nullptr;
   for (const MetricRecord& m : snapshot) {
     const std::string family = prometheus_family_name(m.name, m.kind);
     const std::string help = "zh registry metric " + m.name;
@@ -175,25 +173,6 @@ std::string prometheus_exposition(const std::vector<MetricRecord>& snapshot,
         break;
       }
     }
-    if (m.kind == MetricKind::kCounter) {
-      if (m.name == "cache.hits") cache_hits = &m;
-      if (m.name == "cache.misses") cache_misses = &m;
-    }
-  }
-
-  // Derived tile-cache hit-rate: scraped dashboards want the ratio, not
-  // two counters to divide themselves.
-  if (cache_hits != nullptr && cache_misses != nullptr) {
-    const double denom =
-        static_cast<double>(cache_hits->value + cache_misses->value);
-    const double rate =
-        denom > 0.0 ? static_cast<double>(cache_hits->value) / denom : 0.0;
-    append_header(out, "zh_cache_hit_rate",
-                  "tile-cache hit fraction: cache.hits / (hits + misses)",
-                  "gauge");
-    out += "zh_cache_hit_rate ";
-    append_double(out, rate);
-    out += "\n";
   }
 
   if (options.window != nullptr) {

@@ -12,12 +12,10 @@
 // remainder gets a `_latency_seconds` suffix, so `latency.query`
 // becomes the conventional `zh_query_latency_seconds`.
 //
-// Derived series: zh_cache_hit_rate (hits / (hits + misses)) whenever
-// both counters exist, so scrapers get the cache hit-rate without
-// recomputing it. With a RollingWindow attached, each counter
-// additionally gets `<name>_rate{window="Ns"}` (per-second rate over
-// the trailing window) and each latency family gets
-// `<family>_window{window="Ns",quantile="q"}` windowed quantiles.
+// With a RollingWindow attached, each counter additionally gets
+// `<name>_rate{window="Ns"}` (per-second rate over the trailing window)
+// and each latency family gets `<family>_window{window="Ns",quantile="q"}`
+// windowed quantiles.
 #pragma once
 
 #include <string>

@@ -109,7 +109,6 @@ void merge_slot(const Meta& meta, const Slot& slot, Totals& into) {
       break;
     }
     case MetricKind::kLatency: {
-      into.count += c;
       into.sum += slot.sum.load(std::memory_order_relaxed);
       const double mn = slot.min.load(std::memory_order_relaxed);
       const double mx = slot.max.load(std::memory_order_relaxed);
@@ -117,9 +116,14 @@ void merge_slot(const Meta& meta, const Slot& slot, Totals& into) {
       if (mx > into.max) into.max = mx;
       if (slot.latency != nullptr) {
         if (into.latency.empty()) into.latency.assign(kLatencyBucketCount, 0);
+        // Count the buckets read here, not `c`: a sample recorded while
+        // this loop runs would otherwise leave a mid-run snapshot's
+        // count and bucket total disagreeing.
         for (std::size_t i = 0; i < kLatencyBucketCount; ++i) {
-          into.latency[i] +=
+          const std::uint64_t n =
               slot.latency->counts[i].load(std::memory_order_relaxed);
+          into.latency[i] += n;
+          into.count += n;
         }
       }
       break;

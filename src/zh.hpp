@@ -22,7 +22,6 @@
 #include "core/cluster_driver.hpp"         // IWYU pragma: export
 #include "core/histogram.hpp"              // IWYU pragma: export
 #include "core/hybrid.hpp"                 // IWYU pragma: export
-#include "core/lazy_pipeline.hpp"          // IWYU pragma: export
 #include "core/load_balance.hpp"           // IWYU pragma: export
 #include "core/multiband.hpp"              // IWYU pragma: export
 #include "core/perf_model.hpp"             // IWYU pragma: export
@@ -30,7 +29,6 @@
 #include "core/point_zonal.hpp"            // IWYU pragma: export
 #include "core/query_engine.hpp"           // IWYU pragma: export
 #include "core/rasterize.hpp"              // IWYU pragma: export
-#include "core/tile_cache.hpp"             // IWYU pragma: export
 #include "core/zonal_stats_op.hpp"         // IWYU pragma: export
 #include "core/zone_cluster.hpp"           // IWYU pragma: export
 #include "data/conus.hpp"                  // IWYU pragma: export

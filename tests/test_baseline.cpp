@@ -2,6 +2,10 @@
 // bit-for-bit on arbitrary inputs (they share cell-center semantics).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "core/baseline.hpp"
 #include "test_util.hpp"
 
@@ -12,7 +16,12 @@ struct Case {
   std::uint32_t seed;
   int polygons;
   bool holes;
+  // gtest names each case after the raw bytes of its parameter: the
+  // padding is spelled out and zeroed so the names do not change from
+  // build to build with whatever the padding bytes happened to hold.
+  std::array<std::uint8_t, 3> padding{};
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 class BaselineSweep : public ::testing::TestWithParam<Case> {};
 

@@ -133,6 +133,32 @@ TEST(BqTree, RandomNoiseDoesNotCompress) {
   EXPECT_GT(comp.compression_ratio(), 0.9);
 }
 
+TEST(CompressedRaster, EncodeRejectsRasterWithNodata) {
+  // The container has no field for a nodata value; encoding one would
+  // make its nodata cells count after decoding.
+  DemRaster r = test::random_raster(24, 24, 5, 63);
+  r.set_nodata(CellValue{7});
+  EXPECT_THROW((void)BqCompressedRaster::encode(r, 8), InvalidArgument);
+}
+
+TEST(CompressedRaster, DecodeTilesFillsOnlyListedTiles) {
+  const DemRaster dem = test::random_raster(40, 56, 8, 500);
+  const BqCompressedRaster comp = BqCompressedRaster::encode(dem, 16);
+  const std::vector<TileId> tiles = {1, 5};
+  const DemRaster part = comp.decode_tiles(tiles);
+  const TilingScheme& tiling = comp.tiling();
+  for (TileId t = 0; t < tiling.tile_count(); ++t) {
+    const bool listed = t == 1 || t == 5;
+    const CellWindow w = tiling.tile_window(t);
+    for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
+      for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
+        ASSERT_EQ(part.at(r, c), listed ? dem.at(r, c) : 0)
+            << "tile " << t;
+      }
+    }
+  }
+}
+
 TEST(CompressedRaster, DecodeAllMatchesOriginal) {
   const DemRaster dem = generate_dem(
       300, 500, GeoTransform(-100.0, 40.0, 0.01, 0.01));

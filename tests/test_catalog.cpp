@@ -61,13 +61,15 @@ TEST_F(CatalogTest, RunMatchesInMemoryReferenceBothModes) {
 
   Device dev;
   HistogramSet expect(zones.size(), 100);
-  expect.add(zonal_mbb_filter(a, zones, 100));
-  expect.add(zonal_mbb_filter(b, zones, 100));
+  expect.add(zonal_scanline(a, zones, 100));
+  expect.add(zonal_scanline(b, zones, 100));
 
-  for (const bool lazy : {true, false}) {
+  // Both Step-1 count modes go through the filter-first executor.
+  for (const CountMode mode : {CountMode::kAtomic, CountMode::kPrivatized}) {
     const CatalogRunResult r = run_catalog(
-        dev, catalog, {.tile_size = 8, .bins = 100}, lazy);
-    EXPECT_EQ(r.per_polygon, expect) << "lazy=" << lazy;
+        dev, catalog, {.tile_size = 8, .bins = 100, .count_mode = mode});
+    EXPECT_EQ(r.per_polygon, expect)
+        << "count mode " << static_cast<int>(mode);
     EXPECT_EQ(r.rasters_processed, 2u);
     EXPECT_GT(r.bytes_read, 0u);
   }

@@ -216,6 +216,27 @@ TEST(ClusterDriver, CompressedModeMatchesRawMode) {
   EXPECT_GT(decode_time, 0.0);
 }
 
+TEST(ClusterDriver, CompressedModeRejectsNodataBeforeDispatch) {
+  // BQ partitions cannot carry nodata: the run must refuse up front in
+  // both modes, not surface as a crashed rank.
+  std::vector<DemRaster> rasters;
+  rasters.push_back(test::random_raster(32, 32, 4, 99,
+                                        GeoTransform(0.0, 3.2, 0.1, 0.1)));
+  rasters.back().set_nodata(CellValue{7});
+  const PolygonSet zones = test::random_polygon_set(
+      8, GeoBox{0.5, 0.5, 2.7, 2.7}, 3, false);
+  for (const bool ft : {false, true}) {
+    ClusterRunConfig cfg;
+    cfg.ranks = 2;
+    cfg.zonal = {.tile_size = 8, .bins = 100};
+    cfg.compress = true;
+    cfg.fault_tolerance.enabled = ft;
+    EXPECT_THROW(run_cluster_zonal(rasters, {{2, 2}}, zones, cfg),
+                 InvalidArgument)
+        << "fault tolerance " << ft;
+  }
+}
+
 TEST(ClusterDriver, SchemaCountMismatchThrows) {
   std::vector<DemRaster> rasters;
   rasters.emplace_back(10, 10);

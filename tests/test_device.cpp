@@ -152,7 +152,9 @@ TEST(DeviceProfiles, PipelineKernelsAppearInProfile) {
   EXPECT_TRUE(profiles.count("CellAggrKernel"));
   EXPECT_TRUE(profiles.count("UpdateHistKernel"));
   EXPECT_TRUE(profiles.count("pip_test_kernel"));
-  EXPECT_EQ(profiles.at("CellAggrKernel").blocks, 25u);  // 5x5 tiles
+  // Filter-first: Step 1 histograms only the 3x3 tiles fully inside the
+  // zone; the 16 border tiles it touches go to Step 4 alone.
+  EXPECT_EQ(profiles.at("CellAggrKernel").blocks, 9u);
 }
 
 }  // namespace

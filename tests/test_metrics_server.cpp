@@ -113,8 +113,6 @@ TEST(ObsExposition, RendersAndPassesOwnLinter) {
             std::string::npos);
   EXPECT_NE(text.find("zh_query_latency_seconds_count 200"),
             std::string::npos);
-  // Derived hit-rate: 75 / (75 + 25).
-  EXPECT_NE(text.find("zh_cache_hit_rate 0.75"), std::string::npos);
 
   const std::vector<std::string> problems = obs::lint_exposition(text);
   for (const std::string& p : problems) ADD_FAILURE() << p;
@@ -201,7 +199,6 @@ TEST(ObsServe, MetricsAndHealthOverLoopback) {
 
   EXPECT_NE(body.find("zh_query_latency_seconds{quantile=\"0.99\"}"),
             std::string::npos);
-  EXPECT_NE(body.find("zh_cache_hit_rate 0.75"), std::string::npos);
   const std::vector<std::string> problems = obs::lint_exposition(body);
   for (const std::string& p : problems) ADD_FAILURE() << p;
 

@@ -4,6 +4,10 @@
 // counts on space-filling zone layers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "core/baseline.hpp"
 #include "core/pipeline.hpp"
 #include "data/county_synth.hpp"
@@ -18,7 +22,12 @@ struct Config {
   BinIndex bins;
   std::uint32_t seed;
   bool holes;
+  // gtest names each case after the raw bytes of its parameter: the
+  // padding is spelled out and zeroed so the names do not change from
+  // build to build with whatever the padding bytes happened to hold.
+  std::array<std::uint8_t, 7> padding{};
 };
+static_assert(std::has_unique_object_representations_v<Config>);
 
 class PipelineSweep : public ::testing::TestWithParam<Config> {};
 

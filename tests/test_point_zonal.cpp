@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "core/point_zonal.hpp"
 #include "data/points_synth.hpp"
 #include "test_util.hpp"
@@ -13,7 +17,12 @@ struct Scenario {
   int clusters;
   bool weighted;
   bool holes;
+  // gtest names each case after the raw bytes of its parameter: the
+  // padding is spelled out and zeroed so the names do not change from
+  // build to build with whatever the padding bytes happened to hold.
+  std::array<std::uint8_t, 2> padding{};
 };
+static_assert(std::has_unique_object_representations_v<Scenario>);
 
 class PointZonalSweep : public ::testing::TestWithParam<Scenario> {};
 

@@ -1,7 +1,5 @@
-// QueryEngine correctness: every cached-path result must be bit-identical
-// to a fresh ZonalPipeline::run on the same inputs (DESIGN.md §9). The
-// cache is an optimization, never an approximation -- warm queries skip
-// the Step-1 cell scan but produce the exact same histograms.
+// QueryEngine correctness: every query result must be bit-identical to a
+// fresh ZonalPipeline::run on the same inputs (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -26,8 +24,8 @@ PolygonSet make_zones(std::uint32_t seed, bool holes = false) {
 }
 
 /// Tessellating zones: large enough that many tiles are fully inside,
-/// which is what exercises the Step-1 cache (inside pairs demand tile
-/// histograms; intersect pairs go straight to Step-4 refinement).
+/// so Step 1 has demanded tiles (inside pairs demand tile histograms;
+/// intersect pairs go straight to Step-4 refinement).
 PolygonSet make_county_zones(std::uint64_t seed) {
   CountyParams cp;
   cp.seed = seed;
@@ -60,29 +58,6 @@ TEST(QueryEngine, MatchesZonalPipelineBitExactly) {
   EXPECT_EQ(got.work.cells_in_polygons, want.work.cells_in_polygons);
 }
 
-TEST(QueryEngine, RepeatedQueryHitsCacheAndStaysIdentical) {
-  Device dev;
-  const DemRaster raster = make_raster(12);
-  const PolygonSet zones = make_county_zones(102);
-
-  QueryEngine engine(dev, small_config());
-  const RasterHandle h = engine.add_raster(raster);
-  const ZonalQuery q{.raster = h, .zones = &zones, .bins = 100};
-
-  const QueryResult cold = engine.run(q);
-  const QueryResult warm = engine.run(q);
-  EXPECT_EQ(warm.per_polygon, cold.per_polygon);
-
-  // Cold run: every demanded tile was a miss; warm run: every one a hit.
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_GT(cold.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
-  // A fully warm query histogrammed zero raster cells (Step-1 skipped).
-  EXPECT_GT(cold.work.cells_total, 0u);
-  EXPECT_EQ(warm.work.cells_total, 0u);
-}
-
 TEST(QueryEngine, BatchMatchesIndependentRunsWithSharing) {
   Device dev;
   const DemRaster raster = make_raster(13);
@@ -98,23 +73,17 @@ TEST(QueryEngine, BatchMatchesIndependentRunsWithSharing) {
   const std::vector<QueryResult> results = engine.run_batch(batch);
   ASSERT_EQ(results.size(), 2u);
 
-  // Bit-identical to two independent pipeline runs.
+  // Two zone layers share one registered raster; each answer is
+  // bit-identical to an independent pipeline run.
   const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 100});
   EXPECT_EQ(results[0].per_polygon, pipe.run(raster, zones_a).per_polygon);
   EXPECT_EQ(results[1].per_polygon, pipe.run(raster, zones_b).per_polygon);
-
-  // Different zone layers over the same raster share tile histograms:
-  // the second query must hit on every tile the first already filled.
-  EXPECT_EQ(results[0].cache_hits, 0u);
-  EXPECT_GT(results[1].cache_hits, 0u);
-  EXPECT_LT(results[1].cache_misses, results[1].cache_hits +
-                                         results[1].cache_misses);
-  const TileCacheStats stats = engine.cache_stats();
-  EXPECT_EQ(stats.hits, results[1].cache_hits);
-  EXPECT_EQ(stats.misses, results[0].cache_misses + results[1].cache_misses);
+  EXPECT_GT(results[0].work.pairs_inside, 0u);
 }
 
 TEST(QueryEngine, DistinctBinningsDoNotAlias) {
+  // Queries at different bin counts on one engine: the second answer
+  // owes nothing to the first.
   Device dev;
   const DemRaster raster = make_raster(14);
   const PolygonSet zones = make_zones(105);
@@ -123,16 +92,16 @@ TEST(QueryEngine, DistinctBinningsDoNotAlias) {
   const RasterHandle h = engine.add_raster(raster);
   const QueryResult a = engine.run({.raster = h, .zones = &zones, .bins = 100});
   const QueryResult b = engine.run({.raster = h, .zones = &zones, .bins = 50});
-  // Different bin counts: no entry sharing, both all-miss.
-  EXPECT_EQ(a.cache_hits, 0u);
-  EXPECT_EQ(b.cache_hits, 0u);
 
   Device dev2;
+  const ZonalPipeline pipe100(dev2, {.tile_size = 8, .bins = 100});
   const ZonalPipeline pipe50(dev2, {.tile_size = 8, .bins = 50});
+  EXPECT_EQ(a.per_polygon, pipe100.run(raster, zones).per_polygon);
   EXPECT_EQ(b.per_polygon, pipe50.run(raster, zones).per_polygon);
 }
 
 TEST(QueryEngine, DistinctRastersDoNotAlias) {
+  // Each handle answers from the raster it was registered with.
   Device dev;
   const DemRaster r1 = make_raster(15);
   const DemRaster r2 = make_raster(16);
@@ -145,52 +114,9 @@ TEST(QueryEngine, DistinctRastersDoNotAlias) {
 
   const QueryResult a = engine.run({.raster = h1, .zones = &zones, .bins = 100});
   const QueryResult b = engine.run({.raster = h2, .zones = &zones, .bins = 100});
-  EXPECT_EQ(b.cache_hits, 0u);  // content differs -> different fingerprints
-  (void)a;
-
   const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 100});
+  EXPECT_EQ(a.per_polygon, pipe.run(r1, zones).per_polygon);
   EXPECT_EQ(b.per_polygon, pipe.run(r2, zones).per_polygon);
-}
-
-TEST(QueryEngine, EqualContentRastersShareEntries) {
-  // Two registrations of byte-identical rasters fingerprint equally, so
-  // the second query is fully warm even though the handles differ.
-  Device dev;
-  const DemRaster r1 = make_raster(17);
-  const DemRaster r2 = r1;
-  const PolygonSet zones = make_county_zones(107);
-
-  QueryEngine engine(dev, small_config());
-  const RasterHandle h1 = engine.add_raster(r1);
-  const RasterHandle h2 = engine.add_raster(r2);
-  const QueryResult cold = engine.run({.raster = h1, .zones = &zones, .bins = 100});
-  const QueryResult warm = engine.run({.raster = h2, .zones = &zones, .bins = 100});
-  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.per_polygon, cold.per_polygon);
-}
-
-TEST(QueryEngine, SurvivesTinyCacheBudgetByRefilling) {
-  // A budget too small to keep the working set resident must degrade to
-  // recomputation, never to wrong answers.
-  Device dev;
-  const DemRaster raster = make_raster(18);
-  const PolygonSet zones = make_county_zones(108);
-
-  QueryEngineConfig cfg = small_config();
-  cfg.cache.budget_bytes = 4 << 10;  // a handful of tile histograms
-  cfg.cache.shards = 1;
-  QueryEngine engine(dev, cfg);
-  const RasterHandle h = engine.add_raster(raster);
-  const ZonalQuery q{.raster = h, .zones = &zones, .bins = 100};
-  const QueryResult first = engine.run(q);
-  const QueryResult second = engine.run(q);
-  EXPECT_EQ(second.per_polygon, first.per_polygon);
-  EXPECT_GT(engine.cache_stats().evictions, 0u);
-  EXPECT_LE(engine.cache().bytes(), engine.cache().budget_bytes());
-
-  const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 100});
-  EXPECT_EQ(first.per_polygon, pipe.run(raster, zones).per_polygon);
 }
 
 TEST(QueryEngine, RejectsInvalidQueries) {
@@ -216,7 +142,7 @@ TEST(QueryEngine, EmptyZoneSetYieldsEmptyResult) {
   const RasterHandle h = engine.add_raster(raster);
   const QueryResult r = engine.run({.raster = h, .zones = &zones, .bins = 100});
   EXPECT_EQ(r.per_polygon.groups(), 0u);
-  EXPECT_EQ(r.cache_misses, 0u);  // no demanded tiles
+  EXPECT_EQ(r.work.pairs_inside + r.work.pairs_intersect, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #   tools/check.sh tsan         # Debug + TSan + concurrency test suites
 #   tools/check.sh faults       # fault-injection suites (dev + asan-ubsan)
 #   tools/check.sh resume       # kill/resume soak: abort-point sweep + journal fuzz
-#   tools/check.sh query        # batch query engine: cache bit-identity + speedup gate
+#   tools/check.sh query        # batch query engine: bit-identity against zhist hist
 #   tools/check.sh obs          # trace/metrics end-to-end + ZH_OBS=OFF build
 #   tools/check.sh lint         # zh-lint project invariants + header check
 #   tools/check.sh tidy         # clang-tidy over src/ (needs clang-tidy)
@@ -29,7 +29,7 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 # fault-injection and timeout/heartbeat paths), the Step-4 refinement
 # strategies (parallel edge-index build + scanline kernels), and the
 # stress mix.
-TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*TileCache*:*QueryEngine*'
+TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*'
 
 # Fault-tolerance suites: deterministic fault injection, timeout/retry,
 # straggler recovery, corruption-detecting I/O, the parser corpus, and
@@ -248,12 +248,9 @@ run_resume() {
 }
 
 run_query() {
-  # Batch query engine gate (DESIGN.md §9): serving Step 1 from the
-  # shared tile-histogram cache must never change answers. Every batch
+  # Batch query engine gate (DESIGN.md §9): every `zhist query --batch`
   # output is compared byte-for-byte against an independent `zhist hist`
-  # run, the repeated query must hit the cache, a deliberately starved
-  # budget must evict yet still answer bit-identically, and the
-  # cold-vs-warm speedup bench closes the stage.
+  # run over the same raster and zones.
   configure_and_build dev
   local tmp="build-dev/query-check"
   rm -rf "${tmp}" && mkdir -p "${tmp}"
@@ -268,9 +265,7 @@ run_query() {
   "${zhist}" hist "${tmp}/dem.zgrid" "${tmp}/zones_b.tsv" \
     -o "${tmp}/golden_b.csv" --bins 128 --tile 32
 
-  log "batch run: bit-identity + cache hits (zhist query)"
-  # Three queries over one raster; the third repeats the first, so the
-  # batch must record cache hits and still reproduce the goldens.
+  log "batch run: bit-identity (zhist query)"
   cat > "${tmp}/spec.json" <<EOF
 {
   "tile": 32,
@@ -290,38 +285,6 @@ EOF
   cmp "${tmp}/q1.csv" "${tmp}/golden_b.csv"
   cmp "${tmp}/q2.csv" "${tmp}/golden_a.csv"
   ./build-dev/tools/validate_obs metrics "${tmp}/query.metrics.json"
-  grep -q '"cache\.hits":[1-9]' "${tmp}/query.metrics.json" || {
-    echo "repeated query produced no cache hits" >&2
-    return 1
-  }
-
-  log "eviction under a starved budget stays bit-identical"
-  "${zhist}" hist "${tmp}/dem.zgrid" "${tmp}/zones_a.tsv" \
-    -o "${tmp}/golden_wide.csv" --bins 4096 --tile 32
-  cat > "${tmp}/spec-small.json" <<EOF
-{
-  "tile": 32,
-  "cache_budget_mb": 1,
-  "queries": [
-    {"raster": "${tmp}/dem.zgrid", "zones": "${tmp}/zones_a.tsv",
-     "bins": 4096, "out": "${tmp}/s0.csv"},
-    {"raster": "${tmp}/dem.zgrid", "zones": "${tmp}/zones_a.tsv",
-     "bins": 4096, "out": "${tmp}/s1.csv"}
-  ]
-}
-EOF
-  "${zhist}" query --batch "${tmp}/spec-small.json" \
-    --metrics "${tmp}/small.metrics.json"
-  cmp "${tmp}/s0.csv" "${tmp}/golden_wide.csv"
-  cmp "${tmp}/s1.csv" "${tmp}/golden_wide.csv"
-  grep -q '"cache\.evictions":[1-9]' "${tmp}/small.metrics.json" || {
-    echo "starved 1 MB budget recorded no evictions" >&2
-    return 1
-  }
-
-  log "query-cache speedup gate (bench_query_cache)"
-  ZH_BENCH_JSON=build-dev/BENCH_query_cache.json \
-    ./build-dev/bench/bench_query_cache
 }
 
 run_obs() {
@@ -453,11 +416,8 @@ EOF
     echo "live scrape never showed zh_query_latency_seconds p99" >&2
     return 1
   }
-  # The repeated query makes the second run hit the tile cache, so the
-  # derived hit-rate gauge must be present alongside the quantiles.
   ./build-dev/tools/validate_obs prom "${tmp}/query.prom" \
-    --require-name 'zh_query_latency_seconds{quantile="0.99"' \
-    --require-name 'zh_cache_hit_rate'
+    --require-name 'zh_query_latency_seconds{quantile="0.99"'
 
   log "bench regression differ gates (zh_perf)"
   # Committed baselines compared against themselves must pass ...

@@ -207,12 +207,9 @@ int check_metrics(const std::string& path, long require_ranks) {
         "step4.run_cells",
         "comm.msgs_sent",          "comm.bytes_sent",
         "comm.retries",            "comm.msgs_recovered",
-        "cache.hits",              "cache.misses",
-        "cache.fills",             "cache.evictions",
-        "cache.bytes",
     };
     static const char* const kValidatedFamilies[] = {"journal.", "step4.",
-                                                     "comm.", "cache."};
+                                                     "comm."};
     for (const auto& [name, value] : counters->obj) {
       bool in_family = false;
       for (const char* prefix : kValidatedFamilies) {

@@ -5,7 +5,9 @@
 //       [--stats] [--partitions RxC] [--ranks N] [--fault-plan SPEC]
 //       [--checkpoint-dir DIR] [--resume] [--checkpoint-interval N]
 //     Zonal histograms of a raster (.zgrid, .asc or .bq) over a WKT-TSV
-//     zone layer; optional classic statistics table; CSV output. With
+//     zone layer; optional classic statistics table; CSV output. A .bq
+//     raster whose tiles match --tile decodes only the tiles some zone
+//     touches, timed as Step 0 (single process only). With
 //     --ranks > 1 the run goes through the fault-tolerant cluster driver;
 //     --fault-plan injects scripted message faults / rank crashes (see
 //     FaultPlan::parse), e.g. "seed=1,drop=0.05,crash=2@partition_done".
@@ -14,7 +16,8 @@
 //     rerunning with --resume recomputes only un-journaled partitions
 //     and produces bit-identical histograms (DESIGN.md 5d).
 //   zhist encode <raster.zgrid|.asc> <out.bq> [--tile N]
-//     BQ-Tree-compress a raster.
+//     BQ-Tree-compress a raster (one without a nodata value: the
+//     container cannot store it).
 //   zhist decode <in.bq> <out.zgrid>
 //     Decompress a .bq container.
 //   zhist render <raster> <out.ppm> [--max-edge N]
@@ -27,12 +30,12 @@
 //     Douglas-Peucker generalization of a zone layer.
 //   zhist validate <zones.tsv>
 //     Geometry validity report.
-//   zhist catalog <dir> [-o hist.csv] [--bins N] [--tile N] [--eager]
+//   zhist catalog <dir> [-o hist.csv] [--bins N] [--tile N]
 //     Out-of-core run over a catalog directory.
-//   zhist query --batch spec.json [--tile N] [--cache-budget-mb N]
-//     Multi-query batch through the QueryEngine: rasters load once, and
-//     Step-1 tile histograms are shared across queries via the tile
-//     cache. The JSON spec holds the query list (see cmd_query).
+//   zhist query --batch spec.json [--tile N]
+//     Multi-query batch through the QueryEngine: rasters and zone layers
+//     load once and every query runs the filter-first pipeline. The JSON
+//     spec holds the query list (see cmd_query).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -69,8 +72,8 @@ using namespace zh;
                "[--seed S]\n"
                "  zhist zones <out.tsv> [--zones N] [--seed S]\n"
                "  zhist query --batch spec.json [--tile N] "
-               "[--cache-budget-mb N] [--metrics FILE] [--trace FILE] "
-               "[--report] [--metrics-port N] [--metrics-linger-ms N]\n");
+               "[--metrics FILE] [--trace FILE] [--report] "
+               "[--metrics-port N] [--metrics-linger-ms N]\n");
   std::exit(2);
 }
 
@@ -91,7 +94,6 @@ struct Args {
   std::uint64_t seed = 42;
   std::int64_t max_edge = 1024;
   double eps = 0.0;
-  bool eager = false;
   std::size_t ranks = 1;
   std::string fault_plan;
   std::string checkpoint_dir;  ///< durable run-journal directory
@@ -103,7 +105,6 @@ struct Args {
   int metrics_port = -1;  ///< serve /metrics on 127.0.0.1:N (0=ephemeral)
   int metrics_linger_ms = 0;  ///< keep serving this long after the run
   std::string batch;    ///< JSON batch spec for `zhist query`
-  std::size_t cache_budget_mb = 256;  ///< tile-cache budget for `query`
 };
 
 Args parse(int argc, char** argv) {
@@ -152,8 +153,6 @@ Args parse(int argc, char** argv) {
       args.max_edge = std::stoll(next());
     } else if (a == "--eps") {
       args.eps = std::stod(next());
-    } else if (a == "--eager") {
-      args.eager = true;
     } else if (a == "--ranks") {
       args.ranks = static_cast<std::size_t>(std::stoull(next()));
     } else if (a == "--fault-plan") {
@@ -177,8 +176,6 @@ Args parse(int argc, char** argv) {
       args.metrics_linger_ms = std::stoi(next());
     } else if (a == "--batch") {
       args.batch = next();
-    } else if (a == "--cache-budget-mb") {
-      args.cache_budget_mb = static_cast<std::size_t>(std::stoull(next()));
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       usage();
@@ -260,14 +257,14 @@ void finish_obs(const Args& args, const obs::RunReport& report) {
   }
 }
 
-obs::RunReport base_report(const Args& args, const DemRaster& raster,
-                           const PolygonSet& zones) {
+obs::RunReport base_report(const Args& args, std::int64_t rows,
+                           std::int64_t cols, const PolygonSet& zones) {
   obs::RunReport report;
   report.tool = "zhist hist";
   report.workload = args.positional[0] + " + " + args.positional[1];
   report.config = {
-      {"raster_rows", std::to_string(raster.rows())},
-      {"raster_cols", std::to_string(raster.cols())},
+      {"raster_rows", std::to_string(rows)},
+      {"raster_cols", std::to_string(cols)},
       {"zones", std::to_string(zones.size())},
       {"bins", std::to_string(args.bins)},
       {"tile", std::to_string(args.tile)},
@@ -289,15 +286,35 @@ int cmd_hist(const Args& args) {
   const bool with_obs = setup_obs(args);
   std::optional<obs::MetricsServer> metrics_server;
   start_metrics_server(args, metrics_server);
-  const DemRaster raster = load_raster(args.positional[0]);
+  const std::string& path = args.positional[0];
+  const bool cluster = args.ranks > 1 || !args.fault_plan.empty() ||
+                       !args.checkpoint_dir.empty();
+  const bool partitioned = args.part_rows > 1 || args.part_cols > 1;
+  // A single-process run takes .bq input compressed, so Step 0 decodes
+  // only the tiles some zone touches. The other paths, and a --tile that
+  // re-tiles the file, decode the whole raster up front.
+  std::optional<BqCompressedRaster> compressed;
+  DemRaster raster;
+  if (ends_with(path, ".bq")) {
+    BqCompressedRaster bq = read_bq(path);
+    if (!cluster && !partitioned && bq.tiling().tile_size() == args.tile) {
+      compressed.emplace(std::move(bq));
+    } else {
+      raster = bq.decode_all();
+    }
+  } else {
+    raster = load_raster(path);
+  }
+  const std::int64_t rows =
+      compressed ? compressed->tiling().raster_rows() : raster.rows();
+  const std::int64_t cols =
+      compressed ? compressed->tiling().raster_cols() : raster.cols();
   const PolygonSet zones = read_polygon_tsv(args.positional[1]);
   std::fprintf(stderr, "raster %lldx%lld, %zu zones, %u bins, tile %lld\n",
-               static_cast<long long>(raster.rows()),
-               static_cast<long long>(raster.cols()), zones.size(),
-               args.bins, static_cast<long long>(args.tile));
+               static_cast<long long>(rows), static_cast<long long>(cols),
+               zones.size(), args.bins, static_cast<long long>(args.tile));
 
-  if (args.ranks > 1 || !args.fault_plan.empty() ||
-      !args.checkpoint_dir.empty()) {
+  if (cluster) {
     ClusterRunConfig cfg;
     cfg.ranks = args.ranks > 0 ? args.ranks : 1;
     cfg.zonal = {.tile_size = args.tile, .bins = args.bins,
@@ -390,7 +407,7 @@ int cmd_hist(const Args& args) {
       }
     }
     if (with_obs) {
-      obs::RunReport report = base_report(args, raster, zones);
+      obs::RunReport report = base_report(args, rows, cols, zones);
       // Per-step times reduce as max over ranks -- the paper's "longest
       // runtime among all the nodes" convention.
       for (const StepTimes& t : cres.per_rank) {
@@ -437,10 +454,10 @@ int cmd_hist(const Args& args) {
                             .refine_strategy = args.refine});
   Timer timer;
   const ZonalResult result =
-      (args.part_rows > 1 || args.part_cols > 1)
-          ? pipe.run_partitioned(raster, zones, args.part_rows,
-                                 args.part_cols)
-          : pipe.run(raster, zones);
+      compressed    ? pipe.run(*compressed, zones)
+      : partitioned ? pipe.run_partitioned(raster, zones, args.part_rows,
+                                           args.part_cols)
+                    : pipe.run(raster, zones);
   std::fprintf(stderr, "pipeline: %.2f s (steps %.2f s)\n", timer.seconds(),
                result.times.step_total());
 
@@ -460,7 +477,7 @@ int cmd_hist(const Args& args) {
     }
   }
   if (with_obs) {
-    obs::RunReport report = base_report(args, raster, zones);
+    obs::RunReport report = base_report(args, rows, cols, zones);
     report.times = result.times;
     report.has_times = true;
     append_work_counters(report, result.work);
@@ -589,13 +606,10 @@ int cmd_catalog(const Args& args) {
   Device device;
   Timer timer;
   const CatalogRunResult r = run_catalog(
-      device, catalog, {.tile_size = args.tile, .bins = args.bins},
-      !args.eager);
-  std::fprintf(stderr,
-               "%zu rasters, %.1f MB read, %.2f s (%s pipeline)\n",
+      device, catalog, {.tile_size = args.tile, .bins = args.bins});
+  std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
                r.rasters_processed,
-               static_cast<double>(r.bytes_read) / 1e6, timer.seconds(),
-               args.eager ? "eager" : "filter-first");
+               static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
   if (!args.out.empty()) {
     write_histogram_csv(args.out, r.per_polygon);
     std::fprintf(stderr, "wrote %s\n", args.out.c_str());
@@ -615,12 +629,11 @@ int cmd_catalog(const Args& args) {
 }
 
 // Batch spec (parsed with the strict obs JSON reader):
-//   {"tile": 360,                      // optional, cache-key tile size
-//    "cache_budget_mb": 256,           // optional, overridden by flag
+//   {"tile": 360,                      // optional, overrides --tile
 //    "queries": [{"raster": "dem.zgrid", "zones": "zones.tsv",
 //                 "bins": 100, "out": "q0.csv"}, ...]}
 // Rasters and zone layers are deduplicated by path, so repeated paths
-// load once and queries against the same raster share cache entries.
+// load once.
 int cmd_query(const Args& args) {
   if (args.batch.empty() || !args.positional.empty()) usage();
   const bool with_obs = setup_obs(args);
@@ -640,12 +653,6 @@ int cmd_query(const Args& args) {
       t != nullptr && t->is_number()) {
     cfg.tile_size = static_cast<std::int64_t>(t->number);
   }
-  std::size_t budget_mb = args.cache_budget_mb;
-  if (const obs::JsonValue* b = spec.find("cache_budget_mb");
-      b != nullptr && b->is_number()) {
-    budget_mb = static_cast<std::size_t>(b->number);
-  }
-  cfg.cache.budget_bytes = budget_mb << 20;
 
   // Load each distinct path once. Deques keep element addresses stable
   // as they grow; the engine and queries hold pointers into them.
@@ -703,9 +710,9 @@ int cmd_query(const Args& args) {
 
   std::fprintf(stderr,
                "batch: %zu queries, %zu rasters, %zu zone layers, "
-               "tile %lld, cache %zu MB\n",
+               "tile %lld\n",
                plan.size(), rasters.size(), zone_layers.size(),
-               static_cast<long long>(cfg.tile_size), budget_mb);
+               static_cast<long long>(cfg.tile_size));
 
   Timer timer;
   StepTimes total_times;
@@ -716,27 +723,14 @@ int cmd_query(const Args& args) {
       total_times.seconds[st] += r.times.seconds[st];
     }
     total_work += r.work;
-    std::fprintf(stderr,
-                 "query %zu: %zu zones, step1 %.3f s, cache %llu hit / "
-                 "%llu miss\n",
-                 i, r.per_polygon.groups(), r.times.seconds[1],
-                 static_cast<unsigned long long>(r.cache_hits),
-                 static_cast<unsigned long long>(r.cache_misses));
+    std::fprintf(stderr, "query %zu: %zu zones, steps %.3f s\n", i,
+                 r.per_polygon.groups(), r.times.step_total());
     if (!plan[i].out.empty()) {
       write_histogram_csv(plan[i].out, r.per_polygon);
       std::fprintf(stderr, "wrote %s\n", plan[i].out.c_str());
     }
   }
-  const TileCacheStats stats = engine.cache_stats();
-  std::fprintf(stderr,
-               "batch done: %.2f s; cache %llu hits, %llu misses, "
-               "%llu fills, %llu evictions, %.1f MB resident\n",
-               timer.seconds(),
-               static_cast<unsigned long long>(stats.hits),
-               static_cast<unsigned long long>(stats.misses),
-               static_cast<unsigned long long>(stats.fills),
-               static_cast<unsigned long long>(stats.evictions),
-               static_cast<double>(stats.bytes) / (1024.0 * 1024.0));
+  std::fprintf(stderr, "batch done: %.2f s\n", timer.seconds());
 
   if (with_obs) {
     obs::RunReport report;
@@ -747,16 +741,10 @@ int cmd_query(const Args& args) {
         {"rasters", std::to_string(rasters.size())},
         {"zone_layers", std::to_string(zone_layers.size())},
         {"tile", std::to_string(cfg.tile_size)},
-        {"cache_budget_mb", std::to_string(budget_mb)},
     };
     report.times = total_times;
     report.has_times = true;
     append_work_counters(report, total_work);
-    report.counters.emplace_back("cache.hits", stats.hits);
-    report.counters.emplace_back("cache.misses", stats.misses);
-    report.counters.emplace_back("cache.fills", stats.fills);
-    report.counters.emplace_back("cache.evictions", stats.evictions);
-    report.counters.emplace_back("cache.bytes", stats.bytes);
     finish_obs(args, report);
   }
   linger_metrics(args, metrics_server);

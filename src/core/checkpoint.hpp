@@ -34,9 +34,8 @@ class CheckpointSink {
                                      std::span<const BinCount> bins) = 0;
 };
 
-/// Checkpoint wiring + resume state for run_cluster_zonal. Requires the
-/// fault-tolerant mode (the static mode has no per-partition acceptance
-/// to journal).
+/// Checkpoint wiring + resume state for run_cluster_zonal: the master
+/// journals each partition it accepts and skips the ones already done.
 struct CheckpointConfig {
   /// Not owned; must outlive the run. Null disables journaling (a
   /// resume-only final run that starts with every partition completed
@@ -50,10 +49,6 @@ struct CheckpointConfig {
   /// stays bit-identical to an uninterrupted run. Must be empty when
   /// completed_partitions is empty.
   std::vector<BinCount> resume_bins;
-
-  [[nodiscard]] bool enabled() const {
-    return sink != nullptr || !completed_partitions.empty();
-  }
 };
 
 }  // namespace zh

@@ -15,7 +15,7 @@ namespace {
 
 using Clock = Deadline::Clock;
 
-// Protocol tags of the fault-tolerant mode (worker <-> master).
+// Protocol tags of the supervised dispatch (worker <-> master).
 constexpr int kTagHeartbeat = 100;  ///< worker -> master: u32 partition index
 constexpr int kTagResult = 101;  ///< worker -> master: u32 index + histogram
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
@@ -34,9 +34,8 @@ std::vector<std::byte> encode_result(std::uint32_t part_index,
 
 // Accumulate a completed partition's work into a rank's metrics row.
 void tally_work(RankMetricsRow& row, const WorkCounters& work) {
-  row.cells_histogrammed += work.cells_total;
+  row.cells_total += work.cells_total;
   row.pip_cell_tests += work.pip_cell_tests;
-  row.bytes_decoded += work.compressed_bytes;
 }
 
 // Fold one partition's wall time into a rank's latency columns and the
@@ -51,10 +50,10 @@ void tally_latency(RankMetricsRow& row, double seconds) {
 }  // namespace
 
 std::vector<std::string> rank_metrics_columns() {
-  return {"partitions",     "heartbeats",    "results",
-          "retries",        "comm_bytes",    "cells_histogrammed",
-          "pip_cell_tests", "bytes_decoded", "latency_us_sum",
-          "latency_us_max", "reported"};
+  return {"partitions",     "heartbeats",     "results",
+          "retries",        "comm_bytes",     "cells_total",
+          "pip_cell_tests", "latency_us_sum", "latency_us_max",
+          "reported"};
 }
 
 std::vector<std::uint64_t> rank_metrics_values(const RankMetricsRow& row) {
@@ -63,9 +62,8 @@ std::vector<std::uint64_t> rank_metrics_values(const RankMetricsRow& row) {
           row.results_sent,
           row.retries,
           row.comm_bytes_sent,
-          row.cells_histogrammed,
+          row.cells_total,
           row.pip_cell_tests,
-          row.bytes_decoded,
           row.latency_us_sum,
           row.latency_us_max,
           row.reported};
@@ -78,18 +76,9 @@ ClusterRunResult run_cluster_zonal(
   ZH_REQUIRE(rasters.size() == schemas.size(),
              "one partition schema per raster required");
   ZH_REQUIRE(config.ranks >= 1, "need at least one rank");
-  // Partitions are BQ-encoded on the ranks, and the container cannot
-  // store nodata: refuse here, before any partition is dispatched.
-  for (const DemRaster& r : rasters) {
-    ZH_REQUIRE(!config.compress || !r.nodata().has_value(),
-               "compressed cluster runs need rasters without nodata");
-  }
   ZH_TRACE_SPAN("cluster.run_zonal", "cluster");
   const FaultToleranceConfig& ft = config.fault_tolerance;
   const CheckpointConfig& ck = config.checkpoint;
-  ZH_REQUIRE(!ck.enabled() || ft.enabled,
-             "checkpoint/resume requires fault-tolerant mode (only the "
-             "supervised master accepts partitions one by one)");
 
   // Build the global partition list (tile-aligned) and assign owners.
   std::vector<RasterPartition> parts;
@@ -102,19 +91,24 @@ ClusterRunResult run_cluster_zonal(
           RasterPartition{static_cast<std::uint32_t>(i), w, 0});
     }
   }
-  // Partition costs drive both the cost-balanced initial assignment and
-  // the LPT ordering of reassigned work in fault-tolerant mode.
+  // Partition costs (a serial Step-2 pass over every partition) are
+  // computed on first use only: by the cost-balanced assignment, or when
+  // a dead rank's partitions need their LPT order. A fault-free
+  // round-robin run never pays for them.
   std::vector<double> costs;
-  if (config.assignment == PartitionAssignment::kCostBalanced ||
-      ft.enabled) {
-    std::vector<GeoTransform> transforms;
-    transforms.reserve(rasters.size());
-    for (const DemRaster& r : rasters) transforms.push_back(r.transform());
-    costs = estimate_partition_costs(parts, transforms,
-                                     config.zonal.tile_size, polygons);
-  }
+  const auto partition_costs = [&]() -> const std::vector<double>& {
+    if (costs.empty()) {
+      ZH_TRACE_SPAN("cluster.partition_costs", "cluster");
+      std::vector<GeoTransform> transforms;
+      transforms.reserve(rasters.size());
+      for (const DemRaster& r : rasters) transforms.push_back(r.transform());
+      costs = estimate_partition_costs(parts, transforms,
+                                       config.zonal.tile_size, polygons);
+    }
+    return costs;
+  };
   if (config.assignment == PartitionAssignment::kCostBalanced) {
-    assign_least_loaded(parts, config.ranks, costs);
+    assign_least_loaded(parts, config.ranks, partition_costs());
   } else {
     assign_round_robin(parts, config.ranks);
   }
@@ -136,109 +130,14 @@ ClusterRunResult run_cluster_zonal(
                                      std::uint32_t index) {
     ZH_TRACE_SPAN("cluster.partition", "cluster");
     const RasterPartition& part = parts[index];
-    const DemRaster& src = rasters[part.raster_index];
-    const DemRaster window = src.copy_window(part.window);
-    if (config.compress) {
-      const BqCompressedRaster compressed =
-          BqCompressedRaster::encode(window, config.zonal.tile_size);
-      return pipeline.run(compressed, polygons, &workspace);
-    }
+    const DemRaster window =
+        rasters[part.raster_index].copy_window(part.window);
     return pipeline.run(window, polygons, soa, &workspace);
   };
 
-  if (!ft.enabled) {
-    // Static mode: the paper's fixed-assignment run with one final
-    // reduce. No failure handling -- any rank error fails the job.
-    run_cluster(config.ranks, [&](Communicator& comm) {
-      const RankId me = comm.rank();
-      Timer wall;
-
-      // Each rank gets its own virtual device (one accelerator per node,
-      // as on Titan).
-      Device device(config.device_profile);
-      ZonalPipeline pipeline(device, config.zonal);
-
-      HistogramSet local(polygons.size(), config.zonal.bins);
-      StepTimes times;
-      WorkCounters work;
-      std::uint32_t done = 0;
-      ZonalWorkspace workspace;  // per-tile table reused across partitions
-      RankMetricsRow row;  // latency columns tallied as partitions finish
-
-      for (std::uint32_t i = 0; i < parts.size(); ++i) {
-        if (parts[i].owner != me) continue;
-        Timer part_timer;
-        const ZonalResult r = compute_partition(pipeline, workspace, i);
-        tally_latency(row, part_timer.seconds());
-        local.add(r.per_polygon);
-        times += r.times;
-        work += r.work;
-        ++done;
-      }
-
-      // Master-side merge: element-wise sum of per-polygon histograms
-      // ("the master node was used to combine per-polygon histograms").
-      const std::vector<BinCount> merged =
-          comm.reduce_sum<BinCount>(kRoot, local.flat());
-      const double rank_wall = wall.seconds();
-
-      // Per-rank metrics row, gathered into the master's table. Filled
-      // before its own gather so comm_bytes excludes the row's message.
-      row.partitions_processed = done;
-      row.retries = comm.retries();
-      row.comm_bytes_sent = comm.bytes_sent();
-      tally_work(row, work);
-      row.reported = 1;
-      const std::vector<std::vector<RankMetricsRow>> rows =
-          comm.gather<RankMetricsRow>(
-              kRoot, std::span<const RankMetricsRow>(&row, 1), kTagMetrics);
-
-      // Gather per-rank trace buffers next to the metrics rows so a
-      // traced run exports one merged cluster timeline. Rank
-      // attribution is pinned at flush time (take_thread_events), never
-      // by the ingesting thread.
-      if (obs::trace_enabled()) {
-        const std::vector<std::byte> blob = obs::encode_trace_events(
-            obs::take_thread_events(static_cast<std::int32_t>(me)));
-        const std::vector<std::vector<std::byte>> blobs =
-            comm.gather<std::byte>(kRoot, std::span<const std::byte>(blob),
-                                   kTagTrace);
-        if (me == kRoot) {
-          for (const std::vector<std::byte>& b : blobs) {
-            obs::ingest_trace_events(b);
-          }
-        }
-      }
-
-      {
-        std::lock_guard lock(result_mutex);
-        result.per_rank[me] = times;
-        result.per_rank_work[me] = work;
-        result.rank_seconds[me] = rank_wall;
-        result.rank_outcomes[me].partitions_completed = done;
-        result.work += work;
-        if (me == kRoot) {
-          result.merged = HistogramSet(polygons.size(), config.zonal.bins);
-          std::copy(merged.begin(), merged.end(),
-                    result.merged.flat().begin());
-          for (RankId r = 0; r < comm.size(); ++r) {
-            if (rows[r].size() == 1) result.rank_metrics[r] = rows[r][0];
-          }
-        }
-      }
-      comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
-    });
-
-    result.comm_bytes = comm_bytes.load();
-    for (const double s : result.rank_seconds) {
-      result.wall_seconds = std::max(result.wall_seconds, s);
-    }
-    return result;
-  }
-
-  // ---- Fault-tolerant mode: supervised master-worker dispatch. ----
-  //
-  // Workers stream one result message per partition; the master
+  // Supervised master-worker dispatch. Each rank first computes the
+  // partitions it owns; workers stream one result message per partition
+  // and then pull reassigned work until released. The master
   // accumulates each partition exactly once (first copy wins), so
   // duplicate deliveries, straggler late results, and recomputation
   // after reassignment all stay exact. Completion is idempotent per
@@ -281,6 +180,8 @@ ClusterRunResult run_cluster_zonal(
   run_cluster(config.ranks, options, [&](Communicator& comm) {
     const RankId me = comm.rank();
     Timer wall;
+    // Each rank gets its own virtual device (one accelerator per node,
+    // as on Titan) and reuses one per-tile table across its partitions.
     Device device(config.device_profile);
     ZonalPipeline pipeline(device, config.zonal);
     ZonalWorkspace workspace;
@@ -445,10 +346,13 @@ ClusterRunResult run_cluster_zonal(
       if (state == RankState::kTimedOut) {
         ZH_COUNTER_ADD("cluster.heartbeat_misses", 1);
       }
-      std::stable_sort(orphans.begin(), orphans.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return costs[a] > costs[b];
-                       });
+      if (!orphans.empty()) {
+        const std::vector<double>& cost = partition_costs();
+        std::stable_sort(orphans.begin(), orphans.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return cost[a] > cost[b];
+                         });
+      }
       // A timed-out rank may merely be a straggler: release it so it
       // exits once it surfaces instead of waiting for work forever.
       if (state == RankState::kTimedOut) send_done(r);
@@ -594,8 +498,9 @@ ClusterRunResult run_cluster_zonal(
     // ranks, plus anything a dead rank sent before dying). recover_lost
     // retransmits frames parked by drop faults first, so every "s" flow
     // half that reached the wire makes it into the merged timeline --
-    // otherwise the receiver-side "f" events would dangle.
-    if (obs::trace_enabled()) {
+    // otherwise the receiver-side "f" events would dangle. A single-rank
+    // run has no worker to wait for.
+    if (obs::trace_enabled() && comm.size() > 1) {
       constexpr std::array<int, 1> kTraceOnly{kTagTrace};
       for (RankId r = 1; r < comm.size(); ++r) {
         comm.recover_lost(r, kTagTrace);

@@ -7,23 +7,22 @@
 // wall time is the maximum across ranks including the MPI communication
 // -- the paper's measurement convention.
 //
-// Two execution modes:
-//  * static (default): the seed behavior -- fixed assignment, one final
-//    reduce, no failure handling;
-//  * fault-tolerant: workers stream one result message per partition and
-//    the master supervises them (heartbeats + timeouts). A rank that
-//    crashes or goes silent has its unfinished partitions reassigned to
-//    surviving workers (LPT order) or computed by the master itself, so
-//    the merged histograms stay bit-identical to the fault-free run
-//    (invariant 6 extended) whenever every partition completes; a
-//    `degraded` flag plus coverage list is returned when it does not.
-//    The master (rank 0) is the single point of failure, like the
-//    paper's MPI master: crash checkpoints never fire on it. Whole-
-//    process death (including the master's) is mitigated by the durable
-//    checkpoint journal: with ClusterRunConfig::checkpoint wired, every
-//    accepted partition is journaled before acknowledgement and a
-//    restarted run resumes from the journal, recomputing only the
-//    remainder (bit-identical merge; DESIGN.md section 5d).
+// Every run is one supervised master-worker dispatch; round-robin owners
+// are the paper's static assignment. Workers stream one result message
+// per partition and the master accepts each partition exactly once
+// (first copy wins) while it supervises them (heartbeats + timeouts). A
+// rank that crashes or goes silent has its unfinished partitions
+// reassigned to surviving workers (LPT order) or computed by the master
+// itself, so the merged histograms stay bit-identical to the fault-free
+// run (invariant 6 extended) whenever every partition completes; a
+// `degraded` flag plus coverage list is returned when it does not. The
+// master (rank 0) is the single point of failure, like the paper's MPI
+// master: crash checkpoints never fire on it. Whole-process death
+// (including the master's) is mitigated by the durable checkpoint
+// journal: with ClusterRunConfig::checkpoint wired, every accepted
+// partition is journaled before acknowledgement and a restarted run
+// resumes from the journal, recomputing only the remainder (bit-identical
+// merge; DESIGN.md section 5d).
 #pragma once
 
 #include <cstdint>
@@ -46,12 +45,12 @@ enum class PartitionAssignment : std::uint8_t {
   kCostBalanced,
 };
 
-/// Fault-tolerant-mode knobs.
+/// Supervision knobs of the master-worker dispatch.
 struct FaultToleranceConfig {
-  bool enabled = false;
+  bool enabled = false;  ///< read by nothing; perfbench/driver.cpp sets it
   /// A worker silent for longer than this is declared dead and its
-  /// unfinished partitions reassigned. Must exceed the worst-case
-  /// per-partition compute time (workers heartbeat once per partition).
+  /// unfinished partitions reassigned. Must exceed the slowest
+  /// partition's compute time (workers heartbeat once per partition).
   std::int64_t worker_timeout_ms = 2000;
   /// The master computes partitions no surviving worker can take. Off,
   /// such partitions are reported as incomplete (degraded result) --
@@ -67,15 +66,11 @@ struct ClusterRunConfig {
   std::size_t ranks = 1;
   ZonalConfig zonal;
   DeviceProfile device_profile = DeviceProfile::k20();
-  /// Run Step 0 from BQ-Tree-compressed partitions; rasters with a
-  /// nodata value are rejected (the container cannot store it).
-  bool compress = false;
   PartitionAssignment assignment = PartitionAssignment::kRoundRobin;
   FaultToleranceConfig fault_tolerance;
   /// Durable checkpoint/resume wiring (journal-before-acknowledge +
-  /// already-completed partitions). Requires fault_tolerance.enabled:
-  /// only the supervised master-worker mode accepts partitions one by
-  /// one. See src/core/checkpoint.hpp and DESIGN.md section 5d.
+  /// already-completed partitions). See src/core/checkpoint.hpp and
+  /// DESIGN.md section 5d.
   CheckpointConfig checkpoint;
 };
 
@@ -86,7 +81,7 @@ enum class RankState : std::uint8_t {
   kTimedOut,       ///< declared dead after heartbeat silence (straggler)
 };
 
-/// Per-rank accounting of a fault-tolerant run.
+/// Per-rank accounting of a run.
 struct RankOutcome {
   RankState state = RankState::kCompleted;
   std::uint32_t partitions_completed = 0;  ///< results the master accepted
@@ -107,9 +102,8 @@ struct RankMetricsRow {
   std::uint64_t results_sent = 0;
   std::uint64_t retries = 0;          ///< recv backoff re-attempts
   std::uint64_t comm_bytes_sent = 0;  ///< excludes this row's own message
-  std::uint64_t cells_histogrammed = 0;
+  std::uint64_t cells_total = 0;  ///< input cells of the rank's partitions
   std::uint64_t pip_cell_tests = 0;
-  std::uint64_t bytes_decoded = 0;  ///< BQ-tree compressed bytes consumed
   std::uint64_t latency_us_sum = 0;  ///< summed per-partition wall micros
   std::uint64_t latency_us_max = 0;  ///< slowest partition in micros
   std::uint64_t reported = 0;       ///< 1 when the row arrived from the rank
@@ -132,8 +126,8 @@ struct ClusterRunResult {
   double wall_seconds = 0.0;          ///< max over ranks
   std::uint64_t comm_bytes = 0;       ///< total bytes sent
   WorkCounters work;                  ///< summed over partitions
-  std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate (all modes)
-  std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics (all modes)
+  std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate
+  std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics
   /// True when some partitions never completed (their contribution is
   /// missing from `merged`); the indices are listed for coverage reports.
   bool degraded = false;

@@ -1,6 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "cluster/partition.hpp"
 #include "core/step3_aggregate.hpp"
 #include "obs/obs.hpp"
 
@@ -207,36 +206,6 @@ ZonalResult run_lazy(Device& device, const BqCompressedRaster& compressed,
                      LazyCounters* counters) {
   return run_compressed(device, compressed, polygons, config, nullptr,
                         counters);
-}
-
-ZonalResult ZonalPipeline::run_partitioned(const DemRaster& raster,
-                                           const PolygonSet& polygons,
-                                           int part_rows, int part_cols,
-                                           ZonalWorkspace* workspace) const {
-  ZH_TRACE_SPAN("pipeline.run_partitioned", "pipeline");
-  const PolygonSoA soa = PolygonSoA::build(polygons);
-  const std::vector<CellWindow> windows = grid_partition(
-      raster.rows(), raster.cols(), part_rows, part_cols,
-      config_.tile_size);
-
-  ZonalWorkspace local_ws;
-  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-
-  ZonalResult merged;
-  merged.per_polygon = HistogramSet(polygons.size(), config_.bins);
-  for (const CellWindow& win : windows) {
-    const DemRaster part = raster.copy_window(win);
-    ZonalResult r = run(part, polygons, soa, &ws);
-    Timer merge_timer;
-    merged.per_polygon.add(r.per_polygon);
-    merged.times += r.times;
-    merged.work += r.work;
-    merged.times.overhead.merge += merge_timer.seconds();
-  }
-  // Window-level counters that must not sum.
-  merged.work.polygon_vertices = polygons.vertex_count();
-  merged.work.cells_in_polygons = merged.per_polygon.total();
-  return merged;
 }
 
 }  // namespace zh

@@ -145,15 +145,6 @@ class ZonalPipeline {
                                 const PolygonSoA& soa,
                                 ZonalWorkspace* workspace = nullptr) const;
 
-  /// Bounded-memory run: process the raster through a part_rows x
-  /// part_cols grid of tile-aligned windows (the Table-1 partition
-  /// pattern), merging per-polygon histograms additively. Caps the
-  /// per-tile table at the largest window's tiles x bins, the way the
-  /// paper's 6 GB device memory bounds it. Result identical to run().
-  [[nodiscard]] ZonalResult run_partitioned(
-      const DemRaster& raster, const PolygonSet& polygons, int part_rows,
-      int part_cols, ZonalWorkspace* workspace = nullptr) const;
-
  private:
   Device* device_;
   ZonalConfig config_;

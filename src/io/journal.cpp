@@ -421,8 +421,8 @@ std::uint64_t fingerprint_zones(const PolygonSet& polygons) {
 }
 
 std::uint64_t fingerprint_config(
-    const std::vector<std::pair<int, int>>& schemas, const ZonalConfig& zonal,
-    bool compress) {
+    const std::vector<std::pair<int, int>>& schemas,
+    const ZonalConfig& zonal) {
   std::uint64_t h = mix_u64(0x434F4E4649475F46ull, schemas.size());
   for (const auto& [rows, cols] : schemas) {
     h = mix_u64(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(rows)));
@@ -431,7 +431,9 @@ std::uint64_t fingerprint_config(
   h = mix_u64(h, static_cast<std::uint64_t>(zonal.tile_size));
   h = mix_u64(h, zonal.bins);
   h = mix_u64(h, static_cast<std::uint64_t>(zonal.count_mode));
-  h = mix_u64(h, compress ? 1 : 0);
+  // Slot of the removed compressed-partitions flag. The CLI never set
+  // it, so hashing its old value keeps older journals resumable.
+  h = mix_u64(h, 0);
   return h;
 }
 
@@ -444,8 +446,7 @@ RunManifest make_manifest(const std::vector<DemRaster>& rasters,
   RunManifest m;
   m.raster_fingerprint = fingerprint_rasters(rasters);
   m.zones_fingerprint = fingerprint_zones(polygons);
-  m.config_fingerprint =
-      fingerprint_config(schemas, config.zonal, config.compress);
+  m.config_fingerprint = fingerprint_config(schemas, config.zonal);
   // The driver's own partitioning, so journal indices and the driver's
   // partition list can never drift apart.
   std::uint64_t count = 0;

@@ -147,12 +147,11 @@ class JournalWriter final : public CheckpointSink {
     const std::vector<DemRaster>& rasters);
 [[nodiscard]] std::uint64_t fingerprint_zones(const PolygonSet& polygons);
 /// Result-affecting configuration only: partition schemas, tile size,
-/// bins, count mode, compression. Rank count and refine strategy are
-/// excluded -- the pipeline's bit-identity invariants make them
-/// resume-safe.
+/// bins, count mode. Rank count and refine strategy are excluded -- the
+/// pipeline's bit-identity invariants make them resume-safe.
 [[nodiscard]] std::uint64_t fingerprint_config(
-    const std::vector<std::pair<int, int>>& schemas, const ZonalConfig& zonal,
-    bool compress);
+    const std::vector<std::pair<int, int>>& schemas,
+    const ZonalConfig& zonal);
 
 /// Manifest for a run_cluster_zonal invocation; partition_count is
 /// derived with the driver's own partitioning, so indices in the journal

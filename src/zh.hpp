@@ -29,7 +29,6 @@
 #include "core/point_zonal.hpp"            // IWYU pragma: export
 #include "core/query_engine.hpp"           // IWYU pragma: export
 #include "core/rasterize.hpp"              // IWYU pragma: export
-#include "core/zonal_stats_op.hpp"         // IWYU pragma: export
 #include "core/zone_cluster.hpp"           // IWYU pragma: export
 #include "data/conus.hpp"                  // IWYU pragma: export
 #include "data/county_synth.hpp"           // IWYU pragma: export

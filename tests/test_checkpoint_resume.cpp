@@ -1,4 +1,4 @@
-// Checkpoint/resume through the fault-tolerant cluster driver
+// Checkpoint/resume through the supervised cluster driver
 // (DESIGN.md 5d): a run interrupted after journaling any subset of its
 // partitions resumes to a bit-identical result, skipping exactly the
 // journaled work -- including across double interruptions with torn
@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "core/baseline.hpp"
 #include "core/cluster_driver.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
@@ -42,7 +43,6 @@ struct Scenario {
     ClusterRunConfig cfg;
     cfg.ranks = ranks;
     cfg.zonal = {.tile_size = 16, .bins = 60};
-    cfg.fault_tolerance.enabled = true;
     cfg.fault_tolerance.worker_timeout_ms = 10000;
     return cfg;
   }
@@ -51,11 +51,14 @@ struct Scenario {
     return make_manifest(rasters, schemas, zones, config(1));
   }
 
-  /// Fault-free single-rank run: the bit-identity reference.
+  /// The per-cell oracle summed over the rasters: the bit-identity
+  /// reference.
   [[nodiscard]] HistogramSet reference() const {
-    ClusterRunConfig cfg = config(1);
-    cfg.fault_tolerance.enabled = false;
-    return run_cluster_zonal(rasters, schemas, zones, cfg).merged;
+    HistogramSet expect(zones.size(), 60);
+    for (const DemRaster& r : rasters) {
+      expect.add(zonal_scanline(r, zones, 60));
+    }
+    return expect;
   }
 
   [[nodiscard]] ClusterRunResult run(ClusterRunConfig cfg,
@@ -281,17 +284,6 @@ TEST_F(CheckpointResume, ResumeSurvivesMessageFaultStorm) {
   const ClusterRunResult r = sc.run(cfg, &w);
   EXPECT_EQ(r.merged, sc.reference());
   EXPECT_EQ(r.partitions_skipped, 2u);
-}
-
-TEST_F(CheckpointResume, CheckpointRequiresFaultTolerantMode) {
-  const Scenario sc;
-  ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.enabled = false;
-  cfg.checkpoint.completed_partitions = {0};
-  cfg.checkpoint.resume_bins.assign(sc.zones.size() * 60, 0);
-  EXPECT_THROW(
-      (void)run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg),
-      InvalidArgument);
 }
 
 TEST_F(CheckpointResume, ResumeStateIsValidated) {

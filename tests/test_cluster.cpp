@@ -12,7 +12,6 @@
 #include "core/cluster_driver.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
-#include "test_util.hpp"
 
 namespace zh {
 namespace {
@@ -189,51 +188,6 @@ TEST_P(ClusterSweep, MergedResultEqualsSingleDeviceRun) {
   ASSERT_EQ(result.rank_seconds.size(), ranks);
   if (ranks > 1) {
     EXPECT_GT(result.comm_bytes, 0u);
-  }
-}
-
-TEST(ClusterDriver, CompressedModeMatchesRawMode) {
-  const DemParams dp{.seed = 23, .max_value = 99};
-  std::vector<DemRaster> rasters;
-  rasters.push_back(
-      generate_dem(64, 64, GeoTransform(0.0, 6.4, 0.1, 0.1), dp));
-  const std::vector<std::pair<int, int>> schemas = {{2, 2}};
-  const PolygonSet zones = test::random_polygon_set(
-      7, GeoBox{0.5, 0.5, 5.9, 5.9}, 6, true);
-
-  ClusterRunConfig raw;
-  raw.ranks = 2;
-  raw.zonal = {.tile_size = 16, .bins = 100};
-  ClusterRunConfig comp = raw;
-  comp.compress = true;
-
-  const auto a = run_cluster_zonal(rasters, schemas, zones, raw);
-  const auto b = run_cluster_zonal(rasters, schemas, zones, comp);
-  EXPECT_EQ(a.merged, b.merged);
-  // Compressed mode exercises Step 0 on every rank.
-  double decode_time = 0.0;
-  for (const StepTimes& t : b.per_rank) decode_time += t.seconds[0];
-  EXPECT_GT(decode_time, 0.0);
-}
-
-TEST(ClusterDriver, CompressedModeRejectsNodataBeforeDispatch) {
-  // BQ partitions cannot carry nodata: the run must refuse up front in
-  // both modes, not surface as a crashed rank.
-  std::vector<DemRaster> rasters;
-  rasters.push_back(test::random_raster(32, 32, 4, 99,
-                                        GeoTransform(0.0, 3.2, 0.1, 0.1)));
-  rasters.back().set_nodata(CellValue{7});
-  const PolygonSet zones = test::random_polygon_set(
-      8, GeoBox{0.5, 0.5, 2.7, 2.7}, 3, false);
-  for (const bool ft : {false, true}) {
-    ClusterRunConfig cfg;
-    cfg.ranks = 2;
-    cfg.zonal = {.tile_size = 8, .bins = 100};
-    cfg.compress = true;
-    cfg.fault_tolerance.enabled = ft;
-    EXPECT_THROW(run_cluster_zonal(rasters, {{2, 2}}, zones, cfg),
-                 InvalidArgument)
-        << "fault tolerance " << ft;
   }
 }
 

@@ -1,16 +1,19 @@
-// Straggler/failure recovery in the fault-tolerant cluster driver
-// (DESIGN.md invariant 6 extended): any single-rank crash at any pipeline
-// step leaves the merged histograms bit-identical to the fault-free
-// single-rank run, message-fault storms stay exact, replay with the same
-// seed is deterministic, and the degraded path reports its coverage gap.
+// Straggler/failure recovery in the supervised cluster driver (DESIGN.md
+// invariant 6 extended): any single-rank crash at any pipeline step
+// leaves the merged histograms bit-identical to the per-cell oracle,
+// message-fault storms stay exact, replay with the same seed is
+// deterministic, and the degraded path reports its coverage gap.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string_view>
 
 #include "cluster/fault.hpp"
+#include "core/baseline.hpp"
 #include "core/cluster_driver.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
+#include "obs/trace.hpp"
 
 namespace zh {
 namespace {
@@ -40,9 +43,14 @@ struct Scenario {
     return cfg;
   }
 
-  /// Fault-free single-rank static run: the exactness reference.
+  /// The per-cell oracle summed over the rasters: the exactness
+  /// reference.
   [[nodiscard]] HistogramSet reference() const {
-    return run_cluster_zonal(rasters, schemas, zones, config(1)).merged;
+    HistogramSet expect(zones.size(), 60);
+    for (const DemRaster& r : rasters) {
+      expect.add(zonal_scanline(r, zones, 60));
+    }
+    return expect;
   }
 };
 
@@ -64,7 +72,6 @@ TEST(ClusterRecovery, CrashAtEveryCheckpointKeepsResultExact) {
         CrashPoint::kBeforeFinish}) {
     SCOPED_TRACE(std::string("crash at ") + std::string(to_string(point)));
     ClusterRunConfig cfg = sc.config(3);
-    cfg.fault_tolerance.enabled = true;
     cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.crash = {1, point, 0};
 
@@ -96,7 +103,6 @@ TEST(ClusterRecovery, CrashAtSecondOccurrenceAndMasterTakeover) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionStart, 1};
 
@@ -118,7 +124,6 @@ TEST(ClusterRecovery, DegradedRunReportsCoverageGap) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.master_takeover = false;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kStartup, 0};
@@ -139,7 +144,6 @@ TEST(ClusterRecovery, MessageFaultStormStaysExact) {
   for (const std::uint64_t seed : {1u, 2u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ClusterRunConfig cfg = sc.config(4);
-    cfg.fault_tolerance.enabled = true;
     cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.seed = seed;
     cfg.fault_tolerance.faults.drop_prob = 0.2;
@@ -161,7 +165,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,crash=2@partition_done");
@@ -176,7 +179,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
 TEST(ClusterRecovery, ReplayWithSameSeedIsDeterministic) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionDone, 0};
 
@@ -194,20 +196,19 @@ TEST(ClusterRecovery, ReplayWithSameSeedIsDeterministic) {
 }
 
 TEST(ClusterRecovery, FaultTolerantModeWithoutFaultsMatchesStatic) {
+  // Without faults the supervised run keeps the paper's static
+  // (round-robin) assignment: every rank completes what it owns and
+  // nothing is reassigned.
   const Scenario sc;
-  ClusterRunConfig plain = sc.config(3);
-  ClusterRunConfig ft = plain;
-  ft.fault_tolerance.enabled = true;
-  ft.fault_tolerance.worker_timeout_ms = 10000;
+  ClusterRunConfig cfg = sc.config(3);
+  cfg.fault_tolerance.worker_timeout_ms = 10000;
 
-  const ClusterRunResult a =
-      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, plain);
-  const ClusterRunResult b =
-      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, ft);
-  EXPECT_EQ(a.merged, b.merged);
-  EXPECT_FALSE(b.degraded);
-  EXPECT_EQ(total_completed(b), 4u);
-  for (const RankOutcome& o : b.rank_outcomes) {
+  const ClusterRunResult r =
+      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+  EXPECT_EQ(r.merged, sc.reference());
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(total_completed(r), 4u);
+  for (const RankOutcome& o : r.rank_outcomes) {
     EXPECT_EQ(o.state, RankState::kCompleted);
     EXPECT_EQ(o.partitions_reassigned, 0u);
   }
@@ -221,7 +222,6 @@ TEST(ClusterRecovery, AggressiveTimeoutStillExact) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 1;
 
   const ClusterRunResult r =
@@ -231,7 +231,7 @@ TEST(ClusterRecovery, AggressiveTimeoutStillExact) {
   EXPECT_EQ(total_completed(r), 4u);
 }
 
-TEST(ClusterRecovery, StaticModeFillsOutcomeTable) {
+TEST(ClusterRecovery, FaultFreeRunFillsOutcomeTable) {
   const Scenario sc;
   const ClusterRunResult r =
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, sc.config(2));
@@ -250,7 +250,7 @@ std::uint64_t metrics_partition_total(const ClusterRunResult& r) {
   return sum;
 }
 
-TEST(ClusterRecovery, StaticModeGathersRankMetrics) {
+TEST(ClusterRecovery, FaultFreeRunGathersRankMetrics) {
   const Scenario sc;
   const ClusterRunResult r =
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, sc.config(2));
@@ -258,10 +258,10 @@ TEST(ClusterRecovery, StaticModeGathersRankMetrics) {
   EXPECT_EQ(metrics_partition_total(r), 4u);
   for (const RankMetricsRow& row : r.rank_metrics) {
     EXPECT_EQ(row.reported, 1u);
-    EXPECT_GT(row.cells_histogrammed, 0u);
+    EXPECT_GT(row.cells_total, 0u);
   }
-  // The worker sent its histograms to the root, so its byte counter is
-  // nonzero; the root's sends (partition metadata) are counted too.
+  // The worker streamed its partition results to the root, so its byte
+  // counter is nonzero.
   EXPECT_GT(r.rank_metrics[1].comm_bytes_sent, 0u);
   // Flattening helpers agree with the column schema.
   const std::vector<std::string> cols = rank_metrics_columns();
@@ -276,7 +276,6 @@ TEST(ClusterRecovery, CrashedRankLeavesMetricsRowUnreported) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kBeforeFinish, 0};
 
@@ -300,7 +299,6 @@ TEST(ClusterRecovery, MetricsRowsSurviveDropAndDuplicateStorm) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.seed = 11;
   cfg.fault_tolerance.faults.drop_prob = 0.2;
@@ -318,6 +316,42 @@ TEST(ClusterRecovery, MetricsRowsSurviveDropAndDuplicateStorm) {
   EXPECT_EQ(metrics_partition_total(r), 4u);
   EXPECT_GE(results, metrics_partition_total(r) -
                          r.rank_metrics[0].partitions_processed);
+}
+
+// The cost pass (core/load_balance) runs only where its result is read:
+// never in a fault-free round-robin run, once for a cost-balanced
+// assignment, and once when a dead rank's partitions need their LPT
+// order.
+TEST(ClusterRecovery, CostPassRunsOnlyWhenItsResultIsRead) {
+#if !defined(ZH_ENABLE_OBS)
+  GTEST_SKIP() << "counts trace spans; the trace layer is compiled out";
+#else
+  const Scenario sc;
+  const auto cost_passes = [&](const ClusterRunConfig& cfg) {
+    obs::trace_clear();
+    obs::set_trace_enabled(true);
+    (void)run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+    obs::set_trace_enabled(false);
+    std::size_t n = 0;
+    for (const obs::TraceEvent& e : obs::trace_snapshot()) {
+      if (std::string_view(e.name) == "cluster.partition_costs") ++n;
+    }
+    obs::trace_clear();
+    return n;
+  };
+
+  ClusterRunConfig cfg = sc.config(3);
+  cfg.fault_tolerance.worker_timeout_ms = 10000;
+  EXPECT_EQ(cost_passes(cfg), 0u);
+
+  ClusterRunConfig balanced = cfg;
+  balanced.assignment = PartitionAssignment::kCostBalanced;
+  EXPECT_EQ(cost_passes(balanced), 1u);
+
+  ClusterRunConfig crash = cfg;
+  crash.fault_tolerance.faults.crash = {1, CrashPoint::kStartup, 0};
+  EXPECT_EQ(cost_passes(crash), 1u);
+#endif
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/baseline.hpp"
+#include "core/cluster_driver.hpp"
 #include "core/hybrid.hpp"
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
@@ -47,6 +48,16 @@ PolygonSet zones() {
                                   /*holes_every_other=*/true);
 }
 
+/// The cluster driver over a 2x3 partition schema on `ranks` ranks.
+HistogramSet run_driver(const DemRaster& r, const PolygonSet& z,
+                         std::size_t ranks) {
+  ClusterRunConfig cfg;
+  cfg.ranks = ranks;
+  cfg.zonal = kConfig;
+  cfg.fault_tolerance.worker_timeout_ms = 10000;
+  return run_cluster_zonal({r}, {{2, 3}}, z, cfg).merged;
+}
+
 struct EntryPoint {
   std::string name;
   bool bq = false;  ///< runs from BQ input (raster without nodata)
@@ -70,12 +81,13 @@ std::vector<EntryPoint> entry_points() {
              .run(BqCompressedRaster::encode(r, kConfig.tile_size), z)
              .per_polygon;
        }},
-      {"RunPartitioned", false,
+      {"Cluster1Rank", false,
        [](const DemRaster& r, const PolygonSet& z) {
-         Device dev;
-         return ZonalPipeline(dev, kConfig)
-             .run_partitioned(r, z, 2, 3)
-             .per_polygon;
+         return run_driver(r, z, 1);
+       }},
+      {"Cluster3Ranks", false,
+       [](const DemRaster& r, const PolygonSet& z) {
+         return run_driver(r, z, 3);
        }},
       {"RunLazy", true,
        [](const DemRaster& r, const PolygonSet& z) {

@@ -410,20 +410,28 @@ TEST_F(JournalFile, FingerprintsSeeEveryInput) {
 
   const std::vector<std::pair<int, int>> schemas = {{2, 2}};
   const ZonalConfig base{.tile_size = 16, .bins = 60};
-  const std::uint64_t fp = fingerprint_config(schemas, base, false);
+  const std::uint64_t fp = fingerprint_config(schemas, base);
   ZonalConfig changed = base;
   changed.bins = 61;
-  EXPECT_NE(fp, fingerprint_config(schemas, changed, false));
+  EXPECT_NE(fp, fingerprint_config(schemas, changed));
   changed = base;
   changed.tile_size = 32;
-  EXPECT_NE(fp, fingerprint_config(schemas, changed, false));
-  EXPECT_NE(fp, fingerprint_config({{2, 3}}, base, false));
-  EXPECT_NE(fp, fingerprint_config(schemas, base, true));
+  EXPECT_NE(fp, fingerprint_config(schemas, changed));
+  EXPECT_NE(fp, fingerprint_config({{2, 3}}, base));
   // Refine strategy is bit-identity-invariant, so it must NOT change the
   // fingerprint: switching it between runs is a legal resume.
   changed = base;
   changed.refine_strategy = RefineStrategy::kScanline;
-  EXPECT_EQ(fp, fingerprint_config(schemas, changed, false));
+  EXPECT_EQ(fp, fingerprint_config(schemas, changed));
+}
+
+TEST_F(JournalFile, ConfigFingerprintMatchesJournalsOnDisk) {
+  // The configuration `zhist hist --bins 1000 --tile 12 --partitions 2x4`
+  // writes. Journals already on disk carry this value in their manifest;
+  // a change here makes every one of them refuse to resume.
+  const ZonalConfig cli{.tile_size = 12, .bins = 1000,
+                        .refine_strategy = RefineStrategy::kAuto};
+  EXPECT_EQ(fingerprint_config({{2, 4}}, cli), 0x8580f04d680cd883ull);
 }
 
 TEST_F(JournalFile, MakeManifestAgreesWithDriverPartitioning) {

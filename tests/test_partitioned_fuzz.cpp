@@ -10,6 +10,7 @@
 
 #include "bqtree/bqtree.hpp"
 #include "core/baseline.hpp"
+#include "core/cluster_driver.hpp"
 #include "core/pipeline.hpp"
 #include "geom/wkt.hpp"
 #include "io/histogram_io.hpp"
@@ -20,35 +21,26 @@ namespace {
 
 TEST(Partitioned, EqualsWholeRasterRun) {
   Device dev;
-  const DemRaster raster = test::random_raster(
-      96, 128, 9, 199, GeoTransform(0.0, 9.6, 0.1, 0.1));
+  std::vector<DemRaster> rasters;
+  rasters.push_back(test::random_raster(
+      96, 128, 9, 199, GeoTransform(0.0, 9.6, 0.1, 0.1)));
   const PolygonSet zones = test::random_polygon_set(
       13, GeoBox{0.5, 0.5, 12.3, 9.1}, 8, /*holes=*/true);
-  const ZonalPipeline pipe(dev, {.tile_size = 16, .bins = 200});
+  ClusterRunConfig cfg;
+  cfg.zonal = {.tile_size = 16, .bins = 200};
 
-  const ZonalResult whole = pipe.run(raster, zones);
+  const ZonalResult whole =
+      ZonalPipeline(dev, cfg.zonal).run(rasters[0], zones);
   for (const auto& [pr, pc] :
        {std::pair{1, 1}, std::pair{2, 2}, std::pair{3, 4},
         std::pair{6, 8}}) {
-    const ZonalResult parts = pipe.run_partitioned(raster, zones, pr, pc);
-    EXPECT_EQ(parts.per_polygon, whole.per_polygon)
+    const ClusterRunResult parts =
+        run_cluster_zonal(rasters, {{pr, pc}}, zones, cfg);
+    EXPECT_EQ(parts.merged, whole.per_polygon)
         << pr << "x" << pc << " partitions";
     EXPECT_EQ(parts.work.cells_total, whole.work.cells_total);
     EXPECT_EQ(parts.work.cells_in_polygons, whole.work.cells_in_polygons);
   }
-}
-
-TEST(Partitioned, WorkspaceReuseStillExact) {
-  Device dev;
-  const DemRaster raster = test::random_raster(
-      64, 64, 3, 49, GeoTransform(0.0, 6.4, 0.1, 0.1));
-  const PolygonSet zones =
-      test::random_polygon_set(4, GeoBox{0.5, 0.5, 5.9, 5.9}, 5, false);
-  const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 50});
-  ZonalWorkspace ws;
-  const ZonalResult a = pipe.run_partitioned(raster, zones, 2, 2, &ws);
-  const ZonalResult b = pipe.run_partitioned(raster, zones, 4, 1, &ws);
-  EXPECT_EQ(a.per_polygon, b.per_polygon);
 }
 
 class HistCsvTest : public ::testing::Test {

@@ -298,7 +298,6 @@ void expect_valid_merged_trace(const trace::TraceModel& m) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderRankCrash) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionDone, 0};
   expect_valid_merged_trace(traced_run(sc, cfg));
@@ -307,7 +306,6 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderRankCrash) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderDuplicateDelivery) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults = FaultPlan::parse("seed=9,dup=1.0");
   expect_valid_merged_trace(traced_run(sc, cfg));
@@ -316,7 +314,6 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderDuplicateDelivery) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderDropStorm) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,reorder=0.1");
@@ -326,7 +323,6 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderDropStorm) {
 TEST_F(TraceCausalTest, RankBreakdownCoversClusterRanks) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.worker_timeout_ms = 10000;
   const trace::TraceModel m = traced_run(sc, cfg);
   const trace::CriticalPath cp = trace::critical_path(m);

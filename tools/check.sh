@@ -130,7 +130,7 @@ run_resume() {
   # Kill/resume soak harness (DESIGN.md 5d): a scripted process abort
   # (exit 43, a simulated SIGKILL) at every crash point and several
   # occurrences, each followed by `zhist --resume`, must reproduce the
-  # uninterrupted single-rank run bit for bit -- including the
+  # uninterrupted whole-raster run bit for bit -- including the
   # journal_record abort, which leaves a torn half-frame on disk. The
   # torn-write/bit-flip fuzz suites then run under ASan/UBSan, and the
   # journaling overhead gate closes the stage.
@@ -139,11 +139,13 @@ run_resume() {
   rm -rf "${tmp}" && mkdir -p "${tmp}"
   local zhist=./build-dev/tools/zhist
 
-  log "golden single-rank run (dev)"
+  # The golden run is one whole-raster pipeline call: the executor path,
+  # independent of the cluster driver every resumed run goes through.
+  log "golden whole-raster run (dev)"
   "${zhist}" synth "${tmp}/dem.zgrid" --rows 300 --cols 300
   "${zhist}" zones "${tmp}/zones.tsv" --zones 20
   "${zhist}" hist "${tmp}/dem.zgrid" "${tmp}/zones.tsv" \
-    -o "${tmp}/golden.csv" --bins 128 --tile 64 --partitions 4x4
+    -o "${tmp}/golden.csv" --bins 128 --tile 64
 
   # One interrupted run + one resume; verifies exit codes, bit-identity
   # against the golden CSV, and (when the journal held records) that the

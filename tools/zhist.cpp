@@ -5,12 +5,14 @@
 //       [--stats] [--partitions RxC] [--ranks N] [--fault-plan SPEC]
 //       [--checkpoint-dir DIR] [--resume] [--checkpoint-interval N]
 //     Zonal histograms of a raster (.zgrid, .asc or .bq) over a WKT-TSV
-//     zone layer; optional classic statistics table; CSV output. A .bq
+//     zone layer; optional classic statistics table; CSV output. Without
+//     cluster flags the whole raster runs in one pipeline call, and a .bq
 //     raster whose tiles match --tile decodes only the tiles some zone
-//     touches, timed as Step 0 (single process only). With
-//     --ranks > 1 the run goes through the fault-tolerant cluster driver;
-//     --fault-plan injects scripted message faults / rank crashes (see
-//     FaultPlan::parse), e.g. "seed=1,drop=0.05,crash=2@partition_done".
+//     touches, timed as Step 0. --partitions, --ranks, --fault-plan and
+//     --checkpoint-dir run the supervised cluster driver instead (one
+//     rank unless --ranks says more); --fault-plan injects scripted
+//     message faults / rank crashes (see FaultPlan::parse), e.g.
+//     "seed=1,drop=0.05,crash=2@partition_done".
 //     --checkpoint-dir journals every accepted partition into
 //     DIR/run.journal (fsync every N records); after a process death,
 //     rerunning with --resume recomputes only un-journaled partitions
@@ -46,6 +48,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -287,17 +290,17 @@ int cmd_hist(const Args& args) {
   std::optional<obs::MetricsServer> metrics_server;
   start_metrics_server(args, metrics_server);
   const std::string& path = args.positional[0];
-  const bool cluster = args.ranks > 1 || !args.fault_plan.empty() ||
+  const bool cluster = args.ranks > 1 || args.part_rows > 1 ||
+                       args.part_cols > 1 || !args.fault_plan.empty() ||
                        !args.checkpoint_dir.empty();
-  const bool partitioned = args.part_rows > 1 || args.part_cols > 1;
   // A single-process run takes .bq input compressed, so Step 0 decodes
-  // only the tiles some zone touches. The other paths, and a --tile that
+  // only the tiles some zone touches. A cluster run, and a --tile that
   // re-tiles the file, decode the whole raster up front.
   std::optional<BqCompressedRaster> compressed;
   DemRaster raster;
   if (ends_with(path, ".bq")) {
     BqCompressedRaster bq = read_bq(path);
-    if (!cluster && !partitioned && bq.tiling().tile_size() == args.tile) {
+    if (!cluster && bq.tiling().tile_size() == args.tile) {
       compressed.emplace(std::move(bq));
     } else {
       raster = bq.decode_all();
@@ -319,7 +322,6 @@ int cmd_hist(const Args& args) {
     cfg.ranks = args.ranks > 0 ? args.ranks : 1;
     cfg.zonal = {.tile_size = args.tile, .bins = args.bins,
                  .refine_strategy = args.refine};
-    cfg.fault_tolerance.enabled = true;
     if (!args.fault_plan.empty()) {
       cfg.fault_tolerance.faults = FaultPlan::parse(args.fault_plan);
       if (cfg.fault_tolerance.faults.seed == 0) {
@@ -332,7 +334,7 @@ int cmd_hist(const Args& args) {
             ? static_cast<int>(cfg.ranks)
             : args.part_rows;
     std::vector<DemRaster> rasters;
-    rasters.push_back(raster);
+    rasters.push_back(std::move(raster));
     const std::vector<std::pair<int, int>> schemas{{pr, args.part_cols}};
 
     // Durable checkpoint/resume: journal every accepted partition into
@@ -454,10 +456,7 @@ int cmd_hist(const Args& args) {
                             .refine_strategy = args.refine});
   Timer timer;
   const ZonalResult result =
-      compressed    ? pipe.run(*compressed, zones)
-      : partitioned ? pipe.run_partitioned(raster, zones, args.part_rows,
-                                           args.part_cols)
-                    : pipe.run(raster, zones);
+      compressed ? pipe.run(*compressed, zones) : pipe.run(raster, zones);
   std::fprintf(stderr, "pipeline: %.2f s (steps %.2f s)\n", timer.seconds(),
                result.times.step_total());
 

@@ -43,9 +43,7 @@ int main() {
 
   bench::print_header("Band series vs independent runs");
   Timer ts;
-  ZonalWorkspace ws;
-  const SeriesResult series =
-      run_series(device, bands, counties, cfg, &ws);
+  const SeriesResult series = run_series(device, bands, counties, cfg);
   const double series_s = ts.seconds();
   std::printf("  %-38s %8.2f s  (step 2: %.2f s, once)\n",
               "run_series (shared pairing)", series_s,
@@ -57,7 +55,7 @@ int main() {
   bool equal = true;
   for (int b = 0; b < bands_n; ++b) {
     const ZonalResult r =
-        pipe.run(bands[static_cast<std::size_t>(b)], counties, &ws);
+        pipe.run(bands[static_cast<std::size_t>(b)], counties);
     step2_total += r.times.seconds[2];
     equal &= r.per_polygon == series.per_band[static_cast<std::size_t>(b)];
   }

@@ -51,7 +51,6 @@ int main() {
   StepTimes measured;
   WorkCounters work;
   HistogramSet per_polygon(w.counties.size(), bins);
-  ZonalWorkspace workspace;  // reuse the per-tile table across rasters
   for (std::size_t i = 0; i < w.rasters.size(); ++i) {
     Timer enc;
     const BqCompressedRaster compressed =
@@ -59,7 +58,7 @@ int main() {
     std::printf("  raster %zu: encoded %5.1f%% of raw in %.1fs, ",
                 i + 1, 100.0 * compressed.compression_ratio(),
                 enc.seconds());
-    const ZonalResult r = pipeline.run(compressed, w.counties, &workspace);
+    const ZonalResult r = pipeline.run(compressed, w.counties);
     std::printf("pipeline %.1fs\n", r.times.step_total());
     measured += r.times;
     work += r.work;

@@ -126,13 +126,12 @@ ClusterRunResult run_cluster_zonal(
   constexpr RankId kRoot = 0;
 
   const auto compute_partition = [&](ZonalPipeline& pipeline,
-                                     ZonalWorkspace& workspace,
                                      std::uint32_t index) {
     ZH_TRACE_SPAN("cluster.partition", "cluster");
     const RasterPartition& part = parts[index];
     const DemRaster window =
         rasters[part.raster_index].copy_window(part.window);
-    return pipeline.run(window, polygons, soa, &workspace);
+    return pipeline.run(window, polygons, soa);
   };
 
   // Supervised master-worker dispatch. Each rank first computes the
@@ -181,10 +180,9 @@ ClusterRunResult run_cluster_zonal(
     const RankId me = comm.rank();
     Timer wall;
     // Each rank gets its own virtual device (one accelerator per node,
-    // as on Titan) and reuses one per-tile table across its partitions.
+    // as on Titan).
     Device device(config.device_profile);
     ZonalPipeline pipeline(device, config.zonal);
-    ZonalWorkspace workspace;
 
     // Flush accounting after every partition, not at the end: a rank
     // that crashes later keeps what it already contributed.
@@ -218,8 +216,7 @@ ClusterRunResult run_cluster_zonal(
               std::span<const std::uint32_t>(&index, 1));
           ++row.heartbeats_sent;
           Timer part_timer;
-          const ZonalResult r =
-              compute_partition(pipeline, workspace, index);
+          const ZonalResult r = compute_partition(pipeline, index);
           tally_latency(row, part_timer.seconds());
           comm.checkpoint(CrashPoint::kPartitionDone);
           comm.send_bytes(kRoot, kTagResult,
@@ -302,7 +299,7 @@ ClusterRunResult run_cluster_zonal(
     RankMetricsRow master_row;  // staging for rows[kRoot] latency columns
     const auto compute_own = [&](std::uint32_t index) {
       Timer part_timer;
-      const ZonalResult r = compute_partition(pipeline, workspace, index);
+      const ZonalResult r = compute_partition(pipeline, index);
       tally_latency(master_row, part_timer.seconds());
       accumulate(index, r.per_polygon.flat());
       ++outcome[kRoot].partitions_completed;

@@ -26,18 +26,21 @@ namespace zh {
 }
 
 /// bin_index that also counts folded (out-of-range) values into
-/// `clamped`, weighted by `weight` cells (quadtree leaves bin uniform
-/// blocks at once). Callers flush the tally via note_values_clamped so
-/// silent folding becomes the histogram.values_clamped metric.
+/// `clamped`. Callers flush the tally via note_values_clamped so silent
+/// folding becomes the histogram.values_clamped metric.
 [[nodiscard]] inline BinIndex bin_index(CellValue v, BinIndex bins,
-                                        std::uint64_t& clamped,
-                                        std::uint64_t weight = 1) {
-  if (v >= bins) clamped += weight;
+                                        std::uint64_t& clamped) {
+  if (v >= bins) ++clamped;
   return bin_index(v, bins);
 }
 
 /// Report `n` clamped values to the histogram.values_clamped obs
-/// counter (no-op when n == 0 or metrics are disabled).
+/// counter (no-op when n == 0 or metrics are disabled). The unit is one
+/// clamped (cell, zone) attribution -- the unit of cells_in_polygons and
+/// of the per-cell oracle: a cell inside two zones counts twice, a cell
+/// in no zone not at all. So only sites that attribute cells to zones
+/// report (the executor's inside count, Step 4, the baselines); per-tile
+/// tables attribute nothing and stay silent.
 void note_values_clamped(std::uint64_t n);
 
 class HistogramSet {
@@ -58,9 +61,8 @@ class HistogramSet {
   }
 
   /// Reshape to groups x bins and zero all counts, reusing the existing
-  /// allocation when capacity allows. Reusing one HistogramSet across
-  /// pipeline runs avoids re-faulting multi-GB tables (see the
-  /// ZonalWorkspace note in core/pipeline.hpp).
+  /// allocation when capacity allows (the Step-1 ablation benches pass
+  /// one per-tile table to repeated tile_histograms_into calls).
   void reset(std::size_t groups, BinIndex bins) {
     ZH_REQUIRE(bins > 0, "histograms need at least one bin");
     groups_ = groups;

@@ -4,8 +4,7 @@ namespace zh {
 
 SeriesResult run_series(Device& device, std::span<const DemRaster> bands,
                         const PolygonSet& polygons,
-                        const ZonalConfig& config,
-                        ZonalWorkspace* workspace) {
+                        const ZonalConfig& config) {
   ZH_REQUIRE(config.tile_size >= 1, "tile size must be positive");
   ZH_REQUIRE(config.bins >= 1, "bin count must be positive");
   SeriesResult result;
@@ -23,12 +22,10 @@ SeriesResult run_series(Device& device, std::span<const DemRaster> bands,
       polygons, TilingScheme(first.rows(), first.cols(), config.tile_size),
       first.transform());
   const PolygonSoA soa = PolygonSoA::build(polygons);
-  ZonalWorkspace local_ws;
-  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
   ZonalResult acc;
   result.per_band.reserve(bands.size());
   for (const DemRaster& band : bands) {
-    execute_plan(device, plan, band, soa, config, acc, &ws);
+    execute_plan(device, plan, band, soa, config, acc);
     result.per_band.push_back(std::move(acc.per_polygon));
   }
   result.times = acc.times;

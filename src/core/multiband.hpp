@@ -6,8 +6,8 @@
 // feature vectors downstream analysis consumes. The tile-based design
 // pays its Step-2 spatial filter ONCE per stack: the pairing depends
 // only on geometry (tiling x polygons), so every subsequent band reuses
-// the same inside/intersect dispatch arrays and only Steps 1/3/4 run per
-// band.
+// the same inside/intersect dispatch arrays and only the inside count
+// (Steps 1 and 3) and Step 4 run per band.
 #pragma once
 
 #include <span>
@@ -30,7 +30,6 @@ struct SeriesResult {
 [[nodiscard]] SeriesResult run_series(Device& device,
                                       std::span<const DemRaster> bands,
                                       const PolygonSet& polygons,
-                                      const ZonalConfig& config,
-                                      ZonalWorkspace* workspace = nullptr);
+                                      const ZonalConfig& config);
 
 }  // namespace zh

@@ -1,6 +1,8 @@
 #include "core/pipeline.hpp"
 
-#include "core/step3_aggregate.hpp"
+#include <algorithm>
+#include <functional>
+
 #include "obs/obs.hpp"
 
 namespace zh {
@@ -51,18 +53,13 @@ ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
   plan.pairing = pair_and_group(polygons, tiling, transform);
   plan.zones = polygons.size();
   plan.zone_vertices = polygons.vertex_count();
-
-  // Slot i of the Step-1 table is the i-th distinct tile an inside pair
-  // references; remap the inside groups to those slots.
-  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> slot(tiling.tile_count(), kNoSlot);
-  for (TileId& t : plan.pairing.inside.tid_v) {
-    if (slot[t] == kNoSlot) {
-      slot[t] = static_cast<std::uint32_t>(plan.demanded.size());
-      plan.demanded.push_back(t);
-    }
-    t = slot[t];
-  }
+  // The inside count increments unsplit zone rows without atomics, which
+  // is safe only if each zone heads one inside group; the Fig.-4
+  // reduce_by_key emits them in strictly increasing zone order.
+  const std::vector<PolygonId>& pids = plan.pairing.inside.pid_v;
+  ZH_ASSERT(std::adjacent_find(pids.begin(), pids.end(),
+                               std::greater_equal<>()) == pids.end(),
+            "a zone heads more than one inside group");
   plan.seconds = timer.seconds();
   ZH_LATENCY_RECORD("latency.step2", plan.seconds);
   return plan;
@@ -70,8 +67,7 @@ ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
 
 void execute_plan(Device& device, const ZonalPlan& plan,
                   const DemRaster& raster, const PolygonSoA& soa,
-                  const ZonalConfig& config, ZonalResult& result,
-                  ZonalWorkspace* workspace) {
+                  const ZonalConfig& config, ZonalResult& result) {
   ZH_REQUIRE(soa.polygon_count() == plan.zones,
              "SoA does not match the plan's zone layer");
   const TilingScheme& tiling = plan.tiling;
@@ -89,24 +85,15 @@ void execute_plan(Device& device, const ZonalPlan& plan,
       static_cast<std::uint64_t>(raster.cell_count()) * sizeof(CellValue);
   Timer timer;
 
-  // Step 1: histograms of the demanded tiles only, one table row per
-  // slot. The table lives in the caller's workspace when one is
-  // supplied, so successive runs reuse the allocation.
-  ZonalWorkspace local_ws;
-  ZonalWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  tile_histograms_into(device, raster, tiling, plan.demanded, config.bins,
-                       config.count_mode, ws.tile_hist, config.cell_order);
+  // Steps 1 and 3 in one pass, timed as Step 1: the inside tiles' cells
+  // count straight into the zone rows, so the paper's per-tile table is
+  // never built and Step 3 reads 0. aggregate_bin_adds still carries the
+  // paper's Step-3 work, which the performance model charges.
+  count_inside_tiles(device, raster, tiling, pairing.inside,
+                     result.per_polygon);
   const double step1 = timer.seconds();
   result.times.seconds[1] += step1;
   ZH_LATENCY_RECORD("latency.step1", step1);
-
-  // Step 3: aggregate the inside tiles' rows of the compact table.
-  timer.reset();
-  aggregate_inside_tiles(device, pairing.inside, ws.tile_hist,
-                         result.per_polygon);
-  const double step3 = timer.seconds();
-  result.times.seconds[3] += step3;
-  ZH_LATENCY_RECORD("latency.step3", step3);
   work.aggregate_bin_adds +=
       static_cast<std::uint64_t>(pairing.inside.pair_count()) * config.bins;
 
@@ -133,7 +120,6 @@ ZonalResult run_compressed(Device& device,
                            const BqCompressedRaster& compressed,
                            const PolygonSet& polygons,
                            const ZonalConfig& config,
-                           ZonalWorkspace* workspace,
                            LazyCounters* counters) {
   ZH_REQUIRE(compressed.tiling().tile_size() == config.tile_size,
              "compressed raster tiling does not match pipeline tile size");
@@ -142,16 +128,21 @@ ZonalResult run_compressed(Device& device,
   const ZonalPlan plan =
       make_plan(polygons, tiling, compressed.transform());
 
-  // Step 0: decode only the demanded tiles; the rest are never read.
+  // Step 0: decode only the tiles some zone touches; the rest are never
+  // read. kInside marks tiles inside at least one zone.
   Timer timer;
-  std::vector<bool> needed(tiling.tile_count(), false);
-  for (const TileId t : plan.demanded) needed[t] = true;
-  for (const TileId t : plan.pairing.intersect.tid_v) needed[t] = true;
+  constexpr char kBoundary = 1;
+  constexpr char kInside = 2;
+  std::vector<char> needed(tiling.tile_count(), 0);
+  for (const TileId t : plan.pairing.intersect.tid_v) needed[t] = kBoundary;
+  for (const TileId t : plan.pairing.inside.tid_v) needed[t] = kInside;
   std::vector<TileId> decode;
+  std::uint64_t inside_tiles = 0;
   std::uint64_t decoded_cells = 0;
   for (TileId t = 0; t < needed.size(); ++t) {
-    if (!needed[t]) continue;
+    if (needed[t] == 0) continue;
     decode.push_back(t);
+    if (needed[t] == kInside) ++inside_tiles;
     decoded_cells +=
         static_cast<std::uint64_t>(tiling.tile_window(t).cell_count());
   }
@@ -160,13 +151,13 @@ ZonalResult run_compressed(Device& device,
 
   ZonalResult result;
   execute_plan(device, plan, raster, PolygonSoA::build(polygons), config,
-               result, workspace);
+               result);
   result.times.seconds[0] = decode_seconds;
   result.work.compressed_bytes = compressed.compressed_bytes();
   if (counters != nullptr) {
     counters->tiles_total = tiling.tile_count();
     counters->tiles_decoded = decode.size();
-    counters->tiles_histogrammed = plan.demanded.size();
+    counters->tiles_histogrammed = inside_tiles;
     counters->cells_decoded = decoded_cells;
   }
   return result;
@@ -175,37 +166,32 @@ ZonalResult run_compressed(Device& device,
 }  // namespace
 
 ZonalResult ZonalPipeline::run(const DemRaster& raster,
-                               const PolygonSet& polygons,
-                               ZonalWorkspace* workspace) const {
+                               const PolygonSet& polygons) const {
   const PolygonSoA soa = PolygonSoA::build(polygons);
-  return run(raster, polygons, soa, workspace);
+  return run(raster, polygons, soa);
 }
 
 ZonalResult ZonalPipeline::run(const DemRaster& raster,
                                const PolygonSet& polygons,
-                               const PolygonSoA& soa,
-                               ZonalWorkspace* workspace) const {
+                               const PolygonSoA& soa) const {
   ZH_TRACE_SPAN("pipeline.run", "pipeline");
   const TilingScheme tiling(raster.rows(), raster.cols(),
                             config_.tile_size);
   ZonalResult result;
   execute_plan(*device_, make_plan(polygons, tiling, raster.transform()),
-               raster, soa, config_, result, workspace);
+               raster, soa, config_, result);
   return result;
 }
 
 ZonalResult ZonalPipeline::run(const BqCompressedRaster& compressed,
-                               const PolygonSet& polygons,
-                               ZonalWorkspace* workspace) const {
-  return run_compressed(*device_, compressed, polygons, config_, workspace,
-                        nullptr);
+                               const PolygonSet& polygons) const {
+  return run_compressed(*device_, compressed, polygons, config_, nullptr);
 }
 
 ZonalResult run_lazy(Device& device, const BqCompressedRaster& compressed,
                      const PolygonSet& polygons, const ZonalConfig& config,
                      LazyCounters* counters) {
-  return run_compressed(device, compressed, polygons, config, nullptr,
-                        counters);
+  return run_compressed(device, compressed, polygons, config, counters);
 }
 
 }  // namespace zh

@@ -2,13 +2,15 @@
 //
 // Every entry point runs Steps 0-4 through one filter-first executor:
 // make_plan runs the Step-2 pairing first (tile boxes only, no cell
-// data) and lists the tiles the inside pairs demand; execute_plan then
-// histograms only those tiles (Step 1), aggregates them (Step 3) and
-// refines the boundary tiles (Step 4). Compressed input decodes only the
-// tiles some zone touches (Step 0). Outputs are identical to the
-// paper's all-tiles order; only the undemanded work is skipped. Each
-// run reports per-step wall times (the Table-2 breakdown) and work
-// counters (input to the performance model and the ablation benches).
+// data); execute_plan then counts the cells of each zone's
+// completely-inside tiles straight into the zone's histogram row (the
+// paper's Steps 1 and 3 in one pass, with no per-tile table) and refines
+// the boundary tiles (Step 4). Compressed input decodes only the tiles
+// some zone touches (Step 0). Outputs are identical to the paper's
+// all-tiles order; only the undemanded work is skipped. Each run reports
+// per-step wall times (the Table-2 breakdown; the fused pass is timed as
+// Step 1 and Step 3 reads 0) and work counters (input to the
+// performance model and the ablation benches).
 #pragma once
 
 #include <cstdint>
@@ -33,8 +35,10 @@ namespace zh {
 struct ZonalConfig {
   std::int64_t tile_size = 360;  ///< cells per tile edge (paper: 0.1 deg)
   BinIndex bins = 5000;          ///< histogram bins (paper: 5000)
+  /// Read by perfbench's Step-1 replay and the journal fingerprint only.
   CountMode count_mode = CountMode::kAtomic;
-  CellOrder cell_order = CellOrder::kRowMajor;  ///< Step-1 visitation
+  /// Read by perfbench's Step-1 replay only; the executor ignores it.
+  CellOrder cell_order = CellOrder::kRowMajor;
   RefineGranularity refine_granularity =
       RefineGranularity::kPolygonGroup;  ///< Step-4 block scheduling
   RefineStrategy refine_strategy =
@@ -49,7 +53,10 @@ struct WorkCounters {
   std::uint64_t pairs_inside = 0;
   std::uint64_t pairs_intersect = 0;
   std::uint64_t polygon_vertices = 0;
-  std::uint64_t aggregate_bin_adds = 0; ///< inside pairs x bins (Step 3)
+  /// The paper's Step-3 work, inside pairs x bins, which PerfModel and
+  /// the Table-2 projection charge; the executor's fused inside count
+  /// does no bin adds.
+  std::uint64_t aggregate_bin_adds = 0;
   std::uint64_t pip_cell_tests = 0;     ///< Step 4 cell tests
   std::uint64_t pip_edge_tests = 0;     ///< Step 4 edge evaluations
   std::uint64_t pip_rows_scanned = 0;   ///< Step 4 scanline rows (0 = brute)
@@ -75,32 +82,18 @@ struct RunReport;
 /// by the zh-run-report-v1 schema (cells_total, pairs_inside, ...).
 void append_work_counters(obs::RunReport& report, const WorkCounters& work);
 
-/// Reusable scratch memory across pipeline runs. The per-tile histogram
-/// table is tiles x bins x 4 B -- ~1.4 GB for the largest CONUS raster
-/// at 5000 bins -- and allocating it fresh per run means re-faulting
-/// gigabytes each time (painfully slow on virtualized hosts). Passing
-/// one workspace to successive run() calls keeps the table resident, as
-/// the paper's implementation keeps it in device memory.
-struct ZonalWorkspace {
-  HistogramSet tile_hist;
-};
-
-/// One zone layer's Step-2 pairing against one tiling, plus the tiles it
-/// demands. Built from tile boxes alone, so it can run before any cell
-/// is read; one plan serves every co-registered band.
+/// One zone layer's Step-2 pairing against one tiling. Built from tile
+/// boxes alone, so it can run before any cell is read; one plan serves
+/// every co-registered band.
 struct ZonalPlan {
   TilingScheme tiling{0, 0, 1};
-  /// Inside groups hold compact table slots, not tile ids: slot i is the
-  /// Step-1 row of tile demanded[i]. Intersect groups hold tile ids.
   PairingResult pairing;
-  std::vector<TileId> demanded;  ///< distinct tiles of the inside pairs
   std::size_t zones = 0;
   std::uint64_t zone_vertices = 0;
   double seconds = 0.0;  ///< Step-2 wall time
 };
 
-/// Step 2: pair `polygons` with the tiles of `tiling` and compact the
-/// inside pairs' tiles into table slots.
+/// Step 2: pair `polygons` with the tiles of `tiling`.
 [[nodiscard]] ZonalPlan make_plan(const PolygonSet& polygons,
                                   const TilingScheme& tiling,
                                   const GeoTransform& transform);
@@ -110,11 +103,10 @@ struct ZonalPlan {
 /// `result.per_polygon` with the zones x config.bins histograms and adds
 /// the step times and per-cell work into `result`; Step 2's time and the
 /// pairing counters are set, not added, so a plan executed once per band
-/// charges them once. The Step-1 table lives in `workspace` when given.
+/// charges them once.
 void execute_plan(Device& device, const ZonalPlan& plan,
                   const DemRaster& raster, const PolygonSoA& soa,
-                  const ZonalConfig& config, ZonalResult& result,
-                  ZonalWorkspace* workspace = nullptr);
+                  const ZonalConfig& config, ZonalResult& result);
 
 class ZonalPipeline {
  public:
@@ -128,22 +120,19 @@ class ZonalPipeline {
 
   /// Run Steps 1-4 on an uncompressed raster (Step 0 time = 0).
   [[nodiscard]] ZonalResult run(const DemRaster& raster,
-                                const PolygonSet& polygons,
-                                ZonalWorkspace* workspace = nullptr) const;
+                                const PolygonSet& polygons) const;
 
   /// Run Steps 0-4 from BQ-Tree input: plan, decode only the tiles the
   /// plan touches (timed as Step 0), then execute. The compressed
   /// raster's tiling must use this pipeline's tile size.
   [[nodiscard]] ZonalResult run(const BqCompressedRaster& compressed,
-                                const PolygonSet& polygons,
-                                ZonalWorkspace* workspace = nullptr) const;
+                                const PolygonSet& polygons) const;
 
   /// Run Steps 1-4 with a pre-built SoA (lets callers amortize the
   /// flattening across partitions; the SoA must match `polygons`).
   [[nodiscard]] ZonalResult run(const DemRaster& raster,
                                 const PolygonSet& polygons,
-                                const PolygonSoA& soa,
-                                ZonalWorkspace* workspace = nullptr) const;
+                                const PolygonSoA& soa) const;
 
  private:
   Device* device_;
@@ -153,7 +142,7 @@ class ZonalPipeline {
 struct LazyCounters {
   std::uint64_t tiles_total = 0;
   std::uint64_t tiles_decoded = 0;      ///< inside + intersect tiles
-  std::uint64_t tiles_histogrammed = 0; ///< tiles needing per-tile hist
+  std::uint64_t tiles_histogrammed = 0; ///< distinct tiles inside a zone
   std::uint64_t cells_decoded = 0;
 };
 

@@ -4,10 +4,11 @@
 // against a small catalog of large rasters. QueryEngine registers rasters
 // once, then runs each query through the filter-first executor
 // (core/pipeline.hpp) with the query's bin count: Step 2 pairs the
-// query's zones with the raster's tiles, Step 1 histograms only the
-// tiles its inside pairs demand, Step 3 aggregates them and Step 4
-// refines the boundary tiles. Results are bit-identical to
-// ZonalPipeline::run on the same inputs.
+// query's zones with the raster's tiles, the cells of each zone's
+// completely-inside tiles count straight into its histogram row (Steps 1
+// and 3 in one pass) and Step 4 refines the boundary tiles. A query
+// allocates only its zones x bins rows, never a per-tile table. Results
+// are bit-identical to ZonalPipeline::run on the same inputs.
 #pragma once
 
 #include <cstddef>

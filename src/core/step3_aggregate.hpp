@@ -6,7 +6,9 @@
 // (inner loop), accumulating per-tile counts into the polygon histogram.
 // No atomics needed: each polygon appears in exactly one group, so one
 // block exclusively owns each output row -- the property the paper's
-// UpdateHistKernel relies on.
+// UpdateHistKernel relies on. The executor never builds the per-tile
+// table this step reads: it counts inside tiles straight into zone rows
+// (count_inside_tiles in core/step1_tile_hist.hpp).
 #pragma once
 
 #include "core/histogram.hpp"
@@ -17,6 +19,7 @@ namespace zh {
 
 /// Add inside-tile histograms into `polygon_hist` (groups = polygons,
 /// pre-sized by the caller; accumulates, does not clear).
+/// Read only by perfbench's paper-order replay, not by the executor.
 void aggregate_inside_tiles(Device& device,
                             const PolygonTileGroups& inside,
                             const HistogramSet& tile_hist,

@@ -166,6 +166,8 @@ class Device {
   [[nodiscard]] std::uint32_t default_block_dim() const {
     return default_block_dim_;
   }
+  /// Worker threads of the pool that runs this device's blocks.
+  [[nodiscard]] std::size_t concurrency() const { return pool_->size(); }
 
   /// Launch `kernel(BlockContext&)` over a 1-D grid of `grid_dim` blocks.
   /// Blocks run concurrently on the pool; the call returns when the whole

@@ -97,13 +97,12 @@ CatalogRunResult run_catalog(Device& device, const Catalog& catalog,
   CatalogRunResult result;
   result.per_polygon = HistogramSet(zones.size(), config.bins);
   const ZonalPipeline pipeline(device, config);
-  ZonalWorkspace workspace;
 
   for (std::size_t i = 0; i < catalog.raster_files.size(); ++i) {
     const std::string path = catalog.raster_path(i);
     result.bytes_read += fs::file_size(path);
     const BqCompressedRaster compressed = read_bq(path);
-    const ZonalResult r = pipeline.run(compressed, zones, &workspace);
+    const ZonalResult r = pipeline.run(compressed, zones);
     result.per_polygon.add(r.per_polygon);
     result.times += r.times;
     result.work += r.work;

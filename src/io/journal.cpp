@@ -430,6 +430,7 @@ std::uint64_t fingerprint_config(
   }
   h = mix_u64(h, static_cast<std::uint64_t>(zonal.tile_size));
   h = mix_u64(h, zonal.bins);
+  // count_mode no longer reaches the executor; hashed for older journals.
   h = mix_u64(h, static_cast<std::uint64_t>(zonal.count_mode));
   // Slot of the removed compressed-partitions flag. The CLI never set
   // it, so hashing its old value keeps older journals resumable.

@@ -220,15 +220,11 @@ void RegionQuadtree::add_window_histogram(const CellWindow& w,
                                           std::span<BinCount> hist) const {
   ZH_REQUIRE(!hist.empty(), "histogram needs at least one bin");
   const BinIndex bins = static_cast<BinIndex>(hist.size());
-  std::uint64_t clamped = 0;
+  // Clamps are not reported: a window histogram attributes no cell to a
+  // zone (see note_values_clamped).
   visit_window(0, 0, 0, extent_, w, [&](CellValue v, std::int64_t area) {
-    // A uniform leaf folds `area` cells at once, so the clamp tally is
-    // cell-weighted to stay comparable with the per-cell paths.
-    const BinIndex b =
-        bin_index(v, bins, clamped, static_cast<std::uint64_t>(area));
-    hist[b] += static_cast<BinCount>(area);
+    hist[bin_index(v, bins)] += static_cast<BinCount>(area);
   });
-  note_values_clamped(clamped);
 }
 
 Raster<CellValue> RegionQuadtree::to_raster() const {

@@ -64,15 +64,11 @@ TEST_F(CatalogTest, RunMatchesInMemoryReferenceBothModes) {
   expect.add(zonal_scanline(a, zones, 100));
   expect.add(zonal_scanline(b, zones, 100));
 
-  // Both Step-1 count modes go through the filter-first executor.
-  for (const CountMode mode : {CountMode::kAtomic, CountMode::kPrivatized}) {
-    const CatalogRunResult r = run_catalog(
-        dev, catalog, {.tile_size = 8, .bins = 100, .count_mode = mode});
-    EXPECT_EQ(r.per_polygon, expect)
-        << "count mode " << static_cast<int>(mode);
-    EXPECT_EQ(r.rasters_processed, 2u);
-    EXPECT_GT(r.bytes_read, 0u);
-  }
+  const CatalogRunResult r =
+      run_catalog(dev, catalog, {.tile_size = 8, .bins = 100});
+  EXPECT_EQ(r.per_polygon, expect);
+  EXPECT_EQ(r.rasters_processed, 2u);
+  EXPECT_GT(r.bytes_read, 0u);
 }
 
 TEST_F(CatalogTest, MalformedManifestsThrow) {

@@ -142,19 +142,31 @@ TEST(DeviceProfiles, NamedLaunchesAccumulate) {
 
 TEST(DeviceProfiles, PipelineKernelsAppearInProfile) {
   Device dev;
+  // Value 3 on the 3x3 tiles fully inside the zone (cells 8..31 of each
+  // axis), 5 elsewhere: bin 3 holds exactly what the inside count read.
   DemRaster raster(40, 40, GeoTransform(0.0, 4.0, 0.1, 0.1));
-  for (CellValue& v : raster.cells()) v = 3;
+  for (std::int64_t r = 0; r < 40; ++r) {
+    for (std::int64_t c = 0; c < 40; ++c) {
+      const bool inner = r >= 8 && r < 32 && c >= 8 && c < 32;
+      raster.at(r, c) = inner ? 3 : 5;
+    }
+  }
   PolygonSet zones;
   zones.add(Polygon({{{0.3, 0.3}, {3.7, 0.3}, {3.7, 3.7}, {0.3, 3.7}}}));
   const ZonalPipeline pipe(dev, {.tile_size = 8, .bins = 10});
-  (void)pipe.run(raster, zones);
+  const ZonalResult r = pipe.run(raster, zones);
   const auto profiles = dev.kernel_profiles();
-  EXPECT_TRUE(profiles.count("CellAggrKernel"));
-  EXPECT_TRUE(profiles.count("UpdateHistKernel"));
+  EXPECT_TRUE(profiles.count("ZoneHistKernel"));
   EXPECT_TRUE(profiles.count("pip_test_kernel"));
-  // Filter-first: Step 1 histograms only the 3x3 tiles fully inside the
-  // zone; the 16 border tiles it touches go to Step 4 alone.
-  EXPECT_EQ(profiles.at("CellAggrKernel").blocks, 9u);
+  // No per-tile table: the paper's Step-1 and Step-3 kernels never run.
+  EXPECT_FALSE(profiles.count("CellAggrKernel"));
+  EXPECT_FALSE(profiles.count("UpdateHistKernel"));
+  // Filter-first: the inside count reads only the 3x3 inside tiles
+  // (576 cells); the 16 border tiles it touches go to Step 4 alone,
+  // which finds the zone's other 34 x 34 - 576 cells.
+  EXPECT_EQ(r.per_polygon.of(0)[3], 576u);
+  EXPECT_EQ(r.per_polygon.of(0)[5], 34u * 34u - 576u);
+  EXPECT_EQ(r.times.seconds[3], 0.0);
 }
 
 }  // namespace

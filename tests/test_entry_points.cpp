@@ -2,9 +2,11 @@
 // must match the per-cell oracle (zonal_scanline) on the same inputs.
 // Raw entry points get a raster with a nodata value; BQ entry points get
 // the same cells without one (the container cannot store nodata). Cell
-// values reach past the bin count, so the top-bin clamp is exercised,
-// and the zones cover only the western part of the raster, so some
-// tiles are never demanded.
+// values reach past the bin count, so the top-bin clamp is exercised.
+// Three zone layers run against it: zones in the western part of the
+// raster (some tiles are never demanded), two overlapping zones (a tile
+// inside both is counted once per zone), and one zone covering the whole
+// raster (its inside group is split across the pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -46,6 +49,44 @@ DemRaster nodata_raster() {
 PolygonSet zones() {
   return test::random_polygon_set(11, GeoBox{0.3, 0.3, 4.5, 6.1}, 5,
                                   /*holes_every_other=*/true);
+}
+
+Ring box_ring(double x0, double y0, double x1, double y1) {
+  return {{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}};
+}
+
+/// Two zones overlapping in x 3.15..6.05: the tiles there lie inside
+/// both. The eastern zone has a hole, so it also has inner boundaries.
+PolygonSet overlapping_zones() {
+  PolygonSet set;
+  set.add(Polygon({box_ring(0.35, 0.45, 6.05, 5.95)}));
+  Ring hole = box_ring(6.55, 2.05, 7.45, 3.95);
+  std::reverse(hole.begin(), hole.end());
+  set.add(Polygon({box_ring(3.15, 0.25, 9.25, 6.15), hole}));
+  return set;
+}
+
+/// One zone past every edge of the raster: all tiles are inside it.
+PolygonSet whole_raster_zone() {
+  PolygonSet set;
+  set.add(Polygon({box_ring(-1.0, -1.0, 10.6, 7.4)}));
+  return set;
+}
+
+struct ZoneInput {
+  const char* name;
+  PolygonSet zones;
+};
+
+std::vector<ZoneInput> zone_inputs() {
+  return {{"western", zones()},
+          {"overlapping", overlapping_zones()},
+          {"whole_raster", whole_raster_zone()}};
+}
+
+ZonalPlan plan_for(const DemRaster& r, const PolygonSet& z) {
+  return make_plan(z, TilingScheme(r.rows(), r.cols(), kConfig.tile_size),
+                   r.transform());
 }
 
 /// The cluster driver over a 2x3 partition schema on `ranks` ranks.
@@ -140,8 +181,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(EntryPoints, MatchPerCellOracle) {
   const EntryPoint& entry = GetParam();
   const DemRaster raster = entry.bq ? dense_raster() : nodata_raster();
-  const PolygonSet z = zones();
-  EXPECT_EQ(entry.run(raster, z), zonal_scanline(raster, z, kBins));
+  for (const ZoneInput& input : zone_inputs()) {
+    SCOPED_TRACE(input.name);
+    EXPECT_EQ(entry.run(raster, input.zones),
+              zonal_scanline(raster, input.zones, kBins));
+  }
 }
 
 // Guards the table above: the inputs must keep exercising nodata, the
@@ -160,6 +204,66 @@ TEST(EntryPointInputs, CoverNodataClampAndUndemandedTiles) {
                  kConfig, &counters);
   EXPECT_GT(counters.tiles_histogrammed, 0u);
   EXPECT_LT(counters.tiles_decoded, counters.tiles_total);
+}
+
+// Guards the overlapping input: some tile lies inside both zones.
+TEST(EntryPointInputs, OverlappingZonesShareAnInsideTile) {
+  const ZonalPlan plan = plan_for(nodata_raster(), overlapping_zones());
+  ASSERT_EQ(plan.pairing.inside.group_count(), 2u);
+  std::vector<int> zones_containing(plan.tiling.tile_count(), 0);
+  for (const TileId t : plan.pairing.inside.tid_v) ++zones_containing[t];
+  EXPECT_EQ(*std::max_element(zones_containing.begin(),
+                              zones_containing.end()),
+            2);
+}
+
+// Guards the whole-raster input: one zone holds every tile, more than its
+// share on any pool of two or more threads, so the inside count splits
+// it. An explicit 4-thread pool makes the split independent of the host,
+// and the split result must still match the oracle.
+TEST(EntryPointInputs, WholeRasterZoneTakesSplitPath) {
+  const DemRaster raster = nodata_raster();
+  const PolygonSet z = whole_raster_zone();
+  const ZonalPlan plan = plan_for(raster, z);
+  ASSERT_EQ(plan.pairing.inside.group_count(), 1u);
+  EXPECT_EQ(plan.pairing.inside.pair_count(), plan.tiling.tile_count());
+
+  ThreadPool pool(4);
+  Device dev(DeviceProfile::host(), &pool);
+  EXPECT_EQ(ZonalPipeline(dev, kConfig).run(raster, z).per_polygon,
+            zonal_scanline(raster, z, kBins));
+  EXPECT_EQ(dev.kernel_profiles().at("ZoneHistKernel").blocks, 4u);
+}
+
+// histogram.values_clamped counts clamped (cell, zone) attributions, the
+// unit of the per-cell oracle: a clamped cell in a tile inside both
+// overlapping zones counts twice.
+TEST(EntryPointInputs, ValuesClampedMatchesOracleOnOverlappingZones) {
+#if !defined(ZH_ENABLE_OBS)
+  GTEST_SKIP() << "reads a metric; the metrics layer is compiled out";
+#else
+  const DemRaster raster = nodata_raster();
+  const PolygonSet z = overlapping_zones();
+  const auto clamped_during = [](const std::function<void()>& run) {
+    obs::metrics_reset();
+    obs::set_metrics_enabled(true);
+    run();
+    obs::set_metrics_enabled(false);
+    std::uint64_t n = 0;
+    for (const obs::MetricRecord& m : obs::metrics_snapshot()) {
+      if (m.name == "histogram.values_clamped") n = m.value;
+    }
+    obs::metrics_reset();
+    return n;
+  };
+  Device dev;
+  const std::uint64_t executor = clamped_during(
+      [&] { (void)ZonalPipeline(dev, kConfig).run(raster, z); });
+  const std::uint64_t oracle =
+      clamped_during([&] { (void)zonal_scanline(raster, z, kBins); });
+  EXPECT_GT(oracle, 0u);
+  EXPECT_EQ(executor, oracle);
+#endif
 }
 
 }  // namespace

@@ -76,25 +76,5 @@ TEST(MultiBand, EmptySeries) {
   EXPECT_EQ(r.work.cells_total, 0u);
 }
 
-TEST(MultiBand, WorkspaceReuseAcrossBands) {
-  Device dev;
-  const GeoTransform t(0.0, 2.0, 0.1, 0.1);
-  std::vector<DemRaster> bands;
-  bands.push_back(test::random_raster(20, 20, 5, 9, t));
-  bands.push_back(test::random_raster(20, 20, 6, 9, t));
-  PolygonSet zones;
-  zones.add(Polygon({{{0.3, 0.3}, {1.7, 0.3}, {1.7, 1.7}, {0.3, 1.7}}}));
-
-  ZonalWorkspace ws;
-  const SeriesResult a =
-      run_series(dev, bands, zones, {.tile_size = 4, .bins = 10}, &ws);
-  const SeriesResult b =
-      run_series(dev, bands, zones, {.tile_size = 4, .bins = 10}, &ws);
-  ASSERT_EQ(a.per_band.size(), b.per_band.size());
-  for (std::size_t i = 0; i < a.per_band.size(); ++i) {
-    EXPECT_EQ(a.per_band[i], b.per_band[i]);
-  }
-}
-
 }  // namespace
 }  // namespace zh

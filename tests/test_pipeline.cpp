@@ -180,19 +180,5 @@ TEST(Pipeline, RejectsBadConfig) {
                InvalidArgument);
 }
 
-TEST(Pipeline, PrivatizedCountModeGivesSameResult) {
-  Device dev;
-  const DemRaster raster = test::random_raster(
-      50, 50, 13, 29, GeoTransform(0.0, 5.0, 0.1, 0.1));
-  const PolygonSet polys =
-      test::random_polygon_set(6, GeoBox{0.5, 0.5, 4.5, 4.5}, 5, true);
-  const ZonalPipeline a(dev, {.tile_size = 10, .bins = 30,
-                              .count_mode = CountMode::kAtomic});
-  const ZonalPipeline b(dev, {.tile_size = 10, .bins = 30,
-                              .count_mode = CountMode::kPrivatized});
-  EXPECT_EQ(a.run(raster, polys).per_polygon,
-            b.run(raster, polys).per_polygon);
-}
-
 }  // namespace
 }  // namespace zh

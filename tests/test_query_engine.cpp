@@ -24,8 +24,8 @@ PolygonSet make_zones(std::uint32_t seed, bool holes = false) {
 }
 
 /// Tessellating zones: large enough that many tiles are fully inside,
-/// so Step 1 has demanded tiles (inside pairs demand tile histograms;
-/// intersect pairs go straight to Step-4 refinement).
+/// so the inside count has work (inside pairs count straight into zone
+/// rows; intersect pairs go to Step-4 refinement).
 PolygonSet make_county_zones(std::uint64_t seed) {
   CountyParams cp;
   cp.seed = seed;

@@ -27,9 +27,10 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 # Concurrency suites exercised under TSan: ThreadPool + device emulation,
 # thrust-analog primitives, the MPI-like cluster layer (including the
 # fault-injection and timeout/heartbeat paths), the Step-4 refinement
-# strategies (parallel edge-index build + scanline kernels), and the
-# stress mix.
-TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*'
+# strategies (parallel edge-index build + scanline kernels), the stress
+# mix, and every entry point against the oracle (the inside count's
+# plain increments into owned zone rows and atomic merges of split ones).
+TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*:*EntryPoint*'
 
 # Fault-tolerance suites: deterministic fault injection, timeout/retry,
 # straggler recovery, corruption-detecting I/O, the parser corpus, and

@@ -239,9 +239,8 @@ int check_metrics(const std::string& path, long require_ranks) {
     // fails here rather than silently vanishing from dashboards.
     static const char* const kKnownLatency[] = {
         "latency.query",     "latency.step1",
-        "latency.step2",     "latency.step3",
-        "latency.step4",     "latency.partition",
-        "latency.journal_fsync",
+        "latency.step2",     "latency.step4",
+        "latency.partition", "latency.journal_fsync",
     };
     static const char* const kKnownServe[] = {
         "serve.http_requests", "serve.http_errors",

@@ -1,15 +1,12 @@
-// Step-4 scheduling ablations:
+// Step-4 scheduling ablation:
 //  (a) block granularity -- the paper's one-block-per-polygon kernel
 //      (Fig. 5) vs one block per (polygon, tile) pair with atomics.
 //      Coarse blocks serialize big polygons; fine blocks self-balance.
-//  (b) hybrid two-device refinement (the ref-[20] CPU+GPU scheme):
-//      Step-4 groups split by modeled device speed, run concurrently.
 // Both must (and do) produce bit-identical histograms.
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/timer.hpp"
-#include "core/hybrid.hpp"
 #include "core/pipeline.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
@@ -65,22 +62,5 @@ int main() {
               "  coarse blocks limit parallelism to the polygon count;\n"
               "  fine blocks expose pair-level parallelism (the GPU win).\n",
               counties.size(), ThreadPool::global().size());
-
-  bench::print_header("(b) Hybrid two-device Step 4 (ref [20])");
-  Device titan(DeviceProfile::gtx_titan());
-  Device host2(DeviceProfile::host());
-  for (const double fraction : {1.0, 0.7, -1.0}) {
-    const HybridResult h = run_hybrid(
-        titan, host2, dem, counties,
-        {.zonal = {.tile_size = 60, .bins = bins},
-         .primary_fraction = fraction});
-    std::printf("  primary share %.2f: primary %6.2f s / secondary "
-                "%6.2f s  identical: %s\n",
-                h.primary_fraction, h.primary_seconds,
-                h.secondary_seconds,
-                h.per_polygon == reference ? "yes" : "NO");
-  }
-  std::printf("  (shares chosen by modeled Step-4 speed when fraction "
-              "< 0)\n");
   return 0;
 }

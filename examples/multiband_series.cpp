@@ -2,6 +2,7 @@
 // stack (GOES-R-style), then zone clustering on the concatenated
 // band-histogram feature vectors -- the "histograms as feature vectors
 // for subsequent clustering" workflow of the paper's introduction.
+#include <algorithm>
 #include <cstdio>
 
 #include "zh.hpp"

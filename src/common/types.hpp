@@ -33,8 +33,7 @@ using PolygonId = std::uint32_t;
 /// Identifier of a cluster rank (simulated compute node).
 using RankId = std::uint32_t;
 
-/// Sentinel for "no tile" / "no polygon".
-inline constexpr TileId kInvalidTile = std::numeric_limits<TileId>::max();
+/// Sentinel for "no polygon".
 inline constexpr PolygonId kInvalidPolygon =
     std::numeric_limits<PolygonId>::max();
 

@@ -20,7 +20,7 @@ namespace zh {
 /// Map a cell value to its histogram bin: values >= bins fold into the
 /// top bin (the paper's "elevations < 5000 m" convention keeps the fold
 /// rare but it must stay well-defined). Single source of truth for every
-/// binning site -- Step 1, Step 4, baselines, lazy and quadtree paths.
+/// binning site -- Step 1, Step 4, baselines and lazy paths.
 [[nodiscard]] constexpr BinIndex bin_index(CellValue v, BinIndex bins) {
   return v < bins ? static_cast<BinIndex>(v) : bins - 1;
 }

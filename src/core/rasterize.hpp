@@ -1,9 +1,8 @@
 // Zone rasterization: burn polygon ids into a grid.
 //
 // The scanline machinery of the baselines, exposed as a standalone
-// operator (the GDAL-rasterize analog). Used by the visualization module
-// and handy for exporting zone masks; cell-center semantics identical to
-// every other operator in the library.
+// operator (the GDAL-rasterize analog), handy for exporting zone masks;
+// cell-center semantics identical to every other operator in the library.
 #pragma once
 
 #include "common/types.hpp"

@@ -61,20 +61,6 @@ CellValue dem_elevation(double x, double y, const DemParams& params) {
   return static_cast<CellValue>(v * (static_cast<double>(params.max_value) + 1.0));
 }
 
-DemRaster generate_landcover(std::int64_t rows, std::int64_t cols,
-                             const GeoTransform& transform,
-                             CellValue classes, std::uint64_t seed) {
-  ZH_REQUIRE(classes >= 1, "need at least one land-cover class");
-  // Few octaves and a large base scale give broad uniform patches once
-  // quantized.
-  DemParams params;
-  params.seed = seed;
-  params.octaves = 3;
-  params.base_scale = 4.0;
-  params.max_value = static_cast<CellValue>(classes - 1);
-  return generate_dem(rows, cols, transform, params);
-}
-
 DemRaster generate_dem(std::int64_t rows, std::int64_t cols,
                        const GeoTransform& transform,
                        const DemParams& params) {

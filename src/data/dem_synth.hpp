@@ -41,14 +41,4 @@ struct DemParams {
 [[nodiscard]] CellValue dem_elevation(double x, double y,
                                       const DemParams& params);
 
-/// Synthetic land-cover layer: fBm terrain quantized into `classes`
-/// categories (0..classes-1). Low-entropy thematic data of the kind the
-/// paper's introduction motivates -- and the input family where
-/// quadtree-backed histogramming shines (large uniform patches).
-[[nodiscard]] DemRaster generate_landcover(std::int64_t rows,
-                                           std::int64_t cols,
-                                           const GeoTransform& transform,
-                                           CellValue classes,
-                                           std::uint64_t seed = 99);
-
 }  // namespace zh

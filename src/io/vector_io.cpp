@@ -1,8 +1,7 @@
 #include "io/vector_io.hpp"
 
 #include <fstream>
-#include <locale>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "geom/wkt.hpp"
@@ -16,58 +15,6 @@ void write_polygon_tsv(const std::string& path, const PolygonSet& set) {
     os << set.name(id) << '\t' << to_wkt(set[id]) << '\n';
   }
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
-}
-
-void write_points_csv(const std::string& path, const PointSet& points) {
-  ZH_REQUIRE(points.weight.empty() ||
-                 points.weight.size() == points.size(),
-             "weight array must be empty or match point count");
-  std::ofstream os(path);
-  ZH_REQUIRE_IO(os.is_open(), "cannot open for write: ", path);
-  // Classic locale: number round-trips must not depend on the global
-  // locale (a comma decimal point or digit grouping corrupts the file).
-  os.imbue(std::locale::classic());
-  os.precision(17);
-  os << "x,y,weight\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << points.x[i] << ',' << points.y[i] << ','
-       << (points.weight.empty() ? 1.0 : points.weight[i]) << '\n';
-  }
-  ZH_REQUIRE_IO(os.good(), "write failed: ", path);
-}
-
-PointSet read_points_csv(const std::string& path) {
-  std::ifstream is(path);
-  ZH_REQUIRE_IO(is.is_open(), "cannot open for read: ", path);
-  std::string line;
-  ZH_REQUIRE_IO(static_cast<bool>(std::getline(is, line)),
-                "empty points CSV: ", path);
-  const bool weighted = line == "x,y,weight";
-  ZH_REQUIRE_IO(weighted || line == "x,y",
-                "unexpected points CSV header in ", path);
-  PointSet points;
-  std::size_t lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    ls.imbue(std::locale::classic());
-    double x = 0;
-    double y = 0;
-    double w = 1.0;
-    char c1 = 0;
-    char c2 = 0;
-    if (weighted) {
-      ZH_REQUIRE_IO(static_cast<bool>(ls >> x >> c1 >> y >> c2 >> w) &&
-                        c1 == ',' && c2 == ',',
-                    "malformed point at line ", lineno, " of ", path);
-    } else {
-      ZH_REQUIRE_IO(static_cast<bool>(ls >> x >> c1 >> y) && c1 == ',',
-                    "malformed point at line ", lineno, " of ", path);
-    }
-    points.add(x, y, w);
-  }
-  return points;
 }
 
 PolygonSet read_polygon_tsv(const std::string& path) {

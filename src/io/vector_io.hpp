@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "geom/points.hpp"
 #include "geom/polygon.hpp"
 
 namespace zh {
@@ -21,12 +20,5 @@ void write_polygon_tsv(const std::string& path, const PolygonSet& set);
 
 /// Read a name<TAB>WKT polygon layer.
 [[nodiscard]] PolygonSet read_polygon_tsv(const std::string& path);
-
-/// Write points as "x,y,weight" CSV (header included; weight column
-/// written as 1 when the set is unweighted).
-void write_points_csv(const std::string& path, const PointSet& points);
-
-/// Read an "x,y[,weight]" CSV (weight optional per header).
-[[nodiscard]] PointSet read_points_csv(const std::string& path);
 
 }  // namespace zh

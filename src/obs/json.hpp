@@ -1,8 +1,8 @@
 // Minimal JSON support for the observability layer: string escaping for
 // the writers and a small validating parser used by the round-trip
 // tests and tools/validate_obs. The parser is strict (RFC 8259 subset:
-// no comments, no trailing commas), depth-limited like the GeoJSON
-// reader, and throws IoError on malformed input.
+// no comments, no trailing commas), depth-limited, and throws IoError on
+// malformed input.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +42,8 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 };
 
-/// Maximum nesting depth accepted by parse_json (same bound as the
-/// GeoJSON reader; deeper input is rejected, not recursed into).
+/// Maximum nesting depth accepted by parse_json (deeper input is
+/// rejected, not recursed into).
 inline constexpr std::size_t kJsonMaxDepth = 64;
 
 /// Parse a complete JSON document. Trailing non-whitespace, depth over

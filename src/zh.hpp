@@ -21,23 +21,19 @@
 #include "core/checkpoint.hpp"             // IWYU pragma: export
 #include "core/cluster_driver.hpp"         // IWYU pragma: export
 #include "core/histogram.hpp"              // IWYU pragma: export
-#include "core/hybrid.hpp"                 // IWYU pragma: export
 #include "core/load_balance.hpp"           // IWYU pragma: export
 #include "core/multiband.hpp"              // IWYU pragma: export
 #include "core/perf_model.hpp"             // IWYU pragma: export
 #include "core/pipeline.hpp"               // IWYU pragma: export
-#include "core/point_zonal.hpp"            // IWYU pragma: export
 #include "core/query_engine.hpp"           // IWYU pragma: export
 #include "core/rasterize.hpp"              // IWYU pragma: export
 #include "core/zone_cluster.hpp"           // IWYU pragma: export
 #include "data/conus.hpp"                  // IWYU pragma: export
 #include "data/county_synth.hpp"           // IWYU pragma: export
 #include "data/dem_synth.hpp"              // IWYU pragma: export
-#include "data/points_synth.hpp"           // IWYU pragma: export
 #include "device/device.hpp"               // IWYU pragma: export
 #include "geom/classify.hpp"               // IWYU pragma: export
 #include "geom/pip.hpp"                    // IWYU pragma: export
-#include "geom/points.hpp"                 // IWYU pragma: export
 #include "geom/polygon.hpp"                // IWYU pragma: export
 #include "geom/simplify.hpp"               // IWYU pragma: export
 #include "geom/soa.hpp"                    // IWYU pragma: export
@@ -45,20 +41,14 @@
 #include "geom/wkt.hpp"                    // IWYU pragma: export
 #include "grid/geotransform.hpp"           // IWYU pragma: export
 #include "grid/morton.hpp"                 // IWYU pragma: export
-#include "grid/pyramid.hpp"                // IWYU pragma: export
 #include "grid/raster.hpp"                 // IWYU pragma: export
-#include "grid/terrain.hpp"                // IWYU pragma: export
 #include "grid/tiling.hpp"                 // IWYU pragma: export
 #include "io/ascii_grid.hpp"               // IWYU pragma: export
 #include "io/bq_file.hpp"                  // IWYU pragma: export
 #include "io/catalog.hpp"                  // IWYU pragma: export
-#include "io/geojson.hpp"                  // IWYU pragma: export
 #include "io/histogram_io.hpp"             // IWYU pragma: export
 #include "io/journal.hpp"                  // IWYU pragma: export
-#include "io/render.hpp"                   // IWYU pragma: export
 #include "io/vector_io.hpp"                // IWYU pragma: export
 #include "io/zgrid.hpp"                    // IWYU pragma: export
 #include "obs/obs.hpp"                     // IWYU pragma: export
 #include "primitives/primitives.hpp"       // IWYU pragma: export
-#include "quadtree/qt_step1.hpp"           // IWYU pragma: export
-#include "quadtree/region_quadtree.hpp"    // IWYU pragma: export

@@ -17,7 +17,6 @@
 
 #include "core/baseline.hpp"
 #include "core/cluster_driver.hpp"
-#include "core/hybrid.hpp"
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
@@ -158,14 +157,6 @@ std::vector<EntryPoint> entry_points() {
          Device dev;
          SeriesResult s = run_series(dev, bands, z, kConfig);
          return std::move(s.per_band.at(1));
-       }},
-      {"RunHybrid", false,
-       [](const DemRaster& r, const PolygonSet& z) {
-         Device gpu(DeviceProfile::gtx_titan());
-         Device cpu(DeviceProfile::host());
-         return run_hybrid(gpu, cpu, r, z,
-                           {.zonal = kConfig, .primary_fraction = 0.5})
-             .per_polygon;
        }},
   };
 }

@@ -27,9 +27,7 @@
 
 #include "geom/wkt.hpp"
 #include "io/ascii_grid.hpp"
-#include "io/geojson.hpp"
 #include "io/histogram_io.hpp"
-#include "io/vector_io.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "test_util.hpp"
@@ -127,21 +125,6 @@ TEST_F(LocaleTest, AsciiGridReadsClassicFileUnderCommaLocale) {
   EXPECT_EQ(back, r);
 }
 
-TEST_F(LocaleTest, PointsCsvRoundTripsUnderCommaLocale) {
-  PointSet pts;
-  pts.add(-101.375, 42.0625, 1.5);
-  pts.add(3.25, -0.125, 2.75);
-  CommaLocaleScope comma;
-  write_points_csv(path("p.csv"), pts);
-  const PointSet back = read_points_csv(path("p.csv"));
-  ASSERT_EQ(back.size(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(back.x[i], pts.x[i]);
-    EXPECT_EQ(back.y[i], pts.y[i]);
-    EXPECT_EQ(back.weight[i], pts.weight[i]);
-  }
-}
-
 TEST_F(LocaleTest, HistogramCsvSurvivesGroupingLocale) {
   // Counts above 1000: a grouping locale would write "1.234" and the
   // reader would stop at the separator.
@@ -163,18 +146,6 @@ TEST_F(LocaleTest, WktRoundTripsUnderCommaLocale) {
   ASSERT_EQ(back.rings().size(), 1u);
   EXPECT_EQ(back.rings()[0][1].x, 9.25);
   EXPECT_EQ(back.rings()[0][2].y, 8.625);
-}
-
-TEST_F(LocaleTest, GeoJsonRoundTripsUnderCommaLocale) {
-  PolygonSet set;
-  set.add(Polygon({{{0.5, 0.5}, {9.25, 0.75}, {4.125, 8.625}}}), "zone");
-  const std::string classic_json = to_geojson(set);
-  CommaLocaleScope comma;
-  EXPECT_EQ(to_geojson(set), classic_json);
-  const PolygonSet back = parse_geojson(classic_json);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].rings()[0][1].x, 9.25);
-  EXPECT_EQ(back[0].rings()[0][2].y, 8.625);
 }
 
 TEST_F(LocaleTest, ObsJsonParsesAndEmitsUnderCommaLocale) {
@@ -210,11 +181,6 @@ TEST_F(LocaleTest, CLibraryPathsUnderRealCommaLocaleIfAvailable) {
   // stop at '.' and truncate.
   const Polygon back = parse_wkt("POLYGON ((0.5 0.5, 9.25 0.75, 4.125 8.625, 0.5 0.5))");
   EXPECT_EQ(back.rings()[0][1].x, 9.25);
-  const PolygonSet set = parse_geojson(
-      R"({"type":"FeatureCollection","features":[{"type":"Feature",)"
-      R"("properties":{"name":"z"},"geometry":{"type":"Polygon",)"
-      R"("coordinates":[[[0.5,0.5],[9.25,0.75],[4.125,8.625],[0.5,0.5]]]}}]})");
-  EXPECT_EQ(set[0].rings()[0][2].y, 8.625);
   const obs::JsonValue v = obs::parse_json("[1.5]");
   EXPECT_EQ(v.arr.at(0).number, 1.5);
 }

@@ -1,11 +1,7 @@
 // Stress and sweep tests: communicator message storms, thread-pool
-// churn, randomized tiling sweeps, and the points CSV round trip.
+// churn and randomized tiling sweeps.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <random>
 #include <set>
@@ -13,7 +9,6 @@
 #include "cluster/comm.hpp"
 #include "device/thread_pool.hpp"
 #include "grid/tiling.hpp"
-#include "io/vector_io.hpp"
 
 namespace zh {
 namespace {
@@ -172,43 +167,6 @@ TEST(TilingSweep, TilesCoveringRandomBoxes) {
           << "trial " << trial << " tile " << id;
     }
   }
-}
-
-TEST(PointsCsv, RoundTripAndMalformed) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("zh_ptscsv_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "pts.csv").string();
-
-  PointSet pts;
-  pts.add(1.25, -3.5, 7.0);
-  pts.add(-0.125, 44.0, 1.5);
-  write_points_csv(path, pts);
-  const PointSet back = read_points_csv(path);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.x, pts.x);
-  EXPECT_EQ(back.y, pts.y);
-  EXPECT_EQ(back.weight, pts.weight);
-
-  {
-    std::ofstream os(path);
-    os << "x,y\n1.0,2.0\n3.0,4.0\n";
-  }
-  const PointSet unweighted = read_points_csv(path);
-  ASSERT_EQ(unweighted.size(), 2u);
-  EXPECT_DOUBLE_EQ(unweighted.weight[0], 1.0);
-
-  {
-    std::ofstream os(path);
-    os << "lon,lat\n1,2\n";
-  }
-  EXPECT_THROW(read_points_csv(path), IoError);
-  {
-    std::ofstream os(path);
-    os << "x,y,weight\n1.0;2.0;3.0\n";
-  }
-  EXPECT_THROW(read_points_csv(path), IoError);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,17 +1,24 @@
 // End-to-end checks of the zhist binary built alongside this suite:
-// exit codes and outputs of the .bq paths.
+// command dispatch and usage text, flag-value checks, and the outputs of
+// the .bq and catalog paths.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 
+#include "core/baseline.hpp"
+#include "data/dem_synth.hpp"
 #include "io/ascii_grid.hpp"
+#include "io/catalog.hpp"
+#include "io/histogram_io.hpp"
 #include "io/vector_io.hpp"
 #include "io/zgrid.hpp"
 #include "obs/json.hpp"
@@ -34,10 +41,12 @@ class ZhistCli : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  /// Run `zhist <args>` with output discarded; returns its exit code.
-  static int zhist(const std::string& args) {
-    const std::string cmd =
-        std::string("'") + ZH_ZHIST + "' " + args + " >/dev/null 2>&1";
+  /// Run `zhist <args>` with stdout discarded and stderr sent to
+  /// `err` (discarded when empty); returns its exit code.
+  static int zhist(const std::string& args, const std::string& err = {}) {
+    const std::string cmd = std::string("'") + ZH_ZHIST + "' " + args +
+                            " >/dev/null 2>" +
+                            (err.empty() ? "&1" : "'" + err + "'");
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
@@ -91,6 +100,75 @@ TEST_F(ZhistCli, HistOnBqTimesStep0AndMatchesZgrid) {
   const obs::JsonValue* step0 = times->find("step0");
   ASSERT_NE(step0, nullptr);
   EXPECT_GT(step0->number, 0.0);
+}
+
+TEST_F(ZhistCli, UsageListsEveryCommand) {
+  EXPECT_EQ(zhist("", path("usage.txt")), 2);
+  const std::string usage = slurp(path("usage.txt"));
+  for (const char* cmd : {"hist", "encode", "decode", "synth", "zones",
+                          "simplify", "validate", "catalog", "query"}) {
+    EXPECT_NE(usage.find(std::string("zhist ") + cmd + " "),
+              std::string::npos)
+        << cmd << " missing from usage:\n"
+        << usage;
+  }
+  // Removed commands are unknown commands.
+  EXPECT_EQ(zhist("render a b"), 2);
+  EXPECT_EQ(zhist("points a b"), 2);
+}
+
+TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(24, 24, 3, 50,
+                                  GeoTransform(0.0, 2.4, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        2, GeoBox{0.2, 0.2, 2.2, 2.2}, 5, false));
+  const std::string hist =
+      "hist '" + path("r.zgrid") + "' '" + path("zones.tsv") + "' -o '" +
+      path("out.csv") + "' ";
+  const std::pair<std::string, std::string> cases[] = {
+      // 2^32 + 1 and 2^32 + 3 read as 1 and 3 after a 32-bit wrap.
+      {hist + "--bins 4294967297", "--bins"},
+      {"zones '" + path("out.csv") + "' --zones 4294967299", "--zones"},
+      {hist + "--ranks -1", "--ranks"},
+      {hist + "--tile 12abc", "--tile"},
+      {hist + "--checkpoint-interval 4294967296 --checkpoint-dir '" +
+           path("ck") + "'",
+       "--checkpoint-interval"},
+      {hist + "--partitions 2x-1", "--partitions"},
+  };
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(zhist(args, path("err.txt")), 1);
+    EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
+    const std::string err = slurp(path("err.txt"));
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+}
+
+TEST_F(ZhistCli, CatalogMatchesOracle) {
+  // Cell values reach past the bin count, so the top-bin clamp counts.
+  const DemRaster west = generate_dem(
+      64, 64, GeoTransform(0.0, 6.4, 0.1, 0.1), {.max_value = 99});
+  const DemRaster east = generate_dem(
+      64, 96, GeoTransform(6.4, 6.4, 0.1, 0.1), {.max_value = 99});
+  const BqCompressedRaster cwest = BqCompressedRaster::encode(west, 8);
+  const BqCompressedRaster ceast = BqCompressedRaster::encode(east, 8);
+  const PolygonSet zones = test::random_polygon_set(
+      9, GeoBox{0.5, 0.5, 15.5, 5.9}, 5, /*holes=*/true);
+  write_catalog(path("cat"), {{"west", &cwest}, {"east", &ceast}}, zones);
+
+  ASSERT_EQ(zhist("catalog '" + path("cat") + "' -o '" + path("out.csv") +
+                  "' --bins 64 --tile 8"),
+            0);
+  HistogramSet expect(zones.size(), 64);
+  expect.add(zonal_scanline(west, zones, 64));
+  expect.add(zonal_scanline(east, zones, 64));
+  write_histogram_csv(path("expect.csv"), expect);
+  EXPECT_FALSE(slurp(path("expect.csv")).empty());
+  EXPECT_EQ(slurp(path("out.csv")), slurp(path("expect.csv")));
 }
 
 }  // namespace

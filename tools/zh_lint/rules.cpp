@@ -19,14 +19,14 @@ namespace {
 // The ranks encode the architecture documented in DESIGN.md §7: common is
 // the root; obs and device are infrastructure (everything is allowed to
 // instrument); grid/primitives/geom are spatial foundations; bqtree,
-// cluster and data build on them; core orchestrates; quadtree and io sit
-// on top of core. tools/, bench/, tests/ and examples/ are above src/
+// cluster and data build on them; core orchestrates; io sits on top of
+// core. tools/, bench/, tests/ and examples/ are above src/
 // entirely and are not scanned.
 const std::map<std::string, int>& layer_ranks() {
   static const std::map<std::string, int> ranks = {
       {"common", 0},  {"obs", 1},     {"device", 2},   {"grid", 3},
       {"primitives", 3}, {"geom", 4}, {"bqtree", 5},   {"cluster", 5},
-      {"data", 5},    {"core", 6},    {"quadtree", 7}, {"io", 7},
+      {"data", 5},    {"core", 6},    {"io", 7},
   };
   return ranks;
 }

@@ -1,53 +1,51 @@
 // zhist: command-line zonal histogramming.
 //
-// Subcommands:
-//   zhist hist <raster> <zones.tsv> [-o hist.csv] [--bins N] [--tile N]
-//       [--stats] [--partitions RxC] [--ranks N] [--fault-plan SPEC]
-//       [--checkpoint-dir DIR] [--resume] [--checkpoint-interval N]
-//     Zonal histograms of a raster (.zgrid, .asc or .bq) over a WKT-TSV
-//     zone layer; optional classic statistics table; CSV output. Without
-//     cluster flags the whole raster runs in one pipeline call, and a .bq
-//     raster whose tiles match --tile decodes only the tiles some zone
-//     touches, timed as Step 0. --partitions, --ranks, --fault-plan and
-//     --checkpoint-dir run the supervised cluster driver instead (one
-//     rank unless --ranks says more); --fault-plan injects scripted
-//     message faults / rank crashes (see FaultPlan::parse), e.g.
-//     "seed=1,drop=0.05,crash=2@partition_done".
-//     --checkpoint-dir journals every accepted partition into
-//     DIR/run.journal (fsync every N records); after a process death,
-//     rerunning with --resume recomputes only un-journaled partitions
-//     and produces bit-identical histograms (DESIGN.md 5d).
-//   zhist encode <raster.zgrid|.asc> <out.bq> [--tile N]
-//     BQ-Tree-compress a raster (one without a nodata value: the
-//     container cannot store it).
-//   zhist decode <in.bq> <out.zgrid>
-//     Decompress a .bq container.
-//   zhist render <raster> <out.ppm> [--max-edge N]
-//     Hypsometric PPM rendering.
-//   zhist synth <out.zgrid> [--rows N] [--cols N] [--seed S]
-//     Generate a synthetic fBm DEM.
-//   zhist points <points.csv> <zones.tsv> [--tile N]
-//     Zonal point summation (x,y[,weight] CSV).
-//   zhist simplify <zones.tsv> <out.tsv> --eps E
-//     Douglas-Peucker generalization of a zone layer.
-//   zhist validate <zones.tsv>
-//     Geometry validity report.
-//   zhist catalog <dir> [-o hist.csv] [--bins N] [--tile N]
-//     Out-of-core run over a catalog directory.
-//   zhist query --batch spec.json [--tile N]
-//     Multi-query batch through the QueryEngine: rasters and zone layers
-//     load once and every query runs the filter-first pipeline. The JSON
-//     spec holds the query list (see cmd_query).
+// Subcommands (kCommands holds each one's synopsis, which usage() prints):
+//   hist      Zonal histograms of a raster (.zgrid, .asc or .bq) over a
+//             WKT-TSV zone layer; optional classic statistics table; CSV
+//             output. Without cluster flags the whole raster runs in one
+//             pipeline call, and a .bq raster whose tiles match --tile
+//             decodes only the tiles some zone touches, timed as Step 0.
+//             --partitions, --ranks, --fault-plan and --checkpoint-dir
+//             run the supervised cluster driver instead (one rank unless
+//             --ranks says more); --fault-plan injects scripted message
+//             faults / rank crashes (see FaultPlan::parse), e.g.
+//             "seed=1,drop=0.05,crash=2@partition_done".
+//             --checkpoint-dir journals every accepted partition into
+//             DIR/run.journal (fsync every N records); after a process
+//             death, rerunning with --resume recomputes only un-journaled
+//             partitions and produces bit-identical histograms (DESIGN.md
+//             5d).
+//   encode    BQ-Tree-compress a raster (one without a nodata value: the
+//             container cannot store it).
+//   decode    Decompress a .bq container.
+//   synth     Generate a synthetic fBm DEM.
+//   zones     Generate a synthetic county-style zone layer.
+//   simplify  Douglas-Peucker generalization of a zone layer.
+//   validate  Geometry validity report.
+//   catalog   Out-of-core run over a catalog directory.
+//   query     Multi-query batch through the QueryEngine: rasters and zone
+//             layers load once and every query runs the filter-first
+//             pipeline. The JSON spec holds the query list (see
+//             cmd_query).
+//
+// Integer flag values must be whole numbers that fit their field and
+// meet its lower bound; anything else stops the run with exit code 1
+// before a file is written.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,27 +56,8 @@ namespace {
 
 using namespace zh;
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  zhist hist <raster> <zones.tsv> [-o hist.csv] "
-               "[--bins N] [--tile N] [--stats] [--partitions RxC] "
-               "[--refine brute|scanline|auto] [--ranks N] "
-               "[--fault-plan SPEC] [--checkpoint-dir DIR] [--resume] "
-               "[--checkpoint-interval N] [--trace FILE] "
-               "[--metrics FILE] [--report] [--metrics-port N] "
-               "[--metrics-linger-ms N]\n"
-               "  zhist encode <raster> <out.bq> [--tile N]\n"
-               "  zhist decode <in.bq> <out.zgrid>\n"
-               "  zhist render <raster> <out.ppm> [--max-edge N]\n"
-               "  zhist synth <out.zgrid> [--rows N] [--cols N] "
-               "[--seed S]\n"
-               "  zhist zones <out.tsv> [--zones N] [--seed S]\n"
-               "  zhist query --batch spec.json [--tile N] "
-               "[--metrics FILE] [--trace FILE] [--report] "
-               "[--metrics-port N] [--metrics-linger-ms N]\n");
-  std::exit(2);
-}
+// Prints every command's synopsis from kCommands and exits with code 2.
+[[noreturn]] void usage();
 
 struct Args {
   std::vector<std::string> positional;
@@ -93,9 +72,8 @@ struct Args {
   int part_cols = 1;
   std::int64_t rows = 1200;
   std::int64_t cols = 1200;
-  std::size_t nzones = 64;
+  int nzones = 64;
   std::uint64_t seed = 42;
-  std::int64_t max_edge = 1024;
   double eps = 0.0;
   std::size_t ranks = 1;
   std::string fault_plan;
@@ -105,10 +83,30 @@ struct Args {
   std::string trace;    ///< Chrome trace_event JSON output path
   std::string metrics;  ///< run-report JSON output path
   bool report = false;  ///< print the human-readable run report
-  int metrics_port = -1;  ///< serve /metrics on 127.0.0.1:N (0=ephemeral)
+  /// Serve /metrics on 127.0.0.1:N (0 = ephemeral).
+  std::optional<std::uint16_t> metrics_port;
   int metrics_linger_ms = 0;  ///< keep serving this long after the run
   std::string batch;    ///< JSON batch spec for `zhist query`
 };
+
+// Parse an integer flag value as T, the type of the field it sets (the
+// caller passes the field's lower bound as a T). The whole token must be
+// the number, and it must fit T and be at least `min`; from_chars takes
+// no sign for unsigned T, so "-1" fails instead of wrapping.
+template <typename T>
+T parse_int(const std::string& flag, const std::string& token, T min) {
+  static_assert(std::is_integral_v<T>);
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    throw InvalidArgument(flag + ": '" + token +
+                          "' is not an integer from " + std::to_string(min) +
+                          " to " +
+                          std::to_string(std::numeric_limits<T>::max()));
+  }
+  return value;
+}
 
 Args parse(int argc, char** argv) {
   Args args;
@@ -121,9 +119,9 @@ Args parse(int argc, char** argv) {
     if (a == "-o") {
       args.out = next();
     } else if (a == "--bins") {
-      args.bins = static_cast<BinIndex>(std::stoul(next()));
+      args.bins = parse_int(a, next(), BinIndex{1});
     } else if (a == "--tile") {
-      args.tile = std::stoll(next());
+      args.tile = parse_int(a, next(), std::int64_t{1});
     } else if (a == "--stats") {
       args.stats = true;
     } else if (a == "--refine") {
@@ -142,22 +140,20 @@ Args parse(int argc, char** argv) {
       const std::string v = next();
       const auto x = v.find('x');
       if (x == std::string::npos) usage();
-      args.part_rows = std::stoi(v.substr(0, x));
-      args.part_cols = std::stoi(v.substr(x + 1));
+      args.part_rows = parse_int(a, v.substr(0, x), 1);
+      args.part_cols = parse_int(a, v.substr(x + 1), 1);
     } else if (a == "--rows") {
-      args.rows = std::stoll(next());
+      args.rows = parse_int(a, next(), std::int64_t{1});
     } else if (a == "--cols") {
-      args.cols = std::stoll(next());
+      args.cols = parse_int(a, next(), std::int64_t{1});
     } else if (a == "--zones") {
-      args.nzones = static_cast<std::size_t>(std::stoull(next()));
+      args.nzones = parse_int(a, next(), 1);
     } else if (a == "--seed") {
-      args.seed = std::stoull(next());
-    } else if (a == "--max-edge") {
-      args.max_edge = std::stoll(next());
+      args.seed = parse_int(a, next(), std::uint64_t{0});
     } else if (a == "--eps") {
       args.eps = std::stod(next());
     } else if (a == "--ranks") {
-      args.ranks = static_cast<std::size_t>(std::stoull(next()));
+      args.ranks = parse_int(a, next(), std::size_t{1});
     } else if (a == "--fault-plan") {
       args.fault_plan = next();
     } else if (a == "--checkpoint-dir") {
@@ -165,8 +161,7 @@ Args parse(int argc, char** argv) {
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--checkpoint-interval") {
-      args.checkpoint_interval =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      args.checkpoint_interval = parse_int(a, next(), std::uint32_t{1});
     } else if (a == "--trace") {
       args.trace = next();
     } else if (a == "--metrics") {
@@ -174,9 +169,9 @@ Args parse(int argc, char** argv) {
     } else if (a == "--report") {
       args.report = true;
     } else if (a == "--metrics-port") {
-      args.metrics_port = std::stoi(next());
+      args.metrics_port = parse_int(a, next(), std::uint16_t{0});
     } else if (a == "--metrics-linger-ms") {
-      args.metrics_linger_ms = std::stoi(next());
+      args.metrics_linger_ms = parse_int(a, next(), 0);
     } else if (a == "--batch") {
       args.batch = next();
     } else if (!a.empty() && a[0] == '-') {
@@ -216,7 +211,7 @@ bool setup_obs(const Args& args) {
     obs::set_trace_enabled(true);
   }
   if (!args.metrics.empty()) require_writable(args.metrics);
-  if (!args.metrics.empty() || args.report || args.metrics_port >= 0) {
+  if (!args.metrics.empty() || args.report || args.metrics_port) {
     obs::set_metrics_enabled(true);
   }
   return !args.trace.empty() || !args.metrics.empty() || args.report;
@@ -227,9 +222,9 @@ bool setup_obs(const Args& args) {
 // scripts scrape `metrics: serving http://...` instead of guessing.
 void start_metrics_server(const Args& args,
                           std::optional<obs::MetricsServer>& server) {
-  if (args.metrics_port >= 0) {
+  if (args.metrics_port) {
     obs::MetricsServerOptions opt;
-    opt.port = static_cast<std::uint16_t>(args.metrics_port);
+    opt.port = *args.metrics_port;
     server.emplace(opt);
     std::fprintf(stderr, "metrics: serving http://127.0.0.1:%u/metrics\n",
                  static_cast<unsigned>(server->port()));
@@ -319,7 +314,7 @@ int cmd_hist(const Args& args) {
 
   if (cluster) {
     ClusterRunConfig cfg;
-    cfg.ranks = args.ranks > 0 ? args.ranks : 1;
+    cfg.ranks = args.ranks;
     cfg.zonal = {.tile_size = args.tile, .bins = args.bins,
                  .refine_strategy = args.refine};
     if (!args.fault_plan.empty()) {
@@ -353,8 +348,7 @@ int cmd_hist(const Args& args) {
       const RunManifest manifest =
           make_manifest(rasters, schemas, zones, cfg);
       JournalWriterOptions jopts;
-      jopts.fsync_interval =
-          args.checkpoint_interval > 0 ? args.checkpoint_interval : 1;
+      jopts.fsync_interval = args.checkpoint_interval;
       jopts.abort = cfg.fault_tolerance.faults.abort;
       if (args.resume) {
         const JournalLoad load = load_journal(jpath);
@@ -505,14 +499,6 @@ int cmd_decode(const Args& args) {
   return 0;
 }
 
-int cmd_render(const Args& args) {
-  if (args.positional.size() != 2) usage();
-  write_ppm(args.positional[1],
-            render_elevation(load_raster(args.positional[0]),
-                             args.max_edge));
-  return 0;
-}
-
 int cmd_synth(const Args& args) {
   if (args.positional.size() != 1) usage();
   const GeoTransform t(-110.0, 45.0, 0.01, 0.01);
@@ -528,41 +514,9 @@ int cmd_synth(const Args& args) {
 int cmd_zones(const Args& args) {
   if (args.positional.size() != 1) usage();
   write_polygon_tsv(args.positional[0],
-                    conus::generate_county_layer(
-                        static_cast<int>(args.nzones), args.seed));
-  std::fprintf(stderr, "wrote %zu synthetic zones to %s\n", args.nzones,
+                    conus::generate_county_layer(args.nzones, args.seed));
+  std::fprintf(stderr, "wrote %d synthetic zones to %s\n", args.nzones,
                args.positional[0].c_str());
-  return 0;
-}
-
-int cmd_points(const Args& args) {
-  if (args.positional.size() != 2) usage();
-  const PointSet points = read_points_csv(args.positional[0]);
-  const PolygonSet zones = read_polygon_tsv(args.positional[1]);
-  const GeoBox ext = zones.extent();
-  // Tile grid sized so the extent splits into ~args.tile tiles per axis.
-  const std::int64_t cells = 64 * args.tile;
-  const double cell =
-      std::max(ext.width(), ext.height()) / static_cast<double>(cells);
-  const GeoTransform t(ext.min_x, ext.max_y, cell, cell);
-  const TilingScheme tiling(cells, cells, 64);
-
-  Device device;
-  PointZonalCounters counters;
-  const auto rows =
-      zonal_point_summation(device, points, zones, tiling, t, &counters);
-  std::printf("%-16s %12s %16s\n", "zone", "count", "weight sum");
-  for (PolygonId z = 0; z < zones.size(); ++z) {
-    std::printf("%-16s %12llu %16.3f\n", zones.name(z).c_str(),
-                static_cast<unsigned long long>(rows[z].count),
-                rows[z].weight_sum);
-  }
-  std::fprintf(stderr,
-               "%zu points; %llu bucket-aggregated, %llu PIP-tested\n",
-               points.size(),
-               static_cast<unsigned long long>(
-                   counters.points_in_inside_tiles),
-               static_cast<unsigned long long>(counters.pip_point_tests));
   return 0;
 }
 
@@ -750,32 +704,64 @@ int cmd_query(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  const char* synopsis;  ///< arguments after the name, for usage()
+  int (*run)(const Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"hist",
+     "<raster> <zones.tsv> [-o hist.csv] [--bins N] [--tile N] [--stats] "
+     "[--partitions RxC] [--refine brute|scanline|auto] [--ranks N] "
+     "[--seed S] [--fault-plan SPEC] [--checkpoint-dir DIR] [--resume] "
+     "[--checkpoint-interval N] [--trace FILE] [--metrics FILE] "
+     "[--report] [--metrics-port N] [--metrics-linger-ms N]",
+     cmd_hist},
+    {"encode", "<raster> <out.bq> [--tile N]", cmd_encode},
+    {"decode", "<in.bq> <out.zgrid>", cmd_decode},
+    {"synth", "<out.zgrid> [--rows N] [--cols N] [--seed S]", cmd_synth},
+    {"zones", "<out.tsv> [--zones N] [--seed S]", cmd_zones},
+    {"simplify", "<zones.tsv> <out.tsv> --eps E", cmd_simplify},
+    {"validate", "<zones.tsv>", cmd_validate},
+    {"catalog", "<dir> [-o hist.csv] [--bins N] [--tile N]", cmd_catalog},
+    {"query",
+     "--batch spec.json [--tile N] [--bins N] [--metrics FILE] "
+     "[--trace FILE] [--report] [--metrics-port N] "
+     "[--metrics-linger-ms N]",
+     cmd_query},
+};
+
+void usage() {
+  std::fprintf(stderr, "usage:\n");
+  for (const Command& c : kCommands) {
+    std::fprintf(stderr, "  zhist %s %s\n", c.name, c.synopsis);
+  }
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string cmd = argv[1];
+  const std::string_view name = argv[1];
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands) {
+    if (c.name == name) cmd = &c;
+  }
+  if (cmd == nullptr) {
+    std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+    usage();
+  }
   try {
-    const Args args = parse(argc, argv);
-    if (cmd == "hist") return cmd_hist(args);
-    if (cmd == "encode") return cmd_encode(args);
-    if (cmd == "decode") return cmd_decode(args);
-    if (cmd == "render") return cmd_render(args);
-    if (cmd == "synth") return cmd_synth(args);
-    if (cmd == "zones") return cmd_zones(args);
-    if (cmd == "points") return cmd_points(args);
-    if (cmd == "simplify") return cmd_simplify(args);
-    if (cmd == "validate") return cmd_validate(args);
-    if (cmd == "catalog") return cmd_catalog(args);
-    if (cmd == "query") return cmd_query(args);
+    return cmd->run(parse(argc, argv));
   } catch (const zh::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {
-    // std::stoul and friends throw std:: exceptions on malformed flag
-    // values; fail with one line instead of std::terminate.
+    // std::stod (--eps) and the standard library throw std:: exceptions;
+    // fail with one line instead of std::terminate.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
 }

@@ -14,8 +14,8 @@
 //
 // A second section times the *active* latency-record path through the
 // registry (obs::latency_record called directly, so both build flavors
-// measure the same code): this is the per-sample cost a serving run
-// pays when /metrics is live, and it feeds the committed
+// measure the same code): this is the per-sample cost a run with
+// --metrics or --report pays, and it feeds the committed
 // BENCH_obs_overhead.json baseline that the zh_perf gate self-compares.
 //
 // Knobs: ZH_SCALE (default 60), ZH_ZONES (256), ZH_BINS (256),

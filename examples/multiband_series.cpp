@@ -1,7 +1,5 @@
 // Multi-band zonal analysis: per-zone histograms of a 16-band image
-// stack (GOES-R-style), then zone clustering on the concatenated
-// band-histogram feature vectors -- the "histograms as feature vectors
-// for subsequent clustering" workflow of the paper's introduction.
+// stack (GOES-R-style) in one series run, summarized as per-band means.
 #include <algorithm>
 #include <cstdio>
 
@@ -53,34 +51,6 @@ int main() {
       const ZonalStats s = stats_from_histogram(
           series.per_band[static_cast<std::size_t>(b)].of(z));
       std::printf("  %8.1f", s.mean);
-    }
-    std::printf("\n");
-  }
-
-  // Concatenate the per-band histograms into one feature vector per zone
-  // and cluster zones into spectral classes.
-  const BinIndex bins = series.per_band[0].bins();
-  HistogramSet features(zones.size(),
-                        static_cast<BinIndex>(bins * kBands));
-  for (int b = 0; b < kBands; ++b) {
-    for (std::size_t z = 0; z < zones.size(); ++z) {
-      const auto src = series.per_band[static_cast<std::size_t>(b)].of(z);
-      auto dst = features.of(z).subspan(
-          static_cast<std::size_t>(b) * bins, bins);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  const ZoneClustering clusters = cluster_zones(features, {.k = 4});
-  std::printf("\nzones clustered into 4 spectral classes "
-              "(k-medoids on L1 histogram distance, %d iterations):\n",
-              clusters.iterations);
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    std::printf("  class %u (medoid %s):", c,
-                zones.name(clusters.medoids[c]).c_str());
-    for (std::size_t z = 0; z < zones.size(); ++z) {
-      if (clusters.assignment[z] == c) {
-        std::printf(" %s", zones.name(static_cast<PolygonId>(z)).c_str());
-      }
     }
     std::printf("\n");
   }

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace zh {
 
@@ -32,10 +31,6 @@ using PolygonId = std::uint32_t;
 
 /// Identifier of a cluster rank (simulated compute node).
 using RankId = std::uint32_t;
-
-/// Sentinel for "no polygon".
-inline constexpr PolygonId kInvalidPolygon =
-    std::numeric_limits<PolygonId>::max();
 
 /// Relationship between a raster tile and a polygon, as produced by the
 /// Step-2 spatial filter (Sec. III.B): the only three cases the MBB

@@ -39,7 +39,7 @@ void tally_work(RankMetricsRow& row, const WorkCounters& work) {
 }
 
 // Fold one partition's wall time into a rank's latency columns and the
-// live registry histogram the /metrics endpoint serves.
+// registry histogram the run report summarizes.
 void tally_latency(RankMetricsRow& row, double seconds) {
   ZH_LATENCY_RECORD("latency.partition", seconds);
   const std::uint64_t us = static_cast<std::uint64_t>(seconds * 1e6);

@@ -76,50 +76,6 @@ void LatencyHistogram::record(double seconds) {
   sum_ += v;
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  ensure_buckets();
-  for (std::size_t i = 0; i < kLatencyBucketCount; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-LatencyHistogram LatencyHistogram::since(const LatencyHistogram& older) const {
-  LatencyHistogram out;
-  if (buckets_.empty()) return out;
-  out.ensure_buckets();
-  std::size_t first = kLatencyBucketCount;
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < kLatencyBucketCount; ++i) {
-    const std::uint64_t before =
-        older.buckets_.empty() ? 0 : older.buckets_[i];
-    const std::uint64_t d = buckets_[i] > before ? buckets_[i] - before : 0;
-    out.buckets_[i] = d;
-    out.count_ += d;
-    if (d > 0) {
-      if (first == kLatencyBucketCount) first = i;
-      last = i;
-    }
-  }
-  if (out.count_ > 0) {
-    const double dsum = sum_ - older.sum_;
-    out.sum_ = dsum > 0.0 ? dsum : 0.0;
-    out.min_ = latency_bucket_lower(first);
-    const double upper = latency_bucket_upper(last);
-    out.max_ = upper < max_ ? upper : max_;  // overflow upper is +inf
-  }
-  return out;
-}
-
 double LatencyHistogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   if (!(q > 0.0)) q = 0.0;

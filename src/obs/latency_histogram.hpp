@@ -1,5 +1,5 @@
 // Log-linear (HDR-style) latency histogram: the value type behind
-// MetricKind::kLatency and the rolling-window quantile views.
+// MetricKind::kLatency.
 //
 // Bucket layout. The positive seconds axis is split into octaves
 // [2^e, 2^(e+1)) for e in [kLatencyMinExp2, kLatencyMaxExp2), and each
@@ -18,11 +18,9 @@
 // rank, clamped to the observed min/max, so the same bound applies.
 //
 // Mergeability. A histogram is a vector of counts plus count/sum/
-// min/max; merge is element-wise addition, which is exact, associative,
-// and commutative by construction (the double `sum` is associative up
-// to float rounding). `since()` subtracts an older cumulative snapshot
-// element-wise, which is what the rolling window uses for "quantiles
-// over the last N seconds".
+// min/max; the registry merges per-thread bucket arrays by element-wise
+// addition, which is exact, associative, and commutative (the double
+// `sum` is associative up to float rounding).
 #pragma once
 
 #include <cstddef>
@@ -58,23 +56,12 @@ inline constexpr std::size_t kLatencyBucketCount =
 [[nodiscard]] double latency_bucket_mid(std::size_t index);
 
 /// Plain (non-atomic) histogram value: what metrics_snapshot() hands
-/// out and what the rolling window stores. The bucket vector stays
-/// empty until the first sample so a MetricRecord for a non-latency
-/// metric costs nothing.
+/// out. The bucket vector stays empty until the first sample so a
+/// MetricRecord for a non-latency metric costs nothing.
 class LatencyHistogram {
  public:
   /// Record one sample in seconds (NaN counts as underflow).
   void record(double seconds);
-
-  /// Element-wise merge: exact, associative, commutative.
-  void merge(const LatencyHistogram& other);
-
-  /// Delta vs an older cumulative snapshot of the same series: counts
-  /// are subtracted per bucket (clamped at zero, so a metrics_reset in
-  /// between degrades to "no delta" instead of wrapping). min/max of
-  /// the delta are re-derived from the outermost non-empty buckets and
-  /// therefore bucket-resolution approximations.
-  [[nodiscard]] LatencyHistogram since(const LatencyHistogram& older) const;
 
   /// Value at quantile q in [0, 1] (q clamped): midpoint of the bucket
   /// holding rank ceil(q * count), clamped to [min(), max()]. Returns
@@ -86,10 +73,6 @@ class LatencyHistogram {
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  /// Empty until the first sample, kLatencyBucketCount entries after.
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
-    return buckets_;
-  }
 
   /// Bulk-assembly from pre-bucketed counts (registry snapshot path):
   /// adds n samples to one bucket, bumping count() accordingly.

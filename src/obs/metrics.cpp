@@ -31,13 +31,10 @@ struct LatencyBuckets {
 };
 
 struct Slot {
-  std::atomic<std::uint64_t> count{0};  ///< counter/gauge value; stat count
+  std::atomic<std::uint64_t> count{0};  ///< counter value; sample count
   std::atomic<double> sum{0.0};
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  /// kGaugeSet: global set-sequence ticket of the last set on this
-  /// thread; 0 means never set. The merge keeps the highest ticket.
-  std::atomic<std::uint64_t> seq{0};
   /// kLatency only. Written by the owning thread under the shard mutex
   /// (once), read by snapshot/reset under the same mutex; the owner's
   /// later unlocked reads race nothing (same thread wrote it).
@@ -50,12 +47,8 @@ struct Totals {
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  std::uint64_t seq = 0;                ///< kGaugeSet merge ticket
-  std::vector<std::uint64_t> latency;   ///< kLatency bucket sums
+  std::vector<std::uint64_t> latency;  ///< kLatency bucket sums
 };
-
-// Ticket dispenser for gauge_set ordering across threads.
-std::atomic<std::uint64_t> g_gauge_set_seq{0};
 
 struct Shard;
 
@@ -86,19 +79,6 @@ void merge_slot(const Meta& meta, const Slot& slot, Totals& into) {
     case MetricKind::kCounter:
       into.count += c;
       break;
-    case MetricKind::kGauge:
-      if (c > into.count) into.count = c;
-      break;
-    case MetricKind::kGaugeSet: {
-      // Acquire pairs with the release in gauge_set(): observing the
-      // ticket implies observing the value stored just before it.
-      const std::uint64_t sq = slot.seq.load(std::memory_order_acquire);
-      if (sq > into.seq) {
-        into.seq = sq;
-        into.count = slot.count.load(std::memory_order_relaxed);
-      }
-      break;
-    }
     case MetricKind::kStat: {
       into.count += c;
       into.sum += slot.sum.load(std::memory_order_relaxed);
@@ -210,24 +190,6 @@ void counter_add(MetricId id, std::uint64_t delta) {
   local_shard().slot(id).count.fetch_add(delta, std::memory_order_relaxed);
 }
 
-void gauge_max(MetricId id, std::uint64_t value) {
-  std::atomic<std::uint64_t>& a = local_shard().slot(id).count;
-  std::uint64_t cur = a.load(std::memory_order_relaxed);
-  while (value > cur &&
-         !a.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void gauge_set(MetricId id, std::uint64_t value) {
-  Slot& s = local_shard().slot(id);
-  const std::uint64_t ticket =
-      g_gauge_set_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  s.count.store(value, std::memory_order_relaxed);
-  // Release after the value: a merge that sees this ticket sees the
-  // value that came with it.
-  s.seq.store(ticket, std::memory_order_release);
-}
-
 void stat_record(MetricId id, double sample) {
   Slot& s = local_shard().slot(id);
   s.count.fetch_add(1, std::memory_order_relaxed);
@@ -276,8 +238,6 @@ std::vector<MetricRecord> metrics_snapshot() {
     rec.kind = r.metas[id].kind;
     switch (rec.kind) {
       case MetricKind::kCounter:
-      case MetricKind::kGauge:
-      case MetricKind::kGaugeSet:
         rec.value = totals[id].count;
         break;
       case MetricKind::kStat:
@@ -319,7 +279,6 @@ void metrics_reset() {
                   std::memory_order_relaxed);
       s.max.store(-std::numeric_limits<double>::infinity(),
                   std::memory_order_relaxed);
-      s.seq.store(0, std::memory_order_relaxed);
       if (s.latency != nullptr) {
         for (std::atomic<std::uint64_t>& b : s.latency->counts) {
           b.store(0, std::memory_order_relaxed);

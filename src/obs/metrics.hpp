@@ -1,5 +1,5 @@
-// Named counters / gauges / histogram-stats with a thread-local sharded
-// implementation.
+// Named counters / histogram-stats / latency histograms with a
+// thread-local sharded implementation.
 //
 // Hot-path cost model: an instrumentation site (ZH_COUNTER_ADD etc.)
 // pays one relaxed load of the enabled flag; when metrics are on it
@@ -38,21 +38,12 @@ void set_metrics_enabled(bool on);
 
 // Merge semantics per kind (how per-thread shards combine at snapshot):
 //   kCounter  -- sum across shards; monotone by construction.
-//   kGauge    -- max across shards: a high-water mark (peak bytes). It
-//                can never go down, even across metrics_reset-free runs.
-//   kGaugeSet -- last value wins: every gauge_set() draws a ticket from
-//                a process-global sequence, and the merge keeps the
-//                value with the highest ticket. This is the level-style
-//                gauge (current cache bytes, open connections) that can
-//                go DOWN, which kGauge structurally cannot.
 //   kStat     -- count/sum/min/max of double samples.
 //   kLatency  -- log-linear histogram (latency_histogram.hpp): buckets
 //                add element-wise, so merges are exact, associative and
 //                commutative, and quantiles survive aggregation.
 enum class MetricKind : std::uint8_t {
   kCounter,   ///< monotonically increasing u64 (merge: sum)
-  kGauge,     ///< u64 high-water mark; merge keeps the max
-  kGaugeSet,  ///< u64 level; merge keeps the most recent set (can go down)
   kStat,      ///< double samples; merge: count/sum/min/max
   kLatency,   ///< log-linear latency histogram; merge: per-bucket sum
 };
@@ -69,14 +60,6 @@ MetricId metric_id(const char* name, MetricKind kind);
 /// Add `delta` to counter `id` (calling thread's shard).
 void counter_add(MetricId id, std::uint64_t delta);
 
-/// Raise gauge `id` to at least `value` (kGauge).
-void gauge_max(MetricId id, std::uint64_t value);
-
-/// Overwrite gauge `id` with `value` (kGaugeSet). Last set wins
-/// process-wide, ordered by a global set-sequence ticket, so a later
-/// set on any thread beats an earlier set on any other.
-void gauge_set(MetricId id, std::uint64_t value);
-
 /// Record one sample into stat `id`.
 void stat_record(MetricId id, double sample);
 
@@ -90,7 +73,7 @@ void latency_record(MetricId id, double seconds);
 struct MetricRecord {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t value = 0;  ///< counter sum, gauge max, or gauge_set last
+  std::uint64_t value = 0;  ///< counter sum; sample count for the others
   // Stat fields (kStat/kLatency; count doubles as the sample count).
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -130,22 +113,6 @@ inline bool profiling_enabled() { return metrics_enabled() || trace_enabled(); }
                              static_cast<std::uint64_t>(delta));             \
     }                                                                        \
   } while (false)
-#define ZH_GAUGE_MAX(name, value)                                            \
-  do {                                                                       \
-    if (::zh::obs::metrics_enabled()) {                                      \
-      static const ::zh::obs::MetricId zh_obs_id_ =                          \
-          ::zh::obs::metric_id(name, ::zh::obs::MetricKind::kGauge);         \
-      ::zh::obs::gauge_max(zh_obs_id_, static_cast<std::uint64_t>(value));   \
-    }                                                                        \
-  } while (false)
-#define ZH_GAUGE_SET(name, value)                                            \
-  do {                                                                       \
-    if (::zh::obs::metrics_enabled()) {                                      \
-      static const ::zh::obs::MetricId zh_obs_id_ =                          \
-          ::zh::obs::metric_id(name, ::zh::obs::MetricKind::kGaugeSet);      \
-      ::zh::obs::gauge_set(zh_obs_id_, static_cast<std::uint64_t>(value));   \
-    }                                                                        \
-  } while (false)
 #define ZH_STAT_RECORD(name, sample)                                         \
   do {                                                                       \
     if (::zh::obs::metrics_enabled()) {                                      \
@@ -165,12 +132,6 @@ inline bool profiling_enabled() { return metrics_enabled() || trace_enabled(); }
 #else
 #define ZH_COUNTER_ADD(name, delta) \
   do {                              \
-  } while (false)
-#define ZH_GAUGE_MAX(name, value) \
-  do {                            \
-  } while (false)
-#define ZH_GAUGE_SET(name, value) \
-  do {                            \
   } while (false)
 #define ZH_STAT_RECORD(name, sample) \
   do {                               \

@@ -44,10 +44,6 @@ const char* kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::kCounter:
       return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kGaugeSet:
-      return "gauge_set";
     case MetricKind::kStat:
       return "stat";
     case MetricKind::kLatency:

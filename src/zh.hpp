@@ -26,8 +26,6 @@
 #include "core/perf_model.hpp"             // IWYU pragma: export
 #include "core/pipeline.hpp"               // IWYU pragma: export
 #include "core/query_engine.hpp"           // IWYU pragma: export
-#include "core/rasterize.hpp"              // IWYU pragma: export
-#include "core/zone_cluster.hpp"           // IWYU pragma: export
 #include "data/conus.hpp"                  // IWYU pragma: export
 #include "data/county_synth.hpp"           // IWYU pragma: export
 #include "data/dem_synth.hpp"              // IWYU pragma: export

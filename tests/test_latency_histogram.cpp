@@ -1,10 +1,9 @@
-// Latency histogram + rolling window: bucket indexing is monotone with
-// tight bounds, quantiles respect the documented relative-error bound
-// across 12 orders of magnitude, merge is exact/associative/commutative,
-// since() yields clamped deltas, the registry round-trips kLatency and
-// kGaugeSet metrics (including across thread retirement), and the
-// rolling window expires/rates correctly. The Obs* suite names put this
-// file in the TSan matrix; the concurrent tests are written for it.
+// Latency histogram: bucket indexing is monotone with tight bounds,
+// quantiles respect the documented relative-error bound across 12
+// orders of magnitude, and the registry round-trips kLatency metrics
+// (including across thread retirement and concurrent snapshots). The
+// Obs* suite names put this file in the TSan matrix; the concurrent
+// tests are written for it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 
 #include "obs/latency_histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/rolling_window.hpp"
 
 namespace zh {
 namespace {
@@ -102,62 +100,6 @@ TEST(ObsLatencyQuantile, RanksAndClamping) {
   EXPECT_DOUBLE_EQ(h.max(), 0.100);
 }
 
-TEST(ObsLatencyMerge, ExactAssociativeCommutative) {
-  // Values whose sums are exactly representable, so sum() comparisons
-  // are == and associativity is not blurred by float rounding.
-  auto fill = [](obs::LatencyHistogram& h, double base, int n) {
-    for (int i = 0; i < n; ++i) h.record(base * (1 + i % 4));
-  };
-  obs::LatencyHistogram a, b, c;
-  fill(a, 0.125, 10);
-  fill(b, 0.25, 7);
-  fill(c, 2.0, 13);
-
-  obs::LatencyHistogram ab_c = a;
-  ab_c.merge(b);
-  ab_c.merge(c);
-  obs::LatencyHistogram a_bc = b;
-  a_bc.merge(c);
-  a_bc.merge(a);  // also permutes the order -> commutativity
-
-  EXPECT_EQ(ab_c.count(), 30u);
-  EXPECT_EQ(ab_c.count(), a_bc.count());
-  EXPECT_EQ(ab_c.sum(), a_bc.sum());
-  EXPECT_EQ(ab_c.min(), a_bc.min());
-  EXPECT_EQ(ab_c.max(), a_bc.max());
-  EXPECT_EQ(ab_c.buckets(), a_bc.buckets());
-
-  // Merging an empty histogram in either direction is the identity.
-  obs::LatencyHistogram empty;
-  obs::LatencyHistogram a2 = a;
-  a2.merge(empty);
-  EXPECT_EQ(a2.buckets(), a.buckets());
-  obs::LatencyHistogram e2;
-  e2.merge(a);
-  EXPECT_EQ(e2.buckets(), a.buckets());
-  EXPECT_EQ(e2.min(), a.min());
-  EXPECT_EQ(e2.max(), a.max());
-}
-
-TEST(ObsLatencySince, DeltaAndResetClamping) {
-  obs::LatencyHistogram old;
-  for (int i = 0; i < 5; ++i) old.record(0.010);
-  obs::LatencyHistogram now = old;
-  for (int i = 0; i < 3; ++i) now.record(1.0);
-
-  const obs::LatencyHistogram delta = now.since(old);
-  EXPECT_EQ(delta.count(), 3u);
-  const double bound = 1.0 / (2.0 * obs::kLatencySubBuckets) + 1e-12;
-  EXPECT_NEAR(delta.quantile(0.5), 1.0, 1.0 * bound);
-  // min of the delta is bucket-resolution: near 1.0, not 0.010.
-  EXPECT_GT(delta.min(), 0.5);
-
-  // A reset in between (older snapshot has MORE samples) must clamp to
-  // an empty delta, not wrap.
-  const obs::LatencyHistogram wrapped = old.since(now);
-  EXPECT_TRUE(wrapped.empty());
-}
-
 TEST(ObsLatencyRegistry, RecordSnapshotRoundTrip) {
   ObsGuard guard;
   obs::set_metrics_enabled(true);
@@ -243,116 +185,6 @@ TEST(ObsLatencyRegistry, ConcurrentRecordAndSnapshot) {
   const obs::MetricRecord* m = find_metric(snap, "test.latency_race");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
-TEST(ObsGaugeSet, LastValueWinsAndCanGoDown) {
-  ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  const obs::MetricId id =
-      obs::metric_id("test.gauge_level", obs::MetricKind::kGaugeSet);
-  obs::gauge_set(id, 100);
-  obs::gauge_set(id, 5000);
-  obs::gauge_set(id, 42);  // a kGauge would pin 5000; a level gauge drops
-  const auto snap = obs::metrics_snapshot();
-  const obs::MetricRecord* m = find_metric(snap, "test.gauge_level");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->kind, obs::MetricKind::kGaugeSet);
-  EXPECT_EQ(m->value, 42u);
-}
-
-TEST(ObsGaugeSet, CrossThreadTicketOrderSurvivesRetirement) {
-  // Two writer generations: the second thread runs strictly after the
-  // first has exited (its shard retired), so the merge must prefer the
-  // later ticket held by a LIVE shard over the retired accumulator.
-  ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  const obs::MetricId id =
-      obs::metric_id("test.gauge_gen", obs::MetricKind::kGaugeSet);
-  std::thread first([id] { obs::gauge_set(id, 111); });
-  first.join();
-  std::thread second([id] { obs::gauge_set(id, 222); });
-  second.join();
-  obs::gauge_set(id, 333);  // main thread draws the newest ticket
-  const auto snap = obs::metrics_snapshot();
-  const obs::MetricRecord* m = find_metric(snap, "test.gauge_gen");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->value, 333u);
-
-  obs::metrics_reset();
-  const auto after = obs::metrics_snapshot();
-  const obs::MetricRecord* r = find_metric(after, "test.gauge_gen");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->value, 0u);
-}
-
-TEST(ObsRollingWindow, RateOverTrailingWindow) {
-  ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  const obs::MetricId id =
-      obs::metric_id("test.win_counter", obs::MetricKind::kCounter);
-
-  obs::RollingWindow win(120.0, 16);
-  obs::counter_add(id, 100);
-  win.push(0.0, obs::metrics_snapshot());
-  obs::counter_add(id, 100);
-  win.push(10.0, obs::metrics_snapshot());
-  obs::counter_add(id, 300);
-  win.push(20.0, obs::metrics_snapshot());
-
-  // 20s window at t=20: baseline is the t=0 sample -> 400 over 20 s.
-  const obs::WindowRate r20 = win.rate("test.win_counter", 20.0, 20.0);
-  ASSERT_TRUE(r20.valid);
-  EXPECT_EQ(r20.delta, 400u);
-  EXPECT_DOUBLE_EQ(r20.span_seconds, 20.0);
-  EXPECT_DOUBLE_EQ(r20.per_second, 20.0);
-
-  // 10s window: baseline is the t=10 sample -> 300 over 10 s.
-  const obs::WindowRate r10 = win.rate("test.win_counter", 10.0, 20.0);
-  ASSERT_TRUE(r10.valid);
-  EXPECT_EQ(r10.delta, 300u);
-  EXPECT_DOUBLE_EQ(r10.per_second, 30.0);
-
-  // Unknown series and single-sample windows are invalid, not zero.
-  EXPECT_FALSE(win.rate("test.no_such", 10.0, 20.0).valid);
-  obs::RollingWindow fresh(120.0, 16);
-  fresh.push(0.0, obs::metrics_snapshot());
-  EXPECT_FALSE(fresh.rate("test.win_counter", 10.0, 0.0).valid);
-}
-
-TEST(ObsRollingWindow, ExpiryByAgeAndCapacity) {
-  ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  obs::RollingWindow win(30.0, 4);
-  for (int i = 0; i < 10; ++i) {
-    win.push(static_cast<double>(i), obs::metrics_snapshot());
-  }
-  EXPECT_EQ(win.size(), 4u);  // capacity cap
-  win.push(100.0, obs::metrics_snapshot());
-  // Everything older than 100 - 30 expired; only the new sample stays.
-  EXPECT_EQ(win.size(), 1u);
-}
-
-TEST(ObsRollingWindow, WindowedLatencyQuantiles) {
-  ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  const obs::MetricId id =
-      obs::metric_id("latency.win_test", obs::MetricKind::kLatency);
-
-  obs::RollingWindow win(120.0, 16);
-  for (int i = 0; i < 100; ++i) obs::latency_record(id, 1e-3);
-  win.push(0.0, obs::metrics_snapshot());
-  for (int i = 0; i < 50; ++i) obs::latency_record(id, 1.0);
-  win.push(10.0, obs::metrics_snapshot());
-
-  // The trailing 10 s contain only the 1.0 s samples: the cumulative
-  // p50 would be 1 ms, the windowed p50 must be ~1 s.
-  const obs::LatencyHistogram delta =
-      win.latency_delta("latency.win_test", 10.0, 10.0);
-  EXPECT_EQ(delta.count(), 50u);
-  const double bound = 1.0 / (2.0 * obs::kLatencySubBuckets) + 1e-12;
-  EXPECT_NEAR(delta.quantile(0.5), 1.0, 1.0 * bound);
-
-  EXPECT_TRUE(win.latency_delta("latency.absent", 10.0, 10.0).empty());
 }
 
 }  // namespace

@@ -126,31 +126,24 @@ TEST(ObsMetrics, CounterGaugeStatMergeAcrossThreads) {
   ObsGuard guard;
   const obs::MetricId c =
       obs::metric_id("test.merge.count", obs::MetricKind::kCounter);
-  const obs::MetricId g =
-      obs::metric_id("test.merge.gauge", obs::MetricKind::kGauge);
   const obs::MetricId s =
       obs::metric_id("test.merge.stat", obs::MetricKind::kStat);
   std::thread a([&] {
     obs::counter_add(c, 2);
-    obs::gauge_max(g, 10);
     obs::stat_record(s, 1.0);
   });
   std::thread b([&] {
     obs::counter_add(c, 3);
-    obs::gauge_max(g, 7);
     obs::stat_record(s, 5.0);
   });
   a.join();
   b.join();
   const auto all = obs::metrics_snapshot();
   const obs::MetricRecord* count = find_metric(all, "test.merge.count");
-  const obs::MetricRecord* gauge = find_metric(all, "test.merge.gauge");
   const obs::MetricRecord* stat = find_metric(all, "test.merge.stat");
   ASSERT_NE(count, nullptr);
-  ASSERT_NE(gauge, nullptr);
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(count->value, 5u);
-  EXPECT_EQ(gauge->value, 10u);
   EXPECT_EQ(stat->count, 2u);
   EXPECT_DOUBLE_EQ(stat->sum, 6.0);
   EXPECT_DOUBLE_EQ(stat->min, 1.0);
@@ -162,7 +155,7 @@ TEST(ObsMetrics, ReinterningWithDifferentKindThrows) {
   EXPECT_EQ(obs::metric_id("test.kind.fixed", obs::MetricKind::kCounter),
             obs::metric_id("test.kind.fixed", obs::MetricKind::kCounter));
   EXPECT_THROW(
-      (void)obs::metric_id("test.kind.fixed", obs::MetricKind::kGauge),
+      (void)obs::metric_id("test.kind.fixed", obs::MetricKind::kStat),
       InvalidArgument);
 }
 
@@ -170,8 +163,6 @@ TEST(ObsMetricsStress, ShardedUpdatesUnderThreadPoolAreExact) {
   ObsGuard guard;
   const obs::MetricId c =
       obs::metric_id("test.stress.count", obs::MetricKind::kCounter);
-  const obs::MetricId g =
-      obs::metric_id("test.stress.gauge", obs::MetricKind::kGauge);
   const obs::MetricId s =
       obs::metric_id("test.stress.stat", obs::MetricKind::kStat);
 
@@ -190,7 +181,6 @@ TEST(ObsMetricsStress, ShardedUpdatesUnderThreadPoolAreExact) {
     pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         obs::counter_add(c, 1);
-        obs::gauge_max(g, i);
         obs::stat_record(s, static_cast<double>(i % 7));
       }
     });
@@ -200,13 +190,10 @@ TEST(ObsMetricsStress, ShardedUpdatesUnderThreadPoolAreExact) {
 
   const auto all = obs::metrics_snapshot();
   const obs::MetricRecord* count = find_metric(all, "test.stress.count");
-  const obs::MetricRecord* gauge = find_metric(all, "test.stress.gauge");
   const obs::MetricRecord* stat = find_metric(all, "test.stress.stat");
   ASSERT_NE(count, nullptr);
-  ASSERT_NE(gauge, nullptr);
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(count->value, kN);
-  EXPECT_EQ(gauge->value, kN - 1);
   EXPECT_EQ(stat->count, kN);
   EXPECT_DOUBLE_EQ(stat->sum, (kN / 7) * 21.0);  // sum of i%7 per block of 7
   EXPECT_DOUBLE_EQ(stat->min, 0.0);

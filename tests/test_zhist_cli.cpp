@@ -1,6 +1,6 @@
 // End-to-end checks of the zhist binary built alongside this suite:
-// command dispatch and usage text, flag-value checks, and the outputs of
-// the .bq and catalog paths.
+// command dispatch and usage text, flag-value checks, the outputs of the
+// .bq and catalog paths, and run reports checked by validate_obs.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -41,14 +41,22 @@ class ZhistCli : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  /// Run `zhist <args>` with stdout discarded and stderr sent to
-  /// `err` (discarded when empty); returns its exit code.
-  static int zhist(const std::string& args, const std::string& err = {}) {
-    const std::string cmd = std::string("'") + ZH_ZHIST + "' " + args +
+  /// Run `<exe> <args>` with stdout discarded and stderr sent to `err`
+  /// (discarded when empty); returns its exit code.
+  static int run(const char* exe, const std::string& args,
+                 const std::string& err) {
+    const std::string cmd = std::string("'") + exe + "' " + args +
                             " >/dev/null 2>" +
                             (err.empty() ? "&1" : "'" + err + "'");
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+  static int zhist(const std::string& args, const std::string& err = {}) {
+    return run(ZH_ZHIST, args, err);
+  }
+  static int validate_obs(const std::string& args,
+                          const std::string& err = {}) {
+    return run(ZH_VALIDATE_OBS, args, err);
   }
 
   static std::string slurp(const std::string& p) {
@@ -112,9 +120,14 @@ TEST_F(ZhistCli, UsageListsEveryCommand) {
         << cmd << " missing from usage:\n"
         << usage;
   }
-  // Removed commands are unknown commands.
+  // Removed commands and flags are unknown.
   EXPECT_EQ(zhist("render a b"), 2);
   EXPECT_EQ(zhist("points a b"), 2);
+  EXPECT_EQ(zhist("hist a b --metrics-port 0", path("flag.txt")), 2);
+  EXPECT_NE(slurp(path("flag.txt")).find("unknown flag: --metrics-port"),
+            std::string::npos);
+  EXPECT_EQ(usage.find("--metrics-port"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("--metrics-linger-ms"), std::string::npos) << usage;
 }
 
 TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
@@ -169,6 +182,49 @@ TEST_F(ZhistCli, CatalogMatchesOracle) {
   write_histogram_csv(path("expect.csv"), expect);
   EXPECT_FALSE(slurp(path("expect.csv")).empty());
   EXPECT_EQ(slurp(path("out.csv")), slurp(path("expect.csv")));
+}
+
+TEST_F(ZhistCli, RunReportsPassValidateObs) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(48, 48, 4, 60,
+                                  GeoTransform(0.0, 4.8, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        5, GeoBox{0.3, 0.3, 4.5, 4.5}, 6, true));
+  const std::string hist = "hist '" + path("r.zgrid") + "' '" +
+                           path("zones.tsv") + "' --bins 64 --tile 8 ";
+
+  ASSERT_EQ(zhist(hist + "-o '" + path("one.csv") + "' --metrics '" +
+                  path("one.json") + "'"),
+            0);
+  EXPECT_EQ(validate_obs("metrics '" + path("one.json") + "'"), 0);
+
+  // Rank 2 crashes when it finishes its first partition; the result is
+  // unchanged and the report still has one row per rank.
+  ASSERT_EQ(zhist(hist + "-o '" + path("three.csv") +
+                  "' --ranks 3 --fault-plan "
+                  "'seed=5,drop=0.05,crash=2@partition_done' --metrics '" +
+                  path("three.json") + "'"),
+            0);
+  EXPECT_EQ(slurp(path("three.csv")), slurp(path("one.csv")));
+  EXPECT_EQ(validate_obs("metrics '" + path("three.json") +
+                         "' --require-ranks 3"),
+            0);
+
+#if defined(ZH_ENABLE_OBS)
+  // A kind the registry cannot emit fails the schema check. (With
+  // ZH_OBS=OFF the registry records nothing, so no metric to rewrite.)
+  std::string report = slurp(path("three.json"));
+  const std::string counter = "\"kind\":\"counter\"";
+  const std::size_t at = report.find(counter);
+  ASSERT_NE(at, std::string::npos) << report;
+  report.replace(at, counter.size(), "\"kind\":\"gauge_set\"");
+  std::ofstream(path("bad.json"), std::ios::binary) << report;
+  EXPECT_EQ(validate_obs("metrics '" + path("bad.json") + "' --require-ranks 3",
+                         path("bad.txt")),
+            1);
+  EXPECT_NE(slurp(path("bad.txt")).find("gauge_set"), std::string::npos);
+#endif
 }
 
 }  // namespace

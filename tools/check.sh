@@ -39,31 +39,6 @@ FAULT_FILTER='*Fault*:*ClusterRecovery*:*ParserRobustness*:*CorruptIo*:*Journal*
 
 log() { printf '\n\033[1;34m== %s ==\033[0m\n' "$*"; }
 
-# Scrape http://127.0.0.1:$2/metrics into file $1 over bash's /dev/tcp
-# (no curl/wget dependency); strips the HTTP headers, keeps the body.
-scrape_metrics() {
-  local out="$1" port="$2"
-  exec 3<>"/dev/tcp/127.0.0.1/${port}" || return 1
-  printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
-  sed '1,/^\r$/d' <&3 > "${out}"
-  exec 3<&- 3>&-
-}
-
-# Poll $1 for the "metrics: serving http://..." announcement zhist
-# prints on stderr and echo the ephemeral port; empty when it never
-# appears.
-wait_for_metrics_port() {
-  local err_file="$1" port=""
-  for _ in $(seq 1 100); do
-    port="$(sed -n \
-      's#^metrics: serving http://127.0.0.1:\([0-9]*\)/metrics$#\1#p' \
-      "${err_file}" 2>/dev/null)"
-    [[ -n "${port}" ]] && break
-    sleep 0.1
-  done
-  echo "${port}"
-}
-
 configure_and_build() {
   local preset="$1"
   log "configure (${preset})"
@@ -343,84 +318,6 @@ run_obs() {
   ./build-dev/tools/zh_trace/zh_trace "${tmp}/cluster.trace.json" \
     --min-coverage 0.95 --report "${tmp}/cluster.critpath.json" \
     --run-report "${tmp}/trace.metrics.json"
-
-  log "live /metrics endpoint during a fault-injected 4-rank run"
-  # The run announces its ephemeral port on stderr, serves while the
-  # ranks compute, and lingers long enough for the scrape loop below.
-  # The scraped exposition (kept under obs-check/ as a CI artifact)
-  # must pass the format linter and carry the partition-latency
-  # quantile series the cluster driver records.
-  ./build-dev/tools/zhist hist "${tmp}/dem.zgrid" "${tmp}/zones.tsv" \
-    -o "${tmp}/hist-live.csv" --bins 256 --tile 64 --ranks 4 \
-    --partitions 4x4 \
-    --fault-plan "seed=5,drop=0.05,crash=2@partition_done" \
-    --metrics-port 0 --metrics-linger-ms 15000 \
-    2> "${tmp}/serve-hist.err" &
-  local live_pid=$!
-  local port
-  port="$(wait_for_metrics_port "${tmp}/serve-hist.err")"
-  [[ -n "${port}" ]] || {
-    echo "zhist hist never announced a metrics port" >&2
-    cat "${tmp}/serve-hist.err" >&2
-    return 1
-  }
-  local scraped=""
-  for _ in $(seq 1 200); do
-    if scrape_metrics "${tmp}/cluster.prom" "${port}" 2>/dev/null &&
-      grep -q 'zh_partition_latency_seconds{quantile="0.99"' \
-        "${tmp}/cluster.prom"; then
-      scraped=1
-      break
-    fi
-    sleep 0.1
-  done
-  wait "${live_pid}"
-  [[ -n "${scraped}" ]] || {
-    echo "live scrape never showed zh_partition_latency_seconds p99" >&2
-    return 1
-  }
-  ./build-dev/tools/validate_obs prom "${tmp}/cluster.prom" \
-    --require-name 'zh_partition_latency_seconds{quantile="0.99"'
-
-  log "live /metrics endpoint during a batch-query run"
-  cat > "${tmp}/serve-spec.json" <<EOF
-{
-  "tile": 64,
-  "queries": [
-    {"raster": "${tmp}/dem.zgrid", "zones": "${tmp}/zones.tsv",
-     "bins": 128, "out": "${tmp}/lq0.csv"},
-    {"raster": "${tmp}/dem.zgrid", "zones": "${tmp}/zones.tsv",
-     "bins": 128, "out": "${tmp}/lq1.csv"}
-  ]
-}
-EOF
-  ./build-dev/tools/zhist query --batch "${tmp}/serve-spec.json" \
-    --metrics-port 0 --metrics-linger-ms 15000 \
-    2> "${tmp}/serve-query.err" &
-  live_pid=$!
-  port="$(wait_for_metrics_port "${tmp}/serve-query.err")"
-  [[ -n "${port}" ]] || {
-    echo "zhist query never announced a metrics port" >&2
-    cat "${tmp}/serve-query.err" >&2
-    return 1
-  }
-  scraped=""
-  for _ in $(seq 1 200); do
-    if scrape_metrics "${tmp}/query.prom" "${port}" 2>/dev/null &&
-      grep -q 'zh_query_latency_seconds{quantile="0.99"' \
-        "${tmp}/query.prom"; then
-      scraped=1
-      break
-    fi
-    sleep 0.1
-  done
-  wait "${live_pid}"
-  [[ -n "${scraped}" ]] || {
-    echo "live scrape never showed zh_query_latency_seconds p99" >&2
-    return 1
-  }
-  ./build-dev/tools/validate_obs prom "${tmp}/query.prom" \
-    --require-name 'zh_query_latency_seconds{quantile="0.99"'
 
   log "bench regression differ gates (zh_perf)"
   # Committed baselines compared against themselves must pass ...

@@ -13,28 +13,20 @@
 //     Counters in validated families (journal.*, step4.*, comm.*) must
 //     come from the known-key inventory -- a typo'd or renamed counter
 //     fails instead of passing unvalidated. The metrics section gets
-//     the same treatment for the latency.* and serve.* families, plus
-//     per-kind field checks (a latency metric must carry its quantile
-//     summary, a counter its value).
-//   validate_obs prom <file> [--require-name NAME]...
-//     Prometheus text exposition (what GET /metrics serves): runs the
-//     format linter (HELP/TYPE present, legal metric names, well-formed
-//     labels and values, no duplicate series) and, per --require-name,
-//     asserts a sample with that exact series name (label set included
-//     when given) is present.
+//     the same treatment for the latency.* family. Every metric's kind
+//     must be one the registry emits (counter, stat, latency), and
+//     carry that kind's fields (a latency metric its quantile summary,
+//     a counter its value).
 //
 // Exits 0 when valid, 1 with a one-line reason otherwise (CI asserts on
 // the exit code and shows the reason in the log).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/exposition.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -45,8 +37,7 @@ using zh::obs::JsonValue;
   std::fprintf(stderr,
                "usage:\n"
                "  validate_obs trace <file> [--min-coverage PCT]\n"
-               "  validate_obs metrics <file> [--require-ranks N]\n"
-               "  validate_obs prom <file> [--require-name NAME]...\n");
+               "  validate_obs metrics <file> [--require-ranks N]\n");
   std::exit(2);
 }
 
@@ -233,27 +224,25 @@ int check_metrics(const std::string& path, long require_ranks) {
   if (metrics != nullptr) {
     if (!metrics->is_object()) return fail("metrics is not an object");
     // Same known-key discipline as the counters section, applied to the
-    // metric families the telemetry subsystem emits. latency.* names
-    // must render as latency summaries (count + quantiles), serve.* as
-    // scalar counters/gauges -- a metric that changed kind or name
-    // fails here rather than silently vanishing from dashboards.
+    // latency.* family: those names must render as latency summaries
+    // (count + quantiles), so a metric that changed kind or name fails
+    // here rather than silently vanishing from the report.
     static const char* const kKnownLatency[] = {
         "latency.query",     "latency.step1",
         "latency.step2",     "latency.step4",
         "latency.partition", "latency.journal_fsync",
-    };
-    static const char* const kKnownServe[] = {
-        "serve.http_requests", "serve.http_errors",
-        "serve.scrapes",       "serve.open_connections",
     };
     for (const auto& [name, m] : metrics->obj) {
       const JsonValue* kind = need(m, "kind");
       if (kind == nullptr || !kind->is_string()) {
         return fail("metric \"" + name + "\" has no kind");
       }
-      const bool is_latency_family = name.rfind("latency.", 0) == 0;
-      const bool is_serve_family = name.rfind("serve.", 0) == 0;
-      if (is_latency_family) {
+      if (kind->str != "counter" && kind->str != "stat" &&
+          kind->str != "latency") {
+        return fail("metric \"" + name + "\" has kind \"" + kind->str +
+                    "\", expected counter, stat or latency");
+      }
+      if (name.rfind("latency.", 0) == 0) {
         bool known = false;
         for (const char* key : kKnownLatency) {
           if (name == key) known = true;
@@ -265,20 +254,6 @@ int check_metrics(const std::string& path, long require_ranks) {
         if (kind->str != "latency") {
           return fail("metric \"" + name + "\" has kind \"" + kind->str +
                       "\", expected \"latency\"");
-        }
-      }
-      if (is_serve_family) {
-        bool known = false;
-        for (const char* key : kKnownServe) {
-          if (name == key) known = true;
-        }
-        if (!known) {
-          return fail("metric \"" + name +
-                      "\" not in the serve.* known-key inventory");
-        }
-        if (kind->str != "counter" && kind->str != "gauge_set") {
-          return fail("metric \"" + name + "\" has kind \"" + kind->str +
-                      "\", expected counter or gauge_set");
         }
       }
       if (kind->str == "latency") {
@@ -326,56 +301,6 @@ int check_metrics(const std::string& path, long require_ranks) {
   return 0;
 }
 
-int check_prom(const std::string& path,
-               const std::vector<std::string>& require_names) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return fail("cannot open exposition file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  const std::vector<std::string> problems = zh::obs::lint_exposition(text);
-  if (!problems.empty()) {
-    for (const std::string& p : problems) {
-      std::fprintf(stderr, "validate_obs: prom lint: %s\n", p.c_str());
-    }
-    return fail("exposition failed the format linter (" +
-                std::to_string(problems.size()) + " problem(s))");
-  }
-
-  // --require-name NAME matches a sample line by prefix, so a bare
-  // family name matches any of its series and a name with a label
-  // prefix (e.g. zh_query_latency_seconds{quantile="0.99") pins the
-  // exact series CI cares about.
-  std::size_t samples = 0;
-  for (const std::string& want : require_names) {
-    bool found = false;
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      if (line.rfind(want, 0) == 0) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return fail("required series \"" + want + "\" absent from exposition");
-    }
-  }
-  {
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (!line.empty() && line[0] != '#') ++samples;
-    }
-  }
-  std::printf("validate_obs: prom ok: %zu samples, %zu required series "
-              "present (%s)\n",
-              samples, require_names.size(), path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -384,14 +309,11 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   double min_coverage = 95.0;
   long require_ranks = -1;
-  std::vector<std::string> require_names;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--min-coverage") == 0 && i + 1 < argc) {
       min_coverage = std::stod(argv[++i]);
     } else if (std::strcmp(argv[i], "--require-ranks") == 0 && i + 1 < argc) {
       require_ranks = std::stol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--require-name") == 0 && i + 1 < argc) {
-      require_names.emplace_back(argv[++i]);
     } else {
       usage();
     }
@@ -399,7 +321,6 @@ int main(int argc, char** argv) {
   try {
     if (mode == "trace") return check_trace(path, min_coverage);
     if (mode == "metrics") return check_metrics(path, require_ranks);
-    if (mode == "prom") return check_prom(path, require_names);
   } catch (const zh::Error& e) {
     return fail(e.what());
   } catch (const std::exception& e) {

@@ -33,7 +33,6 @@
 // meet its lower bound; anything else stops the run with exit code 1
 // before a file is written.
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -44,7 +43,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -83,9 +81,6 @@ struct Args {
   std::string trace;    ///< Chrome trace_event JSON output path
   std::string metrics;  ///< run-report JSON output path
   bool report = false;  ///< print the human-readable run report
-  /// Serve /metrics on 127.0.0.1:N (0 = ephemeral).
-  std::optional<std::uint16_t> metrics_port;
-  int metrics_linger_ms = 0;  ///< keep serving this long after the run
   std::string batch;    ///< JSON batch spec for `zhist query`
 };
 
@@ -168,10 +163,6 @@ Args parse(int argc, char** argv) {
       args.metrics = next();
     } else if (a == "--report") {
       args.report = true;
-    } else if (a == "--metrics-port") {
-      args.metrics_port = parse_int(a, next(), std::uint16_t{0});
-    } else if (a == "--metrics-linger-ms") {
-      args.metrics_linger_ms = parse_int(a, next(), 0);
     } else if (a == "--batch") {
       args.batch = next();
     } else if (!a.empty() && a[0] == '-') {
@@ -211,35 +202,8 @@ bool setup_obs(const Args& args) {
     obs::set_trace_enabled(true);
   }
   if (!args.metrics.empty()) require_writable(args.metrics);
-  if (!args.metrics.empty() || args.report || args.metrics_port) {
-    obs::set_metrics_enabled(true);
-  }
+  if (!args.metrics.empty() || args.report) obs::set_metrics_enabled(true);
   return !args.trace.empty() || !args.metrics.empty() || args.report;
-}
-
-// Start the live /metrics endpoint when --metrics-port was given. The
-// bound port is printed to stderr (port 0 asks the kernel for one), so
-// scripts scrape `metrics: serving http://...` instead of guessing.
-void start_metrics_server(const Args& args,
-                          std::optional<obs::MetricsServer>& server) {
-  if (args.metrics_port) {
-    obs::MetricsServerOptions opt;
-    opt.port = *args.metrics_port;
-    server.emplace(opt);
-    std::fprintf(stderr, "metrics: serving http://127.0.0.1:%u/metrics\n",
-                 static_cast<unsigned>(server->port()));
-  }
-}
-
-// Hold the endpoint open after the run for --metrics-linger-ms, so a
-// scraper racing a short batch still gets a deterministic window (the
-// check.sh obs stage relies on this).
-void linger_metrics(const Args& args,
-                    const std::optional<obs::MetricsServer>& server) {
-  if (server.has_value() && args.metrics_linger_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(args.metrics_linger_ms));
-  }
 }
 
 // Emit the requested outputs: human report, metrics JSON, trace JSON.
@@ -282,8 +246,6 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
 int cmd_hist(const Args& args) {
   if (args.positional.size() != 2) usage();
   const bool with_obs = setup_obs(args);
-  std::optional<obs::MetricsServer> metrics_server;
-  start_metrics_server(args, metrics_server);
   const std::string& path = args.positional[0];
   const bool cluster = args.ranks > 1 || args.part_rows > 1 ||
                        args.part_cols > 1 || !args.fault_plan.empty() ||
@@ -440,7 +402,6 @@ int cmd_hist(const Args& args) {
       }
       finish_obs(args, report);
     }
-    linger_metrics(args, metrics_server);
     return cres.degraded ? 1 : 0;
   }
 
@@ -476,7 +437,6 @@ int cmd_hist(const Args& args) {
     append_work_counters(report, result.work);
     finish_obs(args, report);
   }
-  linger_metrics(args, metrics_server);
   return 0;
 }
 
@@ -590,8 +550,6 @@ int cmd_catalog(const Args& args) {
 int cmd_query(const Args& args) {
   if (args.batch.empty() || !args.positional.empty()) usage();
   const bool with_obs = setup_obs(args);
-  std::optional<obs::MetricsServer> metrics_server;
-  start_metrics_server(args, metrics_server);
   const obs::JsonValue spec = obs::parse_json_file(args.batch);
   ZH_REQUIRE(spec.is_object(), "batch spec must be a JSON object: ",
              args.batch);
@@ -700,7 +658,6 @@ int cmd_query(const Args& args) {
     append_work_counters(report, total_work);
     finish_obs(args, report);
   }
-  linger_metrics(args, metrics_server);
   return 0;
 }
 
@@ -716,7 +673,7 @@ constexpr Command kCommands[] = {
      "[--partitions RxC] [--refine brute|scanline|auto] [--ranks N] "
      "[--seed S] [--fault-plan SPEC] [--checkpoint-dir DIR] [--resume] "
      "[--checkpoint-interval N] [--trace FILE] [--metrics FILE] "
-     "[--report] [--metrics-port N] [--metrics-linger-ms N]",
+     "[--report]",
      cmd_hist},
     {"encode", "<raster> <out.bq> [--tile N]", cmd_encode},
     {"decode", "<in.bq> <out.zgrid>", cmd_decode},
@@ -727,8 +684,7 @@ constexpr Command kCommands[] = {
     {"catalog", "<dir> [-o hist.csv] [--bins N] [--tile N]", cmd_catalog},
     {"query",
      "--batch spec.json [--tile N] [--bins N] [--metrics FILE] "
-     "[--trace FILE] [--report] [--metrics-port N] "
-     "[--metrics-linger-ms N]",
+     "[--trace FILE] [--report]",
      cmd_query},
 };
 

@@ -1,12 +1,15 @@
 #include "cluster/comm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
-#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -20,6 +23,10 @@ namespace {
 
 using Clock = Deadline::Clock;
 
+// recv_bytes' first wait slice and the cap on later, jittered ones.
+constexpr std::int64_t kFirstSliceMs = 50;
+constexpr std::int64_t kMaxSliceMs = 1000;
+
 struct Message {
   RankId src;
   int tag;
@@ -28,30 +35,33 @@ struct Message {
   std::vector<std::byte> payload;
   /// Injected-delay release time; min() = visible immediately.
   Clock::time_point visible_at = Clock::time_point::min();
-  /// Causal trace context stamped at send time -- the in-process analog
-  /// of a fixed header field in the CRC'd wire frame (layout versioned
-  /// by obs::kTraceContextVersion). flow_id == 0 when tracing was off.
-  obs::TraceContext trace;
+  /// Id of the send->recv flow edge; 0 when tracing was off at send.
+  std::uint64_t flow_id = 0;
 };
+
+/// Record the receive half of a send->recv flow edge.
+void finish_flow(std::uint64_t flow_id) {
+  if (flow_id != 0 && obs::trace_enabled()) {
+    obs::record_flow('f', "comm.recv", "comm", flow_id, obs::now_us());
+  }
+}
 
 }  // namespace
 
 /// Shared state of one run_cluster invocation.
 class Cluster {
  public:
-  Cluster(std::size_t ranks, ClusterOptions options)
-      : options_(std::move(options)),
-        has_faults_(!options_.faults.empty()),
+  Cluster(std::size_t ranks, const FaultPlan& faults)
+      : faults_(faults),
+        has_faults_(!faults_.empty()),
         ranks_(ranks),
         mailboxes_(ranks),
-        dead_(std::make_unique<std::atomic<bool>[]>(ranks)),
-        barrier_waiting_(0),
-        barrier_generation_(0) {
+        dead_(std::make_unique<std::atomic<bool>[]>(ranks)) {
     for (std::size_t r = 0; r < ranks; ++r) dead_[r].store(false);
   }
 
   [[nodiscard]] std::size_t size() const { return ranks_; }
-  [[nodiscard]] const ClusterOptions& options() const { return options_; }
+  [[nodiscard]] const FaultPlan& faults() const { return faults_; }
 
   void deliver(RankId dst, Message msg) {
     ZH_REQUIRE(dst < ranks_, "destination rank out of range");
@@ -63,9 +73,8 @@ class Cluster {
               msg.payload.size());
     FaultAction action;
     if (has_faults_) {
-      action = options_.faults.action_for(msg.src, dst, msg.tag,
-                                          next_stream_index(msg.src, dst,
-                                                            msg.tag));
+      action = faults_.action_for(msg.src, dst, msg.tag,
+                                  next_stream_index(msg.src, dst, msg.tag));
     }
     Mailbox& box = mailboxes_[dst];
     {
@@ -103,7 +112,7 @@ class Cluster {
   /// a crash remain receivable.
   [[nodiscard]] Status await(RankId dst, RankId src, int tag,
                              Deadline deadline, std::vector<std::byte>& out,
-                             obs::TraceContext& trace_out) {
+                             std::uint64_t& flow_id) {
     ZH_ASSERT(src < ranks_, "recv from rank ", src,
               " which is outside the cluster of ", ranks_, " ranks");
     Mailbox& box = mailboxes_[dst];
@@ -123,7 +132,7 @@ class Cluster {
                   "message framing corrupted in mailbox");
         if (!has_faults_) check_fifo_order(box, src, tag, it->seq);
         out = std::move(it->payload);
-        trace_out = it->trace;
+        flow_id = it->flow_id;
         box.queue.erase(it);
         return Status::ok();
       }
@@ -152,7 +161,8 @@ class Cluster {
 
   /// First visible message from any source with a tag in `tags`.
   [[nodiscard]] Status await_any(RankId dst, std::span<const int> tags,
-                                 Deadline deadline, AnyMessage& out) {
+                                 Deadline deadline, AnyMessage& out,
+                                 std::uint64_t& flow_id) {
     Mailbox& box = mailboxes_[dst];
     std::unique_lock lock(box.mutex);
     for (;;) {
@@ -171,7 +181,7 @@ class Cluster {
         out.src = it->src;
         out.tag = it->tag;
         out.payload = std::move(it->payload);
-        out.trace = it->trace;
+        flow_id = it->flow_id;
         box.queue.erase(it);
         return Status::ok();
       }
@@ -221,56 +231,15 @@ class Cluster {
     return Communicator(this, rank);
   }
 
-  [[nodiscard]] Status barrier(Deadline deadline) {
-    std::unique_lock lock(barrier_mutex_);
-    ZH_ASSERT(barrier_waiting_ < ranks_,
-              "barrier over-subscribed: ", barrier_waiting_,
-              " already waiting out of ", ranks_, " ranks");
-    if (dead_count_ > 0) {
-      return Status::error(StatusCode::kRankDead,
-                           detail::format_parts("barrier with ", dead_count_,
-                                                " dead rank(s) can never "
-                                                "complete"));
-    }
-    const std::uint64_t gen = barrier_generation_;
-    if (++barrier_waiting_ == ranks_) {
-      barrier_waiting_ = 0;
-      ++barrier_generation_;
-      barrier_cv_.notify_all();
-      return Status::ok();
-    }
-    const auto released = [&] {
-      return barrier_generation_ != gen || dead_count_ > 0;
-    };
-    for (;;) {
-      if (deadline.is_never()) {
-        barrier_cv_.wait(lock, released);
-      } else if (!barrier_cv_.wait_until(lock, deadline.when(), released)) {
-        if (barrier_generation_ != gen) return Status::ok();
-        --barrier_waiting_;  // withdraw; the barrier may be retried
-        return Status::error(StatusCode::kTimeout, "barrier timed out");
-      }
-      if (barrier_generation_ != gen) return Status::ok();
-      if (dead_count_ > 0) {
-        --barrier_waiting_;
-        return Status::error(StatusCode::kRankDead,
-                             "barrier released by rank death");
-      }
-    }
-  }
-
   /// Mark a rank as exited (crash, error, or completion) and wake every
   /// waiter so blocked peers observe the death instead of deadlocking.
   void mark_dead(RankId rank) {
-    {
-      std::lock_guard lock(barrier_mutex_);
-      if (!dead_[rank].exchange(true, std::memory_order_acq_rel)) {
-        ++dead_count_;
-      }
-    }
-    barrier_cv_.notify_all();
+    dead_[rank].store(true, std::memory_order_release);
     for (Mailbox& box : mailboxes_) {
-      { std::lock_guard lock(box.mutex); }  // pair with waiters' lock
+      // A waiter checks dead_ under its mailbox lock and then waits,
+      // releasing it; taking the lock here after the store means it has
+      // either seen the store or is already waiting for this notify.
+      { std::lock_guard lock(box.mutex); }
       box.cv.notify_all();
     }
   }
@@ -285,8 +254,8 @@ class Cluster {
   /// count process-wide visits of the point across all ranks, modelling
   /// whole-node death rather than one rank going silent.
   void checkpoint(RankId rank, CrashPoint point) {
-    const CrashSpec& crash = options_.faults.crash;
-    const AbortSpec& abort = options_.faults.abort;
+    const CrashSpec& crash = faults_.crash;
+    const AbortSpec& abort = faults_.abort;
     if (crash.point == CrashPoint::kNone &&
         abort.point == CrashPoint::kNone) {
       return;
@@ -352,7 +321,7 @@ class Cluster {
     return stream_counters_[std::make_tuple(src, dst, tag)]++;
   }
 
-  ClusterOptions options_;
+  FaultPlan faults_;
   bool has_faults_;
   std::size_t ranks_;
   std::vector<Mailbox> mailboxes_;
@@ -366,12 +335,6 @@ class Cluster {
   /// Process-wide visit counts per point (AbortSpec occurrences), also
   /// guarded by checkpoint_mutex_.
   std::map<CrashPoint, std::uint32_t> abort_visits_;
-
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  std::size_t barrier_waiting_;
-  std::uint64_t barrier_generation_;
-  std::size_t dead_count_ = 0;  ///< guarded by barrier_mutex_
 };
 
 std::int64_t decorrelated_backoff_ms(std::uint64_t seed, RankId receiver,
@@ -392,112 +355,66 @@ std::int64_t decorrelated_backoff_ms(std::uint64_t seed, RankId receiver,
 
 std::size_t Communicator::size() const { return cluster_->size(); }
 
-Deadline Communicator::default_deadline() const {
-  const std::int64_t ms = cluster_->options().default_timeout_ms;
-  return ms <= 0 ? Deadline::never() : Deadline::after_ms(ms);
-}
-
 void Communicator::send_bytes(RankId dst, int tag,
                               std::vector<std::byte> payload) {
   bytes_sent_ += payload.size();
   ZH_COUNTER_ADD("comm.msgs_sent", 1);
   ZH_COUNTER_ADD("comm.bytes_sent", payload.size());
-  // Stamp the causal context before handing the message to the
-  // transport so the "s" event timestamp never postdates delivery.
-  obs::TraceContext ctx;
+  // Record the "s" event before handing the message to the transport so
+  // its timestamp never postdates delivery.
+  std::uint64_t flow_id = 0;
   if (obs::trace_enabled()) {
-    ctx.flow_id = obs::next_flow_id();
-    ctx.parent_span = obs::current_span_id();
-    ctx.send_ts_us = obs::now_us();
-    obs::record_flow('s', "comm.send", "comm", ctx.flow_id, ctx.send_ts_us);
+    flow_id = obs::next_flow_id();
+    obs::record_flow('s', "comm.send", "comm", flow_id, obs::now_us());
   }
   const std::size_t framed = payload.size();
   cluster_->deliver(dst,
                     Message{rank_, tag, /*seq=*/0, framed, std::move(payload),
-                            Clock::time_point::min(), ctx});
-}
-
-std::vector<std::byte> Communicator::recv_bytes(RankId src, int tag) {
-  std::vector<std::byte> out;
-  recv_bytes(src, tag, default_deadline(), out).throw_if_error();
-  return out;
+                            Clock::time_point::min(), flow_id});
 }
 
 Status Communicator::recv_bytes(RankId src, int tag, Deadline deadline,
-                                std::vector<std::byte>& out,
-                                const RetryPolicy& retry) {
-  // Early attempts use the truncated backoff schedule and recover lost
-  // messages between them; the final attempt waits out the caller's full
-  // deadline so a slow-but-healthy sender is never failed prematurely.
+                                std::vector<std::byte>& out) {
   ZH_TRACE_SPAN("comm.recv", "comm");
-  obs::TraceContext ctx;
-  const auto finish_flow = [&ctx](const Status& s) {
-    if (s.is_ok() && ctx.flow_id != 0 && obs::trace_enabled()) {
-      obs::record_flow('f', "comm.recv", "comm", ctx.flow_id, obs::now_us());
-    }
-  };
-  std::int64_t attempt_ms = retry.initial_timeout_ms;
-  const std::uint32_t attempts = std::max(retry.max_attempts, 1u);
-  for (std::uint32_t attempt = 0; attempt + 1 < attempts; ++attempt) {
-    const Deadline slice = Deadline::after_ms(attempt_ms).min(deadline);
-    Status s = cluster_->await(rank_, src, tag, slice, out, ctx);
-    if (s.code() != StatusCode::kTimeout &&
-        !(s.code() == StatusCode::kRankDead &&
-          cluster_->recover_lost(rank_, src, tag) > 0)) {
-      finish_flow(s);
+  std::int64_t slice_ms = kFirstSliceMs;
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    std::uint64_t flow_id = 0;
+    const Deadline slice = Deadline::after_ms(slice_ms).min(deadline);
+    const Status s = cluster_->await(rank_, src, tag, slice, out, flow_id);
+    if (s.is_ok()) {
+      finish_flow(flow_id);
       return s;
     }
-    if (deadline.expired()) {
-      return Status::error(
-          StatusCode::kTimeout,
-          detail::format_parts("rank ", rank_, ": recv from rank ", src,
-                               " tag ", tag, " timed out after ", attempt + 1,
-                               " attempt(s)"));
+    // The slice ended empty-handed, or `src` is dead with nothing
+    // visible: retransmit what was dropped in transit and go around
+    // again, unless nothing came back and no wait is left.
+    const std::size_t recovered = cluster_->recover_lost(rank_, src, tag);
+    if (recovered == 0 &&
+        (s.code() == StatusCode::kRankDead || deadline.expired())) {
+      return s;
     }
-    // Going around again is one retransmission-style retry.
     ++retries_;
     ZH_COUNTER_ADD("comm.retries", 1);
-    const std::size_t recovered = cluster_->recover_lost(rank_, src, tag);
-    static_cast<void>(recovered);  // counted only when obs is compiled in
     ZH_COUNTER_ADD("comm.msgs_recovered", recovered);
-    // Next attempt budget: decorrelated jitter by default so receivers
-    // that timed out together spread their re-attempts instead of
-    // hammering in lockstep; the plain exponential ladder when disabled.
-    if (retry.jitter) {
-      attempt_ms = decorrelated_backoff_ms(
-          cluster_->options().faults.seed, rank_, src, tag, attempt,
-          retry.initial_timeout_ms, attempt_ms);
-    } else {
-      attempt_ms = static_cast<std::int64_t>(
-          static_cast<double>(attempt_ms) * retry.backoff);
-    }
+    // Decorrelated jitter, so receivers that timed out together spread
+    // their next attempts instead of retrying in lockstep.
+    slice_ms = std::min(
+        kMaxSliceMs,
+        decorrelated_backoff_ms(cluster_->faults().seed, rank_, src, tag,
+                                attempt, kFirstSliceMs, slice_ms));
   }
-  Status s = cluster_->await(rank_, src, tag, deadline, out, ctx);
-  finish_flow(s);
-  return s;
 }
 
 Status Communicator::recv_any(std::span<const int> tags, Deadline deadline,
                               AnyMessage& out) {
-  Status s = cluster_->await_any(rank_, tags, deadline, out);
-  if (s.is_ok() && out.trace.flow_id != 0 && obs::trace_enabled()) {
-    obs::record_flow('f', "comm.recv", "comm", out.trace.flow_id,
-                     obs::now_us());
-  }
+  std::uint64_t flow_id = 0;
+  const Status s = cluster_->await_any(rank_, tags, deadline, out, flow_id);
+  if (s.is_ok()) finish_flow(flow_id);
   return s;
 }
 
 std::size_t Communicator::recover_lost(RankId src, int tag) {
   return cluster_->recover_lost(rank_, src, tag);
-}
-
-Status Communicator::barrier(Deadline deadline) {
-  ZH_TRACE_SPAN("comm.barrier", "comm");
-  return cluster_->barrier(deadline);
-}
-
-void Communicator::barrier() {
-  cluster_->barrier(default_deadline()).throw_if_error();
 }
 
 bool Communicator::rank_dead(RankId r) const {
@@ -508,112 +425,30 @@ void Communicator::checkpoint(CrashPoint point) {
   cluster_->checkpoint(rank_, point);
 }
 
-namespace {
-
-/// NTP-style clock-offset estimation at rank startup (tracing only).
-/// Each worker rank probes rank 0 a few times on kClockTag; rank 0
-/// replies with its own timestamp; the worker keeps the minimum-RTT
-/// sample (tightest error bound) and records how far its clock reads
-/// ahead of rank 0's. In this in-process model every rank shares one
-/// steady clock, so offsets land near zero (bounded by half the RTT) --
-/// the point is exercising the protocol a multi-node deployment needs.
-/// Every wait is deadline-bounded and failure-tolerant: lost probes are
-/// recovered via retransmission, and a rank that cannot complete the
-/// handshake keeps offset 0 instead of stalling the run.
-void clock_handshake(Communicator& comm, std::size_t ranks) {
-  constexpr int kProbesPerRank = 3;
-  constexpr std::int64_t kStepMs = 250;
-  const int tag = Communicator::kClockTag;
-  if (comm.rank() == 0) {
-    // Serve probes until every expected one is answered or the line has
-    // gone quiet with nothing left to recover.
-    const std::size_t expect = (ranks - 1) * kProbesPerRank;
-    const int tags[] = {tag};
-    std::size_t served = 0;
-    int idle_rounds = 0;
-    while (served < expect && idle_rounds < 2) {
-      AnyMessage probe;
-      if (Status s = comm.recv_any(tags, Deadline::after_ms(kStepMs), probe);
-          s.is_ok()) {
-        ++served;
-        idle_rounds = 0;
-        const std::int64_t t_here = obs::now_us();
-        comm.send<std::int64_t>(probe.src, tag, std::span(&t_here, 1));
-      } else {
-        std::size_t recovered = 0;
-        for (RankId r = 1; r < ranks; ++r) recovered += comm.recover_lost(r, tag);
-        if (recovered == 0) ++idle_rounds;
-      }
-    }
-    return;
-  }
-  std::int64_t best_rtt_us = std::numeric_limits<std::int64_t>::max();
-  std::int64_t best_offset_us = 0;
-  bool have_sample = false;
-  for (int probe = 0; probe < kProbesPerRank; ++probe) {
-    const std::int64_t t0 = obs::now_us();
-    comm.send<std::byte>(/*dst=*/0, tag, {});
-    std::vector<std::int64_t> reply;
-    if (Status s = comm.recv<std::int64_t>(0, tag, Deadline::after_ms(kStepMs),
-                                           reply);
-        !s.is_ok() || reply.size() != 1) {
-      continue;  // lost probe/reply or master gave up; try the next one
-    }
-    const std::int64_t t3 = obs::now_us();
-    const std::int64_t rtt = t3 - t0;
-    if (rtt < best_rtt_us) {
-      best_rtt_us = rtt;
-      // clock_offset_from_handshake gives how far rank 0 reads ahead of
-      // us; the registry stores the inverse convention (this rank ahead
-      // of the master).
-      best_offset_us = -obs::clock_offset_from_handshake(t0, reply[0], t3);
-      have_sample = true;
-    }
-  }
-  if (have_sample) {
-    obs::set_rank_clock_offset_us(static_cast<std::int32_t>(comm.rank()),
-                                  best_offset_us);
-  }
-}
-
-}  // namespace
-
-void run_cluster(std::size_t ranks,
-                 const std::function<void(Communicator&)>& body) {
-  run_cluster(ranks, ClusterOptions{}, body);
-}
-
-void run_cluster(std::size_t ranks, const ClusterOptions& options,
+void run_cluster(std::size_t ranks, const FaultPlan& faults,
                  const std::function<void(Communicator&)>& body) {
   ZH_REQUIRE(ranks >= 1, "cluster needs at least one rank");
-  Cluster cluster(ranks, options);
+  Cluster cluster(ranks, faults);
 
   std::exception_ptr error;
   std::mutex error_mutex;
 
-  // Dedicated threads (not pool tasks): ranks block on recv/barrier and
-  // must not starve each other. CP.25's joining-thread discipline via
-  // explicit join below.
+  // Dedicated threads (not pool tasks): ranks block on recv and must not
+  // starve each other. CP.25's joining-thread discipline via explicit
+  // join below.
   std::vector<std::thread> threads;
   threads.reserve(ranks);
   for (RankId r = 0; r < ranks; ++r) {
     threads.emplace_back([&, r] {
       // Attribute every span/metric this rank thread records to rank r
-      // (the trace viewer groups rank lanes by this).
+      // (the trace viewer groups rank lanes by this). The thread's trace
+      // buffer moves into the process registry when the thread exits.
       obs::set_thread_rank(static_cast<std::int32_t>(r));
       Communicator comm = cluster.make_comm(r);
       try {
-        // Estimate this rank's clock offset before user work starts so
-        // merged traces share one clock domain. Crash points only fire
-        // inside body(), so the handshake itself cannot be crashed out.
-        if (obs::trace_enabled() && ranks > 1) clock_handshake(comm, ranks);
         body(comm);
       } catch (const RankCrash&) {
-        if (!options.tolerate_rank_crash) {
-          std::lock_guard lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-        // Tolerated: the rank simply goes silent, like a lost node.
+        // The rank simply goes silent, like a lost node.
       } catch (...) {
         std::lock_guard lock(error_mutex);
         if (!error) error = std::current_exception();

@@ -4,61 +4,38 @@
 // the four zonal steps on its raster partitions, then the master combines
 // per-polygon histograms. This module reproduces that programming model
 // in one process: run_cluster() launches one thread per rank; ranks talk
-// through mailboxes with (source, tag) matching; gather/reduce/barrier
-// are built on the same point-to-point layer, so the communication
-// pattern (and its serialization volume, which we account) matches the
-// MPI implementation structurally.
+// through mailboxes with (source, tag) matching. Point-to-point send and
+// receive are all the cluster driver's master-worker protocol needs
+// (core/cluster_driver.cpp); every byte sent is accounted per rank.
 //
-// Fault model (service-grade additions):
-//  * every blocking call is deadline-bounded -- the legacy throwing
-//    overloads use ClusterOptions::default_timeout_ms and throw
-//    TimeoutError instead of hanging; Status-returning overloads take an
-//    explicit Deadline;
-//  * the point-to-point layer retries with exponential backoff: a
-//    message "dropped in transit" by a FaultPlan is recovered on retry,
-//    modelling sender retransmission;
+// Fault model:
+//  * every blocking receive names its Deadline (Deadline::never() for a
+//    wait only a peer's answer or death can end) and returns a Status;
+//  * recv_bytes waits in decorrelated-jitter slices and recovers messages
+//    "dropped in transit" by a FaultPlan after each slice, modelling
+//    sender retransmission;
 //  * a rank that exits (crash or exception) is marked dead; peers
 //    blocked on it get StatusCode::kRankDead instead of deadlocking;
-//  * a FaultPlan in ClusterOptions injects drop/duplicate/reorder/delay
-//    per message and scripted crashes at checkpoints, deterministically
-//    per seed.
+//  * a FaultPlan injects drop/duplicate/reorder/delay per message and
+//    scripted crashes at checkpoints, deterministically per seed.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/fault.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "obs/trace.hpp"
 
 namespace zh {
 
 class Cluster;
-
-/// Bounded retry with exponential backoff for point-to-point receives.
-/// Each attempt waits up to the attempt budget, then asks the transport
-/// to recover in-flight ("dropped") messages -- the in-process analog of
-/// a sender retransmitting after an ack timeout.
-struct RetryPolicy {
-  std::uint32_t max_attempts = 4;
-  std::int64_t initial_timeout_ms = 50;
-  double backoff = 2.0;  ///< attempt budget multiplier (jitter off)
-  /// Decorrelate retry slices across receivers: each re-attempt budget is
-  /// a deterministic draw in [initial, 3 * previous] keyed by the fault
-  /// seed and the (receiver, sender, tag, attempt) identity, so a mass
-  /// timeout does not re-synchronize every waiter onto the same schedule
-  /// (retry storms) yet replays stay bit-reproducible per seed. Off, the
-  /// slices follow the plain `previous * backoff` ladder.
-  bool jitter = true;
-};
 
 /// The decorrelated-jitter backoff draw used by Communicator::recv_bytes:
 /// uniform in [base_ms, max(base_ms, 3 * prev_ms)], a pure splitmix64
@@ -71,27 +48,11 @@ struct RetryPolicy {
                                                    std::int64_t base_ms,
                                                    std::int64_t prev_ms);
 
-/// Knobs of one run_cluster invocation.
-struct ClusterOptions {
-  FaultPlan faults;  ///< message/crash injection (empty = no faults)
-  /// RankCrash thrown in a rank body kills only that rank (it goes
-  /// silent; survivors keep running). Off: it propagates like any error.
-  bool tolerate_rank_crash = false;
-  /// Deadline applied by the legacy (non-Status) blocking overloads so
-  /// no public call can block unboundedly.
-  std::int64_t default_timeout_ms = 30000;
-};
-
 /// A message received by recv_any: payload plus provenance.
 struct AnyMessage {
   RankId src = 0;
   int tag = 0;
   std::vector<std::byte> payload;
-  /// Causal context stamped by the sender (flow_id == 0 when tracing
-  /// was off at send time). The matching "f" flow event is recorded by
-  /// recv_any itself; the context is surfaced for callers that want the
-  /// sender's logical send timestamp or parent span.
-  obs::TraceContext trace;
 };
 
 /// Per-rank handle used inside run_cluster bodies.
@@ -102,23 +63,17 @@ class Communicator {
 
   /// Point-to-point send of raw bytes with a user tag (non-blocking:
   /// enqueues into the destination mailbox; never waits). When tracing
-  /// is enabled, stamps a TraceContext into the message envelope (the
-  /// in-process analog of a header field in the CRC'd wire frame;
-  /// layout versioned by obs::kTraceContextVersion) and records the "s"
-  /// half of the send->recv flow edge.
+  /// is enabled, records the "s" half of the send->recv flow edge and
+  /// carries its flow id to the receiver.
   void send_bytes(RankId dst, int tag, std::vector<std::byte> payload);
 
-  /// Blocking receive of the next message from `src` with `tag`.
-  /// Bounded by the cluster default timeout; throws TimeoutError on
-  /// expiry and Error if `src` died with no matching message in flight.
-  [[nodiscard]] std::vector<std::byte> recv_bytes(RankId src, int tag);
-
-  /// Deadline-bounded receive with retransmission recovery. Returns
-  /// kTimeout when the deadline (or retry budget) expires and kRankDead
-  /// when `src` is dead with nothing recoverable in flight.
+  /// Deadline-bounded receive of the next message from `src` with `tag`.
+  /// Waits in decorrelated-jitter slices of at most one second and
+  /// recovers messages dropped in transit after every slice. Returns
+  /// kTimeout when the deadline expires and kRankDead when `src` is dead
+  /// with nothing pending or recoverable.
   [[nodiscard]] Status recv_bytes(RankId src, int tag, Deadline deadline,
-                                  std::vector<std::byte>& out,
-                                  const RetryPolicy& retry = {});
+                                  std::vector<std::byte>& out);
 
   /// Receive the next visible message from any source whose tag is in
   /// `tags` (master-side supervision loop). No retransmission recovery;
@@ -129,7 +84,7 @@ class Communicator {
   /// Trigger retransmission of messages from `src` with `tag` that were
   /// dropped in transit (fault injection). Returns how many were
   /// recovered into the mailbox. Supervision loops using recv_any call
-  /// this periodically; recv_bytes' retry path calls it automatically.
+  /// this periodically; recv_bytes calls it after every wait slice.
   std::size_t recover_lost(RankId src, int tag);
 
   /// Typed send/recv of trivially copyable element spans.
@@ -147,12 +102,10 @@ class Communicator {
 
   template <typename T>
   [[nodiscard]] Status recv(RankId src, int tag, Deadline deadline,
-                            std::vector<T>& out,
-                            const RetryPolicy& retry = {}) {
+                            std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> bytes;
-    if (Status s = recv_bytes(src, tag, deadline, bytes, retry);
-        !s.is_ok()) {
+    if (Status s = recv_bytes(src, tag, deadline, bytes); !s.is_ok()) {
       return s;
     }
     if (bytes.size() % sizeof(T) != 0) {
@@ -170,92 +123,6 @@ class Communicator {
     return Status::ok();
   }
 
-  template <typename T>
-  [[nodiscard]] std::vector<T> recv(RankId src, int tag) {
-    std::vector<T> out;
-    recv(src, tag, default_deadline(), out).throw_if_error();
-    return out;
-  }
-
-  /// Gather every rank's buffer at `root` (rank order). Non-roots get an
-  /// empty result.
-  template <typename T>
-  [[nodiscard]] Status gather(RankId root, std::span<const T> mine,
-                              Deadline deadline,
-                              std::vector<std::vector<T>>& out,
-                              int tag = kGatherTag,
-                              const RetryPolicy& retry = {}) {
-    out.clear();
-    if (rank_ != root) {
-      send<T>(root, tag, mine);
-      return Status::ok();
-    }
-    out.resize(size());
-    for (RankId r = 0; r < size(); ++r) {
-      if (r == root) {
-        out[r].assign(mine.begin(), mine.end());
-        continue;
-      }
-      if (Status s = recv<T>(r, tag, deadline, out[r], retry); !s.is_ok()) {
-        return s;
-      }
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  [[nodiscard]] std::vector<std::vector<T>> gather(
-      RankId root, std::span<const T> mine, int tag = kGatherTag) {
-    std::vector<std::vector<T>> out;
-    gather<T>(root, mine, default_deadline(), out, tag).throw_if_error();
-    return out;
-  }
-
-  /// Element-wise sum-reduce of equal-length buffers at `root` (the
-  /// master-side histogram combine). Non-roots get an empty vector.
-  template <typename T>
-  [[nodiscard]] Status reduce_sum(RankId root, std::span<const T> mine,
-                                  Deadline deadline, std::vector<T>& out,
-                                  int tag = kReduceTag,
-                                  const RetryPolicy& retry = {}) {
-    std::vector<std::vector<T>> all;
-    if (Status s = gather<T>(root, mine, deadline, all, tag, retry);
-        !s.is_ok()) {
-      return s;
-    }
-    out.clear();
-    if (rank_ != root) return Status::ok();
-    out.assign(mine.size(), T{});
-    for (std::size_t r = 0; r < all.size(); ++r) {
-      if (all[r].size() != out.size()) {
-        return Status::error(
-            StatusCode::kCorrupt,
-            detail::format_parts("reduce at root ", root, ": rank ", r,
-                                 " contributed ", all[r].size(),
-                                 " elements, expected ", out.size()));
-      }
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += all[r][i];
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  [[nodiscard]] std::vector<T> reduce_sum(RankId root,
-                                          std::span<const T> mine,
-                                          int tag = kReduceTag) {
-    std::vector<T> out;
-    reduce_sum<T>(root, mine, default_deadline(), out, tag).throw_if_error();
-    return out;
-  }
-
-  /// Synchronize all ranks, bounded by `deadline`. Returns kRankDead if
-  /// any rank died (the barrier can then never complete) and kTimeout on
-  /// expiry; a timed-out rank withdraws and may retry.
-  [[nodiscard]] Status barrier(Deadline deadline);
-
-  /// Synchronize all ranks (cluster default timeout; throws on failure).
-  void barrier();
-
   /// Whether `r` has exited (crash or completion). Dead ranks never send
   /// again; pending in-flight messages remain receivable.
   [[nodiscard]] bool rank_dead(RankId r) const;
@@ -267,23 +134,14 @@ class Communicator {
   /// Bytes this rank has sent so far (communication-volume accounting).
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  /// Receive retries this rank has performed (backoff re-attempts in the
-  /// Status recv path, including retransmission recovery rounds).
+  /// Receive retries this rank has performed: recv_bytes wait slices
+  /// that ended without a message and went around again.
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
-
-  static constexpr int kGatherTag = -1;
-  static constexpr int kReduceTag = -2;
-  /// Reserved for the clock-offset handshake run_cluster performs at
-  /// rank startup when tracing is enabled (probe r->0 and reply 0->r
-  /// both use it; direction disambiguates).
-  static constexpr int kClockTag = -3;
 
  private:
   friend class Cluster;
   Communicator(Cluster* cluster, RankId rank)
       : cluster_(cluster), rank_(rank) {}
-
-  [[nodiscard]] Deadline default_deadline() const;
 
   Cluster* cluster_;
   RankId rank_;
@@ -291,20 +149,14 @@ class Communicator {
   std::uint64_t retries_ = 0;
 };
 
-/// Launch `ranks` threads, each running body(comm). Returns when all
-/// ranks finish; rethrows the first rank exception. A rank that exits is
-/// marked dead so peers blocked on it fail fast instead of deadlocking.
-/// When tracing is enabled, each worker rank runs a short NTP-style
-/// clock handshake against rank 0 before body() starts (min-RTT sample
-/// of a few probes on kClockTag) and records its offset via
-/// obs::set_rank_clock_offset_us; a failed/timed-out handshake leaves
-/// the offset at 0 rather than delaying the run.
-void run_cluster(std::size_t ranks,
-                 const std::function<void(Communicator&)>& body);
-
-/// As above with explicit options (fault injection, crash tolerance,
-/// default timeout).
-void run_cluster(std::size_t ranks, const ClusterOptions& options,
+/// Launch `ranks` threads, each running body(comm), with `faults`
+/// injected into their messages and checkpoints (an empty plan injects
+/// nothing). Returns when all ranks finish. A RankCrash kills only the
+/// rank that threw it: it goes silent, like a lost node, and survivors
+/// keep running. Any other rank exception is rethrown (the first one).
+/// A rank that exits is marked dead so peers blocked on it fail fast
+/// instead of deadlocking.
+void run_cluster(std::size_t ranks, const FaultPlan& faults,
                  const std::function<void(Communicator&)>& body);
 
 }  // namespace zh

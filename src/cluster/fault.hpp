@@ -52,9 +52,8 @@ inline constexpr int kAbortExitCode = 43;
 [[noreturn]] void hard_exit(CrashPoint point, std::uint32_t occurrence);
 
 /// Thrown inside a rank to simulate node loss. run_cluster treats it as
-/// rank death (the rank goes silent; survivors keep running) when
-/// ClusterOptions::tolerate_rank_crash is set, and as a test error
-/// otherwise.
+/// the death of that rank alone: the rank goes silent and survivors keep
+/// running.
 class RankCrash : public Error {
  public:
   RankCrash(RankId rank, CrashPoint point, std::uint32_t occurrence);

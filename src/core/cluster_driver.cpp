@@ -21,7 +21,6 @@ constexpr int kTagResult = 101;  ///< worker -> master: u32 index + histogram
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
 constexpr int kTagMetrics = 104;  ///< worker -> master: one RankMetricsRow
-constexpr int kTagTrace = 105;  ///< worker -> master: zh-trace-frame v1 blob
 
 std::vector<std::byte> encode_result(std::uint32_t part_index,
                                      std::span<const BinCount> bins) {
@@ -165,10 +164,6 @@ ClusterRunResult run_cluster_zonal(
                    ck.completed_partitions.size());
   }
 
-  ClusterOptions options;
-  options.faults = ft.faults;
-  options.tolerate_rank_crash = true;
-
   // Crash fates are recorded by the dying ranks themselves (one writer
   // per element): the master can finish before it observes a death that
   // happened after the rank's last useful message, so its view alone
@@ -176,7 +171,7 @@ ClusterRunResult run_cluster_zonal(
   std::vector<char> rank_crashed(config.ranks, 0);
   std::vector<RankOutcome> master_outcome(config.ranks);
 
-  run_cluster(config.ranks, options, [&](Communicator& comm) {
+  run_cluster(config.ranks, ft.faults, [&](Communicator& comm) {
     const RankId me = comm.rank();
     Timer wall;
     // Each rank gets its own virtual device (one accelerator per node,
@@ -195,18 +190,6 @@ ClusterRunResult run_cluster_zonal(
 
     if (me != kRoot) {
       RankMetricsRow row;
-      // Stream this rank's trace buffer to the master incrementally
-      // (after every partition plus once at the end), so a rank that
-      // later crashes has already contributed everything it flushed.
-      // Rank attribution is pinned here, at flush time -- the ingesting
-      // thread (possibly the master after takeover) must never re-stamp.
-      const auto flush_trace = [&] {
-        if (!obs::trace_enabled()) return;
-        const std::vector<obs::TraceEvent> events =
-            obs::take_thread_events(static_cast<std::int32_t>(me));
-        if (events.empty()) return;
-        comm.send_bytes(kRoot, kTagTrace, obs::encode_trace_events(events));
-      };
       try {
         comm.checkpoint(CrashPoint::kStartup);
         const auto process = [&](std::uint32_t index) {
@@ -226,7 +209,6 @@ ClusterRunResult run_cluster_zonal(
           ++row.partitions_processed;
           tally_work(row, r.work);
           flush(r);
-          flush_trace();
         };
         for (std::uint32_t i = 0; i < parts.size(); ++i) {
           // Journaled partitions need no recomputation -- the master
@@ -234,10 +216,15 @@ ClusterRunResult run_cluster_zonal(
           if (parts[i].owner == me && resumed[i] == 0) process(i);
         }
         // Pull loop: ask for reassigned work until the master says done.
+        // No deadline: the master answers only once it has work for us
+        // or every partition is done, however long the slowest takes; a
+        // dead master ends the wait with kRankDead.
         for (;;) {
           comm.send_bytes(kRoot, kTagMore, {});
-          const std::vector<std::uint32_t> assigned =
-              comm.recv<std::uint32_t>(kRoot, kTagAssign);
+          std::vector<std::uint32_t> assigned;
+          comm.recv<std::uint32_t>(kRoot, kTagAssign, Deadline::never(),
+                                   assigned)
+              .throw_if_error();
           if (assigned.empty()) break;
           for (const std::uint32_t index : assigned) process(index);
         }
@@ -250,10 +237,6 @@ ClusterRunResult run_cluster_zonal(
         row.reported = 1;
         comm.send<RankMetricsRow>(
             kRoot, kTagMetrics, std::span<const RankMetricsRow>(&row, 1));
-        // Final trace flush travels after the metrics row; anything
-        // recorded past this point retires with the thread and is still
-        // visible in the in-process snapshot.
-        flush_trace();
       } catch (const RankCrash&) {
         rank_crashed[me] = 1;  // sole writer of this element
         throw;
@@ -371,8 +354,7 @@ ClusterRunResult run_cluster_zonal(
       return true;
     };
 
-    constexpr std::array<int, 4> kTags{kTagHeartbeat, kTagResult, kTagMore,
-                                       kTagTrace};
+    constexpr std::array<int, 3> kTags{kTagHeartbeat, kTagResult, kTagMore};
     const std::int64_t poll_ms =
         std::clamp<std::int64_t>(ft.worker_timeout_ms / 10, 1, 20);
     const auto handle = [&](const AnyMessage& msg) {
@@ -397,11 +379,6 @@ ClusterRunResult run_cluster_zonal(
         auto& mine = open[msg.src];
         mine.erase(std::remove(mine.begin(), mine.end(), index),
                    mine.end());
-      } else if (msg.tag == kTagTrace) {
-        // Merge the worker's flushed trace buffer as it arrives;
-        // duplicate deliveries of the same frame are deduplicated
-        // inside ingest, and rank attribution travels in the frame.
-        obs::ingest_trace_events(msg.payload);
       } else {  // kTagMore
         if (!serve(msg.src)) {
           if (completed_count == total) {
@@ -484,31 +461,9 @@ ClusterRunResult run_cluster_zonal(
     std::vector<RankMetricsRow> rows(comm.size());
     for (RankId r = 1; r < comm.size(); ++r) {
       std::vector<RankMetricsRow> got;
-      const Status s =
-          comm.recv<RankMetricsRow>(r, kTagMetrics,
-                                    Deadline::after_ms(ft.worker_timeout_ms),
-                                    got, ft.retry);
+      const Status s = comm.recv<RankMetricsRow>(
+          r, kTagMetrics, Deadline::after_ms(ft.worker_timeout_ms), got);
       if (s.is_ok() && got.size() == 1) rows[r] = got[0];
-    }
-
-    // Drain trace blobs still in flight (final flushes of released
-    // ranks, plus anything a dead rank sent before dying). recover_lost
-    // retransmits frames parked by drop faults first, so every "s" flow
-    // half that reached the wire makes it into the merged timeline --
-    // otherwise the receiver-side "f" events would dangle. A single-rank
-    // run has no worker to wait for.
-    if (obs::trace_enabled() && comm.size() > 1) {
-      constexpr std::array<int, 1> kTraceOnly{kTagTrace};
-      for (RankId r = 1; r < comm.size(); ++r) {
-        comm.recover_lost(r, kTagTrace);
-      }
-      const std::int64_t drain_ms =
-          std::max<std::int64_t>(poll_ms, ft.faults.delay_ms + 10);
-      AnyMessage blob;
-      while (comm.recv_any(kTraceOnly, Deadline::after_ms(drain_ms), blob)
-                 .is_ok()) {
-        obs::ingest_trace_events(blob.payload);
-      }
     }
 
     {

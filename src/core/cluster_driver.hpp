@@ -56,8 +56,6 @@ struct FaultToleranceConfig {
   /// such partitions are reported as incomplete (degraded result) --
   /// mainly a hook for exercising the degraded path in tests.
   bool master_takeover = true;
-  /// Point-to-point retry/backoff for protocol messages.
-  RetryPolicy retry;
   /// Scripted failures (message faults + rank crashes) for tests/benches.
   FaultPlan faults;
 };

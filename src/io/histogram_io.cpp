@@ -5,10 +5,12 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace zh {
 
 void write_histogram_csv(const std::string& path, const HistogramSet& h) {
+  ZH_TRACE_SPAN("io.write_histogram_csv", "io");
   std::ofstream os(path);
   ZH_REQUIRE_IO(os.is_open(), "cannot open for write: ", path);
   // Classic locale: a digit-grouping global locale would render counts

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "geom/wkt.hpp"
+#include "obs/obs.hpp"
 
 namespace zh {
 
@@ -18,6 +19,7 @@ void write_polygon_tsv(const std::string& path, const PolygonSet& set) {
 }
 
 PolygonSet read_polygon_tsv(const std::string& path) {
+  ZH_TRACE_SPAN("io.read_polygon_tsv", "io");
   std::ifstream is(path);
   ZH_REQUIRE_IO(is.is_open(), "cannot open for read: ", path);
   PolygonSet set;

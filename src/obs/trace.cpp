@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <set>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -40,15 +37,6 @@ struct TraceRegistry {
   std::atomic<std::uint64_t> next_span_id{1};
   std::atomic<std::uint64_t> next_flow_id{1};
   Clock::time_point epoch = Clock::now();
-  // Names/categories of ingested events have no static storage; they
-  // are interned here (set nodes are pointer-stable).
-  std::set<std::string> name_arena;
-  // FNV-1a hashes of frames already ingested; duplicate deliveries of
-  // the same flush frame (dup fault plans, retransmits) are dropped so
-  // spans are never double-counted.
-  std::unordered_set<std::uint64_t> ingested_frames;
-  // rank -> how far that rank's clock reads ahead of the master's.
-  std::map<std::int32_t, std::int64_t> clock_offset_us;
 };
 
 TraceRegistry& registry() {
@@ -95,61 +83,6 @@ void append_event(ThreadTraceBuffer& b, const TraceEvent& e) {
     return;
   }
   b.events.push_back(e);
-}
-
-// ---- zh-trace-frame v1 binary helpers -------------------------------------
-
-constexpr std::uint32_t kFrameMagic = 0x5A485452u;  // "ZHTR"
-constexpr std::uint32_t kFrameVersion = 1;
-
-template <typename T>
-void put(std::vector<std::byte>& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-void put_str(std::vector<std::byte>& out, const char* s) {
-  const std::size_t n = std::strlen(s);
-  ZH_REQUIRE_IO(n <= 0xFFFF, "trace event name too long to encode");
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(n));
-  const std::size_t at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, s, n);
-}
-
-struct FrameReader {
-  std::span<const std::byte> bytes;
-  std::size_t pos = 0;
-
-  template <typename T>
-  T get() {
-    ZH_REQUIRE_IO(pos + sizeof(T) <= bytes.size(),
-                  "truncated trace frame at offset ", pos);
-    T v;
-    std::memcpy(&v, bytes.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return v;
-  }
-
-  std::string get_str() {
-    const std::uint16_t n = get<std::uint16_t>();
-    ZH_REQUIRE_IO(pos + n <= bytes.size(),
-                  "truncated trace frame string at offset ", pos);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + pos), n);
-    pos += n;
-    return s;
-  }
-};
-
-std::uint64_t fnv1a64(std::span<const std::byte> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -233,10 +166,6 @@ std::uint64_t next_flow_id() {
   return registry().next_flow_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t current_span_id() {
-  return t_span_stack.empty() ? 0 : t_span_stack.back();
-}
-
 std::vector<TraceEvent> trace_snapshot() {
   TraceRegistry& r = registry();
   std::vector<TraceEvent> out;
@@ -264,145 +193,14 @@ void trace_clear() {
     b->events.clear();
   }
   r.dropped.store(0, std::memory_order_relaxed);
-  r.ingested_frames.clear();
-  r.clock_offset_us.clear();
 }
 
 std::uint64_t trace_dropped() {
   return registry().dropped.load(std::memory_order_relaxed);
 }
 
-void set_rank_clock_offset_us(std::int32_t rank, std::int64_t offset_us) {
-  TraceRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.clock_offset_us[rank] = offset_us;
-}
-
-std::int64_t rank_clock_offset_us(std::int32_t rank) {
-  TraceRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  const auto it = r.clock_offset_us.find(rank);
-  return it == r.clock_offset_us.end() ? 0 : it->second;
-}
-
-std::int64_t clock_offset_from_handshake(std::int64_t t0,
-                                         std::int64_t t_remote,
-                                         std::int64_t t3) {
-  // Standard NTP estimate with a symmetric-delay assumption: the remote
-  // stamped t_remote midway through a round trip the local clock saw as
-  // [t0, t3], so offset = t_remote - (t0 + t3) / 2. Error is bounded by
-  // half the round-trip time, which is why callers keep the minimum-RTT
-  // sample out of several probes.
-  return t_remote - (t0 + t3) / 2;
-}
-
-std::vector<TraceEvent> take_thread_events(std::int32_t pin_rank) {
-  ThreadTraceBuffer& b = local_buffer();
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(b.mu);
-    out.swap(b.events);
-  }
-  // Pin attribution now, while we still know which rank this buffer
-  // belonged to: events recorded before set_thread_rank() ran (thread
-  // startup, comm plumbing) carry rank -1 and would otherwise be
-  // misattributed to whoever ingests the frame later -- after a master
-  // takeover that is a different rank entirely.
-  for (TraceEvent& e : out) {
-    if (e.rank < 0) e.rank = pin_rank;
-  }
-  return out;
-}
-
-std::vector<std::byte> encode_trace_events(std::span<const TraceEvent> events) {
-  std::vector<std::byte> out;
-  out.reserve(64 + events.size() * 64);
-  put<std::uint32_t>(out, kFrameMagic);
-  put<std::uint32_t>(out, kFrameVersion);
-  put<std::uint64_t>(out, events.size());
-  for (const TraceEvent& e : events) {
-    put_str(out, e.name);
-    put_str(out, e.cat);
-    put<std::int64_t>(out, e.ts_us);
-    put<std::int64_t>(out, e.dur_us);
-    put<std::uint32_t>(out, e.tid);
-    put<std::int32_t>(out, e.rank);
-    put<std::uint64_t>(out, e.id);
-    put<std::uint64_t>(out, e.parent);
-    put<std::uint64_t>(out, e.flow_id);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(e.phase));
-  }
-  return out;
-}
-
-void ingest_trace_events(std::span<const std::byte> bytes) {
-  FrameReader in{bytes};
-  const std::uint32_t magic = in.get<std::uint32_t>();
-  ZH_REQUIRE_IO(magic == kFrameMagic, "bad trace frame magic: ", magic);
-  const std::uint32_t version = in.get<std::uint32_t>();
-  ZH_REQUIRE_IO(version == kFrameVersion,
-                "unsupported trace frame version: ", version);
-  const std::uint64_t count = in.get<std::uint64_t>();
-  if (count == 0) return;
-
-  // Decode fully before touching the registry so a malformed frame
-  // never leaves a partial ingest behind.
-  std::vector<TraceEvent> decoded;
-  decoded.reserve(count);
-  std::vector<std::string> names;
-  names.reserve(count * 2);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    names.push_back(in.get_str());
-    names.push_back(in.get_str());
-    TraceEvent e;  // name/cat repointed at interned storage below
-    e.ts_us = in.get<std::int64_t>();
-    e.dur_us = in.get<std::int64_t>();
-    e.tid = in.get<std::uint32_t>();
-    e.rank = in.get<std::int32_t>();
-    e.id = in.get<std::uint64_t>();
-    e.parent = in.get<std::uint64_t>();
-    e.flow_id = in.get<std::uint64_t>();
-    e.phase = static_cast<char>(in.get<std::uint8_t>());
-    decoded.push_back(e);
-  }
-  ZH_REQUIRE_IO(in.pos == bytes.size(),
-                "trailing bytes after trace frame: ", bytes.size() - in.pos);
-
-  const std::uint64_t frame_hash = fnv1a64(bytes);
-  TraceRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  // Timestamps make two distinct non-empty flushes byte-identical only
-  // in theory; a repeated hash means a duplicate delivery of the same
-  // frame (dup fault, retransmit after a lost ack) and is skipped so
-  // spans are not double-counted.
-  if (!r.ingested_frames.insert(frame_hash).second) return;
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    TraceEvent e = decoded[i];
-    e.name = r.name_arena.insert(names[2 * i]).first->c_str();
-    e.cat = r.name_arena.insert(names[2 * i + 1]).first->c_str();
-    r.retired.push_back(e);
-  }
-}
-
 std::string chrome_trace_json() {
   const std::vector<TraceEvent> events = trace_snapshot();
-  // Snapshot the offset table once; events stay in rank-local time and
-  // are shifted into the master clock domain here at export.
-  std::map<std::int32_t, std::int64_t> offsets;
-  {
-    TraceRegistry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    offsets = r.clock_offset_us;
-  }
-  const auto adjusted_ts = [&offsets](const TraceEvent& e) {
-    std::int64_t ts = e.ts_us;
-    const auto it = offsets.find(e.rank);
-    if (it != offsets.end()) ts -= it->second;
-    // An offset slightly larger than a startup timestamp can push the
-    // adjusted value below zero; clamp, since trace consumers (and our
-    // validate_obs) treat negative timestamps as corruption.
-    return ts < 0 ? 0 : ts;
-  };
   std::string out;
   out.reserve(events.size() * 128 + 256);
   out += "{\"traceEvents\":[";
@@ -441,11 +239,11 @@ std::string chrome_trace_json() {
       out += "\",\"id\":";
       out += std::to_string(e.flow_id);
       out += ",\"ts\":";
-      out += std::to_string(adjusted_ts(e));
+      out += std::to_string(e.ts_us);
       if (e.phase == 'f') out += ",\"bp\":\"e\"";
     } else {
       out += "\",\"ph\":\"X\",\"ts\":";
-      out += std::to_string(adjusted_ts(e));
+      out += std::to_string(e.ts_us);
       out += ",\"dur\":";
       out += std::to_string(e.dur_us);
     }

@@ -11,27 +11,27 @@
 //     flight (rare);
 //  3. events survive thread exit: per-thread buffers retire into a
 //     process-global list so spans recorded by short-lived cluster rank
-//     threads and pool workers still appear in the export.
+//     threads and pool workers still appear in the export. A cluster
+//     rank's buffer retires when its thread exits, before run_cluster
+//     returns, so one registry holds the merged timeline of every rank,
+//     crashed ones included.
 //
 // Causal model (cross-rank tracing): every RAII span gets a process-
 // unique id and records the id of the span enclosing it on the same
 // thread, so the export carries the call tree, not just intervals. A
-// message send records an "s" flow event and stamps a TraceContext into
-// the comm frame header; the matching receive records an "f" event with
-// the same flow id, so send->recv pairs become edges of a causal graph
-// that tools/zh_trace walks for critical-path analysis. Per-rank clock
-// offsets (estimated by a startup handshake in run_cluster) are applied
-// at export time to map every rank's timestamps into the master's clock
-// domain.
+// message send records an "s" flow event and passes its flow id along
+// with the message; the matching receive records an "f" event with the
+// same id, so send->recv pairs become edges of a causal graph that
+// tools/zh_trace walks for critical-path analysis.
 //
 // Timestamps are microseconds on the steady clock relative to a
 // process-wide epoch, which is what the trace_event "ts" field wants.
+// Every rank is a thread of this process, so all ranks share that clock.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -87,20 +87,6 @@ struct TraceEvent {
   char phase = 'X';          ///< 'X' span, 's' flow send, 'f' flow finish
 };
 
-/// Compact causal context propagated inside comm message frame headers
-/// (cluster/comm.hpp). Trivially copyable and fixed-size so the frame
-/// layout is versionable; kTraceContextVersion names the current layout.
-/// flow_id == 0 means "no context attached" (tracing was off at send).
-struct TraceContext {
-  std::uint64_t flow_id = 0;      ///< pairs the "s" event with its "f"
-  std::uint64_t parent_span = 0;  ///< sender's innermost open span id
-  std::int64_t send_ts_us = 0;    ///< logical send timestamp, sender clock
-};
-static_assert(sizeof(TraceContext) == 24,
-              "TraceContext is a versioned wire layout; bump "
-              "kTraceContextVersion when it changes");
-inline constexpr std::uint32_t kTraceContextVersion = 1;
-
 /// Record a completed span for the calling thread. Instrumentation
 /// normally goes through the Span RAII type / ZH_TRACE_SPAN macro; this
 /// is the primitive they bottom out in (and what tests call directly).
@@ -116,9 +102,6 @@ void record_flow(char phase, const char* name, const char* cat,
 
 /// Allocate a process-unique flow id (never 0).
 [[nodiscard]] std::uint64_t next_flow_id();
-
-/// The calling thread's innermost open span id (0 when none).
-[[nodiscard]] std::uint64_t current_span_id();
 
 /// RAII span: times construction-to-destruction and records it if
 /// tracing was enabled at construction. `name` and `cat` must outlive
@@ -153,72 +136,16 @@ class Span {
 /// sorted by start time.
 [[nodiscard]] std::vector<TraceEvent> trace_snapshot();
 
-/// Drop all recorded events (live and retired), the rank clock-offset
-/// table, and the ingested-frame ledger. Does not change the enabled
-/// flag.
+/// Drop all recorded events (live and retired). Does not change the
+/// enabled flag.
 void trace_clear();
 
 /// Events dropped because a thread hit its buffer cap (export notes
 /// this so a truncated trace is never mistaken for a complete one).
 [[nodiscard]] std::uint64_t trace_dropped();
 
-// ---- Per-rank clock model ------------------------------------------------
-//
-// On a real cluster every rank has its own clock; merging rank-local
-// trace buffers into one timeline needs per-rank offsets. run_cluster
-// estimates them with an NTP-style handshake at rank startup and stores
-// them here; chrome_trace_json() subtracts the rank's offset from every
-// event of that rank at export time (the stored events stay in
-// rank-local time).
-
-/// Record that rank `r`'s clock reads `offset_us` ahead of the master's
-/// (export subtracts it to normalize into the master clock domain).
-void set_rank_clock_offset_us(std::int32_t rank, std::int64_t offset_us);
-
-/// The recorded offset for `rank` (0 when never estimated).
-[[nodiscard]] std::int64_t rank_clock_offset_us(std::int32_t rank);
-
-/// Pure NTP-style offset estimator: given the requester's local send
-/// time `t0`, the responder's reply timestamp `t_remote`, and the
-/// requester's local receive time `t3`, returns how far the remote clock
-/// reads ahead of the local one (remote ~= local + offset). Exposed so
-/// tests can pin the math with synthetic timestamps.
-[[nodiscard]] std::int64_t clock_offset_from_handshake(std::int64_t t0,
-                                                       std::int64_t t_remote,
-                                                       std::int64_t t3);
-
-// ---- Rank-buffer flush / gather -------------------------------------------
-//
-// Cluster ranks ship their trace buffers to the master inside comm
-// messages (one flush per completed partition plus a final one), so the
-// master holds a merged timeline even for ranks that die mid-run: a
-// dead rank contributes exactly what it flushed. The encode/decode pair
-// is a versioned frame ("zh-trace-frame v1") independent of process
-// layout.
-
-/// Snapshot AND REMOVE the calling thread's recorded events (its live
-/// buffer only; other threads are untouched). Events recorded before
-/// the thread had a rank attribution (rank == -1) are pinned to
-/// `pin_rank` at flush time, so attribution never depends on who later
-/// serializes or ingests the buffer (e.g. the master after takeover).
-[[nodiscard]] std::vector<TraceEvent> take_thread_events(
-    std::int32_t pin_rank);
-
-/// Serialize events as a self-contained versioned frame (names and
-/// categories are embedded; no process-lifetime pointers survive).
-[[nodiscard]] std::vector<std::byte> encode_trace_events(
-    std::span<const TraceEvent> events);
-
-/// Decode a frame produced by encode_trace_events and append its events
-/// to the process registry (they appear in trace_snapshot()/exports).
-/// Per-event rank attribution is preserved verbatim -- never re-stamped
-/// with the ingesting thread's rank. Throws IoError on a malformed or
-/// version-mismatched frame.
-void ingest_trace_events(std::span<const std::byte> bytes);
-
 /// Serialize the current snapshot as Chrome trace_event JSON. Span ids
-/// ride in each "X" event's args; flow edges export as "s"/"f" events;
-/// per-rank clock offsets are applied to timestamps.
+/// ride in each "X" event's args; flow edges export as "s"/"f" events.
 [[nodiscard]] std::string chrome_trace_json();
 
 /// Write chrome_trace_json() to `path`. Throws IoError when the path is

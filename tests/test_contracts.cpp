@@ -81,10 +81,12 @@ TEST_F(ContractDeath, ThreadPoolRejectsEmptyTask) {
 // satisfied -- without the contract the rank thread blocks forever.
 TEST_F(ContractDeath, CommRejectsRecvFromNonexistentRank) {
   EXPECT_DEATH(
-      run_cluster(2,
+      run_cluster(2, {},
                   [](Communicator& comm) {
                     if (comm.rank() == 0) {
-                      (void)comm.recv_bytes(/*src=*/7, /*tag=*/0);
+                      std::vector<std::byte> out;
+                      (void)comm.recv_bytes(/*src=*/7, /*tag=*/0,
+                                            Deadline::never(), out);
                     }
                   }),
       kContractMsg);

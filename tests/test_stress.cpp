@@ -9,6 +9,7 @@
 #include "cluster/comm.hpp"
 #include "device/thread_pool.hpp"
 #include "grid/tiling.hpp"
+#include "test_util.hpp"
 
 namespace zh {
 namespace {
@@ -17,7 +18,7 @@ TEST(CommStress, ManyInterleavedTags) {
   // Each rank sends 50 messages with distinct tags to every other rank;
   // receivers pull them in reverse tag order, exercising queue search.
   constexpr int kMessages = 50;
-  run_cluster(4, [](Communicator& comm) {
+  run_cluster(4, {}, [](Communicator& comm) {
     for (RankId dst = 0; dst < comm.size(); ++dst) {
       if (dst == comm.rank()) continue;
       for (int tag = 0; tag < kMessages; ++tag) {
@@ -29,7 +30,7 @@ TEST(CommStress, ManyInterleavedTags) {
     for (RankId src = 0; src < comm.size(); ++src) {
       if (src == comm.rank()) continue;
       for (int tag = kMessages - 1; tag >= 0; --tag) {
-        const auto got = comm.recv<std::uint32_t>(src, tag);
+        const auto got = test::recv<std::uint32_t>(comm, src, tag);
         ASSERT_EQ(got.size(), 1u);
         ASSERT_EQ(got[0], src * 1000u + static_cast<std::uint32_t>(tag));
       }
@@ -39,7 +40,7 @@ TEST(CommStress, ManyInterleavedTags) {
 
 TEST(CommStress, RingPipeline) {
   // Token circles the ring 20 times, accumulating each rank's id.
-  run_cluster(5, [](Communicator& comm) {
+  run_cluster(5, {}, [](Communicator& comm) {
     const RankId next = (comm.rank() + 1) % 5;
     const RankId prev = (comm.rank() + 4) % 5;
     std::uint64_t token = 0;
@@ -47,9 +48,9 @@ TEST(CommStress, RingPipeline) {
       if (comm.rank() == 0) {
         const std::vector<std::uint64_t> out = {token};
         comm.send<std::uint64_t>(next, lap, out);
-        token = comm.recv<std::uint64_t>(prev, lap)[0];
+        token = test::recv<std::uint64_t>(comm, prev, lap)[0];
       } else {
-        token = comm.recv<std::uint64_t>(prev, lap)[0];
+        token = test::recv<std::uint64_t>(comm, prev, lap)[0];
         token += comm.rank();
         const std::vector<std::uint64_t> out = {token};
         comm.send<std::uint64_t>(next, lap, out);
@@ -62,29 +63,17 @@ TEST(CommStress, RingPipeline) {
 }
 
 TEST(CommStress, LargePayload) {
-  run_cluster(2, [](Communicator& comm) {
+  run_cluster(2, {}, [](Communicator& comm) {
     const std::size_t n = 1 << 20;  // 4 MB of uint32
     if (comm.rank() == 0) {
       std::vector<std::uint32_t> big(n);
       std::iota(big.begin(), big.end(), 0u);
       comm.send<std::uint32_t>(1, 0, big);
     } else {
-      const auto got = comm.recv<std::uint32_t>(0, 0);
+      const auto got = test::recv<std::uint32_t>(comm, 0, 0);
       ASSERT_EQ(got.size(), n);
       EXPECT_EQ(got[12345], 12345u);
       EXPECT_EQ(got[n - 1], n - 1);
-    }
-  });
-}
-
-TEST(CommStress, RepeatedBarriers) {
-  std::atomic<int> counter{0};
-  run_cluster(3, [&](Communicator& comm) {
-    for (int i = 0; i < 100; ++i) {
-      if (comm.rank() == 0) counter.fetch_add(1);
-      comm.barrier();
-      ASSERT_EQ(counter.load(), i + 1);
-      comm.barrier();
     }
   });
 }

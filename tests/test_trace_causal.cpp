@@ -1,8 +1,7 @@
-// Cross-rank causal tracing: rank pinning at flush time, versioned
-// trace-frame round-trips with duplicate-delivery dedup, the NTP-style
-// clock-offset estimator, flow-graph validity of merged cluster traces
-// under fault plans (crash mid-step, duplicate delivery), critical-path
-// tiling invariants, and the zh_perf regression-differ semantics.
+// Cross-rank causal tracing: flow-graph validity of merged cluster
+// traces under fault plans (crash mid-step, duplicate delivery), comm
+// counters that read the same traced and untraced, critical-path tiling
+// invariants, and the zh_perf regression-differ semantics.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "cluster/fault.hpp"
-#include "common/error.hpp"
 #include "core/cluster_driver.hpp"
 #include "data/county_synth.hpp"
 #include "data/dem_synth.hpp"
@@ -36,125 +34,6 @@ class TraceCausalTest : public ::testing::Test {
   }
 };
 
-TEST_F(TraceCausalTest, ClockOffsetHandshakeMath) {
-  // remote ~= local + offset: t0/t3 bracket the probe locally, the
-  // remote stamps the midpoint. offset = t_remote - (t0 + t3) / 2.
-  EXPECT_EQ(obs::clock_offset_from_handshake(100, 1200, 300), 1000);
-  EXPECT_EQ(obs::clock_offset_from_handshake(100, 200, 300), 0);
-  EXPECT_EQ(obs::clock_offset_from_handshake(1000, 500, 1200), -600);
-  // Zero RTT degenerates to a plain clock difference.
-  EXPECT_EQ(obs::clock_offset_from_handshake(50, 80, 50), 30);
-}
-
-TEST_F(TraceCausalTest, ExportAppliesClockOffsetAndClamps) {
-  obs::set_trace_enabled(true);
-  obs::set_thread_rank(2);
-  const std::int64_t t = obs::now_us();
-  obs::record_span("work", "test", t, 10);
-  // Rank 2's clock reads far ahead of the master's; export subtracts the
-  // offset and clamps at zero rather than emitting negative timestamps.
-  obs::set_rank_clock_offset_us(2, t + 1000000);
-  const obs::JsonValue doc = obs::parse_json(obs::chrome_trace_json());
-  const trace::TraceModel m = trace::load_trace(doc);
-  ASSERT_EQ(m.spans.size(), 1u);
-  EXPECT_EQ(m.spans[0].ts_us, 0);
-}
-
-// Satellite regression: a short-lived worker-rank thread records spans,
-// then the buffer is flushed by infrastructure that must not depend on
-// the flusher's (or a later ingester's) rank attribution. Events that
-// never had a rank get pinned at flush time; events that had one keep it.
-TEST_F(TraceCausalTest, TakeThreadEventsPinsUnattributedRank) {
-  obs::set_trace_enabled(true);
-  obs::set_thread_rank(-1);
-  const std::int64_t t = obs::now_us();
-  obs::record_span("unattributed", "test", t, 5);
-  obs::set_thread_rank(2);
-  obs::record_span("attributed", "test", t + 10, 5);
-
-  const std::vector<obs::TraceEvent> taken = obs::take_thread_events(7);
-  ASSERT_EQ(taken.size(), 2u);
-  for (const obs::TraceEvent& e : taken) {
-    if (std::string(e.name) == "unattributed") {
-      EXPECT_EQ(e.rank, 7);  // pinned at flush time
-    } else {
-      EXPECT_EQ(e.rank, 2);  // explicit attribution survives
-    }
-  }
-  // take removes: the thread buffer is now empty.
-  EXPECT_TRUE(obs::take_thread_events(7).empty());
-}
-
-TEST_F(TraceCausalTest, EncodeIngestRoundTripPreservesRank) {
-  obs::set_trace_enabled(true);
-  obs::set_thread_rank(3);
-  obs::record_span("partition", "cluster", obs::now_us(), 42);
-  obs::record_flow('s', "comm.send", "comm", 99, obs::now_us());
-  const std::vector<obs::TraceEvent> taken = obs::take_thread_events(3);
-  ASSERT_EQ(taken.size(), 2u);
-  const std::vector<std::byte> frame = obs::encode_trace_events(taken);
-
-  obs::trace_clear();
-  obs::set_thread_rank(0);  // the ingesting master is rank 0 ...
-  obs::ingest_trace_events(frame);
-  const std::vector<obs::TraceEvent> merged = obs::trace_snapshot();
-  ASSERT_EQ(merged.size(), 2u);
-  for (const obs::TraceEvent& e : merged) {
-    EXPECT_EQ(e.rank, 3);  // ... but the events keep the recorder's rank
-  }
-  bool saw_span = false;
-  bool saw_flow = false;
-  for (const obs::TraceEvent& e : merged) {
-    if (e.phase == 'X') {
-      saw_span = true;
-      EXPECT_STREQ(e.name, "partition");
-      EXPECT_STREQ(e.cat, "cluster");
-      EXPECT_EQ(e.dur_us, 42);
-    } else {
-      saw_flow = true;
-      EXPECT_EQ(e.phase, 's');
-      EXPECT_EQ(e.flow_id, 99u);
-    }
-  }
-  EXPECT_TRUE(saw_span);
-  EXPECT_TRUE(saw_flow);
-}
-
-TEST_F(TraceCausalTest, IngestDeduplicatesDuplicateFrames) {
-  obs::set_trace_enabled(true);
-  obs::set_thread_rank(1);
-  obs::record_span("once", "test", obs::now_us(), 7);
-  const std::vector<std::byte> frame =
-      obs::encode_trace_events(obs::take_thread_events(1));
-
-  obs::ingest_trace_events(frame);
-  const std::size_t after_first = obs::trace_snapshot().size();
-  obs::ingest_trace_events(frame);  // duplicate delivery of the same blob
-  EXPECT_EQ(obs::trace_snapshot().size(), after_first);
-}
-
-TEST_F(TraceCausalTest, IngestRejectsMalformedFrames) {
-  obs::set_trace_enabled(true);
-  obs::record_span("victim", "test", obs::now_us(), 1);
-  std::vector<std::byte> frame =
-      obs::encode_trace_events(obs::take_thread_events(-1));
-  ASSERT_GT(frame.size(), 4u);
-
-  std::vector<std::byte> truncated(frame.begin(), frame.end() - 3);
-  EXPECT_THROW(obs::ingest_trace_events(truncated), IoError);
-
-  std::vector<std::byte> bad_magic = frame;
-  bad_magic[0] = std::byte{0xFF};
-  EXPECT_THROW(obs::ingest_trace_events(bad_magic), IoError);
-
-  std::vector<std::byte> trailing = frame;
-  trailing.push_back(std::byte{0});
-  EXPECT_THROW(obs::ingest_trace_events(trailing), IoError);
-
-  // Failed ingests must not leave partial events behind.
-  EXPECT_TRUE(obs::trace_snapshot().empty());
-}
-
 TEST_F(TraceCausalTest, FlowEventsExportAndValidate) {
   obs::set_trace_enabled(true);
   const std::int64_t t = obs::now_us();
@@ -176,8 +55,8 @@ TEST_F(TraceCausalTest, DanglingRecvFailsValidation) {
   obs::set_trace_enabled(true);
   const std::int64_t t = obs::now_us();
   obs::record_span("root", "test", t, 100);
-  // An "f" whose "s" was never merged: the corruption the validator
-  // exists to catch (a rank's flushed buffer went missing).
+  // An "f" whose "s" was never recorded: the corruption the validator
+  // exists to catch (a rank's events went missing).
   obs::record_flow('f', "comm.recv", "comm", obs::next_flow_id(), t + 30);
 
   const trace::TraceModel m =
@@ -318,6 +197,29 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderDropStorm) {
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,reorder=0.1");
   expect_valid_merged_trace(traced_run(sc, cfg));
+}
+
+TEST_F(TraceCausalTest, TracingLeavesCommCountersUnchanged) {
+  // Each counter has one meaning: tracing adds no messages, so the bytes
+  // every rank sends, and what they merge to, match the untraced run.
+  const Scenario sc;
+  ClusterRunConfig cfg = sc.config(4);
+  cfg.fault_tolerance.worker_timeout_ms = 10000;
+  const ClusterRunResult plain =
+      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+  obs::set_trace_enabled(true);
+  const ClusterRunResult traced =
+      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+  obs::set_trace_enabled(false);
+
+  EXPECT_EQ(traced.comm_bytes, plain.comm_bytes);
+  ASSERT_EQ(traced.rank_metrics.size(), plain.rank_metrics.size());
+  for (std::size_t r = 0; r < plain.rank_metrics.size(); ++r) {
+    EXPECT_EQ(traced.rank_metrics[r].comm_bytes_sent,
+              plain.rank_metrics[r].comm_bytes_sent)
+        << "rank " << r;
+  }
+  EXPECT_EQ(traced.merged, plain.merged);
 }
 
 TEST_F(TraceCausalTest, RankBreakdownCoversClusterRanks) {

@@ -1,6 +1,7 @@
-// Shared helpers for the test suite: seeded random rasters and random
+// Shared helpers for the test suite: seeded random rasters, random
 // simple polygons (star polygons are simple by construction, so PIP
-// ground truth is well-defined).
+// ground truth is well-defined) and a bounded typed receive for
+// run_cluster bodies.
 #pragma once
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "cluster/comm.hpp"
 #include "geom/polygon.hpp"
 #include "grid/raster.hpp"
 
@@ -78,6 +80,16 @@ inline PolygonSet random_polygon_set(std::uint32_t seed,
                                 hole));
   }
   return set;
+}
+
+/// Receive the next `tag` message from `src` as T elements inside a
+/// run_cluster body; throws (failing the run) if it has not arrived
+/// within 30 s.
+template <typename T>
+std::vector<T> recv(Communicator& comm, RankId src, int tag) {
+  std::vector<T> out;
+  comm.recv<T>(src, tag, Deadline::after_ms(30000), out).throw_if_error();
+  return out;
 }
 
 }  // namespace zh::test

@@ -204,7 +204,8 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
   ASSERT_EQ(zhist(hist + "-o '" + path("three.csv") +
                   "' --ranks 3 --fault-plan "
                   "'seed=5,drop=0.05,crash=2@partition_done' --metrics '" +
-                  path("three.json") + "'"),
+                  path("three.json") + "' --trace '" +
+                  path("three.trace.json") + "'"),
             0);
   EXPECT_EQ(slurp(path("three.csv")), slurp(path("one.csv")));
   EXPECT_EQ(validate_obs("metrics '" + path("three.json") +
@@ -212,6 +213,12 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
             0);
 
 #if defined(ZH_ENABLE_OBS)
+  // The merged trace of that run passes the obs stage's cluster bound:
+  // the run's root span is the longest, and its children cover it.
+  EXPECT_EQ(validate_obs("trace '" + path("three.trace.json") +
+                         "' --min-coverage 80"),
+            0);
+
   // A kind the registry cannot emit fails the schema check. (With
   // ZH_OBS=OFF the registry records nothing, so no metric to rewrite.)
   std::string report = slurp(path("three.json"));

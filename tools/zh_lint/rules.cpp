@@ -206,14 +206,10 @@ void rule_include_cycle(const std::vector<SourceFile>& files,
 
 // ---------------------------------------------------------------------------
 void rule_discarded_status(const SourceFile& f, std::vector<Finding>& out) {
-  // Calls whose result is a Status (or a value the protocol requires the
-  // caller to consume) in the comm layer. Overload sets are resolved by
-  // name: every overload of these is [[nodiscard]], so a discarded call
-  // is wrong whichever overload the compiler picks. `barrier` alone is
-  // special-cased: the zero-argument overload returns void.
+  // Calls whose result is a Status in the comm layer. Matched by name:
+  // every function of these names is [[nodiscard]].
   static const std::set<std::string> status_fns = {
-      "recv_bytes", "recv_any", "recv",      "gather",
-      "reduce_sum", "await",    "await_any", "barrier",
+      "recv_bytes", "recv_any", "recv", "await", "await_any",
   };
   static const std::set<std::string> stmt_start = {";", "{", "}", ")", ":",
                                                    "else", "do"};
@@ -239,9 +235,6 @@ void rule_discarded_status(const SourceFile& f, std::vector<Finding>& out) {
     if (open >= toks.size() || toks[open].text != "(") continue;
     const std::size_t close = match_forward(toks, open);
     if (close >= toks.size()) continue;
-    if (toks[i].text == "barrier" && close == open + 1) {
-      continue;  // barrier(): the void overload
-    }
     // Result used? Anything but ';' right after the call means the value
     // flows somewhere (.throw_if_error(), assignment, return, ...).
     if (close + 1 >= toks.size() || toks[close + 1].text != ";") continue;

@@ -350,9 +350,7 @@ std::vector<RankStats> rank_breakdown(const TraceModel& m,
     r.rank = s.pid - 1;
     ++r.span_count;
     r.last_end_us = std::max(r.last_end_us, s.ts_us + s.dur_us);
-    if (s.name == "comm.recv" || s.name == "comm.barrier") {
-      r.comm_wait_us += s.dur_us;
-    }
+    if (s.name == "comm.recv") r.comm_wait_us += s.dur_us;
     intervals[s.pid].emplace_back(s.ts_us, s.ts_us + s.dur_us);
   }
   for (auto& [pid, ivs] : intervals) {

@@ -66,9 +66,9 @@ struct TraceModel {
 [[nodiscard]] TraceModel load_trace_file(const std::string& path);
 
 /// Flow-graph validation verdict. A dangling recv -- an "f" whose flow
-/// id has no matching "s" anywhere in the merged file -- means a rank's
-/// flushed buffer went missing (the gather lost data); that is the
-/// corruption this validator exists to catch. Unmatched sends are legal
+/// id has no matching "s" anywhere in the merged file -- means the
+/// sender's events went missing (a dropped or truncated buffer); that is
+/// the corruption this validator exists to catch. Unmatched sends are legal
 /// (the receiver may have died before receiving, or the message was
 /// dropped and never recovered).
 struct FlowCheck {
@@ -112,7 +112,7 @@ struct RankStats {
   int rank = -1;  ///< -1 = host process (pid 0)
   std::size_t span_count = 0;
   std::int64_t busy_us = 0;       ///< union of span intervals on the rank
-  std::int64_t comm_wait_us = 0;  ///< summed comm.recv/comm.barrier time
+  std::int64_t comm_wait_us = 0;  ///< summed comm.recv time
   std::int64_t last_end_us = 0;   ///< when the rank's last span ended
   std::int64_t crit_work_us = 0;  ///< critical-path work on this rank
   double utilization = 0.0;       ///< busy_us / wall_us

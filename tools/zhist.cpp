@@ -243,9 +243,9 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
   return report;
 }
 
-int cmd_hist(const Args& args) {
-  if (args.positional.size() != 2) usage();
-  const bool with_obs = setup_obs(args);
+// The body of `zhist hist`: returns its exit code and, when `with_obs`,
+// fills `report` for finish_obs.
+int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
   const std::string& path = args.positional[0];
   const bool cluster = args.ranks > 1 || args.part_rows > 1 ||
                        args.part_cols > 1 || !args.fault_plan.empty() ||
@@ -365,7 +365,7 @@ int cmd_hist(const Args& args) {
       }
     }
     if (with_obs) {
-      obs::RunReport report = base_report(args, rows, cols, zones);
+      report = base_report(args, rows, cols, zones);
       // Per-step times reduce as max over ranks -- the paper's "longest
       // runtime among all the nodes" convention.
       for (const StepTimes& t : cres.per_rank) {
@@ -400,7 +400,6 @@ int cmd_hist(const Args& args) {
                                      : st == RankState::kCrashed ? "crashed"
                                                                  : "timed-out");
       }
-      finish_obs(args, report);
     }
     return cres.degraded ? 1 : 0;
   }
@@ -431,13 +430,27 @@ int cmd_hist(const Args& args) {
     }
   }
   if (with_obs) {
-    obs::RunReport report = base_report(args, rows, cols, zones);
+    report = base_report(args, rows, cols, zones);
     report.times = result.times;
     report.has_times = true;
     append_work_counters(report, result.work);
-    finish_obs(args, report);
   }
   return 0;
+}
+
+int cmd_hist(const Args& args) {
+  if (args.positional.size() != 2) usage();
+  const bool with_obs = setup_obs(args);
+  obs::RunReport report;
+  int rc = 0;
+  {
+    // One root span over the whole run, closed before the trace is
+    // written, so the trace's longest span is the run itself.
+    ZH_TRACE_SPAN("zhist.hist", "cli");
+    rc = run_hist(args, with_obs, report);
+  }
+  if (with_obs) finish_obs(args, report);
+  return rc;
 }
 
 int cmd_encode(const Args& args) {

@@ -50,7 +50,6 @@ int main() {
   ClusterRunConfig cfg;
   cfg.ranks = ranks;
   cfg.zonal = {.tile_size = conus::tile_size_cells(scale), .bins = bins};
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
 
   const RunManifest manifest =
       make_manifest(rasters, schemas, counties, cfg);

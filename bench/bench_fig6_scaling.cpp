@@ -44,7 +44,6 @@ int main() {
     ClusterRunConfig cfg;
     cfg.ranks = static_cast<std::size_t>(ranks);
     cfg.zonal = {.tile_size = tile, .bins = bins};
-    cfg.device_profile = DeviceProfile::k20();
     const ClusterRunResult r =
         run_cluster_zonal(w.rasters, w.schemas, w.counties, cfg);
 

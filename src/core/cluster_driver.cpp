@@ -13,14 +13,14 @@ namespace zh {
 
 namespace {
 
-using Clock = Deadline::Clock;
-
 // Protocol tags of the supervised dispatch (worker <-> master).
-constexpr int kTagHeartbeat = 100;  ///< worker -> master: u32 partition index
 constexpr int kTagResult = 101;  ///< worker -> master: u32 index + histogram
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
-constexpr int kTagMetrics = 104;  ///< worker -> master: one RankMetricsRow
+
+// How long the master's supervision loop waits for a message before it
+// re-checks for dead ranks and dropped messages.
+constexpr std::int64_t kPollMs = 20;
 
 std::vector<std::byte> encode_result(std::uint32_t part_index,
                                      std::span<const BinCount> bins) {
@@ -29,12 +29,6 @@ std::vector<std::byte> encode_result(std::uint32_t part_index,
   std::memcpy(bytes.data() + sizeof(part_index), bins.data(),
               bins.size_bytes());
   return bytes;
-}
-
-// Accumulate a completed partition's work into a rank's metrics row.
-void tally_work(RankMetricsRow& row, const WorkCounters& work) {
-  row.cells_total += work.cells_total;
-  row.pip_cell_tests += work.pip_cell_tests;
 }
 
 // Fold one partition's wall time into a rank's latency columns and the
@@ -49,16 +43,13 @@ void tally_latency(RankMetricsRow& row, double seconds) {
 }  // namespace
 
 std::vector<std::string> rank_metrics_columns() {
-  return {"partitions",     "heartbeats",     "results",
-          "retries",        "comm_bytes",     "cells_total",
-          "pip_cell_tests", "latency_us_sum", "latency_us_max",
-          "reported"};
+  return {"partitions",     "retries",        "comm_bytes",
+          "cells_total",    "pip_cell_tests", "latency_us_sum",
+          "latency_us_max", "reported"};
 }
 
 std::vector<std::uint64_t> rank_metrics_values(const RankMetricsRow& row) {
   return {row.partitions_processed,
-          row.heartbeats_sent,
-          row.results_sent,
           row.retries,
           row.comm_bytes_sent,
           row.cells_total,
@@ -118,7 +109,6 @@ ClusterRunResult run_cluster_zonal(
   result.per_rank.assign(config.ranks, StepTimes{});
   result.per_rank_work.assign(config.ranks, WorkCounters{});
   result.rank_seconds.assign(config.ranks, 0.0);
-  result.rank_outcomes.assign(config.ranks, RankOutcome{});
   result.rank_metrics.assign(config.ranks, RankMetricsRow{});
   std::mutex result_mutex;
   std::atomic<std::uint64_t> comm_bytes{0};
@@ -137,9 +127,10 @@ ClusterRunResult run_cluster_zonal(
   // partitions it owns; workers stream one result message per partition
   // and then pull reassigned work until released. The master
   // accumulates each partition exactly once (first copy wins), so
-  // duplicate deliveries, straggler late results, and recomputation
-  // after reassignment all stay exact. Completion is idempotent per
-  // partition index -- the whole recovery scheme rests on that.
+  // duplicate deliveries, a crashed rank's delayed results and
+  // recomputation after reassignment all stay exact. Completion is
+  // idempotent per partition index -- the whole recovery scheme rests on
+  // that.
   result.merged = HistogramSet(polygons.size(), config.zonal.bins);
 
   // Resume state: partitions a previous generation journaled are marked
@@ -169,45 +160,52 @@ ClusterRunResult run_cluster_zonal(
   // happened after the rank's last useful message, so its view alone
   // would make the outcome table timing-dependent.
   std::vector<char> rank_crashed(config.ranks, 0);
-  std::vector<RankOutcome> master_outcome(config.ranks);
 
   run_cluster(config.ranks, ft.faults, [&](Communicator& comm) {
     const RankId me = comm.rank();
     Timer wall;
     // Each rank gets its own virtual device (one accelerator per node,
     // as on Titan).
-    Device device(config.device_profile);
+    Device device;
     ZonalPipeline pipeline(device, config.zonal);
+    RankMetricsRow row;
 
     // Flush accounting after every partition, not at the end: a rank
     // that crashes later keeps what it already contributed.
     const auto flush = [&](const ZonalResult& r) {
+      ++row.partitions_processed;
       std::lock_guard lock(result_mutex);
       result.per_rank[me] += r.times;
       result.per_rank_work[me] += r.work;
       result.work += r.work;
     };
+    // Each rank writes its own metrics row and wall time once it is past
+    // its last crash checkpoint: a scripted kBeforeFinish crash leaves the
+    // row defaulted (reported == 0), which is what the table should show.
+    const auto finish = [&] {
+      row.retries = comm.retries();
+      row.comm_bytes_sent = comm.bytes_sent();
+      row.reported = 1;
+      comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
+      std::lock_guard lock(result_mutex);
+      row.cells_total = result.per_rank_work[me].cells_total;
+      row.pip_cell_tests = result.per_rank_work[me].pip_cell_tests;
+      result.rank_metrics[me] = row;
+      result.rank_seconds[me] = wall.seconds();
+    };
 
     if (me != kRoot) {
-      RankMetricsRow row;
       try {
         comm.checkpoint(CrashPoint::kStartup);
         const auto process = [&](std::uint32_t index) {
           comm.checkpoint(CrashPoint::kPartitionStart);
-          comm.send<std::uint32_t>(
-              kRoot, kTagHeartbeat,
-              std::span<const std::uint32_t>(&index, 1));
-          ++row.heartbeats_sent;
           Timer part_timer;
           const ZonalResult r = compute_partition(pipeline, index);
           tally_latency(row, part_timer.seconds());
           comm.checkpoint(CrashPoint::kPartitionDone);
           comm.send_bytes(kRoot, kTagResult,
                           encode_result(index, r.per_polygon.flat()));
-          ++row.results_sent;
           comm.checkpoint(CrashPoint::kResultSent);
-          ++row.partitions_processed;
-          tally_work(row, r.work);
           flush(r);
         };
         for (std::uint32_t i = 0; i < parts.size(); ++i) {
@@ -229,23 +227,11 @@ ClusterRunResult run_cluster_zonal(
           for (const std::uint32_t index : assigned) process(index);
         }
         comm.checkpoint(CrashPoint::kBeforeFinish);
-        // The metrics row travels after the last crash checkpoint: a
-        // scripted kBeforeFinish crash leaves the row unreported, which
-        // is exactly what the master's table should show.
-        row.retries = comm.retries();
-        row.comm_bytes_sent = comm.bytes_sent();
-        row.reported = 1;
-        comm.send<RankMetricsRow>(
-            kRoot, kTagMetrics, std::span<const RankMetricsRow>(&row, 1));
       } catch (const RankCrash&) {
         rank_crashed[me] = 1;  // sole writer of this element
         throw;
       }
-      {
-        std::lock_guard lock(result_mutex);
-        result.rank_seconds[me] = wall.seconds();
-      }
-      comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
+      finish();
       return;
     }
 
@@ -279,11 +265,10 @@ ClusterRunResult run_cluster_zonal(
       return true;
     };
 
-    RankMetricsRow master_row;  // staging for rows[kRoot] latency columns
     const auto compute_own = [&](std::uint32_t index) {
       Timer part_timer;
       const ZonalResult r = compute_partition(pipeline, index);
-      tally_latency(master_row, part_timer.seconds());
+      tally_latency(row, part_timer.seconds());
       accumulate(index, r.per_polygon.flat());
       ++outcome[kRoot].partitions_completed;
       flush(r);
@@ -293,10 +278,10 @@ ClusterRunResult run_cluster_zonal(
       if (parts[i].owner == kRoot && resumed[i] == 0) compute_own(i);
     }
 
-    // Worker supervision state.
+    // Worker supervision state. A worker is dead only once the runtime
+    // reports that its thread exited; a slow or silent one keeps its work.
     enum class WState : std::uint8_t { kActive, kParked, kDead };
     std::vector<WState> wstate(comm.size(), WState::kActive);
-    std::vector<Clock::time_point> last_seen(comm.size(), Clock::now());
     std::vector<std::vector<std::uint32_t>> open(comm.size());
     for (std::uint32_t i = 0; i < parts.size(); ++i) {
       if (parts[i].owner != kRoot && resumed[i] == 0) {
@@ -311,9 +296,8 @@ ClusterRunResult run_cluster_zonal(
       comm.send<std::uint32_t>(r, kTagAssign, {});
       sent_done[r] = 1;
     };
-    const auto declare_dead = [&](RankId r, RankState state) {
+    const auto declare_dead = [&](RankId r) {
       wstate[r] = WState::kDead;
-      outcome[r].state = state;
       for (const std::uint32_t index : open[r]) {
         if (completed[index] == 0) {
           orphans.push_back(index);
@@ -323,9 +307,6 @@ ClusterRunResult run_cluster_zonal(
       open[r].clear();
       ZH_COUNTER_ADD("cluster.reassigned_partitions",
                      outcome[r].partitions_reassigned);
-      if (state == RankState::kTimedOut) {
-        ZH_COUNTER_ADD("cluster.heartbeat_misses", 1);
-      }
       if (!orphans.empty()) {
         const std::vector<double>& cost = partition_costs();
         std::stable_sort(orphans.begin(), orphans.end(),
@@ -333,9 +314,6 @@ ClusterRunResult run_cluster_zonal(
                            return cost[a] > cost[b];
                          });
       }
-      // A timed-out rank may merely be a straggler: release it so it
-      // exits once it surfaces instead of waiting for work forever.
-      if (state == RankState::kTimedOut) send_done(r);
     };
     // Hand the largest orphaned partition to `r` (LPT greedy: the
     // requester is by construction the least-loaded survivor).
@@ -350,18 +328,12 @@ ClusterRunResult run_cluster_zonal(
                                std::span<const std::uint32_t>(&index, 1));
       open[r].push_back(index);
       wstate[r] = WState::kActive;
-      last_seen[r] = Clock::now();
       return true;
     };
 
-    constexpr std::array<int, 3> kTags{kTagHeartbeat, kTagResult, kTagMore};
-    const std::int64_t poll_ms =
-        std::clamp<std::int64_t>(ft.worker_timeout_ms / 10, 1, 20);
+    constexpr std::array<int, 2> kTags{kTagResult, kTagMore};
     const auto handle = [&](const AnyMessage& msg) {
-      last_seen[msg.src] = Clock::now();
-      if (msg.tag == kTagHeartbeat) {
-        ++outcome[msg.src].heartbeats;
-      } else if (msg.tag == kTagResult) {
+      if (msg.tag == kTagResult) {
         ZH_REQUIRE(msg.payload.size() >= sizeof(std::uint32_t),
                    "short partition result from rank ", msg.src);
         std::uint32_t index = 0;
@@ -385,8 +357,7 @@ ClusterRunResult run_cluster_zonal(
             send_done(msg.src);
           } else {
             // Hold the request: reassignable work may still appear if
-            // another rank dies. Parked ranks are excluded from the
-            // silence check -- they are waiting on us.
+            // another rank dies.
             wstate[msg.src] = WState::kParked;
           }
         }
@@ -399,16 +370,12 @@ ClusterRunResult run_cluster_zonal(
         for (const int tag : kTags) comm.recover_lost(r, tag);
       }
       AnyMessage msg;
-      const Status s =
-          comm.recv_any(kTags, Deadline::after_ms(poll_ms), msg);
-      const Clock::time_point now = Clock::now();
-      if (s.is_ok()) handle(msg);
-      // Death detection: crashed ranks are flagged by the runtime; a
-      // silent-but-alive rank (straggler) is declared dead after the
-      // heartbeat window.
+      if (comm.recv_any(kTags, Deadline::after_ms(kPollMs), msg).is_ok()) {
+        handle(msg);
+      }
+      // Death detection: the runtime flags a rank whose thread exited.
       for (RankId r = 1; r < comm.size(); ++r) {
-        if (wstate[r] == WState::kDead) continue;
-        if (comm.rank_dead(r)) {
+        if (wstate[r] != WState::kDead && comm.rank_dead(r)) {
           // Everything the rank sent before dying is already enqueued
           // (in-process sends are synchronous). Drain it first so
           // finished partitions are credited to the rank instead of
@@ -419,11 +386,7 @@ ClusterRunResult run_cluster_zonal(
                      .is_ok()) {
             handle(pending);
           }
-          declare_dead(r, RankState::kCrashed);
-        } else if (wstate[r] == WState::kActive &&
-                   now - last_seen[r] >
-                       std::chrono::milliseconds(ft.worker_timeout_ms)) {
-          declare_dead(r, RankState::kTimedOut);
+          declare_dead(r);
         }
       }
       // Reassign orphaned work to parked survivors (LPT order).
@@ -454,50 +417,22 @@ ClusterRunResult run_cluster_zonal(
     // ranks never read their mailbox again; the send is harmless.
     for (RankId r = 1; r < comm.size(); ++r) send_done(r);
 
-    // Drain the per-rank metrics rows. Released survivors send theirs
-    // after their last checkpoint; the recv retry path recovers dropped
-    // rows, and a crashed rank fails fast with kRankDead -- its row
-    // stays defaulted (reported == 0).
-    std::vector<RankMetricsRow> rows(comm.size());
-    for (RankId r = 1; r < comm.size(); ++r) {
-      std::vector<RankMetricsRow> got;
-      const Status s = comm.recv<RankMetricsRow>(
-          r, kTagMetrics, Deadline::after_ms(ft.worker_timeout_ms), got);
-      if (s.is_ok() && got.size() == 1) rows[r] = got[0];
-    }
-
     {
       std::lock_guard lock(result_mutex);
-      rows[kRoot].partitions_processed = outcome[kRoot].partitions_completed;
-      rows[kRoot].retries = comm.retries();
-      rows[kRoot].comm_bytes_sent = comm.bytes_sent();
-      tally_work(rows[kRoot], result.per_rank_work[kRoot]);
-      rows[kRoot].latency_us_sum = master_row.latency_us_sum;
-      rows[kRoot].latency_us_max = master_row.latency_us_max;
-      rows[kRoot].reported = 1;
-      for (RankId r = 0; r < comm.size(); ++r) {
-        result.rank_metrics[r] = rows[r];
-      }
-      // Fates are merged with the worker-recorded crash flags after the
-      // cluster joins; here only the master-side counters are staged.
-      for (RankId r = 0; r < comm.size(); ++r) master_outcome[r] = outcome[r];
+      result.rank_outcomes = outcome;  // counters; fates are set below
       result.degraded = completed_count < total;
       for (std::uint32_t i = 0; i < total; ++i) {
         if (completed[i] == 0) result.incomplete_partitions.push_back(i);
       }
-      result.rank_seconds[kRoot] = wall.seconds();
     }
-    comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
+    finish();
   });
 
-  // Merge fates now that every rank has joined: a worker's own crash
-  // record wins over the master's (possibly unfinished) observation, so
-  // the outcome table is deterministic even when the run completes
-  // before the master notices a post-result crash.
+  // Every rank has joined: apply the workers' crash records.
   for (RankId r = 0; r < config.ranks; ++r) {
-    RankOutcome o = master_outcome[r];
-    if (rank_crashed[r] != 0) o.state = RankState::kCrashed;
-    result.rank_outcomes[r] = o;
+    if (rank_crashed[r] != 0) {
+      result.rank_outcomes[r].state = RankState::kCrashed;
+    }
   }
 
   result.comm_bytes = comm_bytes.load();

@@ -10,8 +10,9 @@
 // Every run is one supervised master-worker dispatch; round-robin owners
 // are the paper's static assignment. Workers stream one result message
 // per partition and the master accepts each partition exactly once
-// (first copy wins) while it supervises them (heartbeats + timeouts). A
-// rank that crashes or goes silent has its unfinished partitions
+// (first copy wins). A rank is dead only when its thread exits, which the
+// runtime reports (Communicator::rank_dead); a slow or silent worker is
+// never declared dead. A crashed rank has its unfinished partitions
 // reassigned to surviving workers (LPT order) or computed by the master
 // itself, so the merged histograms stay bit-identical to the fault-free
 // run (invariant 6 extended) whenever every partition completes; a
@@ -33,7 +34,6 @@
 #include "cluster/partition.hpp"
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
-#include "device/device.hpp"
 
 namespace zh {
 
@@ -48,10 +48,6 @@ enum class PartitionAssignment : std::uint8_t {
 /// Supervision knobs of the master-worker dispatch.
 struct FaultToleranceConfig {
   bool enabled = false;  ///< read by nothing; perfbench/driver.cpp sets it
-  /// A worker silent for longer than this is declared dead and its
-  /// unfinished partitions reassigned. Must exceed the slowest
-  /// partition's compute time (workers heartbeat once per partition).
-  std::int64_t worker_timeout_ms = 2000;
   /// The master computes partitions no surviving worker can take. Off,
   /// such partitions are reported as incomplete (degraded result) --
   /// mainly a hook for exercising the degraded path in tests.
@@ -63,7 +59,6 @@ struct FaultToleranceConfig {
 struct ClusterRunConfig {
   std::size_t ranks = 1;
   ZonalConfig zonal;
-  DeviceProfile device_profile = DeviceProfile::k20();
   PartitionAssignment assignment = PartitionAssignment::kRoundRobin;
   FaultToleranceConfig fault_tolerance;
   /// Durable checkpoint/resume wiring (journal-before-acknowledge +
@@ -76,7 +71,6 @@ struct ClusterRunConfig {
 enum class RankState : std::uint8_t {
   kCompleted = 0,  ///< finished normally
   kCrashed,        ///< died at a scripted crash checkpoint
-  kTimedOut,       ///< declared dead after heartbeat silence (straggler)
 };
 
 /// Per-rank accounting of a run.
@@ -84,27 +78,22 @@ struct RankOutcome {
   RankState state = RankState::kCompleted;
   std::uint32_t partitions_completed = 0;  ///< results the master accepted
   std::uint32_t partitions_reassigned = 0;  ///< taken away after death
-  std::uint64_t heartbeats = 0;  ///< progress messages the master saw
 
   bool operator==(const RankOutcome&) const = default;
 };
 
-/// Per-rank observability metrics, serialized by each rank at the end of
-/// its run and gathered at the master next to the outcome table. All-u64
-/// and trivially copyable so it travels over the typed send/recv layer
-/// unchanged. A rank that dies before reporting leaves its row defaulted
-/// (reported == 0).
+/// Per-rank observability metrics, written by each rank into the result
+/// once it has passed its last crash checkpoint. A rank that dies before
+/// then leaves its row defaulted (reported == 0).
 struct RankMetricsRow {
   std::uint64_t partitions_processed = 0;
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t results_sent = 0;
   std::uint64_t retries = 0;          ///< recv backoff re-attempts
-  std::uint64_t comm_bytes_sent = 0;  ///< excludes this row's own message
+  std::uint64_t comm_bytes_sent = 0;
   std::uint64_t cells_total = 0;  ///< input cells of the rank's partitions
   std::uint64_t pip_cell_tests = 0;
   std::uint64_t latency_us_sum = 0;  ///< summed per-partition wall micros
   std::uint64_t latency_us_max = 0;  ///< slowest partition in micros
-  std::uint64_t reported = 0;       ///< 1 when the row arrived from the rank
+  std::uint64_t reported = 0;       ///< 1 when the rank wrote its row
 
   bool operator==(const RankMetricsRow&) const = default;
 };

@@ -43,7 +43,6 @@ struct Scenario {
     ClusterRunConfig cfg;
     cfg.ranks = ranks;
     cfg.zonal = {.tile_size = 16, .bins = 60};
-    cfg.fault_tolerance.worker_timeout_ms = 10000;
     return cfg;
   }
 

@@ -1,8 +1,9 @@
-// Straggler/failure recovery in the supervised cluster driver (DESIGN.md
-// invariant 6 extended): any single-rank crash at any pipeline step
-// leaves the merged histograms bit-identical to the per-cell oracle,
-// message-fault storms stay exact, replay with the same seed is
-// deterministic, and the degraded path reports its coverage gap.
+// Failure recovery in the supervised cluster driver (DESIGN.md invariant
+// 6 extended): any single-rank crash at any pipeline step leaves the
+// merged histograms bit-identical to the per-cell oracle, a slow or
+// silent worker is never declared dead, message-fault storms stay exact,
+// replay with the same seed is deterministic, and the degraded path
+// reports its coverage gap.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -72,7 +73,6 @@ TEST(ClusterRecovery, CrashAtEveryCheckpointKeepsResultExact) {
         CrashPoint::kBeforeFinish}) {
     SCOPED_TRACE(std::string("crash at ") + std::string(to_string(point)));
     ClusterRunConfig cfg = sc.config(3);
-    cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.crash = {1, point, 0};
 
     const ClusterRunResult r =
@@ -103,7 +103,6 @@ TEST(ClusterRecovery, CrashAtSecondOccurrenceAndMasterTakeover) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionStart, 1};
 
   const ClusterRunResult r =
@@ -124,7 +123,6 @@ TEST(ClusterRecovery, DegradedRunReportsCoverageGap) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(2);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.master_takeover = false;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kStartup, 0};
 
@@ -144,7 +142,6 @@ TEST(ClusterRecovery, MessageFaultStormStaysExact) {
   for (const std::uint64_t seed : {1u, 2u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ClusterRunConfig cfg = sc.config(4);
-    cfg.fault_tolerance.worker_timeout_ms = 10000;
     cfg.fault_tolerance.faults.seed = seed;
     cfg.fault_tolerance.faults.drop_prob = 0.2;
     cfg.fault_tolerance.faults.duplicate_prob = 0.3;
@@ -165,7 +162,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,crash=2@partition_done");
 
@@ -179,7 +175,6 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
 TEST(ClusterRecovery, ReplayWithSameSeedIsDeterministic) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionDone, 0};
 
   const ClusterRunResult a =
@@ -201,7 +196,6 @@ TEST(ClusterRecovery, FaultTolerantModeWithoutFaultsMatchesStatic) {
   // nothing is reassigned.
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
 
   const ClusterRunResult r =
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
@@ -212,23 +206,6 @@ TEST(ClusterRecovery, FaultTolerantModeWithoutFaultsMatchesStatic) {
     EXPECT_EQ(o.state, RankState::kCompleted);
     EXPECT_EQ(o.partitions_reassigned, 0u);
   }
-}
-
-TEST(ClusterRecovery, AggressiveTimeoutStillExact) {
-  // A 1 ms heartbeat window declares healthy workers dead left and
-  // right. Recovery must stay exact regardless: late results from
-  // "stragglers" are deduplicated against recomputed partitions.
-  const Scenario sc;
-  const HistogramSet expect = sc.reference();
-
-  ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 1;
-
-  const ClusterRunResult r =
-      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
-  EXPECT_EQ(r.merged, expect);
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(total_completed(r), 4u);
 }
 
 TEST(ClusterRecovery, FaultFreeRunFillsOutcomeTable) {
@@ -269,14 +246,13 @@ TEST(ClusterRecovery, FaultFreeRunGathersRankMetrics) {
 }
 
 TEST(ClusterRecovery, CrashedRankLeavesMetricsRowUnreported) {
-  // A rank that dies before the final metrics send must show up as an
+  // A rank that dies before it writes its metrics row must show up as an
   // all-defaults row with reported == 0 -- never a hang, never a stale
   // row -- while the run itself still recovers to the exact answer.
   const Scenario sc;
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kBeforeFinish, 0};
 
   const ClusterRunResult r =
@@ -299,7 +275,6 @@ TEST(ClusterRecovery, MetricsRowsSurviveDropAndDuplicateStorm) {
   const HistogramSet expect = sc.reference();
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.seed = 11;
   cfg.fault_tolerance.faults.drop_prob = 0.2;
   cfg.fault_tolerance.faults.duplicate_prob = 0.2;
@@ -308,14 +283,30 @@ TEST(ClusterRecovery, MetricsRowsSurviveDropAndDuplicateStorm) {
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
   EXPECT_EQ(r.merged, expect);
   ASSERT_EQ(r.rank_metrics.size(), 3u);
-  std::uint64_t results = 0;
   for (const RankMetricsRow& row : r.rank_metrics) {
-    EXPECT_EQ(row.reported, 1u);  // dropped rows are re-requested
-    results += row.results_sent;
+    EXPECT_EQ(row.reported, 1u);
   }
   EXPECT_EQ(metrics_partition_total(r), 4u);
-  EXPECT_GE(results, metrics_partition_total(r) -
-                         r.rank_metrics[0].partitions_processed);
+}
+
+TEST(ClusterRecovery, SilentWorkerIsNotDeclaredDead) {
+  // Every message is held back 2.1 s, so the master hears nothing from
+  // rank 1 for seconds at a time. A rank is dead only when its thread
+  // exits: rank 1 keeps its partitions and nothing is recomputed.
+  const Scenario sc;
+  ClusterRunConfig cfg = sc.config(2);
+  cfg.fault_tolerance.faults =
+      FaultPlan::parse("seed=3,delay=1.0,delay_ms=2100");
+
+  const ClusterRunResult r =
+      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+  EXPECT_EQ(r.merged, sc.reference());
+  EXPECT_FALSE(r.degraded);
+  for (const RankOutcome& o : r.rank_outcomes) {
+    EXPECT_EQ(o.state, RankState::kCompleted);
+    EXPECT_EQ(o.partitions_reassigned, 0u);
+  }
+  EXPECT_EQ(metrics_partition_total(r), 4u);  // no partition computed twice
 }
 
 // The cost pass (core/load_balance) runs only where its result is read:
@@ -341,7 +332,6 @@ TEST(ClusterRecovery, CostPassRunsOnlyWhenItsResultIsRead) {
   };
 
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   EXPECT_EQ(cost_passes(cfg), 0u);
 
   ClusterRunConfig balanced = cfg;

@@ -44,7 +44,6 @@ TEST(Device, LaunchZeroGridIsNoop) {
   bool ran = false;
   dev.launch(0, [&](const BlockContext&) { ran = true; });
   EXPECT_FALSE(ran);
-  EXPECT_EQ(dev.stats().kernels_launched.load(), 0u);
 }
 
 TEST(Device, StridedVisitsAllIndicesOnce) {
@@ -63,32 +62,6 @@ TEST(Device, StridedHandlesSmallAndEmptyRanges) {
   EXPECT_EQ(count, 0);
   ctx.strided(3, [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 3);
-}
-
-TEST(Device, StatsCountLaunchesAndBlocks) {
-  Device dev;
-  dev.launch(10, [](const BlockContext&) {});
-  dev.launch(5, [](const BlockContext&) {});
-  EXPECT_EQ(dev.stats().kernels_launched.load(), 2u);
-  EXPECT_EQ(dev.stats().blocks_executed.load(), 15u);
-  dev.stats().reset();
-  EXPECT_EQ(dev.stats().blocks_executed.load(), 0u);
-}
-
-TEST(Device, BufferTransfersAreAccounted) {
-  Device dev;
-  std::vector<std::uint32_t> host(1024, 7);
-  DeviceBuffer<std::uint32_t> buf =
-      dev.to_device(std::span<const std::uint32_t>(host));
-  EXPECT_EQ(buf.size(), host.size());
-  EXPECT_EQ(buf[13], 7u);
-  EXPECT_EQ(dev.stats().bytes_h2d.load(), host.size() * 4);
-
-  buf[13] = 99;
-  const std::vector<std::uint32_t> back = dev.to_host(buf);
-  EXPECT_EQ(back[13], 99u);
-  EXPECT_EQ(back[14], 7u);
-  EXPECT_EQ(dev.stats().bytes_d2h.load(), host.size() * 4);
 }
 
 TEST(Device, ModeledTransferTimeUsesPcieBandwidth) {

@@ -94,7 +94,6 @@ HistogramSet run_driver(const DemRaster& r, const PolygonSet& z,
   ClusterRunConfig cfg;
   cfg.ranks = ranks;
   cfg.zonal = kConfig;
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   return run_cluster_zonal({r}, {{2, 3}}, z, cfg).merged;
 }
 

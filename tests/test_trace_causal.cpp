@@ -177,7 +177,6 @@ void expect_valid_merged_trace(const trace::TraceModel& m) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderRankCrash) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults.crash = {1, CrashPoint::kPartitionDone, 0};
   expect_valid_merged_trace(traced_run(sc, cfg));
 }
@@ -185,7 +184,6 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderRankCrash) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderDuplicateDelivery) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults = FaultPlan::parse("seed=9,dup=1.0");
   expect_valid_merged_trace(traced_run(sc, cfg));
 }
@@ -193,7 +191,6 @@ TEST_F(TraceCausalTest, MergedTraceValidUnderDuplicateDelivery) {
 TEST_F(TraceCausalTest, MergedTraceValidUnderDropStorm) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   cfg.fault_tolerance.faults =
       FaultPlan::parse("seed=9,drop=0.15,dup=0.1,reorder=0.1");
   expect_valid_merged_trace(traced_run(sc, cfg));
@@ -204,7 +201,6 @@ TEST_F(TraceCausalTest, TracingLeavesCommCountersUnchanged) {
   // every rank sends, and what they merge to, match the untraced run.
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   const ClusterRunResult plain =
       run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
   obs::set_trace_enabled(true);
@@ -225,7 +221,6 @@ TEST_F(TraceCausalTest, TracingLeavesCommCountersUnchanged) {
 TEST_F(TraceCausalTest, RankBreakdownCoversClusterRanks) {
   const Scenario sc;
   ClusterRunConfig cfg = sc.config(3);
-  cfg.fault_tolerance.worker_timeout_ms = 10000;
   const trace::TraceModel m = traced_run(sc, cfg);
   const trace::CriticalPath cp = trace::critical_path(m);
   const std::vector<trace::RankStats> ranks = trace::rank_breakdown(m, cp);

@@ -99,9 +99,20 @@ TEST_F(ZhistCli, HistOnBqTimesStep0AndMatchesZgrid) {
   ASSERT_EQ(zhist("hist '" + path("r.bq") + "' " + common + "'" +
                   path("bq.csv") + "' --metrics '" + path("m.json") + "'"),
             0);
+  // The two paths that decode the whole file first: the cluster driver,
+  // and a --tile that re-tiles the tile-8 file.
+  const std::string bq_zones =
+      "hist '" + path("r.bq") + "' '" + path("zones.tsv") + "' --bins 64 ";
+  ASSERT_EQ(zhist(bq_zones + "--ranks 2 --partitions 2x2 --tile 8 -o '" +
+                  path("cluster.csv") + "'"),
+            0);
+  ASSERT_EQ(zhist(bq_zones + "--tile 16 -o '" + path("retiled.csv") + "'"),
+            0);
 
   EXPECT_FALSE(slurp(path("zgrid.csv")).empty());
   EXPECT_EQ(slurp(path("bq.csv")), slurp(path("zgrid.csv")));
+  EXPECT_EQ(slurp(path("cluster.csv")), slurp(path("zgrid.csv")));
+  EXPECT_EQ(slurp(path("retiled.csv")), slurp(path("zgrid.csv")));
   const obs::JsonValue report = obs::parse_json_file(path("m.json"));
   const obs::JsonValue* times = report.find("times_s");
   ASSERT_NE(times, nullptr);
@@ -128,6 +139,16 @@ TEST_F(ZhistCli, UsageListsEveryCommand) {
             std::string::npos);
   EXPECT_EQ(usage.find("--metrics-port"), std::string::npos) << usage;
   EXPECT_EQ(usage.find("--metrics-linger-ms"), std::string::npos) << usage;
+  // Journal flags without a journal directory are refused before any
+  // input is read (`a` does not exist).
+  EXPECT_EQ(zhist("hist a b --resume", path("resume.txt")), 2);
+  EXPECT_NE(slurp(path("resume.txt")).find("--resume needs --checkpoint-dir"),
+            std::string::npos);
+  EXPECT_EQ(zhist("hist a b --checkpoint-interval 4", path("interval.txt")),
+            2);
+  EXPECT_NE(slurp(path("interval.txt"))
+                .find("--checkpoint-interval needs --checkpoint-dir"),
+            std::string::npos);
 }
 
 TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
@@ -140,6 +161,20 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
   const std::string hist =
       "hist '" + path("r.zgrid") + "' '" + path("zones.tsv") + "' -o '" +
       path("out.csv") + "' ";
+  // A `zhist query` spec with one query into out.csv: `bins` is the
+  // query's raw JSON value and `tile` the spec's (left out when empty).
+  int specs = 0;
+  const auto query = [&](const std::string& bins, const std::string& tile) {
+    const std::string spec = path("q" + std::to_string(specs++) + ".json");
+    std::ofstream out(spec);
+    out << '{';
+    if (!tile.empty()) out << "\"tile\": " << tile << ", ";
+    out << "\"queries\": [{\"raster\": \"" << path("r.zgrid")
+        << "\", \"zones\": \"" << path("zones.tsv")
+        << "\", \"bins\": " << bins << ", \"out\": \"" << path("out.csv")
+        << "\"}]}";
+    return "query --batch '" + spec + "'";
+  };
   const std::pair<std::string, std::string> cases[] = {
       // 2^32 + 1 and 2^32 + 3 read as 1 and 3 after a 32-bit wrap.
       {hist + "--bins 4294967297", "--bins"},
@@ -150,6 +185,13 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
            path("ck") + "'",
        "--checkpoint-interval"},
       {hist + "--partitions 2x-1", "--partitions"},
+      // Batch-spec numbers follow the same rule. Cast unchecked, 2^32 + 16
+      // would wrap to 16 bins, 16.7 truncate to 16 and -1 overflow; a
+      // string must not fall back to the default.
+      {query("4294967312", ""), "\"bins\""},
+      {query("16.7", ""), "\"bins\""},
+      {query("-1", ""), "\"bins\""},
+      {query("\"16\"", "\"10\""), "\"tile\""},
   };
   for (const auto& [args, flag] : cases) {
     SCOPED_TRACE(args);

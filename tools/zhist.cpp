@@ -29,9 +29,9 @@
 //             pipeline. The JSON spec holds the query list (see
 //             cmd_query).
 //
-// Integer flag values must be whole numbers that fit their field and
-// meet its lower bound; anything else stops the run with exit code 1
-// before a file is written.
+// Integer flag values, and the batch spec's "tile" and "bins", must be
+// whole numbers that fit their field and meet its lower bound; anything
+// else stops the run with exit code 1 before a file is written.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -77,7 +77,7 @@ struct Args {
   std::string fault_plan;
   std::string checkpoint_dir;  ///< durable run-journal directory
   bool resume = false;         ///< continue from the journal in the dir
-  std::uint32_t checkpoint_interval = 1;  ///< fsync every N records
+  std::optional<std::uint32_t> checkpoint_interval;  ///< fsync every N records
   std::string trace;    ///< Chrome trace_event JSON output path
   std::string metrics;  ///< run-report JSON output path
   bool report = false;  ///< print the human-readable run report
@@ -101,6 +101,22 @@ T parse_int(const std::string& flag, const std::string& token, T min) {
                           std::to_string(std::numeric_limits<T>::max()));
   }
   return value;
+}
+
+// A batch-spec integer by parse_int's rule. The JSON reader keeps numbers
+// as doubles; their shortest fixed-point text is the token a flag would
+// carry, so 16.7, -1 and 2^32 fail exactly as they would on the command
+// line.
+template <typename T>
+T json_int(const std::string& key, const obs::JsonValue& value, T min) {
+  if (!value.is_number()) {
+    throw InvalidArgument(key + ": not a JSON number");
+  }
+  char text[512];  // fits any double in fixed notation
+  const auto [end, ec] = std::to_chars(text, text + sizeof(text),
+                                       value.number, std::chars_format::fixed);
+  ZH_REQUIRE(ec == std::errc(), key, ": unprintable number");
+  return parse_int(key, std::string(text, end), min);
 }
 
 Args parse(int argc, char** argv) {
@@ -219,6 +235,10 @@ void finish_obs(const Args& args, const obs::RunReport& report) {
   }
 }
 
+const char* to_string(RankState state) {
+  return state == RankState::kCompleted ? "completed" : "crashed";
+}
+
 obs::RunReport base_report(const Args& args, std::int64_t rows,
                            std::int64_t cols, const PolygonSet& zones) {
   obs::RunReport report;
@@ -300,17 +320,13 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     std::optional<JournalWriter> journal;
     double resume_seconds = 0.0;
     std::uint32_t generation = 0;
-    if (args.resume && args.checkpoint_dir.empty()) {
-      std::fprintf(stderr, "--resume needs --checkpoint-dir\n");
-      usage();
-    }
     if (!args.checkpoint_dir.empty()) {
       std::filesystem::create_directories(args.checkpoint_dir);
       const std::string jpath = args.checkpoint_dir + "/run.journal";
       const RunManifest manifest =
           make_manifest(rasters, schemas, zones, cfg);
       JournalWriterOptions jopts;
-      jopts.fsync_interval = args.checkpoint_interval;
+      jopts.fsync_interval = args.checkpoint_interval.value_or(1);
       jopts.abort = cfg.fault_tolerance.faults.abort;
       if (args.resume) {
         const JournalLoad load = load_journal(jpath);
@@ -338,16 +354,12 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     std::fprintf(stderr, "cluster: %zu ranks, %.2f s wall%s\n", cfg.ranks,
                  cres.wall_seconds,
                  cres.degraded ? " [DEGRADED: incomplete partitions]" : "");
-    std::fprintf(stderr, "%-6s %-10s %10s %10s %10s\n", "rank", "state",
-                 "completed", "reassigned", "heartbeats");
+    std::fprintf(stderr, "%-6s %-10s %10s %10s\n", "rank", "state",
+                 "completed", "reassigned");
     for (std::size_t r = 0; r < cres.rank_outcomes.size(); ++r) {
       const RankOutcome& o = cres.rank_outcomes[r];
-      const char* state = o.state == RankState::kCompleted ? "completed"
-                          : o.state == RankState::kCrashed ? "crashed"
-                                                           : "timed-out";
-      std::fprintf(stderr, "%-6zu %-10s %10u %10u %10llu\n", r, state,
-                   o.partitions_completed, o.partitions_reassigned,
-                   static_cast<unsigned long long>(o.heartbeats));
+      std::fprintf(stderr, "%-6zu %-10s %10u %10u\n", r, to_string(o.state),
+                   o.partitions_completed, o.partitions_reassigned);
     }
     if (!args.out.empty()) {
       write_histogram_csv(args.out, cres.merged);
@@ -379,8 +391,9 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       if (journal.has_value()) {
         report.config.emplace_back("checkpoint_dir", args.checkpoint_dir);
         report.config.emplace_back("resume", args.resume ? "1" : "0");
-        report.config.emplace_back("checkpoint_interval",
-                                   std::to_string(args.checkpoint_interval));
+        report.config.emplace_back(
+            "checkpoint_interval",
+            std::to_string(args.checkpoint_interval.value_or(1)));
         report.config.emplace_back("journal_generation",
                                    std::to_string(generation));
         report.counters.emplace_back("journal.records_written",
@@ -395,10 +408,7 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       for (std::size_t r = 0; r < cres.rank_metrics.size(); ++r) {
         report.rank_rows.push_back(
             rank_metrics_values(cres.rank_metrics[r]));
-        const RankState st = cres.rank_outcomes[r].state;
-        report.rank_states.push_back(st == RankState::kCompleted ? "completed"
-                                     : st == RankState::kCrashed ? "crashed"
-                                                                 : "timed-out");
+        report.rank_states.push_back(to_string(cres.rank_outcomes[r].state));
       }
     }
     return cres.degraded ? 1 : 0;
@@ -440,6 +450,13 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
 
 int cmd_hist(const Args& args) {
   if (args.positional.size() != 2) usage();
+  // The journal flags mean nothing without a journal to read or write.
+  if (args.checkpoint_dir.empty() &&
+      (args.resume || args.checkpoint_interval.has_value())) {
+    std::fprintf(stderr, "%s needs --checkpoint-dir\n",
+                 args.resume ? "--resume" : "--checkpoint-interval");
+    usage();
+  }
   const bool with_obs = setup_obs(args);
   obs::RunReport report;
   int rc = 0;
@@ -573,9 +590,8 @@ int cmd_query(const Args& args) {
 
   QueryEngineConfig cfg;
   cfg.tile_size = args.tile;
-  if (const obs::JsonValue* t = spec.find("tile");
-      t != nullptr && t->is_number()) {
-    cfg.tile_size = static_cast<std::int64_t>(t->number);
+  if (const obs::JsonValue* t = spec.find("tile"); t != nullptr) {
+    cfg.tile_size = json_int("\"tile\"", *t, std::int64_t{1});
   }
 
   // Load each distinct path once. Deques keep element addresses stable
@@ -620,9 +636,9 @@ int cmd_query(const Args& args) {
       zones_by_path.emplace(zones->str, qs.query.zones);
     }
     qs.query.bins = args.bins;
-    if (const obs::JsonValue* bins = q.find("bins");
-        bins != nullptr && bins->is_number()) {
-      qs.query.bins = static_cast<BinIndex>(bins->number);
+    if (const obs::JsonValue* bins = q.find("bins"); bins != nullptr) {
+      qs.query.bins = json_int("query " + std::to_string(i) + " \"bins\"",
+                               *bins, BinIndex{1});
     }
     if (const obs::JsonValue* out = q.find("out");
         out != nullptr && out->is_string()) {

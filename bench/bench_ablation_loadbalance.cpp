@@ -70,7 +70,9 @@ int main() {
         PartitionAssignment::kCostBalanced}) {
     ClusterRunConfig cfg;
     cfg.ranks = 16;
-    cfg.zonal = {.tile_size = tile, .bins = bins};
+    // Brute Step 4: the projection's Step-4 rate counts brute edge tests.
+    cfg.zonal = {.tile_size = tile, .bins = bins,
+                 .refine_strategy = RefineStrategy::kBrute};
     cfg.assignment = assignment;
     const ClusterRunResult r =
         run_cluster_zonal(w.rasters, w.schemas, w.counties, cfg);

@@ -41,9 +41,11 @@ int main() {
                   "block per polygon (Fig. 5)"},
         std::pair{RefineGranularity::kPolygonTile,
                   "block per (polygon, tile) + atomics"}}) {
+    // Ablates the Fig.-5 kernel's block granularity, so brute Step 4.
     const ZonalPipeline pipe(device,
                              {.tile_size = 60, .bins = bins,
-                              .refine_granularity = granularity});
+                              .refine_granularity = granularity,
+                              .refine_strategy = RefineStrategy::kBrute});
     const ZonalResult r = pipe.run(dem, counties);
     std::printf("  %-40s step4 %6.2f s   blocks %llu\n", label,
                 r.times.seconds[4],

@@ -50,7 +50,9 @@ int main() {
       cp);
 
   Device device(DeviceProfile::host());
-  const ZonalPipeline pipe(device, {.tile_size = tile, .bins = bins});
+  // The paper's pipeline, Fig.-5 kernel included.
+  const ZonalPipeline pipe(device, {.tile_size = tile, .bins = bins,
+                                    .refine_strategy = RefineStrategy::kBrute});
 
   Timer tp;
   const ZonalResult pr = pipe.run(dem, counties);

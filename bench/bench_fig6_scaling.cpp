@@ -43,7 +43,9 @@ int main() {
   for (const auto& [ranks, paper_seconds] : paper) {
     ClusterRunConfig cfg;
     cfg.ranks = static_cast<std::size_t>(ranks);
-    cfg.zonal = {.tile_size = tile, .bins = bins};
+    // Brute Step 4: the projection's Step-4 rate counts brute edge tests.
+    cfg.zonal = {.tile_size = tile, .bins = bins,
+                 .refine_strategy = RefineStrategy::kBrute};
     const ClusterRunResult r =
         run_cluster_zonal(w.rasters, w.schemas, w.counties, cfg);
 

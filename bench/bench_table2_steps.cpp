@@ -43,7 +43,11 @@ int main() {
               setup.seconds());
 
   Device device(DeviceProfile::host());
-  const ZonalPipeline pipeline(device, {.tile_size = tile, .bins = bins});
+  // The paper's Fig.-5 kernel: PerfModel's Step-4 rate is calibrated in
+  // brute edge tests.
+  const ZonalPipeline pipeline(device,
+                               {.tile_size = tile, .bins = bins,
+                                .refine_strategy = RefineStrategy::kBrute});
   const PolygonSoA soa = PolygonSoA::build(w.counties);
 
   // Run Steps 0-4 per raster (as the paper does per file), summing times

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "device/thread_pool.hpp"
@@ -113,18 +114,17 @@ HistogramSet zonal_scanline(const DemRaster& raster,
             const double py = t.cell_center(r, 0).y;
 
             // Gather the x-intersections of this scanline with every
-            // edge, using the same half-open vertical rule as the
-            // ray-crossing test so results match PIP exactly.
+            // edge, by the ray-crossing test's own rule so results match
+            // PIP exactly.
             xints.clear();
             for (const Ring& ring : poly.rings()) {
               const std::size_t n = ring.size();
               for (std::size_t k = 0; k < n; ++k) {
                 const GeoPoint& a = ring[k];
                 const GeoPoint& b = ring[(k + 1) % n];
-                if (((a.y <= py) && (py < b.y)) ||
-                    ((b.y <= py) && (py < a.y))) {
-                  xints.push_back((b.x - a.x) * (py - a.y) / (b.y - a.y) +
-                                  a.x);
+                if (const std::optional<double> x =
+                        scanline_crossing(a.x, a.y, b.x, b.y, py)) {
+                  xints.push_back(*x);
                 }
               }
             }

@@ -41,15 +41,16 @@ struct ZonalConfig {
   CellOrder cell_order = CellOrder::kRowMajor;
   RefineGranularity refine_granularity =
       RefineGranularity::kPolygonGroup;  ///< Step-4 block scheduling
-  RefineStrategy refine_strategy =
-      RefineStrategy::kBrute;  ///< Step-4 cell classification path
+  /// Step-4 cell classification path. The paper-reproduction benches pin
+  /// kBrute, the kernel PerfModel's Step-4 rate is calibrated on.
+  RefineStrategy refine_strategy = RefineStrategy::kAuto;
 };
 
 /// Work accounting of one pipeline run; all quantities exact.
 struct WorkCounters {
   std::uint64_t cells_total = 0;        ///< input raster cells
   std::uint64_t tiles_total = 0;
-  std::uint64_t candidate_pairs = 0;    ///< MBB-rasterized pairs (Step 2)
+  std::uint64_t candidate_pairs = 0;    ///< Step-2 inside + intersect pairs
   std::uint64_t pairs_inside = 0;
   std::uint64_t pairs_intersect = 0;
   std::uint64_t polygon_vertices = 0;

@@ -37,7 +37,7 @@ struct QueryEngineConfig {
   std::int64_t tile_size = 360;
   /// Step-4 settings for every query.
   RefineGranularity refine_granularity = RefineGranularity::kPolygonGroup;
-  RefineStrategy refine_strategy = RefineStrategy::kBrute;
+  RefineStrategy refine_strategy = RefineStrategy::kAuto;
 };
 
 /// Index of a registered raster within the engine's catalog.

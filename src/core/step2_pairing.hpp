@@ -3,10 +3,14 @@
 // Spatial filtering: each polygon's MBB is rasterized onto the tile grid
 // (the implicit grid-file index), producing candidate (tile, polygon)
 // pairs; exact polygon-vs-tile-box classification then labels each pair
-// outside (dropped), inside, or intersect. The Fig. 4 post-processing --
-// stable_sort_by_key, stable_partition, reduce_by_key, exclusive scan --
-// turns the labeled pair list into the (pid_v, num_v, pos_v, tid_v)
-// block-dispatch arrays consumed by Steps 3 and 4.
+// outside (dropped), inside, or intersect -- the relation classify_box
+// (geom/classify) defines, computed per zone by a sweep: each edge marks
+// the tiles it meets, and each tile row's centre-line crossings settle
+// the rest (DESIGN.md, "Step 2: the tile sweep"). The Fig. 4
+// post-processing -- stable_sort_by_key, stable_partition,
+// reduce_by_key, exclusive scan -- turns the labeled pair list into the
+// (pid_v, num_v, pos_v, tid_v) block-dispatch arrays consumed by Steps 3
+// and 4.
 #pragma once
 
 #include <vector>
@@ -46,13 +50,18 @@ struct PolygonTileGroups {
 struct PairingResult {
   PolygonTileGroups inside;
   PolygonTileGroups intersect;
-  std::size_t candidate_pairs = 0;  ///< pairs before classification
+  /// Inside plus intersect pairs: the pairs classification kept, which
+  /// PerfModel's Step-2 rate is charged on.
+  std::size_t candidate_pairs = 0;
 };
 
 /// MBB rasterization + exact classification over all polygons (polygons
-/// processed in parallel). The classification itself runs on the CPU as
-/// in the paper ("we can realize this step on CPUs using well-established
-/// computational geometry libraries").
+/// processed in parallel), on the CPU as in the paper ("we can realize
+/// this step on CPUs using well-established computational geometry
+/// libraries"). Every label equals classify_box's for the pair. A zone
+/// costs its MBB tiles, plus per edge the MBB tiles in the edge's box,
+/// plus its centre-line crossings; its pairs come in row-major tile
+/// order.
 [[nodiscard]] TilePolygonPairs pair_tiles_with_polygons(
     const PolygonSet& polygons, const TilingScheme& tiling,
     const GeoTransform& transform);

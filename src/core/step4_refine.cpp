@@ -77,9 +77,9 @@ void refine_tile(const RefineCtx& ctx, const BlockContext& block,
 /// row gathers only the banded edges crossing its cell-center y,
 /// computes their sorted x-intercepts once, and walks the row as
 /// inside/outside runs. Parity matches the brute path bit-for-bit: a
-/// cell is inside iff the count of intercepts > px is odd, and both the
-/// scanline y, the intercept expression and the `<=` cursor rule are the
-/// exact expressions of pip.cpp's edge_crosses.
+/// cell is inside iff the count of intercepts > px is odd, the scanline
+/// y is the one the brute path tests, and the intercepts come from
+/// scanline_crossing, the function the brute path calls.
 template <typename Update>
 void refine_tile_scanline(const RefineCtx& ctx, const BlockContext& block,
                           const CellWindow& w, PolygonId pid, BinCount* out,
@@ -100,10 +100,10 @@ void refine_tile_scanline(const RefineCtx& ctx, const BlockContext& block,
     const double py = t.cell_center(r, w.col0).y;
     xints.clear();
     for (const std::uint32_t j : band) {
-      // Identical operand order to edge_crosses' intercept expression.
-      xints.push_back((x_v[j + 1] - x_v[j]) * (py - y_v[j]) /
-                          (y_v[j + 1] - y_v[j]) +
-                      x_v[j]);
+      // The band holds exactly the edges that cross this scanline.
+      xints.push_back(
+          scanline_crossing(x_v[j], y_v[j], x_v[j + 1], y_v[j + 1], py)
+              .value());
     }
     std::sort(xints.begin(), xints.end());
     const std::size_t m = xints.size();
@@ -182,10 +182,12 @@ RefineCounters refine_boundary_tiles(Device& device,
   const bool scanline = resolved == RefineStrategy::kScanline;
 
   // The y-banded edge index is only needed (and only paid for) on the
-  // scanline path; its build parallelizes over polygons.
+  // scanline path, and only for the zones that own a boundary tile; its
+  // build parallelizes over those zones, and it is freed on return.
   EdgeIndex index;
   if (scanline) {
-    index = EdgeIndex::build(soa, raster.transform(), raster.rows());
+    index = EdgeIndex::build(soa, raster.transform(), raster.rows(),
+                             intersect.pid_v);
     ZH_COUNTER_ADD("step4.edge_index_entries",
                    index.stats().bucket_entries);
   }

@@ -8,12 +8,15 @@
 //  * kBrute -- the paper's kernel verbatim: every cell center goes
 //    through the ray-crossing test against the polygon's flattened (SoA)
 //    vertex arrays, O(cells x edges) per tile.
-//  * kScanline -- row-coherent refinement: a per-polygon y-banded edge
-//    index (geom/edge_index) yields the edges crossing each raster row's
-//    cell-center scanline; their sorted x-intercepts convert the row
-//    into inside/outside cell runs, O(E_row log E_row + cols) per row.
-//    Intercepts and the parity rule reuse the exact expressions of
-//    pip.cpp's edge_crosses, so histograms are bit-identical to kBrute.
+//  * kScanline -- row-coherent refinement: a y-banded edge index
+//    (geom/edge_index) over the zones that own a boundary tile yields
+//    the edges crossing each raster row's cell-center scanline; their
+//    sorted x-intercepts convert the row into inside/outside cell runs,
+//    O(E_row log E_row + cols) per row. Intercepts and the parity rule
+//    come from geom/pip.hpp's scanline_crossing, which the brute test
+//    calls too, so histograms are bit-identical to kBrute.
+//  * kAuto (ZonalConfig's default) -- either of the two, chosen per
+//    launch by edge density.
 //
 // This step dominates end-to-end runtime in the paper (Table 2); its
 // brute cost is proportional to boundary-tile cells x polygon vertices,
@@ -69,13 +72,13 @@ struct RefineCounters {
 
 /// Run cell-in-polygon tests for every (cell, polygon) combination in the
 /// intersect groups, accumulating hits into `polygon_hist`. Both
-/// granularities support both strategies and produce bit-identical
-/// histograms.
+/// granularities support every strategy and produce bit-identical
+/// histograms. Callers pass both knobs: the library default lives in
+/// ZonalConfig alone.
 RefineCounters refine_boundary_tiles(
     Device& device, const PolygonTileGroups& intersect,
     const PolygonSoA& soa, const DemRaster& raster,
     const TilingScheme& tiling, HistogramSet& polygon_hist,
-    RefineGranularity granularity = RefineGranularity::kPolygonGroup,
-    RefineStrategy strategy = RefineStrategy::kBrute);
+    RefineGranularity granularity, RefineStrategy strategy);
 
 }  // namespace zh

@@ -3,7 +3,10 @@
 // outside (0), inside (1) or intersect (2). The paper performs this phase
 // on the CPU with exact computational geometry ("practically, we can
 // realize this step on CPUs using well-established computational geometry
-// libraries"); this module is that library.
+// libraries"); this module is that library. classify_box defines the
+// relation one pair at a time; Step 2 computes the same relation for all
+// of a zone's tiles at once (core/step2_pairing), and its tests hold it
+// to classify_box. segment_intersects_box is shared by both.
 #pragma once
 
 #include "common/types.hpp"
@@ -27,8 +30,7 @@ namespace zh {
 [[nodiscard]] TileRelation classify_box(const Polygon& poly,
                                         const GeoBox& box);
 
-/// classify_box with the polygon's MBR precomputed (the hot loop of Step 2
-/// already has MBRs in hand from the spatial-filter rasterization).
+/// classify_box with the polygon's MBR precomputed.
 [[nodiscard]] TileRelation classify_box(const Polygon& poly,
                                         const GeoBox& poly_mbr,
                                         const GeoBox& box);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 
+#include "common/contracts.hpp"
 #include "device/thread_pool.hpp"
+#include "geom/pip.hpp"
 
 namespace zh {
 
@@ -17,31 +19,32 @@ inline double scanline_y(const GeoTransform& t, std::int64_t r) {
   return t.origin_y() - (static_cast<double>(r) + 0.5) * t.cell_h();
 }
 
-/// An edge crosses row r iff ymin <= scanline_y(r) < ymax (the half-open
-/// rule of pip.cpp's edge_crosses with the two orientation branches
-/// folded). scanline_y is monotone non-increasing in r, so the member
-/// rows form one contiguous range; find it with a floor-based guess
-/// corrected by the exact predicate (robust to floating-point drift in
-/// the guess).
+/// The rows whose scanline edge (x0, y0) -> (x1, y1) crosses under
+/// scanline_crossing's rule, which holds iff ymin <= scanline_y(r) < ymax.
+/// scanline_y is monotone non-increasing in r, so the member rows form
+/// one contiguous range below the rows above the span (scanline_y >=
+/// ymax). Find its first row with a floor-based guess corrected by exact
+/// comparisons (robust to floating-point drift in the guess), then walk
+/// it with the rule itself.
 struct RowRange {
   std::int64_t first = 0;
   std::int64_t last = -1;  ///< inclusive; first > last means empty
 };
 
 RowRange edge_row_range(const GeoTransform& t, std::int64_t raster_rows,
-                        double ymin, double ymax) {
+                        double x0, double y0, double x1, double y1) {
   RowRange out;
   if (raster_rows == 0) return out;
-  // First row with scanline_y < ymax.
+  const double ymax = std::max(y0, y1);
   std::int64_t lo =
       std::clamp<std::int64_t>(t.y_to_row(ymax) - 2, 0, raster_rows - 1);
   while (lo > 0 && scanline_y(t, lo - 1) < ymax) --lo;
   while (lo < raster_rows && scanline_y(t, lo) >= ymax) ++lo;
-  // Last row with scanline_y >= ymin.
-  std::int64_t hi =
-      std::clamp<std::int64_t>(t.y_to_row(ymin) + 2, 0, raster_rows - 1);
-  while (hi < raster_rows - 1 && scanline_y(t, hi + 1) >= ymin) ++hi;
-  while (hi >= 0 && scanline_y(t, hi) < ymin) --hi;
+  std::int64_t hi = lo - 1;
+  while (hi + 1 < raster_rows &&
+         scanline_crossing(x0, y0, x1, y1, scanline_y(t, hi + 1))) {
+    ++hi;
+  }
   out.first = lo;
   out.last = hi;
   return out;
@@ -51,10 +54,11 @@ RowRange edge_row_range(const GeoTransform& t, std::int64_t raster_rows,
 
 EdgeIndex EdgeIndex::build(const PolygonSoA& soa,
                            const GeoTransform& transform,
-                           std::int64_t raster_rows) {
+                           std::int64_t raster_rows,
+                           std::span<const PolygonId> zones) {
   EdgeIndex index;
   index.bands_.resize(soa.polygon_count());
-  if (soa.polygon_count() == 0) return index;
+  if (zones.empty()) return index;
 
   const double* x_v = soa.x_v().data();
   const double* y_v = soa.y_v().data();
@@ -63,7 +67,7 @@ EdgeIndex EdgeIndex::build(const PolygonSoA& soa,
   std::atomic<std::uint64_t> entries{0};
 
   ThreadPool::global().parallel_for(
-      soa.polygon_count(), [&](std::size_t begin, std::size_t end) {
+      zones.size(), [&](std::size_t begin, std::size_t end) {
         // (tail index, row range) of each banded edge; reused across the
         // chunk's polygons.
         std::vector<std::pair<std::uint32_t, RowRange>> spans;
@@ -72,7 +76,8 @@ EdgeIndex EdgeIndex::build(const PolygonSoA& soa,
         std::uint64_t local_entries = 0;
 
         for (std::size_t i = begin; i < end; ++i) {
-          const PolygonId pid = static_cast<PolygonId>(i);
+          const PolygonId pid = zones[i];
+          ZH_DCHECK_BOUNDS(pid, index.bands_.size());
           const auto [p_f, p_t] = soa.vertex_range(pid);
           Band& band = index.bands_[pid];
           spans.clear();
@@ -87,14 +92,12 @@ EdgeIndex EdgeIndex::build(const PolygonSoA& soa,
               local_dropped += 2;
               continue;
             }
-            const double y0 = y_v[j];
-            const double y1 = y_v[j + 1];
-            if (y0 == y1) {  // horizontal: never crosses (half-open rule)
+            if (y_v[j] == y_v[j + 1]) {  // horizontal: never crosses
               ++local_dropped;
               continue;
             }
-            const RowRange rr = edge_row_range(
-                transform, raster_rows, std::min(y0, y1), std::max(y0, y1));
+            const RowRange rr = edge_row_range(transform, raster_rows, x_v[j],
+                                               y_v[j], x_v[j + 1], y_v[j + 1]);
             if (rr.first > rr.last) {
               ++local_dropped;
               continue;

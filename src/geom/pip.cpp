@@ -7,12 +7,11 @@ namespace {
 // One ray-crossing edge update, shared by both implementations so the
 // object form and the SoA form agree bit-for-bit on every input. Edge
 // runs from (x0,y0) to (x1,y1); point is (px,py). Returns true if the
-// horizontal ray from the point crosses this edge (half-open vertex rule
-// prevents double-counting shared endpoints).
+// horizontal ray from the point crosses this edge.
 inline bool edge_crosses(double x0, double y0, double x1, double y1,
                          double px, double py) {
-  return (((y0 <= py) && (py < y1)) || ((y1 <= py) && (py < y0))) &&
-         (px < (x1 - x0) * (py - y0) / (y1 - y0) + x0);
+  const std::optional<double> x = scanline_crossing(x0, y0, x1, y1, py);
+  return x && px < *x;
 }
 
 }  // namespace

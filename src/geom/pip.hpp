@@ -12,11 +12,32 @@
 // two agree for points not exactly on a boundary).
 #pragma once
 
+#include <optional>
+
 #include "common/types.hpp"
 #include "geom/polygon.hpp"
 #include "geom/soa.hpp"
 
 namespace zh {
+
+/// The crossing rule of every ray-crossing path: the object and SoA
+/// tests here, the Step-4 scanline refiner, the edge index that feeds it,
+/// the zonal_scanline baseline and the Step-2 tile sweep. Edge
+/// (x0, y0) -> (x1, y1) crosses the horizontal line y = py iff py lies in
+/// its half-open y-span [min(y0, y1), max(y0, y1)), so a vertex on the
+/// line counts for exactly one of its edges and a horizontal edge never
+/// crosses. Returns the x of the crossing, or nothing. A point (px, py)
+/// is inside iff an odd number of edges cross at some x > px. The
+/// intercept divides between its product and its sum, so no
+/// floating-point contraction can fuse it into a multiply-add, and every
+/// caller computes the same bits.
+[[nodiscard]] inline std::optional<double> scanline_crossing(
+    double x0, double y0, double x1, double y1, double py) {
+  if (!(((y0 <= py) && (py < y1)) || ((y1 <= py) && (py < y0)))) {
+    return std::nullopt;
+  }
+  return (x1 - x0) * (py - y0) / (y1 - y0) + x0;
+}
 
 /// Ray-crossing test against a single ring (implicitly closed).
 [[nodiscard]] bool point_in_ring(const Ring& ring, const GeoPoint& p);

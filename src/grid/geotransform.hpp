@@ -88,14 +88,19 @@ class GeoTransform {
   }
 
   /// Column index containing geographic x (floor semantics; may be out of
-  /// the raster's range -- callers clamp).
+  /// the raster's range -- callers clamp). Saturates at +-kIndexLimit, so
+  /// a far but finite x still lands on the correct side of the raster.
   [[nodiscard]] std::int64_t x_to_col(double x) const {
-    return static_cast<std::int64_t>(std::floor((x - origin_x_) / cell_w_));
+    return floor_index((x - origin_x_) / cell_w_);
   }
-  /// Row index containing geographic y.
+  /// Row index containing geographic y (same semantics).
   [[nodiscard]] std::int64_t y_to_row(double y) const {
-    return static_cast<std::int64_t>(std::floor((origin_y_ - y) / cell_h_));
+    return floor_index((origin_y_ - y) / cell_h_);
   }
+
+  /// Bound of x_to_col/y_to_row: 2^62, far past any raster, and far
+  /// enough inside the int64_t range that a caller's +-k cannot wrap.
+  static constexpr std::int64_t kIndexLimit = std::int64_t{1} << 62;
 
   /// Transform for a sub-window whose top-left cell is (row0, col0).
   [[nodiscard]] GeoTransform for_window(std::int64_t row0,
@@ -107,6 +112,17 @@ class GeoTransform {
   bool operator==(const GeoTransform&) const = default;
 
  private:
+  /// floor(v) as an index, saturated in double before the cast: a cast
+  /// of a value outside int64_t's range is undefined (x86 yields
+  /// INT64_MIN, which puts a point far east of the raster west of it).
+  static std::int64_t floor_index(double v) {
+    constexpr double kLimit = static_cast<double>(kIndexLimit);
+    const double f = std::floor(v);
+    if (!(f < kLimit)) return kIndexLimit;  // also +inf
+    if (!(f > -kLimit)) return -kIndexLimit;
+    return static_cast<std::int64_t>(f);
+  }
+
   double origin_x_ = 0.0;
   double origin_y_ = 0.0;
   double cell_w_ = 1.0;

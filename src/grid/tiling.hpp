@@ -18,6 +18,23 @@
 
 namespace zh {
 
+/// Inclusive rectangle [ty0, ty1] x [tx0, tx1] of tile-grid coordinates;
+/// empty when either span is.
+struct TileRange {
+  std::int64_t ty0 = 0;
+  std::int64_t ty1 = -1;
+  std::int64_t tx0 = 0;
+  std::int64_t tx1 = -1;
+
+  [[nodiscard]] bool empty() const { return ty1 < ty0 || tx1 < tx0; }
+  [[nodiscard]] std::int64_t rows() const {
+    return empty() ? 0 : ty1 - ty0 + 1;
+  }
+  [[nodiscard]] std::int64_t cols() const {
+    return empty() ? 0 : tx1 - tx0 + 1;
+  }
+};
+
 /// Square tiling of a rows x cols raster with tile edge `tile_size` cells.
 /// Tile ids are row-major over the tile grid.
 class TilingScheme {
@@ -82,8 +99,15 @@ class TilingScheme {
     return GeoBox{tl.x, br.y, br.x, tl.y};
   }
 
-  /// Tile ids whose boxes intersect the geographic box `b` (the MBB
-  /// rasterization of Sec. III.B: decompose a polygon's MBB into tiles).
+  /// The tiles the geographic box `b` covers, as a rectangle of the tile
+  /// grid (the MBB rasterization of Sec. III.B). Floor semantics are
+  /// conservative: a box edge exactly on a cell boundary pulls in the
+  /// next cell, and a box reaching past the raster clamps to the edge
+  /// tiles. A box entirely off the raster covers nothing.
+  [[nodiscard]] TileRange tile_range_covering(
+      const GeoBox& b, const GeoTransform& transform) const;
+
+  /// The ids of tile_range_covering(b, transform), row-major.
   [[nodiscard]] std::vector<TileId> tiles_covering(
       const GeoBox& b, const GeoTransform& transform) const;
 

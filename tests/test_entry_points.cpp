@@ -225,6 +225,40 @@ TEST(EntryPointInputs, WholeRasterZoneTakesSplitPath) {
   EXPECT_EQ(dev.kernel_profiles().at("ZoneHistKernel").blocks, 4u);
 }
 
+// A zone with a far but finite vertex keeps its cells on every path. The
+// vertex at x = 1e300 once made the column lookup of the zone's MBB wrap
+// to INT64_MIN, so every tile-based path and the MBB-windowed baselines
+// saw the zone west of the raster and counted nothing; only the
+// whole-raster zonal_naive counted its cells.
+TEST(EntryPointInputs, FarVertexZoneMatchesNaiveOnEveryPath) {
+  constexpr BinIndex kFarBins = 64;
+  const DemRaster raster =
+      test::random_raster(100, 100, 5, 63, GeoTransform(0.0, 10.0, 0.1, 0.1));
+  const ZonalConfig cfg{.tile_size = 10, .bins = kFarBins};
+  for (const double far : {1e3, 1e17, 1e300}) {
+    SCOPED_TRACE("far vertex x = " + std::to_string(far));
+    PolygonSet z;
+    z.add(Polygon({{{1, 1}, {9, 1}, {far, 5}, {9, 9}, {1, 9}}}));
+    const HistogramSet want = zonal_naive(raster, z, kFarBins);
+    EXPECT_EQ(want.total(), 7200u);
+    Device dev;
+    EXPECT_EQ(ZonalPipeline(dev, cfg).run(raster, z).per_polygon, want);
+    EXPECT_EQ(ZonalPipeline(dev, cfg)
+                  .run(BqCompressedRaster::encode(raster, cfg.tile_size), z)
+                  .per_polygon,
+              want);
+    QueryEngine engine(dev, {.tile_size = cfg.tile_size});
+    EXPECT_EQ(engine
+                  .run({.raster = engine.add_raster(raster),
+                        .zones = &z,
+                        .bins = kFarBins})
+                  .per_polygon,
+              want);
+    EXPECT_EQ(zonal_scanline(raster, z, kFarBins), want);
+    EXPECT_EQ(zonal_mbb_filter(raster, z, kFarBins), want);
+  }
+}
+
 // histogram.values_clamped counts clamped (cell, zone) attributions, the
 // unit of the per-cell oracle: a clamped cell in a tile inside both
 // overlapping zones counts twice.

@@ -38,6 +38,27 @@ TEST(GeoTransform, IndexLookupInvertsCellCenter) {
   }
 }
 
+TEST(GeoTransform, IndexLookupSaturatesFarCoordinates) {
+  // A cast of floor(1e301) to int64_t is undefined; the lookup saturates
+  // first, so far coordinates land on the correct side of any raster.
+  const GeoTransform t(0.0, 10.0, 0.1, 0.1);
+  EXPECT_EQ(t.x_to_col(1e300), GeoTransform::kIndexLimit);
+  EXPECT_EQ(t.x_to_col(-1e300), -GeoTransform::kIndexLimit);
+  EXPECT_EQ(t.y_to_row(-1e300), GeoTransform::kIndexLimit);
+  EXPECT_EQ(t.y_to_row(1e300), -GeoTransform::kIndexLimit);
+  EXPECT_EQ(t.x_to_col(5.05), 50);
+
+  // A box reaching from inside the raster to x = 1e300 covers the
+  // raster's east columns.
+  const TilingScheme tiling(100, 100, 10);
+  const TileRange r =
+      tiling.tile_range_covering({1.05, 0.55, 1e300, 9.45}, t);
+  EXPECT_EQ(r.tx0, 1);
+  EXPECT_EQ(r.tx1, 9);
+  EXPECT_EQ(r.ty0, 0);
+  EXPECT_EQ(r.ty1, 9);
+}
+
 TEST(GeoTransform, ExtentCoversAllCells) {
   const GeoTransform t(0.0, 10.0, 1.0, 1.0);
   const GeoBox e = t.extent(10, 20);

@@ -2,6 +2,7 @@
 // fresh ZonalPipeline::run on the same inputs (DESIGN.md §9).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,6 +57,32 @@ TEST(QueryEngine, MatchesZonalPipelineBitExactly) {
   EXPECT_EQ(got.work.pairs_inside, want.work.pairs_inside);
   EXPECT_EQ(got.work.pairs_intersect, want.work.pairs_intersect);
   EXPECT_EQ(got.work.cells_in_polygons, want.work.cells_in_polygons);
+}
+
+TEST(QueryEngine, DefaultConfigRefinesDenseLayerByScanline) {
+  // 64-vertex stars: dense enough in edges per boundary tile that the
+  // default strategy resolves to the scanline path.
+  Device dev;
+  const DemRaster raster = make_raster(17);
+  std::mt19937 rng(23);
+  PolygonSet zones;
+  zones.add(test::random_star_polygon(rng, 3.0, 4.5, 2.5, 64, true));
+  zones.add(test::random_star_polygon(rng, 8.0, 4.0, 2.0, 64));
+
+  QueryEngine by_default(dev, small_config());
+  QueryEngineConfig brute_cfg = small_config();
+  brute_cfg.refine_strategy = RefineStrategy::kBrute;
+  QueryEngine brute(dev, brute_cfg);
+  const ZonalQuery q{.raster = by_default.add_raster(raster),
+                     .zones = &zones,
+                     .bins = 100};
+  ASSERT_EQ(brute.add_raster(raster), q.raster);
+  const QueryResult got = by_default.run(q);
+  const QueryResult want = brute.run(q);
+  EXPECT_GT(got.work.pip_rows_scanned, 0u);
+  EXPECT_EQ(want.work.pip_rows_scanned, 0u);
+  EXPECT_EQ(got.per_polygon, want.per_polygon);
+  EXPECT_GT(got.per_polygon.total(), 0u);
 }
 
 TEST(QueryEngine, BatchMatchesIndependentRunsWithSharing) {

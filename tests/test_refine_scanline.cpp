@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <vector>
 
@@ -185,7 +186,9 @@ TEST(RefineEdgeIndex, BandsMatchCrossingPredicateExactly) {
   const PolygonSoA soa = PolygonSoA::build(polys);
   const GeoTransform t(0.0, 10.0, 0.1, 0.1);
   const std::int64_t rows = 100;
-  const EdgeIndex index = EdgeIndex::build(soa, t, rows);
+  std::vector<PolygonId> all(polys.size());
+  std::iota(all.begin(), all.end(), PolygonId{0});
+  const EdgeIndex index = EdgeIndex::build(soa, t, rows, all);
   ASSERT_EQ(index.polygon_count(), polys.size());
 
   const std::span<const double> x_v = soa.x_v();
@@ -226,7 +229,8 @@ TEST(RefineEdgeIndex, OutOfBandRowsAreEmpty) {
   set.add(Polygon({{{0.5, 2.5}, {3.5, 2.5}, {3.5, 4.5}, {0.5, 4.5}}}));
   const PolygonSoA soa = PolygonSoA::build(set);
   const GeoTransform t(0.0, 10.0, 1.0, 1.0);
-  const EdgeIndex index = EdgeIndex::build(soa, t, 10);
+  const std::vector<PolygonId> only = {0};
+  const EdgeIndex index = EdgeIndex::build(soa, t, 10, only);
   // Centers at y = 9.5 .. 0.5. The square's vertical edges span
   // [2.5, 4.5) under the half-open crossing rule (horizontal edges are
   // dropped), so only the centers 3.5 (row 6) and 2.5 (row 7, the closed
@@ -238,6 +242,41 @@ TEST(RefineEdgeIndex, OutOfBandRowsAreEmpty) {
   EXPECT_FALSE(index.row_edges(0, 7).empty());  // y=2.5 on the closed end
   EXPECT_TRUE(index.row_edges(0, 8).empty());   // y=1.5 below
   EXPECT_TRUE(index.row_edges(0, 9).empty());
+}
+
+TEST(RefineEdgeIndex, IndexesOnlyTheListedZones) {
+  const PolygonSet polys = test::random_polygon_set(
+      37, GeoBox{0.5, 0.5, 9.5, 9.5}, 6, /*holes=*/true);
+  const PolygonSoA soa = PolygonSoA::build(polys);
+  const GeoTransform t(0.0, 10.0, 0.1, 0.1);
+  const std::int64_t rows = 100;
+  std::vector<PolygonId> all(polys.size());
+  std::iota(all.begin(), all.end(), PolygonId{0});
+  const std::vector<PolygonId> listed = {1, 4};
+  const EdgeIndex full = EdgeIndex::build(soa, t, rows, all);
+  const EdgeIndex part = EdgeIndex::build(soa, t, rows, listed);
+  ASSERT_EQ(part.polygon_count(), polys.size());
+
+  std::uint64_t entries = 0;
+  for (PolygonId pid = 0; pid < polys.size(); ++pid) {
+    const bool is_listed =
+        std::find(listed.begin(), listed.end(), pid) != listed.end();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::span<const std::uint32_t> want = full.row_edges(pid, r);
+      const std::span<const std::uint32_t> got = part.row_edges(pid, r);
+      if (!is_listed) {
+        ASSERT_TRUE(got.empty()) << "unlisted zone " << pid << " row " << r;
+        continue;
+      }
+      ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                std::vector<std::uint32_t>(want.begin(), want.end()))
+          << "zone " << pid << " row " << r;
+      entries += got.size();
+    }
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(part.stats().bucket_entries, entries);
+  EXPECT_LT(part.stats().bucket_entries, full.stats().bucket_entries);
 }
 
 TEST(RefineAuto, ResolvesByEdgeDensity) {

@@ -3,13 +3,19 @@
 // arrays are a lossless reorganization of the labeled pair list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <type_traits>
 
 #include "core/step2_pairing.hpp"
-#include "primitives/primitives.hpp"
+#include "data/conus.hpp"
+#include "data/county_synth.hpp"
+#include "geom/classify.hpp"
 #include "geom/pip.hpp"
+#include "primitives/primitives.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -194,6 +200,253 @@ TEST(Step2, EmptyPolygonSet) {
       pair_and_group(w.polygons, w.tiling, w.transform);
   EXPECT_EQ(res.candidate_pairs, 0u);
   EXPECT_EQ(res.inside.group_count(), 0u);
+}
+
+/// The pairing classify_box defines, one pair at a time: each zone's MBB
+/// candidates in row-major order, labelled by classify_box, outside
+/// pairs dropped.
+TilePolygonPairs classify_box_pairs(const PolygonSet& zones,
+                                    const TilingScheme& tiling,
+                                    const GeoTransform& transform) {
+  TilePolygonPairs out;
+  for (PolygonId z = 0; z < zones.size(); ++z) {
+    const GeoBox mbr = zones[z].mbr();
+    for (const TileId t : tiling.tiles_covering(mbr, transform)) {
+      const TileRelation rel =
+          classify_box(zones[z], mbr, tiling.tile_box(t, transform));
+      if (rel == TileRelation::kOutside) continue;
+      out.tile_ids.push_back(t);
+      out.polygon_ids.push_back(z);
+      out.relations.push_back(rel);
+    }
+  }
+  return out;
+}
+
+struct PairTally {
+  std::size_t inside = 0;
+  std::size_t intersect = 0;
+};
+
+/// Step 2's pairs must equal classify_box_pairs element by element.
+PairTally expect_pairs_match_classify_box(const PolygonSet& zones,
+                                          const TilingScheme& tiling,
+                                          const GeoTransform& transform) {
+  const TilePolygonPairs want = classify_box_pairs(zones, tiling, transform);
+  const TilePolygonPairs got =
+      pair_tiles_with_polygons(zones, tiling, transform);
+  EXPECT_EQ(got.size(), want.size());
+  PairTally tally;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got.tile_ids[i] != want.tile_ids[i] ||
+        got.polygon_ids[i] != want.polygon_ids[i] ||
+        got.relations[i] != want.relations[i]) {
+      ADD_FAILURE() << "pair " << i << ": got (tile " << got.tile_ids[i]
+                    << ", zone " << got.polygon_ids[i] << ", relation "
+                    << static_cast<int>(got.relations[i])
+                    << "), classify_box gives (tile " << want.tile_ids[i]
+                    << ", zone " << want.polygon_ids[i] << ", relation "
+                    << static_cast<int>(want.relations[i]) << ")";
+      break;
+    }
+    ++(want.relations[i] == TileRelation::kInside ? tally.inside
+                                                  : tally.intersect);
+  }
+  return tally;
+}
+
+Ring box_ring(double x0, double y0, double x1, double y1) {
+  return {{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}};
+}
+
+/// A zone whose parts are the rings of `a` and `b` (disjoint parts, or a
+/// part inside a hole).
+Polygon multi_part(const Polygon& a, const Polygon& b) {
+  Polygon p = a;
+  for (const Ring& r : b.rings()) p.add_ring(r);
+  return p;
+}
+
+void sweep_matches_on_table_one_tilings() {
+  // The six Table-1 rasters at S=30 with their 12-cell tiles, against
+  // the county layer and a coarse 48-zone layer. Step 2 reads only
+  // transforms and tilings, so no raster is generated.
+  const std::vector<PolygonSet> layers = {
+      conus::generate_county_layer(3109), conus::generate_county_layer(48, 9)};
+  constexpr int kScale = 30;
+  const std::int64_t tile = conus::tile_size_cells(kScale);
+  PairTally total;
+  for (const conus::RasterSpec& spec : conus::table1()) {
+    const TilingScheme tiling(spec.rows_at(kScale), spec.cols_at(kScale),
+                              tile);
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      SCOPED_TRACE(spec.name + " layer " + std::to_string(l));
+      const PairTally t = expect_pairs_match_classify_box(
+          layers[l], tiling, spec.transform_at(kScale));
+      total.inside += t.inside;
+      total.intersect += t.intersect;
+    }
+  }
+  EXPECT_GT(total.inside, 10000u);
+  EXPECT_GT(total.intersect, 10000u);
+}
+
+void sweep_matches_on_seeded_layers() {
+  // 95 x 103 cells: the last tile row and column are partial at every
+  // tile size but 1. The layers reach past the raster on every side;
+  // every third zone has a hole, and two extra zones have several parts
+  // (one a part inside another part's hole).
+  const GeoTransform transform(0.0, 9.5, 0.1, 0.1);
+  for (const std::int64_t tile : {1, 3, 10, 17}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE("tile " + std::to_string(tile) + " seed " +
+                   std::to_string(seed));
+      CountyParams cp;
+      cp.seed = seed;
+      cp.grid_x = 4;
+      cp.grid_y = 3;
+      cp.hole_every = 3;
+      PolygonSet zones =
+          generate_counties(GeoBox{-0.7, -0.4, 10.9, 10.1}, cp);
+      std::mt19937 rng(static_cast<std::uint32_t>(seed));
+      const Polygon ring_part = test::random_star_polygon(
+          rng, 5.0, 4.5, 2.5, 40, /*with_hole=*/true);
+      zones.add(multi_part(ring_part, test::random_star_polygon(
+                                          rng, 5.0, 4.5, 0.4, 9)));
+      zones.add(multi_part(zones[0], zones[zones.size() - 2]));
+      const PairTally t = expect_pairs_match_classify_box(
+          zones, TilingScheme(95, 103, tile), transform);
+      EXPECT_GT(t.inside, 0u);
+      EXPECT_GT(t.intersect, 0u);
+    }
+  }
+}
+
+void sweep_matches_on_tile_boundaries_and_centre_lines() {
+  // Cells of 1/4 unit and tiles of 4 cells: tile boundaries fall on the
+  // integers and tile centre lines on the half-integers, all exact, so
+  // edges and vertices hit them exactly. Tiles of 2 cells put a tile
+  // boundary on every half-integer as well.
+  const GeoTransform transform(0.0, 16.0, 0.25, 0.25);
+  PolygonSet zones;
+  zones.add(Polygon({box_ring(2, 3, 7, 8)}));          // on boundaries
+  zones.add(Polygon({box_ring(2.5, 3.5, 6.5, 11.5)}));  // on centre lines
+  zones.add(Polygon({box_ring(9, 1.5, 14.5, 6)}));      // one of each
+  zones.add(Polygon({{{8, 8.5}, {12.5, 13}, {8, 15.5}, {3.5, 13}}}));
+  zones.add(Polygon({{{1, 1}, {5, 1}, {5, 2}, {1, 2}}}));  // one tile high
+  Polygon holed({box_ring(0, 0, 16, 16)});                 // the raster
+  holed.add_ring(box_ring(4, 4, 12, 12));
+  zones.add(holed);
+  zones.add(Polygon({box_ring(1.5, 12, 6, 12.5)}));  // thinner than a tile
+  for (const std::int64_t tile : {1, 2, 4, 5}) {
+    SCOPED_TRACE("tile " + std::to_string(tile));
+    const PairTally t = expect_pairs_match_classify_box(
+        zones, TilingScheme(64, 64, tile), transform);
+    EXPECT_GT(t.inside, 0u);
+    EXPECT_GT(t.intersect, 0u);
+  }
+}
+
+void sweep_matches_on_rounded_tile_corners() {
+  // Under a Table-1 transform, about a third of the cell corners map back
+  // into the previous cell (origin + c * cell, less origin, over cell,
+  // floors to c - 1). A spike whose tip is such a corner touches the
+  // next tile, and nothing else of its zone does: the sweep must still
+  // test the tip's edges against that tile. Tips point east at tile
+  // column boundaries and south at tile row boundaries.
+  const conus::RasterSpec& spec = conus::table1()[0];
+  const GeoTransform t = spec.transform_at(30);
+  const TilingScheme tiling(spec.rows_at(30), spec.cols_at(30), 12);
+  const double w = 12 * t.cell_w();  // one tile
+  PolygonSet zones;
+  for (std::int64_t tx = 4; tx + 4 < tiling.tiles_x() && zones.size() < 8;
+       ++tx) {
+    const double x = tiling.tile_box(tiling.tile_id(0, tx), t).min_x;
+    if (t.x_to_col(x) / tiling.tile_size() != tx - 1) continue;
+    const double y = tiling.tile_box(tiling.tile_id(5, tx), t).min_y + w / 2;
+    // Tip (x, y); the zone reaches past x two tile rows further north.
+    zones.add(Polygon({{{x - 3 * w, y - w / 5}, {x, y}, {x - 3 * w, y + w / 5},
+                        {x - 3 * w, y + 2.5 * w}, {x + 3.5 * w, y + 2.5 * w},
+                        {x + 3.5 * w, y + 4.5 * w}, {x - 5 * w, y + 4.5 * w},
+                        {x - 5 * w, y - w / 5}}}));
+  }
+  const std::size_t east = zones.size();
+  for (std::int64_t ty = 4; ty + 4 < tiling.tiles_y() && zones.size() < 16;
+       ++ty) {
+    const double y = tiling.tile_box(tiling.tile_id(ty, 0), t).max_y;
+    if (t.y_to_row(y) / tiling.tile_size() != ty - 1) continue;
+    const double x = tiling.tile_box(tiling.tile_id(ty, 5), t).min_x + w / 2;
+    // Tip (x, y); the zone reaches past y two tile columns further east.
+    zones.add(Polygon({{{x - w / 5, y + 3 * w}, {x, y}, {x + w / 5, y + 3 * w},
+                        {x + 2.5 * w, y + 3 * w}, {x + 2.5 * w, y - 3.5 * w},
+                        {x + 4.5 * w, y - 3.5 * w}, {x + 4.5 * w, y + 5 * w},
+                        {x - w / 5, y + 5 * w}}}));
+  }
+  ASSERT_EQ(east, 8u);
+  ASSERT_EQ(zones.size(), 16u);
+  const PairTally tally = expect_pairs_match_classify_box(zones, tiling, t);
+  EXPECT_GT(tally.inside, 0u);
+}
+
+void sweep_matches_past_the_raster_edges() {
+  // 10 x 10 units, 100 x 100 cells, tiles of 10 cells.
+  const GeoTransform transform(0.0, 10.0, 0.1, 0.1);
+  const TilingScheme tiling(100, 100, 10);
+  PolygonSet zones;
+  zones.add(Polygon({box_ring(-3, -2, 13, 12)}));     // covers the raster
+  zones.add(Polygon({box_ring(-3, 4.05, 4.05, 12)}));  // past two edges
+  zones.add(Polygon({box_ring(11, 2, 14, 8)}));       // east of it
+  zones.add(Polygon({box_ring(-4, 2, 0, 8)}));        // touches the west
+  zones.add(Polygon({box_ring(2, 10, 8, 11)}));       // touches the north
+  zones.add(Polygon({box_ring(2, -5, 8, -1)}));       // south of it
+  std::mt19937 rng(17);
+  zones.add(test::random_star_polygon(rng, 5.0, 5.0, 9.0, 30, true));
+  // Far but finite vertices: edges with ends beyond any tile.
+  for (const double far : {1e3, 1e17, 1e300}) {
+    zones.add(Polygon({{{1, 1}, {9, 1}, {far, 5}, {9, 9}, {1, 9}}}));
+    zones.add(Polygon({{{-far, 2}, {8, 2.5}, {8, 7.5}}}));
+    zones.add(Polygon({{{2, 2}, {8, 2}, {5, far}}}));
+    zones.add(Polygon({{{2, 8}, {8, 8}, {5, -far}}}));
+  }
+  const PairTally t = expect_pairs_match_classify_box(zones, tiling,
+                                                      transform);
+  EXPECT_GT(t.inside, 0u);
+  EXPECT_GT(t.intersect, 0u);
+  // The east, west-touching, north-touching and south zones (ids 2-5)
+  // pair only with tiles their boundary touches, if any.
+  const TilePolygonPairs pairs =
+      pair_tiles_with_polygons(zones, tiling, transform);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairs.polygon_ids[i] >= 2 && pairs.polygon_ids[i] <= 5) {
+      EXPECT_EQ(pairs.relations[i], TileRelation::kIntersect);
+    }
+  }
+}
+
+// Step 2 labels every pair exactly as classify_box does, and lists them
+// in the same order, on the pairings the benchmarks run and on geometry
+// chosen to land on the sweep's rounding and tie cases.
+TEST(Step2, SweepMatchesClassifyBox) {
+  {
+    SCOPED_TRACE("Table-1 tilings at S=30");
+    sweep_matches_on_table_one_tilings();
+  }
+  {
+    SCOPED_TRACE("seeded layers with holes and multi-part zones");
+    sweep_matches_on_seeded_layers();
+  }
+  {
+    SCOPED_TRACE("edges on tile boundaries and centre lines");
+    sweep_matches_on_tile_boundaries_and_centre_lines();
+  }
+  {
+    SCOPED_TRACE("spike tips on tile corners that round into the tile before");
+    sweep_matches_on_rounded_tile_corners();
+  }
+  {
+    SCOPED_TRACE("zones past the raster edges");
+    sweep_matches_past_the_raster_edges();
+  }
 }
 
 // Regression: num_v/pos_v were std::uint32_t while pair_count() is a

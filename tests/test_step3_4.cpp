@@ -81,7 +81,9 @@ TEST(Step4, CountsExactlyTheInteriorCellsOfBoundaryTiles) {
 
   HistogramSet polys(1, 10);
   const RefineCounters rc =
-      refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys);
+      refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys,
+                            RefineGranularity::kPolygonGroup,
+                            RefineStrategy::kBrute);
 
   // Ground truth: per-cell PIP with the same reference implementation.
   BinCount expect = 0;
@@ -120,7 +122,9 @@ TEST(Step4, MultiRingPolygonExcludesHoleCells) {
   intersect.tid_v = {0};
 
   HistogramSet polys(1, 4);
-  refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys);
+  refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys,
+                        RefineGranularity::kPolygonGroup,
+                        RefineStrategy::kBrute);
 
   BinCount expect = 0;
   BinCount outer_only = 0;
@@ -157,7 +161,9 @@ TEST(Step4, NodataCellsInsidePolygonAreNotBinned) {
 
   HistogramSet polys(1, 10);
   const RefineCounters rc =
-      refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys);
+      refine_boundary_tiles(dev, intersect, soa, raster, tiling, polys,
+                            RefineGranularity::kPolygonGroup,
+                            RefineStrategy::kBrute);
   // All 16 cell centers are interior; the nodata one is not binned.
   EXPECT_EQ(polys.group_total(0), 15u);
   EXPECT_EQ(rc.cells_counted, 15u);
@@ -170,7 +176,8 @@ TEST(Step4, EmptyGroupsIsNoop) {
   const PolygonSoA soa = PolygonSoA::build(PolygonSet{});
   HistogramSet polys(1, 4);
   const RefineCounters rc = refine_boundary_tiles(
-      dev, PolygonTileGroups{}, soa, raster, tiling, polys);
+      dev, PolygonTileGroups{}, soa, raster, tiling, polys,
+      RefineGranularity::kPolygonGroup, RefineStrategy::kAuto);
   EXPECT_EQ(rc.cell_tests, 0u);
   EXPECT_EQ(polys.total(), 0u);
 }

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -215,15 +216,56 @@ TEST_F(ZhistCli, CatalogMatchesOracle) {
       9, GeoBox{0.5, 0.5, 15.5, 5.9}, 5, /*holes=*/true);
   write_catalog(path("cat"), {{"west", &cwest}, {"east", &ceast}}, zones);
 
-  ASSERT_EQ(zhist("catalog '" + path("cat") + "' -o '" + path("out.csv") +
-                  "' --bins 64 --tile 8"),
-            0);
   HistogramSet expect(zones.size(), 64);
   expect.add(zonal_scanline(west, zones, 64));
   expect.add(zonal_scanline(east, zones, 64));
   write_histogram_csv(path("expect.csv"), expect);
   EXPECT_FALSE(slurp(path("expect.csv")).empty());
-  EXPECT_EQ(slurp(path("out.csv")), slurp(path("expect.csv")));
+  for (const std::string refine : {"brute", "scanline", "auto"}) {
+    const std::string out = path("out_" + refine + ".csv");
+    ASSERT_EQ(zhist("catalog '" + path("cat") + "' -o '" + out +
+                    "' --bins 64 --tile 8 --refine " + refine),
+              0);
+    EXPECT_EQ(slurp(out), slurp(path("expect.csv"))) << refine;
+  }
+}
+
+TEST_F(ZhistCli, QueryHonorsRefine) {
+  // 64-vertex stars put many edges in every boundary tile: the scanline
+  // path scans rows there, the brute path scans none, and both give the
+  // same histograms.
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(64, 64, 8, 60,
+                                  GeoTransform(0.0, 6.4, 0.1, 0.1)));
+  std::mt19937 rng(31);
+  PolygonSet zones;
+  zones.add(test::random_star_polygon(rng, 3.2, 3.2, 2.8, 64, true));
+  write_polygon_tsv(path("zones.tsv"), zones);
+  std::ofstream(path("batch.json"))
+      << "{\"tile\": 8, \"queries\": [{\"raster\": \"" << path("r.zgrid")
+      << "\", \"zones\": \"" << path("zones.tsv")
+      << "\", \"bins\": 64, \"out\": \"" << path("q.csv") << "\"}]}";
+
+  std::string csv[2];
+  double rows_scanned[2] = {-1, -1};
+  const char* refine[2] = {"brute", "scanline"};
+  for (int k = 0; k < 2; ++k) {
+    const std::string metrics = path(std::string(refine[k]) + ".json");
+    ASSERT_EQ(zhist("query --batch '" + path("batch.json") + "' --refine " +
+                    refine[k] + " --metrics '" + metrics + "'"),
+              0);
+    csv[k] = slurp(path("q.csv"));
+    const obs::JsonValue report = obs::parse_json_file(metrics);
+    const obs::JsonValue* counters = report.find("counters");
+    ASSERT_NE(counters, nullptr);
+    const obs::JsonValue* rows = counters->find("pip_rows_scanned");
+    ASSERT_NE(rows, nullptr);
+    rows_scanned[k] = rows->number;
+  }
+  EXPECT_EQ(rows_scanned[0], 0.0);
+  EXPECT_GT(rows_scanned[1], 0.0);
+  EXPECT_FALSE(csv[0].empty());
+  EXPECT_EQ(csv[0], csv[1]);
 }
 
 TEST_F(ZhistCli, RunReportsPassValidateObs) {

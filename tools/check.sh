@@ -27,11 +27,12 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 # Concurrency suites exercised under TSan: ThreadPool + device emulation,
 # thrust-analog primitives, the MPI-like cluster layer (including the
 # fault-injection and crash-recovery paths, and the metrics row each
-# rank writes into the shared result), the Step-4 refinement
-# strategies (parallel edge-index build + scanline kernels), the stress
-# mix, and every entry point against the oracle (the inside count's
-# plain increments into owned zone rows and atomic merges of split ones).
-TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*:*EntryPoint*'
+# rank writes into the shared result), the Step-2 tile sweep (per-chunk
+# scratch on the pool), the Step-4 refinement strategies (parallel
+# edge-index build + scanline kernels), the stress mix, and every entry
+# point against the oracle (the inside count's plain increments into
+# owned zone rows and atomic merges of split ones).
+TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Step2*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*:*EntryPoint*'
 
 # Fault-tolerance suites: deterministic fault injection, receive
 # deadlines and retries, crash recovery (a silent worker is never

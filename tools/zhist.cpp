@@ -63,8 +63,8 @@ struct Args {
   BinIndex bins = 5000;
   std::int64_t tile = 360;
   bool stats = false;
-  // The CLI defaults to auto so real runs pick the measured best path;
-  // the library default stays brute (the paper's kernel) for fidelity.
+  // Step-4 strategy of hist, catalog and query; auto, the library
+  // default, picks by edge density.
   RefineStrategy refine = RefineStrategy::kAuto;
   int part_rows = 1;
   int part_cols = 1;
@@ -548,8 +548,10 @@ int cmd_catalog(const Args& args) {
   const Catalog catalog = open_catalog(args.positional[0]);
   Device device;
   Timer timer;
-  const CatalogRunResult r = run_catalog(
-      device, catalog, {.tile_size = args.tile, .bins = args.bins});
+  const CatalogRunResult r =
+      run_catalog(device, catalog,
+                  {.tile_size = args.tile, .bins = args.bins,
+                   .refine_strategy = args.refine});
   std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
                r.rasters_processed,
                static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
@@ -590,6 +592,7 @@ int cmd_query(const Args& args) {
 
   QueryEngineConfig cfg;
   cfg.tile_size = args.tile;
+  cfg.refine_strategy = args.refine;
   if (const obs::JsonValue* t = spec.find("tile"); t != nullptr) {
     cfg.tile_size = json_int("\"tile\"", *t, std::int64_t{1});
   }
@@ -710,10 +713,14 @@ constexpr Command kCommands[] = {
     {"zones", "<out.tsv> [--zones N] [--seed S]", cmd_zones},
     {"simplify", "<zones.tsv> <out.tsv> --eps E", cmd_simplify},
     {"validate", "<zones.tsv>", cmd_validate},
-    {"catalog", "<dir> [-o hist.csv] [--bins N] [--tile N]", cmd_catalog},
+    {"catalog",
+     "<dir> [-o hist.csv] [--bins N] [--tile N] "
+     "[--refine brute|scanline|auto]",
+     cmd_catalog},
     {"query",
-     "--batch spec.json [--tile N] [--bins N] [--metrics FILE] "
-     "[--trace FILE] [--report]",
+     "--batch spec.json [--tile N] [--bins N] "
+     "[--refine brute|scanline|auto] [--metrics FILE] [--trace FILE] "
+     "[--report]",
      cmd_query},
 };
 

@@ -46,19 +46,7 @@ void note_values_clamped(std::uint64_t n);
 class HistogramSet {
  public:
   HistogramSet() = default;
-  HistogramSet(std::size_t groups, BinIndex bins)
-      : groups_(groups), bins_(bins) {
-    ZH_REQUIRE(bins > 0, "histograms need at least one bin");
-    const std::size_t n = groups * static_cast<std::size_t>(bins);
-    // Reserve first and hint huge pages before the zero-fill touches the
-    // pages: CONUS-scale per-tile tables run to gigabytes and 4 KiB
-    // faulting them is slow on virtualized hosts.
-    counts_.reserve(n);
-    if (n * sizeof(BinCount) >= kHugePageHintBytes) {
-      hint_huge_pages(counts_.data(), n * sizeof(BinCount));
-    }
-    counts_.assign(n, 0);
-  }
+  HistogramSet(std::size_t groups, BinIndex bins) { reset(groups, bins); }
 
   /// Reshape to groups x bins and zero all counts, reusing the existing
   /// allocation when capacity allows (the Step-1 ablation benches pass
@@ -72,7 +60,11 @@ class HistogramSet {
               "histogram table size overflows size_t: ", groups,
               " groups x ", bins, " bins");
     if (counts_.capacity() < n) {
-      counts_.clear();  // growing must not copy the old counts across
+      // Growing must not copy the old counts across. Reserve first and
+      // hint huge pages before the zero-fill touches the pages:
+      // CONUS-scale per-tile tables run to gigabytes and 4 KiB faulting
+      // them is slow on virtualized hosts.
+      counts_.clear();
       counts_.reserve(n);
       if (n * sizeof(BinCount) >= kHugePageHintBytes) {
         hint_huge_pages(counts_.data(), n * sizeof(BinCount));

@@ -11,7 +11,6 @@
 #include "geom/classify.hpp"
 #include "geom/pip.hpp"
 #include "obs/obs.hpp"
-#include "primitives/primitives.hpp"
 
 namespace zh {
 
@@ -201,43 +200,18 @@ TilePolygonPairs pair_tiles_with_polygons(const PolygonSet& polygons,
   return out;
 }
 
-namespace {
-
-/// Build the (pid_v, num_v, pos_v, tid_v) arrays from pair lists already
-/// restricted to one relation class and sorted by polygon id.
-PolygonTileGroups make_groups(std::span<const PolygonId> pids,
-                              std::span<const TileId> tids) {
-  PolygonTileGroups g;
-  g.tid_v.assign(tids.begin(), tids.end());
-
-  // reduce_by_key: per-polygon tile counts (Fig. 4 middle). 64-bit so
-  // the scan below cannot wrap past 2^32 pairs.
-  std::vector<std::uint64_t> ones(pids.size(), 1);
-  auto [keys, counts] = prim::reduce_by_key<PolygonId, std::uint64_t>(
-      pids, std::span<const std::uint64_t>(ones));
-  g.pid_v = std::move(keys);
-  g.num_v = std::move(counts);
-
-  // exclusive scan: group start offsets (Fig. 4 bottom).
-  g.pos_v.resize(g.num_v.size());
-  prim::exclusive_scan<std::uint64_t>(g.num_v, g.pos_v, 0);
-  return g;
-}
-
-}  // namespace
-
-PairingResult build_pairing_groups(TilePolygonPairs pairs) {
+PairingResult build_pairing_groups(const TilePolygonPairs& pairs) {
   ZH_TRACE_SPAN("step2.group", "pipeline");
   PairingResult result;
   result.candidate_pairs = pairs.size();
-  if (pairs.size() == 0) return result;
-
-  // Composite sort key (relation, polygon): one stable_sort_by_key brings
-  // all inside pairs ahead of all intersect pairs AND groups each class
-  // by polygon, mirroring the paper's stable_sort_by_key +
-  // stable_partition combination.
-  std::vector<std::uint64_t> keys(pairs.size());
+  // The pairs come in zone order, so each class's groups come out in
+  // zone order and each group's tiles in the order the pairs hold them:
+  // the arrays a stable sort by (relation, zone) would give.
   for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const PolygonId pid = pairs.polygon_ids[i];
+    ZH_REQUIRE(i == 0 || pairs.polygon_ids[i - 1] <= pid, "pair ", i,
+               " of zone ", pid, " follows zone ", pairs.polygon_ids[i - 1],
+               ": pairs must come in zone order");
     // Sec. III.B: the spatial filter must emit a clean partition -- only
     // inside/intersect survive (outside pairs were dropped upstream).
     ZH_ASSERT(pairs.relations[i] == TileRelation::kInside ||
@@ -245,25 +219,17 @@ PairingResult build_pairing_groups(TilePolygonPairs pairs) {
               "pair ", i, " carries relation ",
               static_cast<int>(pairs.relations[i]),
               " which is not inside/intersect");
-    keys[i] = (static_cast<std::uint64_t>(pairs.relations[i]) << 32) |
-              pairs.polygon_ids[i];
+    PolygonTileGroups& g = pairs.relations[i] == TileRelation::kInside
+                               ? result.inside
+                               : result.intersect;
+    if (g.pid_v.empty() || g.pid_v.back() != pid) {
+      g.pid_v.push_back(pid);
+      g.num_v.push_back(0);
+      g.pos_v.push_back(g.tid_v.size());
+    }
+    ++g.num_v.back();
+    g.tid_v.push_back(pairs.tile_ids[i]);
   }
-  prim::stable_sort_by_key(keys, pairs.polygon_ids, pairs.tile_ids);
-
-  // stable_partition point: first intersect entry.
-  std::size_t split = 0;
-  while (split < keys.size() &&
-         (keys[split] >> 32) ==
-             static_cast<std::uint64_t>(TileRelation::kInside)) {
-    ++split;
-  }
-
-  result.inside = make_groups(
-      std::span<const PolygonId>(pairs.polygon_ids).subspan(0, split),
-      std::span<const TileId>(pairs.tile_ids).subspan(0, split));
-  result.intersect = make_groups(
-      std::span<const PolygonId>(pairs.polygon_ids).subspan(split),
-      std::span<const TileId>(pairs.tile_ids).subspan(split));
   return result;
 }
 

@@ -6,11 +6,11 @@
 // outside (dropped), inside, or intersect -- the relation classify_box
 // (geom/classify) defines, computed per zone by a sweep: each edge marks
 // the tiles it meets, and each tile row's centre-line crossings settle
-// the rest (DESIGN.md, "Step 2: the tile sweep"). The Fig. 4
-// post-processing -- stable_sort_by_key, stable_partition,
-// reduce_by_key, exclusive scan -- turns the labeled pair list into the
+// the rest (DESIGN.md, "Step 2: the tile sweep"). The sweep emits the
+// pairs in zone order, so one pass over them builds the Fig. 4
 // (pid_v, num_v, pos_v, tid_v) block-dispatch arrays consumed by Steps 3
-// and 4.
+// and 4 that the paper builds with stable_sort_by_key, stable_partition,
+// reduce_by_key and an exclusive scan.
 #pragma once
 
 #include <vector>
@@ -33,8 +33,8 @@ struct TilePolygonPairs {
 /// The dispatch arrays of Fig. 4 for one relation class: entry i says
 /// polygon pid_v[i] owns the num_v[i] tiles at tid_v[pos_v[i] ...].
 /// num_v/pos_v are 64-bit: pair_count() is a size_t, and on large
-/// rasters x dense polygon sets the exclusive scan feeding pos_v can
-/// exceed 2^32 -- 32-bit offsets would wrap silently.
+/// rasters x dense polygon sets the offsets in pos_v can exceed 2^32 --
+/// 32-bit offsets would wrap silently.
 struct PolygonTileGroups {
   std::vector<PolygonId> pid_v;
   std::vector<std::uint64_t> num_v;
@@ -66,10 +66,13 @@ struct PairingResult {
     const PolygonSet& polygons, const TilingScheme& tiling,
     const GeoTransform& transform);
 
-/// Fig. 4 primitive pipeline: sort pairs by (relation, polygon), partition
-/// into inside/intersect, reduce_by_key for per-polygon tile counts, scan
-/// for group offsets.
-[[nodiscard]] PairingResult build_pairing_groups(TilePolygonPairs pairs);
+/// The Fig. 4 dispatch arrays in one pass: each pair appends its tile to
+/// its class's tid_v, and a zone's first pair in a class opens that
+/// class's group. Groups come in zone order, each group's tiles in pair
+/// order. Throws InvalidArgument unless the zone ids never decrease, as
+/// pair_tiles_with_polygons emits them.
+[[nodiscard]] PairingResult build_pairing_groups(
+    const TilePolygonPairs& pairs);
 
 /// Convenience: both phases.
 [[nodiscard]] PairingResult pair_and_group(const PolygonSet& polygons,

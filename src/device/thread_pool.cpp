@@ -125,16 +125,13 @@ struct ForBatch {
 }  // namespace
 
 void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t grain) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  if (grain == 0) grain = 1;
 
   // Chunk so each worker sees several chunks (load balancing for uneven
-  // work, e.g. boundary tiles with heavier Step-4 cost), bounded below by
-  // the grain.
+  // work, e.g. boundary tiles with heavier Step-4 cost).
   const std::size_t target_chunks = std::max<std::size_t>(1, size() * 4);
-  std::size_t chunk = std::max(grain, div_up_local(n, target_chunks));
+  const std::size_t chunk = div_up_local(n, target_chunks);
   if (chunk >= n) {
     body(0, n);
     return;

@@ -34,10 +34,9 @@ class ThreadPool {
   /// Run `body(begin, end)` over [0, n) split into contiguous chunks, one
   /// chunk per task, and block until all chunks finish. Exceptions thrown
   /// by the body are captured and rethrown on the calling thread (first
-  /// one wins). `grain` bounds the minimum chunk size.
+  /// one wins). n == 1 runs inline on the caller.
   void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t grain = 1);
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
   /// Process-wide shared pool (lazily constructed, never destroyed before
   /// static teardown).

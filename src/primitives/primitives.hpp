@@ -1,11 +1,13 @@
 // Thrust-analog parallel primitives.
 //
-// Sec. III.C of the paper builds the Step-3 post-processing out of the
+// Sec. III.C of the paper builds the Step-2 post-processing out of the
 // Thrust primitives stable_sort_by_key, stable_partition, reduce_by_key and
 // scan (Fig. 4). This header provides the same contracts executed on the
-// host ThreadPool, so the pipeline code reads like the paper's primitive
-// composition. All primitives match their sequential std:: counterparts
-// exactly (tested property); parallelism only changes wall time.
+// host ThreadPool. No program code calls them: build_pairing_groups
+// (core/step2_pairing) builds the Fig. 4 arrays in one ordered pass, and
+// ROADMAP.md lists this library's deletion. All primitives match their
+// sequential std:: counterparts exactly (tested property); parallelism
+// only changes wall time.
 #pragma once
 
 #include <algorithm>
@@ -29,8 +31,7 @@ void sequence(std::span<T> out, T start = T{0}) {
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i)
           out[i] = start + static_cast<T>(i);
-      },
-      1 << 12);
+      });
 }
 
 /// Parallel transform: out[i] = fn(in[i]) (thrust::transform).
@@ -41,8 +42,7 @@ void transform(std::span<const In> in, std::span<Out> out, Fn fn) {
       in.size(),
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) out[i] = fn(in[i]);
-      },
-      1 << 12);
+      });
 }
 
 /// Parallel reduction with a commutative/associative op (thrust::reduce).
@@ -131,8 +131,7 @@ void inclusive_scan(std::span<const T> in, std::span<T> out) {
       in.size(),
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) out[i] += tmp[i];
-      },
-      1 << 12);
+      });
 }
 
 /// out[i] = src[indices[i]] (thrust::gather).
@@ -145,8 +144,7 @@ void gather(std::span<const Index> indices, std::span<const T> src,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i)
           out[i] = src[static_cast<std::size_t>(indices[i])];
-      },
-      1 << 12);
+      });
 }
 
 /// out[indices[i]] = src[i] (thrust::scatter). Indices must be unique.
@@ -159,8 +157,7 @@ void scatter(std::span<const T> src, std::span<const Index> indices,
       [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i)
           out[static_cast<std::size_t>(indices[i])] = src[i];
-      },
-      1 << 12);
+      });
 }
 
 /// Stable counting of elements satisfying `pred` then compaction

@@ -49,4 +49,3 @@
 #include "io/vector_io.hpp"                // IWYU pragma: export
 #include "io/zgrid.hpp"                    // IWYU pragma: export
 #include "obs/obs.hpp"                     // IWYU pragma: export
-#include "primitives/primitives.hpp"       // IWYU pragma: export

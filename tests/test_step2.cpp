@@ -10,12 +10,12 @@
 #include <string>
 #include <type_traits>
 
+#include "common/error.hpp"
 #include "core/step2_pairing.hpp"
 #include "data/conus.hpp"
 #include "data/county_synth.hpp"
 #include "geom/classify.hpp"
 #include "geom/pip.hpp"
-#include "primitives/primitives.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -133,6 +133,17 @@ TEST(Step2, GroupsAreALosslessReorganization) {
   for (const auto& [k, v] : expect) expect_total += v.size();
   EXPECT_EQ(res.inside.pair_count() + res.intersect.pair_count(),
             expect_total);
+}
+
+TEST(Step2, GroupingRejectsPairsOutOfZoneOrder) {
+  // One pass groups by zone only because the pairs come in zone order;
+  // a list whose zone ids decrease must fail loudly, not group wrongly.
+  TilePolygonPairs pairs;
+  pairs.tile_ids = {4, 5, 6};
+  pairs.polygon_ids = {1, 1, 0};
+  pairs.relations = {TileRelation::kInside, TileRelation::kIntersect,
+                     TileRelation::kInside};
+  EXPECT_THROW((void)build_pairing_groups(pairs), InvalidArgument);
 }
 
 TEST(Step2, PolygonStraddlingLastTileRowAndColumnIsPaired) {
@@ -450,31 +461,19 @@ TEST(Step2, SweepMatchesClassifyBox) {
 }
 
 // Regression: num_v/pos_v were std::uint32_t while pair_count() is a
-// size_t, so on large rasters x dense polygon sets the Fig.-4 exclusive
-// scan silently wrapped past 2^32 pairs. Pinned two ways: the dispatch
-// arrays' element type must stay 64-bit (compile-time), and the exact
-// scan the grouping runs must carry offsets beyond 2^32 (allocating 4G+
-// real pairs is infeasible in a unit test; the scan is where the wrap
-// happened).
+// size_t, so on large rasters x dense polygon sets the group offsets
+// silently wrapped past 2^32 pairs. The dispatch arrays' element type
+// must stay 64-bit (allocating 4G+ real pairs is infeasible in a unit
+// test).
 TEST(Step2Grouping, DispatchOffsetsSurviveFourBillionPairs) {
   static_assert(
       std::is_same_v<decltype(PolygonTileGroups::num_v)::value_type,
                      std::uint64_t>,
-      "num_v must be 64-bit: tile counts feed the pos_v scan");
+      "num_v must be 64-bit: a zone's tile count is a size_t");
   static_assert(
       std::is_same_v<decltype(PolygonTileGroups::pos_v)::value_type,
                      std::uint64_t>,
       "pos_v must be 64-bit: offsets index a size_t-sized pair array");
-
-  const std::vector<std::uint64_t> num = {3'000'000'000ull,
-                                          2'000'000'000ull, 7ull};
-  std::vector<std::uint64_t> pos(num.size());
-  prim::exclusive_scan<std::uint64_t>(std::span<const std::uint64_t>(num),
-                                      pos, 0);
-  EXPECT_EQ(pos[0], 0ull);
-  EXPECT_EQ(pos[1], 3'000'000'000ull);
-  // 5'000'000'000 mod 2^32 == 705'032'704: the silent pre-fix value.
-  EXPECT_EQ(pos[2], 5'000'000'000ull);
 }
 
 }  // namespace

@@ -47,20 +47,6 @@ TEST(ThreadPool, ParallelForSingleElement) {
   EXPECT_EQ(sum.load(), 7);
 }
 
-TEST(ThreadPool, ParallelForRespectsGrain) {
-  // With grain == n, the body must be invoked exactly once, inline.
-  std::atomic<int> calls{0};
-  ThreadPool::global().parallel_for(
-      1000,
-      [&](std::size_t b, std::size_t e) {
-        ++calls;
-        EXPECT_EQ(b, 0u);
-        EXPECT_EQ(e, 1000u);
-      },
-      1000);
-  EXPECT_EQ(calls.load(), 1);
-}
-
 TEST(ThreadPool, ParallelForSumsCorrectly) {
   const std::size_t n = 1 << 18;
   std::vector<std::uint64_t> data(n);
@@ -112,47 +98,27 @@ TEST(ThreadPool, PostRuns) {
 }
 
 TEST(ThreadPool, GrainLargerThanNRunsInlineOnCaller) {
-  // grain > n collapses to a single chunk executed on the calling thread
-  // (no tasks posted, no synchronization).
+  // n == 1 is a single chunk executed on the calling thread (no tasks
+  // posted, no synchronization).
   std::atomic<int> calls{0};
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id body_thread;
-  ThreadPool::global().parallel_for(
-      10,
-      [&](std::size_t b, std::size_t e) {
-        ++calls;
-        body_thread = std::this_thread::get_id();
-        EXPECT_EQ(b, 0u);
-        EXPECT_EQ(e, 10u);
-      },
-      1000);
+  ThreadPool::global().parallel_for(1, [&](std::size_t b, std::size_t e) {
+    ++calls;
+    body_thread = std::this_thread::get_id();
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 1u);
+  });
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(body_thread, caller);
 }
 
-TEST(ThreadPool, ZeroLengthRangeWithGrainNeverInvokesBody) {
-  bool called = false;
-  ThreadPool::global().parallel_for(
-      0, [&](std::size_t, std::size_t) { called = true; }, 128);
-  EXPECT_FALSE(called);
-  // grain == 0 is normalized to 1, not a division hazard.
-  std::atomic<std::size_t> covered{0};
-  ThreadPool::global().parallel_for(
-      17,
-      [&](std::size_t b, std::size_t e) {
-        covered.fetch_add(e - b, std::memory_order_relaxed);
-      },
-      0);
-  EXPECT_EQ(covered.load(), 17u);
-}
-
 TEST(ThreadPool, ExceptionPropagatesFromInlinePath) {
-  // chunk >= n executes the body inline; the throw must surface unchanged.
+  // n == 1 executes the body inline; the throw must surface unchanged.
   EXPECT_THROW(ThreadPool::global().parallel_for(
-                   5, [](std::size_t, std::size_t) {
+                   1, [](std::size_t, std::size_t) {
                      throw std::runtime_error("inline boom");
-                   },
-                   100),
+                   }),
                std::runtime_error);
 }
 
@@ -161,12 +127,9 @@ TEST(ThreadPool, FirstExceptionWinsAndPoolStaysUsable) {
   // propagates, and the pool must remain fully operational afterwards.
   ThreadPool pool(4);
   try {
-    pool.parallel_for(
-        1024,
-        [](std::size_t b, std::size_t) {
-          throw InvalidArgument("chunk " + std::to_string(b));
-        },
-        1);
+    pool.parallel_for(1024, [](std::size_t b, std::size_t) {
+      throw InvalidArgument("chunk " + std::to_string(b));
+    });
     FAIL() << "parallel_for swallowed the body exceptions";
   } catch (const InvalidArgument&) {
   }
@@ -178,29 +141,28 @@ TEST(ThreadPool, FirstExceptionWinsAndPoolStaysUsable) {
 }
 
 TEST(ThreadPool, ChunksNeverClaimPastNOrOverlap) {
-  // Sweep awkward (n, grain) combinations: every invocation must stay
-  // inside [0, n), chunks must be non-empty and grain-sized except the
-  // tail, and coverage must be exact (no claim past n double-counts).
-  for (const std::size_t n : {1u, 2u, 7u, 64u, 1000u, 1001u}) {
-    for (const std::size_t grain : {1u, 3u, 7u, 64u, 999u, 1024u}) {
+  // Sweep awkward (n, pool size) combinations: the chunk size follows
+  // both, every invocation must stay inside [0, n), chunks must be
+  // non-empty, and coverage must be exact (no claim past n
+  // double-counts).
+  for (const unsigned threads : {1u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {1u, 2u, 7u, 64u, 1000u, 1001u}) {
       std::atomic<std::size_t> covered{0};
       std::atomic<bool> bad{false};
-      ThreadPool::global().parallel_for(
-          n,
-          [&](std::size_t b, std::size_t e) {
-            if (b >= e || e > n) bad = true;
-            covered.fetch_add(e - b, std::memory_order_relaxed);
-          },
-          grain);
-      EXPECT_FALSE(bad.load()) << "n=" << n << " grain=" << grain;
-      EXPECT_EQ(covered.load(), n) << "n=" << n << " grain=" << grain;
+      pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
+        if (b >= e || e > n) bad = true;
+        covered.fetch_add(e - b, std::memory_order_relaxed);
+      });
+      EXPECT_FALSE(bad.load()) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(covered.load(), n) << "n=" << n << " threads=" << threads;
     }
   }
 }
 
 #if defined(ZH_ENABLE_OBS)
 TEST(ThreadPool, DegenerateRangesPostNoPoolTasks) {
-  // n == 0 and chunk >= n short-circuit before any task is posted: no
+  // n == 0 and n == 1 short-circuit before any task is posted: no
   // worker wakeups, no queue traffic. The pool.tasks_run counter is
   // recorded per posted task while metrics are on, so its absence after
   // both calls pins the no-post fast path.
@@ -211,8 +173,8 @@ TEST(ThreadPool, DegenerateRangesPostNoPoolTasks) {
   ThreadPool::global().parallel_for(
       0, [&](std::size_t, std::size_t) { ++calls; });
   ThreadPool::global().parallel_for(
-      10, [&](std::size_t, std::size_t) { ++calls; }, 64);
-  EXPECT_EQ(calls.load(), 1);  // the grain>n call runs inline, once
+      1, [&](std::size_t, std::size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 1);  // the n == 1 call runs inline, once
   for (const obs::MetricRecord& m : obs::metrics_snapshot()) {
     EXPECT_NE(m.name, "pool.tasks_run")
         << "a degenerate parallel_for posted " << m.value << " task(s)";

@@ -162,6 +162,8 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
   const std::string hist =
       "hist '" + path("r.zgrid") + "' '" + path("zones.tsv") + "' -o '" +
       path("out.csv") + "' ";
+  const std::string simplify =
+      "simplify '" + path("zones.tsv") + "' '" + path("out.csv") + "' ";
   // A `zhist query` spec with one query into out.csv: `bins` is the
   // query's raw JSON value and `tile` the spec's (left out when empty).
   int specs = 0;
@@ -186,6 +188,10 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
            path("ck") + "'",
        "--checkpoint-interval"},
       {hist + "--partitions 2x-1", "--partitions"},
+      // A trailing suffix must not be dropped, and inf would keep every
+      // vertex.
+      {simplify + "--eps 0.01abc", "--eps"},
+      {simplify + "--eps inf", "--eps"},
       // Batch-spec numbers follow the same rule. Cast unchecked, 2^32 + 16
       // would wrap to 16 bins, 16.7 truncate to 16 and -1 overflow; a
       // string must not fall back to the default.

@@ -23,16 +23,19 @@
 //   zones     Generate a synthetic county-style zone layer.
 //   simplify  Douglas-Peucker generalization of a zone layer.
 //   validate  Geometry validity report.
-//   catalog   Out-of-core run over a catalog directory.
+//   catalog   Out-of-core run over a catalog directory; CSV output and
+//             the statistics table as for hist.
 //   query     Multi-query batch through the QueryEngine: rasters and zone
 //             layers load once and every query runs the filter-first
 //             pipeline. The JSON spec holds the query list (see
 //             cmd_query).
 //
 // Integer flag values, and the batch spec's "tile" and "bins", must be
-// whole numbers that fit their field and meet its lower bound; anything
-// else stops the run with exit code 1 before a file is written.
+// whole numbers that fit their field and meet its lower bound, and --eps
+// one finite number; anything else stops the run with exit code 1 before
+// a file is written.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -103,6 +106,17 @@ T parse_int(const std::string& flag, const std::string& token, T min) {
   return value;
 }
 
+// Parse a real flag value: the whole token must be one finite number.
+double parse_real(const std::string& flag, const std::string& token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    throw InvalidArgument(flag + ": '" + token + "' is not a finite number");
+  }
+  return value;
+}
+
 // A batch-spec integer by parse_int's rule. The JSON reader keeps numbers
 // as doubles; their shortest fixed-point text is the token a flag would
 // carry, so 16.7, -1 and 2^32 fail exactly as they would on the command
@@ -162,7 +176,7 @@ Args parse(int argc, char** argv) {
     } else if (a == "--seed") {
       args.seed = parse_int(a, next(), std::uint64_t{0});
     } else if (a == "--eps") {
-      args.eps = std::stod(next());
+      args.eps = parse_real(a, next());
     } else if (a == "--ranks") {
       args.ranks = parse_int(a, next(), std::size_t{1});
     } else if (a == "--fault-plan") {
@@ -263,6 +277,30 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
   return report;
 }
 
+// The outputs of hist and catalog: the -o CSV with its "wrote" line, and
+// the zone-statistics table with --stats or without -o. `zones()` gives
+// the zone layer that names the table's rows; it runs only for the table,
+// so catalog reads its zone file only then.
+template <typename Zones>
+void write_outputs(const Args& args, const HistogramSet& hist,
+                   const Zones& zones) {
+  if (!args.out.empty()) {
+    write_histogram_csv(args.out, hist);
+    std::fprintf(stderr, "wrote %s\n", args.out.c_str());
+  }
+  if (!args.stats && !args.out.empty()) return;
+  const PolygonSet& layer = zones();
+  std::printf("%-16s %12s %7s %7s %10s %10s\n", "zone", "cells", "min",
+              "max", "mean", "stddev");
+  for (PolygonId z = 0; z < layer.size(); ++z) {
+    const ZonalStats s = stats_from_histogram(hist.of(z));
+    std::printf("%-16s %12llu %7u %7u %10.2f %10.2f\n",
+                layer.name(z).c_str(),
+                static_cast<unsigned long long>(s.count), s.min, s.max,
+                s.mean, s.stddev);
+  }
+}
+
 // The body of `zhist hist`: returns its exit code and, when `with_obs`,
 // fills `report` for finish_obs.
 int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
@@ -361,21 +399,8 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       std::fprintf(stderr, "%-6zu %-10s %10u %10u\n", r, to_string(o.state),
                    o.partitions_completed, o.partitions_reassigned);
     }
-    if (!args.out.empty()) {
-      write_histogram_csv(args.out, cres.merged);
-      std::fprintf(stderr, "wrote %s\n", args.out.c_str());
-    }
-    if (args.stats || args.out.empty()) {
-      std::printf("%-16s %12s %7s %7s %10s %10s\n", "zone", "cells", "min",
-                  "max", "mean", "stddev");
-      for (PolygonId z = 0; z < zones.size(); ++z) {
-        const ZonalStats s = stats_from_histogram(cres.merged.of(z));
-        std::printf("%-16s %12llu %7u %7u %10.2f %10.2f\n",
-                    zones.name(z).c_str(),
-                    static_cast<unsigned long long>(s.count), s.min, s.max,
-                    s.mean, s.stddev);
-      }
-    }
+    write_outputs(args, cres.merged,
+                  [&]() -> const PolygonSet& { return zones; });
     if (with_obs) {
       report = base_report(args, rows, cols, zones);
       // Per-step times reduce as max over ranks -- the paper's "longest
@@ -424,21 +449,8 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
   std::fprintf(stderr, "pipeline: %.2f s (steps %.2f s)\n", timer.seconds(),
                result.times.step_total());
 
-  if (!args.out.empty()) {
-    write_histogram_csv(args.out, result.per_polygon);
-    std::fprintf(stderr, "wrote %s\n", args.out.c_str());
-  }
-  if (args.stats || args.out.empty()) {
-    std::printf("%-16s %12s %7s %7s %10s %10s\n", "zone", "cells", "min",
-                "max", "mean", "stddev");
-    for (PolygonId z = 0; z < zones.size(); ++z) {
-      const ZonalStats s = stats_from_histogram(result.per_polygon.of(z));
-      std::printf("%-16s %12llu %7u %7u %10.2f %10.2f\n",
-                  zones.name(z).c_str(),
-                  static_cast<unsigned long long>(s.count), s.min, s.max,
-                  s.mean, s.stddev);
-    }
-  }
+  write_outputs(args, result.per_polygon,
+                [&]() -> const PolygonSet& { return zones; });
   if (with_obs) {
     report = base_report(args, rows, cols, zones);
     report.times = result.times;
@@ -555,21 +567,8 @@ int cmd_catalog(const Args& args) {
   std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
                r.rasters_processed,
                static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
-  if (!args.out.empty()) {
-    write_histogram_csv(args.out, r.per_polygon);
-    std::fprintf(stderr, "wrote %s\n", args.out.c_str());
-  } else {
-    const PolygonSet zones = read_polygon_tsv(catalog.zones_path());
-    std::printf("%-16s %12s %7s %7s %10s\n", "zone", "cells", "min",
-                "max", "mean");
-    for (PolygonId z = 0; z < zones.size(); ++z) {
-      const ZonalStats s = stats_from_histogram(r.per_polygon.of(z));
-      std::printf("%-16s %12llu %7u %7u %10.2f\n",
-                  zones.name(z).c_str(),
-                  static_cast<unsigned long long>(s.count), s.min, s.max,
-                  s.mean);
-    }
-  }
+  write_outputs(args, r.per_polygon,
+                [&] { return read_polygon_tsv(catalog.zones_path()); });
   return 0;
 }
 
@@ -714,7 +713,7 @@ constexpr Command kCommands[] = {
     {"simplify", "<zones.tsv> <out.tsv> --eps E", cmd_simplify},
     {"validate", "<zones.tsv>", cmd_validate},
     {"catalog",
-     "<dir> [-o hist.csv] [--bins N] [--tile N] "
+     "<dir> [-o hist.csv] [--bins N] [--tile N] [--stats] "
      "[--refine brute|scanline|auto]",
      cmd_catalog},
     {"query",
@@ -751,8 +750,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {
-    // std::stod (--eps) and the standard library throw std:: exceptions;
-    // fail with one line instead of std::terminate.
+    // The standard library (std::filesystem, allocation) throws std::
+    // exceptions; fail with one line instead of std::terminate.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -23,10 +23,6 @@ namespace {
 
 using Clock = Deadline::Clock;
 
-// recv_bytes' first wait slice and the cap on later, jittered ones.
-constexpr std::int64_t kFirstSliceMs = 50;
-constexpr std::int64_t kMaxSliceMs = 1000;
-
 struct Message {
   RankId src;
   int tag;
@@ -53,7 +49,7 @@ class Cluster {
  public:
   Cluster(std::size_t ranks, const FaultPlan& faults)
       : faults_(faults),
-        has_faults_(!faults_.empty()),
+        delays_(faults_.delay_prob > 0.0),
         ranks_(ranks),
         mailboxes_(ranks),
         dead_(std::make_unique<std::atomic<bool>[]>(ranks)) {
@@ -61,7 +57,6 @@ class Cluster {
   }
 
   [[nodiscard]] std::size_t size() const { return ranks_; }
-  [[nodiscard]] const FaultPlan& faults() const { return faults_; }
 
   void deliver(RankId dst, Message msg) {
     ZH_REQUIRE(dst < ranks_, "destination rank out of range");
@@ -71,38 +66,19 @@ class Cluster {
               "message framing corrupted in transit: header says ",
               msg.framed_size, " bytes, payload holds ",
               msg.payload.size());
-    FaultAction action;
-    if (has_faults_) {
-      action = faults_.action_for(msg.src, dst, msg.tag,
-                                  next_stream_index(msg.src, dst, msg.tag));
-    }
-    Mailbox& box = mailboxes_[dst];
-    {
-      std::lock_guard lock(box.mutex);
-      if (action.drop) {
-        // Lost in transit: parked until a retrying receiver triggers
-        // "retransmission" via recover_lost(). No notify -- the loss is
-        // silent, exactly like a dropped MPI packet.
-        msg.seq = box.arrivals++;
-        box.lost.push_back(std::move(msg));
-        return;
-      }
+    if (delays_) {
+      const FaultAction action = faults_.action_for(
+          msg.src, dst, msg.tag, next_stream_index(msg.src, dst, msg.tag));
       if (action.delay_ms > 0) {
         msg.visible_at =
             Clock::now() + std::chrono::milliseconds(action.delay_ms);
       }
-      Message dup;
-      if (action.duplicate) dup = msg;
+    }
+    Mailbox& box = mailboxes_[dst];
+    {
+      std::lock_guard lock(box.mutex);
       msg.seq = box.arrivals++;
-      if (action.reorder) {
-        box.queue.push_front(std::move(msg));
-      } else {
-        box.queue.push_back(std::move(msg));
-      }
-      if (action.duplicate) {
-        dup.seq = box.arrivals++;
-        box.queue.push_back(std::move(dup));
-      }
+      box.queue.push_back(std::move(msg));
     }
     box.cv.notify_all();
   }
@@ -130,7 +106,7 @@ class Cluster {
         }
         ZH_ASSERT(it->framed_size == it->payload.size(),
                   "message framing corrupted in mailbox");
-        if (!has_faults_) check_fifo_order(box, src, tag, it->seq);
+        if (!delays_) check_fifo_order(box, src, tag, it->seq);
         out = std::move(it->payload);
         flow_id = it->flow_id;
         box.queue.erase(it);
@@ -201,30 +177,6 @@ class Cluster {
     }
   }
 
-  /// Re-deliver messages lost in transit for (dst <- src, tag): the
-  /// in-process analog of sender retransmission after an ack timeout.
-  std::size_t recover_lost(RankId dst, RankId src, int tag) {
-    Mailbox& box = mailboxes_[dst];
-    std::size_t recovered = 0;
-    {
-      std::lock_guard lock(box.mutex);
-      for (auto it = box.lost.begin(); it != box.lost.end();) {
-        if (it->src == src && it->tag == tag) {
-          Message msg = std::move(*it);
-          it = box.lost.erase(it);
-          msg.seq = box.arrivals++;
-          msg.visible_at = Clock::time_point::min();
-          box.queue.push_back(std::move(msg));
-          ++recovered;
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (recovered > 0) box.cv.notify_all();
-    return recovered;
-  }
-
   /// Factory for rank handles (Cluster is a friend of Communicator;
   /// the run_cluster lambda is not).
   [[nodiscard]] Communicator make_comm(RankId rank) {
@@ -281,7 +233,6 @@ class Cluster {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<Message> queue;
-    std::deque<Message> lost;  ///< dropped in transit, recoverable by retry
     std::uint64_t arrivals = 0;  ///< next arrival sequence number
 #if ZH_ENABLE_CONTRACTS
     /// Highest seq consumed per (src, tag); guards per-sender FIFO order.
@@ -292,8 +243,9 @@ class Cluster {
   /// The mailbox matches (src, tag) by scanning from the front, and
   /// deliver() appends, so consumed sequence numbers must be strictly
   /// increasing per (src, tag) stream -- the per-sender FIFO guarantee
-  /// MPI-style code relies on. Skipped when a FaultPlan injects
-  /// reordering/duplication on purpose. Caller holds box.mutex.
+  /// MPI-style code relies on. Skipped when a FaultPlan injects delays,
+  /// which let a later message overtake a held-back one on purpose.
+  /// Caller holds box.mutex.
   static void check_fifo_order(Mailbox& box, RankId src, int tag,
                                std::uint64_t seq) {
 #if ZH_ENABLE_CONTRACTS
@@ -322,7 +274,7 @@ class Cluster {
   }
 
   FaultPlan faults_;
-  bool has_faults_;
+  bool delays_;  ///< the plan can delay messages
   std::size_t ranks_;
   std::vector<Mailbox> mailboxes_;
   std::unique_ptr<std::atomic<bool>[]> dead_;
@@ -336,22 +288,6 @@ class Cluster {
   /// guarded by checkpoint_mutex_.
   std::map<CrashPoint, std::uint32_t> abort_visits_;
 };
-
-std::int64_t decorrelated_backoff_ms(std::uint64_t seed, RankId receiver,
-                                     RankId src, int tag,
-                                     std::uint32_t attempt,
-                                     std::int64_t base_ms,
-                                     std::int64_t prev_ms) {
-  const std::int64_t lo = std::max<std::int64_t>(base_ms, 1);
-  const std::int64_t hi = std::max(lo, 3 * std::max(prev_ms, lo));
-  std::uint64_t h = splitmix64(seed ^ 0x6A09E667F3BCC909ull);
-  h = splitmix64(h ^ (static_cast<std::uint64_t>(receiver) << 32 | src));
-  h = splitmix64(h ^
-                 static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
-  h = splitmix64(h ^ attempt);
-  return lo + static_cast<std::int64_t>(
-                  h % static_cast<std::uint64_t>(hi - lo + 1));
-}
 
 std::size_t Communicator::size() const { return cluster_->size(); }
 
@@ -376,33 +312,10 @@ void Communicator::send_bytes(RankId dst, int tag,
 Status Communicator::recv_bytes(RankId src, int tag, Deadline deadline,
                                 std::vector<std::byte>& out) {
   ZH_TRACE_SPAN("comm.recv", "comm");
-  std::int64_t slice_ms = kFirstSliceMs;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    std::uint64_t flow_id = 0;
-    const Deadline slice = Deadline::after_ms(slice_ms).min(deadline);
-    const Status s = cluster_->await(rank_, src, tag, slice, out, flow_id);
-    if (s.is_ok()) {
-      finish_flow(flow_id);
-      return s;
-    }
-    // The slice ended empty-handed, or `src` is dead with nothing
-    // visible: retransmit what was dropped in transit and go around
-    // again, unless nothing came back and no wait is left.
-    const std::size_t recovered = cluster_->recover_lost(rank_, src, tag);
-    if (recovered == 0 &&
-        (s.code() == StatusCode::kRankDead || deadline.expired())) {
-      return s;
-    }
-    ++retries_;
-    ZH_COUNTER_ADD("comm.retries", 1);
-    ZH_COUNTER_ADD("comm.msgs_recovered", recovered);
-    // Decorrelated jitter, so receivers that timed out together spread
-    // their next attempts instead of retrying in lockstep.
-    slice_ms = std::min(
-        kMaxSliceMs,
-        decorrelated_backoff_ms(cluster_->faults().seed, rank_, src, tag,
-                                attempt, kFirstSliceMs, slice_ms));
-  }
+  std::uint64_t flow_id = 0;
+  const Status s = cluster_->await(rank_, src, tag, deadline, out, flow_id);
+  if (s.is_ok()) finish_flow(flow_id);
+  return s;
 }
 
 Status Communicator::recv_any(std::span<const int> tags, Deadline deadline,
@@ -411,10 +324,6 @@ Status Communicator::recv_any(std::span<const int> tags, Deadline deadline,
   const Status s = cluster_->await_any(rank_, tags, deadline, out, flow_id);
   if (s.is_ok()) finish_flow(flow_id);
   return s;
-}
-
-std::size_t Communicator::recover_lost(RankId src, int tag) {
-  return cluster_->recover_lost(rank_, src, tag);
 }
 
 bool Communicator::rank_dead(RankId r) const {

@@ -9,15 +9,15 @@
 // (core/cluster_driver.cpp); every byte sent is accounted per rank.
 //
 // Fault model:
+//  * the transport is reliable and non-overtaking, as MPI's
+//    point-to-point messages are: a send is enqueued at once, and a
+//    receive matches (source, tag) front to back;
 //  * every blocking receive names its Deadline (Deadline::never() for a
 //    wait only a peer's answer or death can end) and returns a Status;
-//  * recv_bytes waits in decorrelated-jitter slices and recovers messages
-//    "dropped in transit" by a FaultPlan after each slice, modelling
-//    sender retransmission;
 //  * a rank that exits (crash or exception) is marked dead; peers
 //    blocked on it get StatusCode::kRankDead instead of deadlocking;
-//  * a FaultPlan injects drop/duplicate/reorder/delay per message and
-//    scripted crashes at checkpoints, deterministically per seed.
+//  * a FaultPlan delays messages (a straggler) and scripts crashes at
+//    checkpoints, deterministically per seed.
 #pragma once
 
 #include <cstddef>
@@ -36,17 +36,6 @@
 namespace zh {
 
 class Cluster;
-
-/// The decorrelated-jitter backoff draw used by Communicator::recv_bytes:
-/// uniform in [base_ms, max(base_ms, 3 * prev_ms)], a pure splitmix64
-/// function of its arguments (same seed => same schedule). Exposed for
-/// tests pinning determinism and bounds.
-[[nodiscard]] std::int64_t decorrelated_backoff_ms(std::uint64_t seed,
-                                                   RankId receiver, RankId src,
-                                                   int tag,
-                                                   std::uint32_t attempt,
-                                                   std::int64_t base_ms,
-                                                   std::int64_t prev_ms);
 
 /// A message received by recv_any: payload plus provenance.
 struct AnyMessage {
@@ -67,25 +56,17 @@ class Communicator {
   /// carries its flow id to the receiver.
   void send_bytes(RankId dst, int tag, std::vector<std::byte> payload);
 
-  /// Deadline-bounded receive of the next message from `src` with `tag`.
-  /// Waits in decorrelated-jitter slices of at most one second and
-  /// recovers messages dropped in transit after every slice. Returns
-  /// kTimeout when the deadline expires and kRankDead when `src` is dead
-  /// with nothing pending or recoverable.
+  /// Deadline-bounded receive of the next message from `src` with `tag`:
+  /// one wait, up to the deadline. Returns kTimeout when the deadline
+  /// expires and kRankDead when `src` is dead with nothing pending.
   [[nodiscard]] Status recv_bytes(RankId src, int tag, Deadline deadline,
                                   std::vector<std::byte>& out);
 
   /// Receive the next visible message from any source whose tag is in
-  /// `tags` (master-side supervision loop). No retransmission recovery;
-  /// returns kTimeout on deadline expiry.
+  /// `tags` (master-side supervision loop); returns kTimeout on deadline
+  /// expiry.
   [[nodiscard]] Status recv_any(std::span<const int> tags, Deadline deadline,
                                 AnyMessage& out);
-
-  /// Trigger retransmission of messages from `src` with `tag` that were
-  /// dropped in transit (fault injection). Returns how many were
-  /// recovered into the mailbox. Supervision loops using recv_any call
-  /// this periodically; recv_bytes calls it after every wait slice.
-  std::size_t recover_lost(RankId src, int tag);
 
   /// Typed send/recv of trivially copyable element spans.
   template <typename T>
@@ -134,10 +115,6 @@ class Communicator {
   /// Bytes this rank has sent so far (communication-volume accounting).
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  /// Receive retries this rank has performed: recv_bytes wait slices
-  /// that ended without a message and went around again.
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-
  private:
   friend class Cluster;
   Communicator(Cluster* cluster, RankId rank)
@@ -146,7 +123,6 @@ class Communicator {
   Cluster* cluster_;
   RankId rank_;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t retries_ = 0;
 };
 
 /// Launch `ranks` threads, each running body(comm), with `faults`

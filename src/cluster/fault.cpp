@@ -4,16 +4,17 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
+#include <limits>
+#include <type_traits>
 
 namespace zh {
 
 namespace {
 
-/// Uniform draw in [0, 1) keyed by (plan seed, message identity, stream).
+/// Uniform draw in [0, 1) keyed by (plan seed, message identity).
 double draw(const FaultPlan& plan, RankId src, RankId dst, int tag,
-            std::uint64_t index, std::uint64_t stream) {
-  std::uint64_t h = splitmix64(plan.seed ^ (stream * 0xA24BAED4963EE407ull));
+            std::uint64_t index) {
+  std::uint64_t h = splitmix64(plan.seed);
   h = splitmix64(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
   h = splitmix64(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
   h = splitmix64(h ^ index);
@@ -55,23 +56,31 @@ double parse_prob(std::string_view spec, std::size_t offset,
   return p;
 }
 
-std::uint64_t parse_u64(std::string_view spec, std::size_t offset,
-                        std::string_view key, std::string_view value) {
-  const std::string v(value);
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
+/// An integer of the field's own type T: the whole token, digits only
+/// (from_chars takes no sign or whitespace for an unsigned T), and in T's
+/// range -- so nothing truncates, wraps or negates on the way in.
+template <typename T>
+T parse_uint(std::string_view spec, std::size_t offset, std::string_view key,
+             std::string_view value) {
+  static_assert(std::is_unsigned_v<T>);
+  T n{};
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), n);
+  if (ec != std::errc() || end != value.data() + value.size()) {
     parse_fail(spec, offset,
-               detail::format_parts("key '", key, "' needs a non-negative "
-                                    "integer, got '", value, "'"));
+               detail::format_parts("key '", key, "' needs an integer from 0 "
+                                    "to ", std::numeric_limits<T>::max(),
+                                    ", got '", value, "'"));
   }
   return n;
 }
 
+/// A checkpoint a crash or abort can fire at; "none" names no checkpoint,
+/// so it is not one.
 CrashPoint parse_point(std::string_view spec, std::size_t offset,
                        std::string_view name) {
   for (const auto& [n, point] : kPointNames) {
-    if (name == n) return point;
+    if (name == n && point != CrashPoint::kNone) return point;
   }
   parse_fail(spec, offset,
              detail::format_parts("unknown crash point '", name, "'"));
@@ -87,14 +96,13 @@ CrashSpec parse_crash(std::string_view spec, std::size_t offset,
                                     value, "'"));
   }
   CrashSpec out;
-  out.rank = static_cast<RankId>(
-      parse_u64(spec, offset, "crash", value.substr(0, at)));
+  out.rank = parse_uint<RankId>(spec, offset, "crash", value.substr(0, at));
   std::string_view rest = value.substr(at + 1);
   const auto hash = rest.find('#');
   if (hash != std::string_view::npos) {
-    out.occurrence = static_cast<std::uint32_t>(
-        parse_u64(spec, offset + at + 1 + hash + 1, "crash occurrence",
-                  rest.substr(hash + 1)));
+    out.occurrence = parse_uint<std::uint32_t>(
+        spec, offset + at + 1 + hash + 1, "crash occurrence",
+        rest.substr(hash + 1));
     rest = rest.substr(0, hash);
   }
   out.point = parse_point(spec, offset + at + 1, rest);
@@ -107,9 +115,8 @@ AbortSpec parse_abort(std::string_view spec, std::size_t offset,
   std::string_view rest = value;
   const auto hash = rest.find('#');
   if (hash != std::string_view::npos) {
-    out.occurrence = static_cast<std::uint32_t>(
-        parse_u64(spec, offset + hash + 1, "abort occurrence",
-                  rest.substr(hash + 1)));
+    out.occurrence = parse_uint<std::uint32_t>(
+        spec, offset + hash + 1, "abort occurrence", rest.substr(hash + 1));
     rest = rest.substr(0, hash);
   }
   out.point = parse_point(spec, offset, rest);
@@ -154,19 +161,7 @@ RankCrash::RankCrash(RankId rank, CrashPoint point, std::uint32_t occurrence)
 FaultAction FaultPlan::action_for(RankId src, RankId dst, int tag,
                                   std::uint64_t index) const {
   FaultAction action;
-  if (drop_prob > 0.0 && draw(*this, src, dst, tag, index, 1) < drop_prob) {
-    action.drop = true;
-    return action;  // a dropped message has no other fate
-  }
-  if (duplicate_prob > 0.0 &&
-      draw(*this, src, dst, tag, index, 2) < duplicate_prob) {
-    action.duplicate = true;
-  }
-  if (reorder_prob > 0.0 &&
-      draw(*this, src, dst, tag, index, 3) < reorder_prob) {
-    action.reorder = true;
-  }
-  if (delay_prob > 0.0 && draw(*this, src, dst, tag, index, 4) < delay_prob) {
+  if (delay_prob > 0.0 && draw(*this, src, dst, tag, index) < delay_prob) {
     action.delay_ms = delay_ms;
   }
   return action;
@@ -191,18 +186,11 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     const std::string_view value = item.substr(eq + 1);
     const std::size_t value_off = item_off + eq + 1;
     if (key == "seed") {
-      plan.seed = parse_u64(spec, value_off, key, value);
-    } else if (key == "drop") {
-      plan.drop_prob = parse_prob(spec, value_off, key, value);
-    } else if (key == "dup") {
-      plan.duplicate_prob = parse_prob(spec, value_off, key, value);
-    } else if (key == "reorder") {
-      plan.reorder_prob = parse_prob(spec, value_off, key, value);
+      plan.seed = parse_uint<std::uint64_t>(spec, value_off, key, value);
     } else if (key == "delay") {
       plan.delay_prob = parse_prob(spec, value_off, key, value);
     } else if (key == "delay_ms") {
-      plan.delay_ms =
-          static_cast<std::uint32_t>(parse_u64(spec, value_off, key, value));
+      plan.delay_ms = parse_uint<std::uint32_t>(spec, value_off, key, value);
     } else if (key == "crash") {
       plan.crash = parse_crash(spec, value_off, value);
     } else if (key == "abort") {

@@ -1,14 +1,15 @@
 // Deterministic fault injection for the in-process cluster.
 //
-// The paper's cluster runs executed on Titan, where dropped messages,
-// stragglers, and node loss are operational reality. A FaultPlan scripts
-// those failures deterministically: message-level faults (drop / delay /
-// duplicate / reorder) are decided by a counter-keyed hash of
+// The paper's cluster runs executed on Titan over MPI, whose
+// point-to-point transport is reliable and non-overtaking: a message is
+// never lost, duplicated or reordered. What a run can meet is a slow
+// node and a dead one. A FaultPlan scripts both deterministically: the
+// delay fault (a straggler) is decided by a counter-keyed hash of
 // (seed, src, dst, tag, message index), so the same seed reproduces the
 // same delivery schedule regardless of thread interleaving; rank crashes
-// fire at named pipeline checkpoints. Tests and benches feed a plan
-// through run_cluster / run_cluster_zonal to rehearse failure scenarios
-// that real MPI jobs only hit in production.
+// and process aborts fire at named pipeline checkpoints. Tests feed a
+// plan through run_cluster / run_cluster_zonal to rehearse failure
+// scenarios that real MPI jobs only hit in production.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,8 @@ enum class CrashPoint : std::uint8_t {
 [[nodiscard]] std::string_view to_string(CrashPoint point);
 
 /// splitmix64: tiny, high-quality 64-bit mixer. Every deterministic
-/// fault/jitter decision in the cluster layer chains through it, so a
-/// replay with the same seed reproduces the same schedule.
+/// fault decision in the cluster layer chains through it, so a replay
+/// with the same seed reproduces the same schedule.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t x);
 
 /// Exit code of a scripted process abort (`abort=<point>#<occurrence>`),
@@ -68,14 +69,9 @@ class RankCrash : public Error {
 
 /// Per-message fault decision produced by a FaultPlan.
 struct FaultAction {
-  bool drop = false;     ///< message is lost in transit (recoverable by retry)
-  bool duplicate = false;  ///< message is delivered twice
-  bool reorder = false;  ///< message jumps the mailbox queue
   std::uint32_t delay_ms = 0;  ///< message becomes visible only after this
 
-  [[nodiscard]] bool any() const {
-    return drop || duplicate || reorder || delay_ms > 0;
-  }
+  [[nodiscard]] bool any() const { return delay_ms > 0; }
 };
 
 /// Scripted crash: rank `rank` dies at the `occurrence`-th visit (0-based)
@@ -100,18 +96,13 @@ struct AbortSpec {
 /// (default) plan injects nothing and costs one branch per message.
 struct FaultPlan {
   std::uint64_t seed = 0;
-  double drop_prob = 0.0;
-  double duplicate_prob = 0.0;
-  double reorder_prob = 0.0;
   double delay_prob = 0.0;
   std::uint32_t delay_ms = 20;  ///< delay applied when the delay fault fires
   CrashSpec crash;              ///< at most one scripted crash
   AbortSpec abort;              ///< at most one scripted process abort
 
   [[nodiscard]] bool empty() const {
-    return drop_prob == 0.0 && duplicate_prob == 0.0 &&
-           reorder_prob == 0.0 && delay_prob == 0.0 &&
-           crash.point == CrashPoint::kNone &&
+    return delay_prob == 0.0 && crash.point == CrashPoint::kNone &&
            abort.point == CrashPoint::kNone;
   }
 
@@ -124,15 +115,16 @@ struct FaultPlan {
   /// every parse error so a malformed spec is self-documenting.
   static constexpr std::string_view kGrammar =
       "expected key=value[,key=value...] with keys seed=<u64>, "
-      "drop|dup|reorder|delay=<probability in [0,1]>, delay_ms=<u64>, "
+      "delay=<probability in [0,1]>, delay_ms=<u32>, "
       "crash=<rank>@<point>[#<occurrence>], abort=<point>[#<occurrence>]; "
       "points: startup, partition_start, partition_done, result_sent, "
       "before_finish, journal_record";
 
   /// Parse a comma-separated spec, e.g.
-  ///   "seed=7,drop=0.1,dup=0.05,reorder=0.1,delay=0.2,delay_ms=50,
-  ///    crash=2@partition_done#1,abort=journal_record#3"
-  /// per kGrammar. Throws InvalidArgument on malformed specs; the message
+  ///   "seed=7,delay=0.2,delay_ms=50,crash=2@partition_done#1,
+  ///    abort=journal_record#3"
+  /// per kGrammar. Every integer is the whole token, unsigned and in its
+  /// field's range. Throws InvalidArgument on malformed specs; the message
   /// carries the byte offset of the offending token plus the grammar.
   [[nodiscard]] static FaultPlan parse(std::string_view spec);
 };

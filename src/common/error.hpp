@@ -38,9 +38,7 @@ class TimeoutError : public Error {
   explicit TimeoutError(const std::string& what) : Error(what) {}
 };
 
-/// Point in time a blocking call must give up at. Deadlines compose
-/// naturally across retries: each attempt waits until min(deadline,
-/// attempt budget), so nesting never extends the caller's bound.
+/// Point in time a blocking call must give up at.
 class [[nodiscard]] Deadline {
  public:
   using Clock = std::chrono::steady_clock;
@@ -53,22 +51,10 @@ class [[nodiscard]] Deadline {
     return Deadline(Clock::now() + std::chrono::milliseconds(ms));
   }
 
-  [[nodiscard]] static Deadline at(Clock::time_point when) {
-    return Deadline(when);
-  }
-
   [[nodiscard]] bool is_never() const {
     return when_ == Clock::time_point::max();
   }
-  [[nodiscard]] bool expired() const {
-    return !is_never() && Clock::now() >= when_;
-  }
   [[nodiscard]] Clock::time_point when() const { return when_; }
-
-  /// The earlier of this deadline and `other`.
-  [[nodiscard]] Deadline min(Deadline other) const {
-    return Deadline(when_ < other.when_ ? when_ : other.when_);
-  }
 
  private:
   explicit Deadline(Clock::time_point when) : when_(when) {}

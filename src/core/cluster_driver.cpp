@@ -19,7 +19,7 @@ constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
 
 // How long the master's supervision loop waits for a message before it
-// re-checks for dead ranks and dropped messages.
+// re-checks for dead ranks.
 constexpr std::int64_t kPollMs = 20;
 
 std::vector<std::byte> encode_result(std::uint32_t part_index,
@@ -43,14 +43,13 @@ void tally_latency(RankMetricsRow& row, double seconds) {
 }  // namespace
 
 std::vector<std::string> rank_metrics_columns() {
-  return {"partitions",     "retries",        "comm_bytes",
-          "cells_total",    "pip_cell_tests", "latency_us_sum",
-          "latency_us_max", "reported"};
+  return {"partitions",     "comm_bytes",     "cells_total",
+          "pip_cell_tests", "latency_us_sum", "latency_us_max",
+          "reported"};
 }
 
 std::vector<std::uint64_t> rank_metrics_values(const RankMetricsRow& row) {
   return {row.partitions_processed,
-          row.retries,
           row.comm_bytes_sent,
           row.cells_total,
           row.pip_cell_tests,
@@ -68,6 +67,19 @@ ClusterRunResult run_cluster_zonal(
   ZH_REQUIRE(config.ranks >= 1, "need at least one rank");
   ZH_TRACE_SPAN("cluster.run_zonal", "cluster");
   const FaultToleranceConfig& ft = config.fault_tolerance;
+  // A scripted crash that can never fire would pass silently: only the
+  // workers visit crash checkpoints, and at journal_record only an abort
+  // fires.
+  if (const CrashSpec& crash = ft.faults.crash;
+      crash.point != CrashPoint::kNone) {
+    ZH_REQUIRE(crash.rank >= 1 && crash.rank < config.ranks,
+               "scripted crash of rank ", crash.rank, " never fires: only "
+               "the worker ranks [1, ", config.ranks, ") visit crash "
+               "checkpoints");
+    ZH_REQUIRE(crash.point != CrashPoint::kJournalRecord,
+               "scripted crash at journal_record never fires: only an "
+               "abort fires there");
+  }
   const CheckpointConfig& ck = config.checkpoint;
 
   // Build the global partition list (tile-aligned) and assign owners.
@@ -126,11 +138,10 @@ ClusterRunResult run_cluster_zonal(
   // Supervised master-worker dispatch. Each rank first computes the
   // partitions it owns; workers stream one result message per partition
   // and then pull reassigned work until released. The master
-  // accumulates each partition exactly once (first copy wins), so
-  // duplicate deliveries, a crashed rank's delayed results and
-  // recomputation after reassignment all stay exact. Completion is
-  // idempotent per partition index -- the whole recovery scheme rests on
-  // that.
+  // accumulates each partition exactly once (first copy wins), so a
+  // crashed rank's delayed result and the recomputation after
+  // reassignment both stay exact. Completion is idempotent per partition
+  // index -- the whole recovery scheme rests on that.
   result.merged = HistogramSet(polygons.size(), config.zonal.bins);
 
   // Resume state: partitions a previous generation journaled are marked
@@ -183,7 +194,6 @@ ClusterRunResult run_cluster_zonal(
     // its last crash checkpoint: a scripted kBeforeFinish crash leaves the
     // row defaulted (reported == 0), which is what the table should show.
     const auto finish = [&] {
-      row.retries = comm.retries();
       row.comm_bytes_sent = comm.bytes_sent();
       row.reported = 1;
       comm_bytes.fetch_add(comm.bytes_sent(), std::memory_order_relaxed);
@@ -364,11 +374,6 @@ ClusterRunResult run_cluster_zonal(
       }
     };
     while (completed_count < total) {
-      // Trigger retransmission of protocol messages dropped in transit.
-      for (RankId r = 1; r < comm.size(); ++r) {
-        if (wstate[r] == WState::kDead) continue;
-        for (const int tag : kTags) comm.recover_lost(r, tag);
-      }
       AnyMessage msg;
       if (comm.recv_any(kTags, Deadline::after_ms(kPollMs), msg).is_ok()) {
         handle(msg);
@@ -380,7 +385,6 @@ ClusterRunResult run_cluster_zonal(
           // (in-process sends are synchronous). Drain it first so
           // finished partitions are credited to the rank instead of
           // being orphaned and recomputed.
-          for (const int tag : kTags) comm.recover_lost(r, tag);
           AnyMessage pending;
           while (comm.recv_any(kTags, Deadline::after_ms(0), pending)
                      .is_ok()) {

@@ -52,7 +52,9 @@ struct FaultToleranceConfig {
   /// such partitions are reported as incomplete (degraded result) --
   /// mainly a hook for exercising the degraded path in tests.
   bool master_takeover = true;
-  /// Scripted failures (message faults + rank crashes) for tests/benches.
+  /// Scripted failures (message delays, a rank crash, a process abort)
+  /// for tests. run_cluster_zonal refuses a crash that can never fire: one
+  /// of rank 0 or of a rank outside the run, or one at journal_record.
   FaultPlan faults;
 };
 
@@ -87,7 +89,9 @@ struct RankOutcome {
 /// then leaves its row defaulted (reported == 0).
 struct RankMetricsRow {
   std::uint64_t partitions_processed = 0;
-  std::uint64_t retries = 0;          ///< recv backoff re-attempts
+  /// Always 0: receives wait once, to their deadline. Kept until the
+  /// replay that reads it goes (ROADMAP item 9); no report column shows it.
+  std::uint64_t retries = 0;
   std::uint64_t comm_bytes_sent = 0;
   std::uint64_t cells_total = 0;  ///< input cells of the rank's partitions
   std::uint64_t pip_cell_tests = 0;

@@ -277,8 +277,8 @@ TEST_F(CheckpointResume, ResumeSurvivesMessageFaultStorm) {
   const JournalLoad load = load_journal(journal_);
   ClusterRunConfig cfg = resume_config(sc, 4, load);
   cfg.fault_tolerance.faults.seed = 9;
-  cfg.fault_tolerance.faults.drop_prob = 0.2;
-  cfg.fault_tolerance.faults.duplicate_prob = 0.2;
+  cfg.fault_tolerance.faults.delay_prob = 0.5;
+  cfg.fault_tolerance.faults.delay_ms = 3;
   JournalWriter w = JournalWriter::append(journal_, load);
   const ClusterRunResult r = sc.run(cfg, &w);
   EXPECT_EQ(r.merged, sc.reference());

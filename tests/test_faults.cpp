@@ -1,17 +1,15 @@
-// Fault-injection layer: deterministic FaultPlan decisions, message
-// faults (drop/duplicate/reorder/delay) recovered by the comm layer,
-// deadline-bounded receives, dead-rank fail-fast, scripted rank crashes,
-// and corruption-detecting container I/O (CRC32 bit-flip fuzz).
+// Fault-injection layer: deterministic FaultPlan decisions, delayed
+// messages, deadline-bounded receives, dead-rank fail-fast, scripted
+// rank crashes, and corruption-detecting container I/O (CRC32 bit-flip
+// fuzz).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 #include "bqtree/compressed_raster.hpp"
@@ -40,63 +38,57 @@ TEST(FaultPlan, EmptyPlanInjectsNothing) {
 TEST(FaultPlan, ActionsAreDeterministicPerSeed) {
   FaultPlan plan;
   plan.seed = 42;
-  plan.drop_prob = 0.3;
-  plan.duplicate_prob = 0.2;
-  plan.reorder_prob = 0.25;
   plan.delay_prob = 0.2;
+  plan.delay_ms = 7;
 
-  // Same (src, dst, tag, index) -> identical decision, every time.
+  // Same (src, dst, tag, index) -> identical decision, every time; a
+  // delayed message is held back by exactly the plan's delay_ms.
   int faulted = 0;
   for (RankId src = 0; src < 3; ++src) {
     for (RankId dst = 0; dst < 3; ++dst) {
       for (std::uint64_t i = 0; i < 64; ++i) {
         const FaultAction a = plan.action_for(src, dst, 5, i);
         const FaultAction b = plan.action_for(src, dst, 5, i);
-        EXPECT_EQ(a.drop, b.drop);
-        EXPECT_EQ(a.duplicate, b.duplicate);
-        EXPECT_EQ(a.reorder, b.reorder);
         EXPECT_EQ(a.delay_ms, b.delay_ms);
+        EXPECT_TRUE(a.delay_ms == 0 || a.delay_ms == 7) << a.delay_ms;
         if (a.any()) ++faulted;
-        // A dropped message has no other fate.
-        if (a.drop) {
-          EXPECT_FALSE(a.duplicate || a.reorder || a.delay_ms > 0);
-        }
       }
     }
   }
   EXPECT_GT(faulted, 0);
+  EXPECT_LT(faulted, 3 * 3 * 64);
 
   // A different seed produces a different schedule somewhere.
   FaultPlan other = plan;
   other.seed = 43;
   bool differs = false;
   for (std::uint64_t i = 0; i < 64 && !differs; ++i) {
-    differs = plan.action_for(0, 1, 5, i).drop !=
-              other.action_for(0, 1, 5, i).drop;
+    differs = plan.action_for(0, 1, 5, i).delay_ms !=
+              other.action_for(0, 1, 5, i).delay_ms;
   }
   EXPECT_TRUE(differs);
 }
 
 TEST(FaultPlan, ParsesFullSpec) {
+  // Each integer field takes its own type's full range.
   const FaultPlan plan = FaultPlan::parse(
-      "seed=7,drop=0.1,dup=0.05,reorder=0.15,delay=0.2,delay_ms=50,"
-      "crash=2@partition_done#1");
-  EXPECT_EQ(plan.seed, 7u);
-  EXPECT_DOUBLE_EQ(plan.drop_prob, 0.1);
-  EXPECT_DOUBLE_EQ(plan.duplicate_prob, 0.05);
-  EXPECT_DOUBLE_EQ(plan.reorder_prob, 0.15);
+      "seed=18446744073709551615,delay=0.2,delay_ms=4294967295,"
+      "crash=2@partition_done#1,abort=journal_record#4294967295");
+  EXPECT_EQ(plan.seed, 18446744073709551615u);
   EXPECT_DOUBLE_EQ(plan.delay_prob, 0.2);
-  EXPECT_EQ(plan.delay_ms, 50u);
+  EXPECT_EQ(plan.delay_ms, 4294967295u);
   EXPECT_EQ(plan.crash.rank, 2u);
   EXPECT_EQ(plan.crash.point, CrashPoint::kPartitionDone);
   EXPECT_EQ(plan.crash.occurrence, 1u);
+  EXPECT_EQ(plan.abort.point, CrashPoint::kJournalRecord);
+  EXPECT_EQ(plan.abort.occurrence, 4294967295u);
   EXPECT_FALSE(plan.empty());
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("bogus=1"), InvalidArgument);
-  EXPECT_THROW((void)FaultPlan::parse("drop"), InvalidArgument);
-  EXPECT_THROW((void)FaultPlan::parse("drop=notanumber"), InvalidArgument);
+  EXPECT_THROW((void)FaultPlan::parse("delay"), InvalidArgument);
+  EXPECT_THROW((void)FaultPlan::parse("delay=notanumber"), InvalidArgument);
   EXPECT_THROW((void)FaultPlan::parse("crash=1"), InvalidArgument);
   EXPECT_THROW((void)FaultPlan::parse("crash=1@no_such_point"),
                InvalidArgument);
@@ -136,112 +128,50 @@ void expect_parse_error(std::string_view spec, std::size_t offset,
 
 TEST(FaultPlan, ParseErrorsPinpointByteOffsetAndGrammar) {
   expect_parse_error("bogus=1", 0, "unknown key 'bogus'");
-  expect_parse_error("drop=0.1,oops", 9, "expected key=value, got 'oops'");
-  expect_parse_error("drop=1.5", 5,
-                     "key 'drop' needs a probability in [0,1], got '1.5'");
-  expect_parse_error("seed=3,dup=x", 11,
-                     "key 'dup' needs a probability in [0,1], got 'x'");
-  expect_parse_error("seed=abc", 5,
-                     "key 'seed' needs a non-negative integer, got 'abc'");
+  // The transport is reliable: message loss is no fault a run can meet.
+  expect_parse_error("drop=0.1", 0, "unknown key 'drop'");
+  expect_parse_error("delay=0.1,oops", 10, "expected key=value, got 'oops'");
+  expect_parse_error("delay=1.5", 6,
+                     "key 'delay' needs a probability in [0,1], got '1.5'");
+  expect_parse_error("seed=3,delay=x", 13,
+                     "key 'delay' needs a probability in [0,1], got 'x'");
+  expect_parse_error(
+      "seed=abc", 5,
+      "key 'seed' needs an integer from 0 to 18446744073709551615, got 'abc'");
+  // Integers are read whole, unsigned and in their field's range: none
+  // truncates to its field, negates or wraps.
+  expect_parse_error(
+      "seed=-1", 5,
+      "key 'seed' needs an integer from 0 to 18446744073709551615, got '-1'");
+  expect_parse_error(
+      "crash=4294967297@partition_start", 6,
+      "key 'crash' needs an integer from 0 to 4294967295, got '4294967297'");
+  expect_parse_error("delay_ms=4294967297", 9,
+                     "key 'delay_ms' needs an integer from 0 to 4294967295, "
+                     "got '4294967297'");
+  expect_parse_error("delay_ms= 5", 9,
+                     "key 'delay_ms' needs an integer from 0 to 4294967295, "
+                     "got ' 5'");
+  expect_parse_error("crash=1@startup#+2", 16,
+                     "key 'crash occurrence' needs an integer from 0 to "
+                     "4294967295, got '+2'");
   expect_parse_error(
       "crash=1", 6,
       "key 'crash' needs <rank>@<point>[#<occurrence>], got '1'");
   expect_parse_error("crash=1@nope", 8, "unknown crash point 'nope'");
   expect_parse_error("abort=nope", 6, "unknown crash point 'nope'");
-  expect_parse_error(
-      "abort=startup#x", 14,
-      "key 'abort occurrence' needs a non-negative integer, got 'x'");
-}
-
-// --------------------------------------------------- retry backoff jitter
-
-TEST(FaultPlan, DecorrelatedBackoffIsDeterministicAndBounded) {
-  // Decorrelated jitter: each attempt draws uniformly from
-  // [base, 3 * previous], keyed by (seed, receiver, src, tag, attempt) --
-  // so replays with the same seed reproduce the same retry schedule
-  // byte for byte.
-  const std::int64_t base = 10;
-  std::int64_t prev = base;
-  for (std::uint32_t attempt = 0; attempt < 24; ++attempt) {
-    const std::int64_t a =
-        decorrelated_backoff_ms(7, 0, 2, 101, attempt, base, prev);
-    const std::int64_t b =
-        decorrelated_backoff_ms(7, 0, 2, 101, attempt, base, prev);
-    EXPECT_EQ(a, b) << "attempt " << attempt;  // deterministic
-    EXPECT_GE(a, base);
-    EXPECT_LE(a, std::max(base, 3 * prev));
-    prev = a;
-  }
-}
-
-TEST(FaultPlan, DecorrelatedBackoffDecorrelatesStreams) {
-  // Different receivers, sources, tags, attempts, or seeds must not march
-  // in lockstep -- synchronized retry storms are what jitter prevents.
-  const std::int64_t base = 10;
-  const std::int64_t prev = 1000;  // wide range: collisions unlikely
-  const std::int64_t ref = decorrelated_backoff_ms(1, 0, 1, 5, 3, base, prev);
-  int differs = 0;
-  differs += decorrelated_backoff_ms(2, 0, 1, 5, 3, base, prev) != ref;
-  differs += decorrelated_backoff_ms(1, 3, 1, 5, 3, base, prev) != ref;
-  differs += decorrelated_backoff_ms(1, 0, 2, 5, 3, base, prev) != ref;
-  differs += decorrelated_backoff_ms(1, 0, 1, 6, 3, base, prev) != ref;
-  differs += decorrelated_backoff_ms(1, 0, 1, 5, 4, base, prev) != ref;
-  EXPECT_GE(differs, 4);  // allow one accidental collision, not a pattern
-}
-
-TEST(FaultPlan, DecorrelatedBackoffHandlesDegenerateInputs) {
-  // Zero/negative base or previous must still produce a sane wait.
-  EXPECT_GE(decorrelated_backoff_ms(1, 0, 1, 5, 0, 0, 0), 1);
-  EXPECT_GE(decorrelated_backoff_ms(1, 0, 1, 5, 0, -5, -5), 1);
-  const std::int64_t v = decorrelated_backoff_ms(1, 0, 1, 5, 9, 1, 1);
-  EXPECT_GE(v, 1);
-  EXPECT_LE(v, 3);
+  expect_parse_error("abort=startup#x", 14,
+                     "key 'abort occurrence' needs an integer from 0 to "
+                     "4294967295, got 'x'");
 }
 
 // ----------------------------------------------------- message faults
 
-TEST(CommFault, DroppedMessagesRecoveredByRetry) {
-  FaultPlan faults;
-  faults.seed = 11;
-  faults.drop_prob = 1.0;  // every message lost in transit
-  run_cluster(2, faults, [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<std::uint32_t> payload = {1, 2, 3, 4};
-      comm.send<std::uint32_t>(1, 7, payload);
-    } else {
-      // The retry path triggers retransmission of the dropped message.
-      const auto got = test::recv<std::uint32_t>(comm, 0, 7);
-      EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3, 4}));
-    }
-  });
-}
-
-TEST(CommFault, DuplicatedMessagesMatchByTag) {
-  FaultPlan faults;
-  faults.seed = 5;
-  faults.duplicate_prob = 1.0;
-  run_cluster(2, faults, [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send<std::uint32_t>(1, 1, std::vector<std::uint32_t>{10});
-      comm.send<std::uint32_t>(1, 2, std::vector<std::uint32_t>{20});
-    } else {
-      EXPECT_EQ(test::recv<std::uint32_t>(comm, 0, 2),
-                (std::vector<std::uint32_t>{20}));
-      EXPECT_EQ(test::recv<std::uint32_t>(comm, 0, 1),
-                (std::vector<std::uint32_t>{10}));
-      // The duplicates are still there, identical to the originals.
-      EXPECT_EQ(test::recv<std::uint32_t>(comm, 0, 1),
-                (std::vector<std::uint32_t>{10}));
-      EXPECT_EQ(test::recv<std::uint32_t>(comm, 0, 2),
-                (std::vector<std::uint32_t>{20}));
-    }
-  });
-}
-
 TEST(CommFault, ReorderedAndDelayedMessagesStillArrive) {
+  // Every message is held back 10 ms; the receiver asks for them in the
+  // reverse of the order they were sent, and each tag still matches.
   FaultPlan faults;
   faults.seed = 3;
-  faults.reorder_prob = 1.0;
   faults.delay_prob = 1.0;
   faults.delay_ms = 10;
   run_cluster(2, faults, [](Communicator& comm) {
@@ -256,32 +186,6 @@ TEST(CommFault, ReorderedAndDelayedMessagesStillArrive) {
                   (std::vector<std::uint32_t>{i}));
       }
     }
-  });
-}
-
-TEST(CommFault, LateDropIsRecoveredBeforeDeadline) {
-  // A message dropped long after the receive began is retransmitted at
-  // the next wait-slice boundary, not left to the deadline. Rank 0 stays
-  // alive until rank 1 is done: a dead sender would hand rank 1 the
-  // dropped message through the kRankDead path instead.
-  FaultPlan faults;
-  faults.seed = 11;
-  faults.drop_prob = 1.0;
-  run_cluster(2, faults, [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-      comm.send<std::uint32_t>(1, 7, std::vector<std::uint32_t>{42});
-      (void)test::recv<std::byte>(comm, 1, 8);
-      return;
-    }
-    const auto start = Clock::now();
-    std::vector<std::uint32_t> got;
-    const Status s =
-        comm.recv<std::uint32_t>(0, 7, Deadline::after_ms(4000), got);
-    EXPECT_TRUE(s.is_ok()) << s.message();
-    EXPECT_EQ(got, (std::vector<std::uint32_t>{42}));
-    EXPECT_LT(Clock::now() - start, std::chrono::milliseconds(4000));
-    comm.send<std::byte>(0, 8, {});
   });
 }
 

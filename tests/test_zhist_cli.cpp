@@ -192,6 +192,10 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
       // vertex.
       {simplify + "--eps 0.01abc", "--eps"},
       {simplify + "--eps inf", "--eps"},
+      // A fault plan is read with the flags: 2^32 + 1 would crash rank
+      // 1, and "none" would script a crash that never fires.
+      {hist + "--fault-plan crash=4294967297@partition_start", "'crash'"},
+      {hist + "--fault-plan crash=1@none", "crash point 'none'"},
       // Batch-spec numbers follow the same rule. Cast unchecked, 2^32 + 16
       // would wrap to 16 bins, 16.7 truncate to 16 and -1 overflow; a
       // string must not fall back to the default.
@@ -293,7 +297,7 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
   // unchanged and the report still has one row per rank.
   ASSERT_EQ(zhist(hist + "-o '" + path("three.csv") +
                   "' --ranks 3 --fault-plan "
-                  "'seed=5,drop=0.05,crash=2@partition_done' --metrics '" +
+                  "'seed=5,delay=0.05,crash=2@partition_done' --metrics '" +
                   path("three.json") + "' --trace '" +
                   path("three.trace.json") + "'"),
             0);
@@ -301,6 +305,20 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
   EXPECT_EQ(validate_obs("metrics '" + path("three.json") +
                          "' --require-ranks 3"),
             0);
+
+  // A gate value that is not one number in range is a usage error, not
+  // a gate that passes: NaN fails no comparison, a suffix must not be
+  // dropped, and -1 would switch the rank check off.
+  for (const std::string& bad :
+       {"trace '" + path("three.trace.json") + "' --min-coverage nan",
+        "trace '" + path("three.trace.json") + "' --min-coverage 101",
+        "metrics '" + path("three.json") + "' --require-ranks 4abc",
+        "metrics '" + path("three.json") + "' --require-ranks abc",
+        "metrics '" + path("three.json") + "' --require-ranks -1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(validate_obs(bad, path("usage.txt")), 2);
+    EXPECT_NE(slurp(path("usage.txt")).find("usage:"), std::string::npos);
+  }
 
 #if defined(ZH_ENABLE_OBS)
   // The merged trace of that run passes the obs stage's cluster bound:

@@ -26,7 +26,7 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 
 # Concurrency suites exercised under TSan: ThreadPool + device emulation,
 # thrust-analog primitives, the MPI-like cluster layer (including the
-# fault-injection and crash-recovery paths, and the metrics row each
+# delay-injection and crash-recovery paths, and the metrics row each
 # rank writes into the shared result), the Step-2 tile sweep (per-chunk
 # scratch on the pool), the Step-4 refinement strategies (parallel
 # edge-index build + scanline kernels), the stress mix, and every entry
@@ -34,10 +34,10 @@ CTEST_PARALLEL="${CTEST_PARALLEL:-${JOBS}}"
 # owned zone rows and atomic merges of split ones).
 TSAN_FILTER='*ThreadPool*:*Primitive*:*Comm*:*Partition*:*Cluster*:*Stress*:*Device*:*Fault*:*Obs*:*Step2*:*Refine*:*Checkpoint*:*TraceCausal*:*QueryEngine*:*EntryPoint*'
 
-# Fault-tolerance suites: deterministic fault injection, receive
-# deadlines and retries, crash recovery (a silent worker is never
-# declared dead), corruption-detecting I/O, the parser corpus, and the
-# checkpoint-journal torn-write/bit-flip/resume suites.
+# Fault-tolerance suites: deterministic delay injection, deadline-bounded
+# receives, crash recovery (a silent worker is never declared dead),
+# corruption-detecting I/O, the parser corpus, and the checkpoint-journal
+# torn-write/bit-flip/resume suites.
 FAULT_FILTER='*Fault*:*ClusterRecovery*:*ParserRobustness*:*CorruptIo*:*Journal*:*Checkpoint*'
 
 log() { printf '\n\033[1;34m== %s ==\033[0m\n' "$*"; }
@@ -93,8 +93,8 @@ run_tsan() {
 
 run_faults() {
   # Fault scenarios under both the optimized build (timing-sensitive
-  # paths at full speed) and ASan/UBSan (memory safety when recovery,
-  # retry, and corrupted-input paths fire).
+  # paths at full speed) and ASan/UBSan (memory safety when recovery
+  # and corrupted-input paths fire).
   configure_and_build dev
   log "fault-injection suites (dev)"
   ./build-dev/tests/zh_tests --gtest_filter="${FAULT_FILTER}" \
@@ -299,7 +299,7 @@ run_obs() {
   log "per-rank metrics table under fault injection (dev)"
   ./build-dev/tools/zhist hist "${tmp}/dem.zgrid" "${tmp}/zones.tsv" \
     -o "${tmp}/hist-cluster.csv" --bins 256 --tile 64 --ranks 3 \
-    --fault-plan "seed=5,drop=0.05,crash=2@partition_done" \
+    --fault-plan "seed=5,delay=0.05,crash=2@partition_done" \
     --metrics "${tmp}/cluster.metrics.json"
   ./build-dev/tools/validate_obs metrics "${tmp}/cluster.metrics.json" \
     --require-ranks 3
@@ -313,14 +313,13 @@ run_obs() {
   ./build-dev/tools/zhist hist "${tmp}/dem.zgrid" "${tmp}/zones.tsv" \
     -o "${tmp}/hist-trace.csv" --bins 256 --tile 64 --ranks 4 \
     --partitions 4x4 \
-    --fault-plan "seed=5,drop=0.05,crash=2@partition_done" \
+    --fault-plan "seed=5,delay=0.05,crash=2@partition_done" \
     --trace "${tmp}/cluster.trace.json" \
     --metrics "${tmp}/trace.metrics.json"
   ./build-dev/tools/validate_obs trace "${tmp}/cluster.trace.json" \
     --min-coverage "${ZH_OBS_CLUSTER_MIN_COVERAGE:-80}"
   ./build-dev/tools/zh_trace/zh_trace "${tmp}/cluster.trace.json" \
-    --min-coverage 0.95 --report "${tmp}/cluster.critpath.json" \
-    --run-report "${tmp}/trace.metrics.json"
+    --min-coverage 0.95 --report "${tmp}/cluster.critpath.json"
 
   log "bench regression differ gates (zh_perf)"
   # Committed baselines compared against themselves must pass ...

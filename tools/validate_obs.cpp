@@ -4,12 +4,14 @@
 //     Chrome trace_event JSON: structural check of every event ("X"
 //     spans plus "s"/"f" flow-edge ends, which need a positive id),
 //     then a coverage check -- the union of all other "X" spans clipped
-//     to the longest span's window must cover at least PCT (default 95)
-//     percent of it. Catches both malformed traces and instrumentation
-//     gaps (a pipeline phase nobody wrapped in a span).
+//     to the longest span's window must cover at least PCT (a number
+//     from 0 to 100, default 95) percent of it. Catches both malformed
+//     traces and instrumentation gaps (a pipeline phase nobody wrapped
+//     in a span).
 //   validate_obs metrics <file> [--require-ranks N]
 //     zh-run-report-v1 JSON: schema + required keys; with
-//     --require-ranks, the per-rank table must exist and have N rows.
+//     --require-ranks N (an integer, at least 0), the per-rank table
+//     must exist and have N rows.
 //     Counters in validated families (journal.*, step4.*, comm.*) must
 //     come from the known-key inventory -- a typo'd or renamed counter
 //     fails instead of passing unvalidated. The metrics section gets
@@ -19,8 +21,11 @@
 //     a counter its value).
 //
 // Exits 0 when valid, 1 with a one-line reason otherwise (CI asserts on
-// the exit code and shows the reason in the log).
+// the exit code and shows the reason in the log), and 2 with the usage
+// text on a malformed command line.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,6 +44,18 @@ using zh::obs::JsonValue;
                "  validate_obs trace <file> [--min-coverage PCT]\n"
                "  validate_obs metrics <file> [--require-ranks N]\n");
   std::exit(2);
+}
+
+// A flag value: the whole token must be one number of T (from_chars
+// skips no whitespace and takes no '+'). Anything else, or a value `ok`
+// refuses, is a usage error.
+template <typename T, typename Ok>
+T parse_flag(const char* token, Ok ok) {
+  T value{};
+  const char* end = token + std::strlen(token);
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  if (ec != std::errc() || ptr != end || !ok(value)) usage();
+  return value;
 }
 
 int fail(const std::string& why) {
@@ -197,7 +214,6 @@ int check_metrics(const std::string& path, long require_ranks) {
         "step4.rows_scanned",      "step4.edges_in_band",
         "step4.run_cells",
         "comm.msgs_sent",          "comm.bytes_sent",
-        "comm.retries",            "comm.msgs_recovered",
     };
     static const char* const kValidatedFamilies[] = {"journal.", "step4.",
                                                      "comm."};
@@ -311,9 +327,12 @@ int main(int argc, char** argv) {
   long require_ranks = -1;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--min-coverage") == 0 && i + 1 < argc) {
-      min_coverage = std::stod(argv[++i]);
+      min_coverage = parse_flag<double>(argv[++i], [](double v) {
+        return std::isfinite(v) && v >= 0.0 && v <= 100.0;
+      });
     } else if (std::strcmp(argv[i], "--require-ranks") == 0 && i + 1 < argc) {
-      require_ranks = std::stol(argv[++i]);
+      require_ranks =
+          parse_flag<long>(argv[++i], [](long v) { return v >= 0; });
     } else {
       usage();
     }

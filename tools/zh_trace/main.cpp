@@ -3,8 +3,6 @@
 // Usage:
 //   zh_trace <merged_trace.json> [options]
 //     --report <out.json>      write a zh-trace-report-v1 document
-//     --run-report <run.json>  join comm.* counters of a zh-run-report-v1
-//                              file into the retry attribution
 //     --min-coverage <frac>    fail unless the critical path tiles at
 //                              least this fraction of the wall time
 //     --validate-only          only check the flow graph, skip analysis
@@ -24,8 +22,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: zh_trace <merged_trace.json> [--report out.json] "
-               "[--run-report run.json] [--min-coverage frac] "
-               "[--validate-only]\n");
+               "[--min-coverage frac] [--validate-only]\n");
   return 2;
 }
 
@@ -34,15 +31,12 @@ int usage() {
 int main(int argc, char** argv) {
   std::string trace_path;
   std::string report_path;
-  std::string run_report_path;
   double min_coverage = 0.0;
   bool validate_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--report" && i + 1 < argc) {
       report_path = argv[++i];
-    } else if (arg == "--run-report" && i + 1 < argc) {
-      run_report_path = argv[++i];
     } else if (arg == "--min-coverage" && i + 1 < argc) {
       min_coverage = std::atof(argv[++i]);
     } else if (arg == "--validate-only") {
@@ -77,14 +71,6 @@ int main(int argc, char** argv) {
       const zh::trace::CriticalPath cp = zh::trace::critical_path(model);
       const std::vector<zh::trace::RankStats> ranks =
           zh::trace::rank_breakdown(model, cp);
-      zh::obs::JsonValue run_report;
-      const zh::obs::JsonValue* run_report_ptr = nullptr;
-      if (!run_report_path.empty()) {
-        run_report = zh::obs::parse_json_file(run_report_path);
-        run_report_ptr = &run_report;
-      }
-      const zh::trace::RetryAttribution retries =
-          zh::trace::join_retries(model, run_report_ptr);
 
       std::printf(
           "critical path: wall %lld us = work %lld + transit %lld + idle "
@@ -101,19 +87,9 @@ int main(int argc, char** argv) {
             r.utilization * 100.0, static_cast<long long>(r.comm_wait_us),
             static_cast<long long>(r.crit_work_us));
       }
-      if (retries.comm_retries > 0 || retries.unreceived_sends > 0) {
-        std::printf(
-            "retries: %llu of %llu msgs (rate %.3f), %llu recovered, %zu "
-            "sends never received\n",
-            static_cast<unsigned long long>(retries.comm_retries),
-            static_cast<unsigned long long>(retries.comm_msgs_sent),
-            retries.retry_rate,
-            static_cast<unsigned long long>(retries.comm_msgs_recovered),
-            retries.unreceived_sends);
-      }
       if (!report_path.empty()) {
         const std::string json =
-            zh::trace::trace_report_json(model, flows, cp, ranks, retries);
+            zh::trace::trace_report_json(model, flows, cp, ranks);
         std::ofstream out(report_path,
                           std::ios::binary | std::ios::trunc);
         if (!out.good()) {

@@ -389,36 +389,9 @@ std::vector<RankStats> rank_breakdown(const TraceModel& m,
   return out;
 }
 
-RetryAttribution join_retries(const TraceModel& m,
-                              const obs::JsonValue* run_report) {
-  RetryAttribution out;
-  const FlowCheck flows = validate_flows(m);
-  out.unreceived_sends = flows.unmatched_sends;
-  if (run_report != nullptr && run_report->is_object()) {
-    if (const obs::JsonValue* counters = run_report->find("counters");
-        counters != nullptr && counters->is_object()) {
-      const auto u64 = [&](const char* key) -> std::uint64_t {
-        const obs::JsonValue* v = counters->find(key);
-        return v != nullptr && v->is_number()
-                   ? static_cast<std::uint64_t>(std::llround(v->number))
-                   : 0;
-      };
-      out.comm_retries = u64("comm.retries");
-      out.comm_msgs_sent = u64("comm.msgs_sent");
-      out.comm_msgs_recovered = u64("comm.msgs_recovered");
-    }
-  }
-  if (out.comm_msgs_sent > 0) {
-    out.retry_rate = static_cast<double>(out.comm_retries) /
-                     static_cast<double>(out.comm_msgs_sent);
-  }
-  return out;
-}
-
 std::string trace_report_json(const TraceModel& m, const FlowCheck& flows,
                               const CriticalPath& cp,
-                              const std::vector<RankStats>& ranks,
-                              const RetryAttribution& retries) {
+                              const std::vector<RankStats>& ranks) {
   std::string out;
   out.reserve(4096);
   out += "{\"schema\":\"zh-trace-report-v1\"";
@@ -519,17 +492,7 @@ std::string trace_report_json(const TraceModel& m, const FlowCheck& flows,
                      f2);
     out += "}";
   }
-  out += "]";
-
-  out += ",\"retries\":{";
-  first = true;
-  append_kv_u64(out, "comm_retries", retries.comm_retries, first);
-  append_kv_u64(out, "comm_msgs_sent", retries.comm_msgs_sent, first);
-  append_kv_u64(out, "comm_msgs_recovered", retries.comm_msgs_recovered,
-                first);
-  append_kv_double(out, "retry_rate", retries.retry_rate, first);
-  append_kv_u64(out, "unreceived_sends", retries.unreceived_sends, first);
-  out += "}}";
+  out += "]}";
   return out;
 }
 

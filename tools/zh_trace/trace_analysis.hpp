@@ -121,29 +121,11 @@ struct RankStats {
 [[nodiscard]] std::vector<RankStats> rank_breakdown(const TraceModel& m,
                                                     const CriticalPath& cp);
 
-/// Retry/straggler attribution joining the trace's flow edges with the
-/// comm.* counters of a zh-run-report-v1 file (optional; zeros without
-/// one). A high retry_rate with most critical-path work on one rank is
-/// the retry-storm / straggler signature the tool exists to surface.
-struct RetryAttribution {
-  std::uint64_t comm_retries = 0;
-  std::uint64_t comm_msgs_sent = 0;
-  std::uint64_t comm_msgs_recovered = 0;
-  double retry_rate = 0.0;          ///< retries / msgs_sent
-  std::size_t unreceived_sends = 0; ///< flow "s" ends that never resolved
-};
-
-/// Extract comm.* counters from a parsed zh-run-report-v1 document and
-/// join them with the model's flow statistics.
-[[nodiscard]] RetryAttribution join_retries(const TraceModel& m,
-                                            const obs::JsonValue* run_report);
-
 /// Serialize everything as a zh-trace-report-v1 JSON document (schema
 /// described in DESIGN.md section 6).
 [[nodiscard]] std::string trace_report_json(const TraceModel& m,
                                             const FlowCheck& flows,
                                             const CriticalPath& cp,
-                                            const std::vector<RankStats>& ranks,
-                                            const RetryAttribution& retries);
+                                            const std::vector<RankStats>& ranks);
 
 }  // namespace zh::trace

@@ -8,9 +8,11 @@
 //             decodes only the tiles some zone touches, timed as Step 0.
 //             --partitions, --ranks, --fault-plan and --checkpoint-dir
 //             run the supervised cluster driver instead (one rank unless
-//             --ranks says more); --fault-plan injects scripted message
-//             faults / rank crashes (see FaultPlan::parse), e.g.
-//             "seed=1,drop=0.05,crash=2@partition_done".
+//             --ranks says more); --fault-plan scripts message delays,
+//             a worker crash and a process abort (see FaultPlan::parse),
+//             e.g. "seed=1,delay=0.05,crash=2@partition_done"; a crash
+//             no rank can meet (the master, rank 0, a rank past --ranks,
+//             or journal_record) stops the run with exit code 1.
 //             --checkpoint-dir journals every accepted partition into
 //             DIR/run.journal (fsync every N records); after a process
 //             death, rerunning with --resume recomputes only un-journaled
@@ -31,9 +33,9 @@
 //             cmd_query).
 //
 // Integer flag values, and the batch spec's "tile" and "bins", must be
-// whole numbers that fit their field and meet its lower bound, and --eps
-// one finite number; anything else stops the run with exit code 1 before
-// a file is written.
+// whole numbers that fit their field and meet its lower bound, --eps
+// one finite number, and --fault-plan a spec FaultPlan::parse accepts;
+// anything else stops the run with exit code 1 before a file is written.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -77,12 +79,13 @@ struct Args {
   std::uint64_t seed = 42;
   double eps = 0.0;
   std::size_t ranks = 1;
-  std::string fault_plan;
+  std::string fault_plan;  ///< the --fault-plan spec as given
+  FaultPlan faults;        ///< that spec, parsed with the flags
   std::string checkpoint_dir;  ///< durable run-journal directory
   bool resume = false;         ///< continue from the journal in the dir
   std::optional<std::uint32_t> checkpoint_interval;  ///< fsync every N records
   std::string trace;    ///< Chrome trace_event JSON output path
-  std::string metrics;  ///< run-report JSON output path
+  std::string metrics;  ///< run report JSON output path
   bool report = false;  ///< print the human-readable run report
   std::string batch;    ///< JSON batch spec for `zhist query`
 };
@@ -181,6 +184,7 @@ Args parse(int argc, char** argv) {
       args.ranks = parse_int(a, next(), std::size_t{1});
     } else if (a == "--fault-plan") {
       args.fault_plan = next();
+      args.faults = FaultPlan::parse(args.fault_plan);
     } else if (a == "--checkpoint-dir") {
       args.checkpoint_dir = next();
     } else if (a == "--resume") {
@@ -337,11 +341,9 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     cfg.ranks = args.ranks;
     cfg.zonal = {.tile_size = args.tile, .bins = args.bins,
                  .refine_strategy = args.refine};
-    if (!args.fault_plan.empty()) {
-      cfg.fault_tolerance.faults = FaultPlan::parse(args.fault_plan);
-      if (cfg.fault_tolerance.faults.seed == 0) {
-        cfg.fault_tolerance.faults.seed = args.seed;
-      }
+    cfg.fault_tolerance.faults = args.faults;
+    if (cfg.fault_tolerance.faults.seed == 0) {
+      cfg.fault_tolerance.faults.seed = args.seed;
     }
     // Partition schema: honor --partitions, else one stripe per rank.
     const int pr =

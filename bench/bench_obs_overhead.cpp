@@ -2,7 +2,7 @@
 //
 // Runs the Table-2 pipeline workload (one CONUS raster) with all
 // instrumentation *disabled at runtime* -- the state every production
-// run is in unless --trace/--metrics is passed -- and prints the
+// run is in unless --trace is passed -- and prints the
 // best-of-N wall time as a machine-readable line:
 //
 //   ZH_OBS_BENCH_SECONDS=<seconds>
@@ -10,47 +10,17 @@
 // tools/check.sh runs this binary from both the regular (ZH_OBS=ON)
 // build and the obs-off preset (ZH_OBS=OFF, macros compiled to no-ops)
 // and asserts the ON/OFF ratio stays within a small tolerance: the cost
-// of a dormant span/counter site must stay in the noise.
-//
-// A second section times the *active* latency-record path through the
-// registry (obs::latency_record called directly, so both build flavors
-// measure the same code): this is the per-sample cost a run with
-// --metrics or --report pays, and it feeds the committed
-// BENCH_obs_overhead.json baseline that the zh_perf gate self-compares.
+// of a dormant span site must stay in the noise. The report it writes is
+// the committed BENCH_obs_overhead.json baseline that the zh_perf gate
+// self-compares.
 //
 // Knobs: ZH_SCALE (default 60), ZH_ZONES (256), ZH_BINS (256),
-// ZH_REPS (3), ZH_LAT_SAMPLES (1000000).
+// ZH_REPS (3).
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "core/pipeline.hpp"
-#include "obs/metrics.hpp"
-
-namespace {
-
-/// Best-of-reps seconds for `samples` latency_record calls against one
-/// interned metric. The sample values sweep the octave range so bucket
-/// indexing is not branch-predicted into a single sub-bucket.
-double time_latency_records(int reps, int samples) {
-  using namespace zh;
-  const obs::MetricId id =
-      obs::metric_id("latency.bench_record", obs::MetricKind::kLatency);
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    double v = 1e-7;
-    for (int i = 0; i < samples; ++i) {
-      obs::latency_record(id, v);
-      v = v < 1.0 ? v * 1.000001 : 1e-7;
-    }
-    const double s = timer.seconds();
-    if (r == 0 || s < best) best = s;
-  }
-  return best;
-}
-
-}  // namespace
 
 int main() {
   using namespace zh;
@@ -59,8 +29,6 @@ int main() {
   const BinIndex bins =
       static_cast<BinIndex>(bench::env_int("ZH_BINS", 256));
   const int reps = std::max(1, bench::env_int("ZH_REPS", 3));
-  const int lat_samples =
-      std::max(1, bench::env_int("ZH_LAT_SAMPLES", 1000000));
   const std::int64_t tile = conus::tile_size_cells(scale);
 
   const conus::RasterSpec spec = conus::table1()[0];
@@ -86,26 +54,13 @@ int main() {
   }
   std::printf("ZH_OBS_BENCH_SECONDS=%.6f\n", best);
 
-  // Active record path: enable the registry for the microbench only so
-  // the dormant measurement above stays representative of idle runs.
-  obs::set_metrics_enabled(true);
-  const double lat_best = time_latency_records(reps, lat_samples);
-  obs::set_metrics_enabled(false);
-  obs::metrics_reset();
-  const double ns_per = lat_best / lat_samples * 1e9;
-  std::printf("latency_record: %d samples best of %d reps: %.4f s "
-              "(%.1f ns/sample)\n",
-              lat_samples, reps, lat_best, ns_per);
-
   bench::write_bench_report(
       "BENCH_obs_overhead.json", "bench_obs_overhead",
-      "conus table-1 raster 0, dormant pipeline + active latency_record",
+      "conus table-1 raster 0, dormant pipeline",
       {{"scale", std::to_string(scale)},
        {"zones", std::to_string(zones)},
        {"bins", std::to_string(bins)},
-       {"reps", std::to_string(reps)},
-       {"lat_samples", std::to_string(lat_samples)}},
-      nullptr, nullptr,
-      {{"obs_dormant_wall", best}, {"obs_latency_record", lat_best}});
+       {"reps", std::to_string(reps)}},
+      nullptr, nullptr, {{"obs_dormant_wall", best}});
   return 0;
 }

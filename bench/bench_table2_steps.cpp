@@ -90,6 +90,7 @@ int main() {
   full.pip_cell_tests *= s2;
   full.pip_edge_tests *= s2;
   full.cells_in_polygons *= s2;
+  full.values_clamped *= s2;
   full.raw_bytes *= s2;
   full.compressed_bytes *= s2;  // ratio approximately scale-free
   // Step 3 is charged at the paper's 5000 bins regardless of ZH_BINS.

@@ -69,13 +69,11 @@ DemRaster BqCompressedRaster::decode_tiles(
   ThreadPool::global().parallel_for(
       tiles.size(), [&](std::size_t b, std::size_t e) {
         std::vector<CellValue> cells;
-        std::uint64_t bytes = 0;
         for (std::size_t i = b; i < e; ++i) {
           const TileId id = tiles[i];
           const CellWindow w = tiling_.tile_window(id);
           cells.resize(static_cast<std::size_t>(w.cell_count()));
           decode_tile(id, cells);
-          bytes += tile(id).compressed_bytes();
           for (std::int64_t r = 0; r < w.rows; ++r) {
             std::copy(
                 cells.begin() + static_cast<std::size_t>(r * w.cols),
@@ -83,8 +81,6 @@ DemRaster BqCompressedRaster::decode_tiles(
                 &raster.at(w.row0 + r, w.col0));
           }
         }
-        ZH_COUNTER_ADD("bqtree.bytes_decoded", bytes);
-        ZH_COUNTER_ADD("bqtree.tiles_decoded", e - b);
       });
   return raster;
 }

@@ -294,8 +294,6 @@ std::size_t Communicator::size() const { return cluster_->size(); }
 void Communicator::send_bytes(RankId dst, int tag,
                               std::vector<std::byte> payload) {
   bytes_sent_ += payload.size();
-  ZH_COUNTER_ADD("comm.msgs_sent", 1);
-  ZH_COUNTER_ADD("comm.bytes_sent", payload.size());
   // Record the "s" event before handing the message to the transport so
   // its timestamp never postdates delivery.
   std::uint64_t flow_id = 0;

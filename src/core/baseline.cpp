@@ -14,22 +14,22 @@ namespace zh {
 namespace {
 
 void bin_cell(std::span<BinCount> hist, CellValue v, BinIndex bins,
-              std::optional<CellValue> nodata, std::uint64_t& clamped) {
+              std::optional<CellValue> nodata) {
   if (nodata && v == *nodata) return;
-  hist[bin_index(v, bins, clamped)] += 1;
+  hist[bin_index(v, bins)] += 1;
 }
 
 // Per-polygon PIP sweep over a cell window (the whole raster for the
 // naive baseline, the MBB window for the filtered one).
 void sweep_window(const DemRaster& raster, const Polygon& poly,
                   const CellWindow& w, BinIndex bins,
-                  std::span<BinCount> hist, std::uint64_t& clamped) {
+                  std::span<BinCount> hist) {
   const std::optional<CellValue> nodata = raster.nodata();
   for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
     for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
       const GeoPoint center = raster.transform().cell_center(r, c);
       if (point_in_polygon(poly, center)) {
-        bin_cell(hist, raster.at(r, c), bins, nodata, clamped);
+        bin_cell(hist, raster.at(r, c), bins, nodata);
       }
     }
   }
@@ -58,13 +58,11 @@ HistogramSet zonal_naive(const DemRaster& raster, const PolygonSet& polygons,
   ZH_TRACE_SPAN("baseline.naive", "pipeline");
   ThreadPool::global().parallel_for(
       polygons.size(), [&](std::size_t b, std::size_t e) {
-        std::uint64_t clamped = 0;
         for (std::size_t i = b; i < e; ++i) {
           const CellWindow whole{0, 0, raster.rows(), raster.cols()};
           sweep_window(raster, polygons[static_cast<PolygonId>(i)], whole,
-                       bins, hist.of(i), clamped);
+                       bins, hist.of(i));
         }
-        note_values_clamped(clamped);
       });
   return hist;
 }
@@ -77,15 +75,13 @@ HistogramSet zonal_mbb_filter(const DemRaster& raster,
   const GeoBox raster_ext = raster.extent();
   ThreadPool::global().parallel_for(
       polygons.size(), [&](std::size_t b, std::size_t e) {
-        std::uint64_t clamped = 0;
         for (std::size_t i = b; i < e; ++i) {
           const Polygon& poly = polygons[static_cast<PolygonId>(i)];
           const GeoBox mbr = poly.mbr();
           if (!raster_ext.intersects(mbr)) continue;
           sweep_window(raster, poly, mbb_window(raster, mbr), bins,
-                       hist.of(i), clamped);
+                       hist.of(i));
         }
-        note_values_clamped(clamped);
       });
   return hist;
 }
@@ -102,7 +98,6 @@ HistogramSet zonal_scanline(const DemRaster& raster,
   ThreadPool::global().parallel_for(
       polygons.size(), [&](std::size_t pb, std::size_t pe) {
         std::vector<double> xints;
-        std::uint64_t clamped = 0;
         for (std::size_t i = pb; i < pe; ++i) {
           const Polygon& poly = polygons[static_cast<PolygonId>(i)];
           const GeoBox mbr = poly.mbr();
@@ -140,12 +135,11 @@ HistogramSet zonal_scanline(const DemRaster& raster,
               const double px = t.cell_center(r, c).x;
               while (idx < m && xints[idx] <= px) ++idx;
               if ((m - idx) % 2 == 1) {
-                bin_cell(row_hist, raster.at(r, c), bins, nodata, clamped);
+                bin_cell(row_hist, raster.at(r, c), bins, nodata);
               }
             }
           }
         }
-        note_values_clamped(clamped);
       });
   return hist;
 }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <type_traits>
 
 #include "core/load_balance.hpp"
 #include "obs/obs.hpp"
@@ -14,7 +15,8 @@ namespace zh {
 namespace {
 
 // Protocol tags of the supervised dispatch (worker <-> master).
-constexpr int kTagResult = 101;  ///< worker -> master: u32 index + histogram
+/// worker -> master: u32 index + histogram + the partition's WorkCounters
+constexpr int kTagResult = 101;
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
 
@@ -22,19 +24,25 @@ constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
 // re-checks for dead ranks.
 constexpr std::int64_t kPollMs = 20;
 
+// A result message carries the partition's WorkCounters as raw bytes.
+static_assert(std::is_trivially_copyable_v<WorkCounters>);
+
 std::vector<std::byte> encode_result(std::uint32_t part_index,
-                                     std::span<const BinCount> bins) {
-  std::vector<std::byte> bytes(sizeof(part_index) + bins.size_bytes());
-  std::memcpy(bytes.data(), &part_index, sizeof(part_index));
-  std::memcpy(bytes.data() + sizeof(part_index), bins.data(),
-              bins.size_bytes());
+                                     const ZonalResult& r) {
+  const std::span<const BinCount> bins = r.per_polygon.flat();
+  std::vector<std::byte> bytes(sizeof(part_index) + bins.size_bytes() +
+                               sizeof(WorkCounters));
+  std::byte* out = bytes.data();
+  std::memcpy(out, &part_index, sizeof(part_index));
+  out += sizeof(part_index);
+  std::memcpy(out, bins.data(), bins.size_bytes());
+  out += bins.size_bytes();
+  std::memcpy(out, &r.work, sizeof(WorkCounters));
   return bytes;
 }
 
-// Fold one partition's wall time into a rank's latency columns and the
-// registry histogram the run report summarizes.
+// Fold one partition's wall time into a rank's latency columns.
 void tally_latency(RankMetricsRow& row, double seconds) {
-  ZH_LATENCY_RECORD("latency.partition", seconds);
   const std::uint64_t us = static_cast<std::uint64_t>(seconds * 1e6);
   row.latency_us_sum += us;
   row.latency_us_max = std::max(row.latency_us_max, us);
@@ -58,6 +66,30 @@ std::vector<std::uint64_t> rank_metrics_values(const RankMetricsRow& row) {
           row.reported};
 }
 
+void require_faults_can_fire(const FaultPlan& faults, std::size_t ranks,
+                             bool journaled) {
+  // Such a crash or abort would pass silently: only the workers visit
+  // the rank checkpoints, at journal_record only an abort fires, and
+  // only a journal visits journal_record.
+  if (const CrashSpec& crash = faults.crash;
+      crash.point != CrashPoint::kNone) {
+    ZH_REQUIRE(crash.rank >= 1 && crash.rank < ranks, "scripted crash of "
+               "rank ", crash.rank, " never fires: only the worker ranks "
+               "[1, ", ranks, ") visit crash checkpoints");
+    ZH_REQUIRE(crash.point != CrashPoint::kJournalRecord,
+               "scripted crash at journal_record never fires: only an "
+               "abort fires there");
+  }
+  if (const CrashPoint abort = faults.abort.point;
+      abort == CrashPoint::kJournalRecord) {
+    ZH_REQUIRE(journaled, "scripted abort at journal_record never fires: "
+               "the run has no checkpoint journal");
+  } else if (abort != CrashPoint::kNone) {
+    ZH_REQUIRE(ranks >= 2, "scripted abort at ", to_string(abort),
+               " never fires: a one-rank run has no worker to visit it");
+  }
+}
+
 ClusterRunResult run_cluster_zonal(
     const std::vector<DemRaster>& rasters,
     const std::vector<std::pair<int, int>>& schemas,
@@ -67,20 +99,8 @@ ClusterRunResult run_cluster_zonal(
   ZH_REQUIRE(config.ranks >= 1, "need at least one rank");
   ZH_TRACE_SPAN("cluster.run_zonal", "cluster");
   const FaultToleranceConfig& ft = config.fault_tolerance;
-  // A scripted crash that can never fire would pass silently: only the
-  // workers visit crash checkpoints, and at journal_record only an abort
-  // fires.
-  if (const CrashSpec& crash = ft.faults.crash;
-      crash.point != CrashPoint::kNone) {
-    ZH_REQUIRE(crash.rank >= 1 && crash.rank < config.ranks,
-               "scripted crash of rank ", crash.rank, " never fires: only "
-               "the worker ranks [1, ", config.ranks, ") visit crash "
-               "checkpoints");
-    ZH_REQUIRE(crash.point != CrashPoint::kJournalRecord,
-               "scripted crash at journal_record never fires: only an "
-               "abort fires there");
-  }
   const CheckpointConfig& ck = config.checkpoint;
+  require_faults_can_fire(ft.faults, config.ranks, ck.sink != nullptr);
 
   // Build the global partition list (tile-aligned) and assign owners.
   std::vector<RasterPartition> parts;
@@ -162,8 +182,6 @@ ClusterRunResult run_cluster_zonal(
                "resume histogram size mismatch: got ", ck.resume_bins.size(),
                " bins, expected ", flat.size());
     std::copy(ck.resume_bins.begin(), ck.resume_bins.end(), flat.begin());
-    ZH_COUNTER_ADD("journal.partitions_skipped",
-                   ck.completed_partitions.size());
   }
 
   // Crash fates are recorded by the dying ranks themselves (one writer
@@ -181,14 +199,14 @@ ClusterRunResult run_cluster_zonal(
     ZonalPipeline pipeline(device, config.zonal);
     RankMetricsRow row;
 
-    // Flush accounting after every partition, not at the end: a rank
-    // that crashes later keeps what it already contributed.
+    // Flush the rank's own accounting after every partition, not at the
+    // end: a rank that crashes later keeps what it already did. The
+    // run's `work` is added where the master accepts a partition.
     const auto flush = [&](const ZonalResult& r) {
       ++row.partitions_processed;
       std::lock_guard lock(result_mutex);
       result.per_rank[me] += r.times;
       result.per_rank_work[me] += r.work;
-      result.work += r.work;
     };
     // Each rank writes its own metrics row and wall time once it is past
     // its last crash checkpoint: a scripted kBeforeFinish crash leaves the
@@ -213,8 +231,7 @@ ClusterRunResult run_cluster_zonal(
           const ZonalResult r = compute_partition(pipeline, index);
           tally_latency(row, part_timer.seconds());
           comm.checkpoint(CrashPoint::kPartitionDone);
-          comm.send_bytes(kRoot, kTagResult,
-                          encode_result(index, r.per_polygon.flat()));
+          comm.send_bytes(kRoot, kTagResult, encode_result(index, r));
           comm.checkpoint(CrashPoint::kResultSent);
           flush(r);
         };
@@ -257,8 +274,11 @@ ClusterRunResult run_cluster_zonal(
     }
     std::vector<RankOutcome> outcome(comm.size());
 
+    // The run's work sums the accepted copies, once per partition;
+    // only the master thread writes result.work.
     const auto accumulate = [&](std::uint32_t index,
-                                std::span<const BinCount> bins) {
+                                std::span<const BinCount> bins,
+                                const WorkCounters& work) {
       if (completed[index] != 0) return false;  // first copy wins
       completed[index] = 1;
       ++completed_count;
@@ -267,6 +287,7 @@ ClusterRunResult run_cluster_zonal(
                  "partition result size mismatch: got ", bins.size(),
                  " bins, expected ", flat.size());
       for (std::size_t i = 0; i < flat.size(); ++i) flat[i] += bins[i];
+      result.work += work;
       // Journal-before-acknowledge: the acceptance becomes durable
       // before the master acts on it (serving more work, finishing the
       // run), so a process death after this point never forgets an
@@ -279,7 +300,7 @@ ClusterRunResult run_cluster_zonal(
       Timer part_timer;
       const ZonalResult r = compute_partition(pipeline, index);
       tally_latency(row, part_timer.seconds());
-      accumulate(index, r.per_polygon.flat());
+      accumulate(index, r.per_polygon.flat(), r.work);
       ++outcome[kRoot].partitions_completed;
       flush(r);
     };
@@ -315,8 +336,6 @@ ClusterRunResult run_cluster_zonal(
         }
       }
       open[r].clear();
-      ZH_COUNTER_ADD("cluster.reassigned_partitions",
-                     outcome[r].partitions_reassigned);
       if (!orphans.empty()) {
         const std::vector<double>& cost = partition_costs();
         std::stable_sort(orphans.begin(), orphans.end(),
@@ -344,18 +363,21 @@ ClusterRunResult run_cluster_zonal(
     constexpr std::array<int, 2> kTags{kTagResult, kTagMore};
     const auto handle = [&](const AnyMessage& msg) {
       if (msg.tag == kTagResult) {
-        ZH_REQUIRE(msg.payload.size() >= sizeof(std::uint32_t),
-                   "short partition result from rank ", msg.src);
         std::uint32_t index = 0;
+        ZH_REQUIRE(msg.payload.size() >= sizeof(index) + sizeof(WorkCounters),
+                   "short partition result from rank ", msg.src);
         std::memcpy(&index, msg.payload.data(), sizeof(index));
         ZH_REQUIRE(index < total, "partition index ", index,
                    " out of range from rank ", msg.src);
-        const std::size_t nbins =
-            (msg.payload.size() - sizeof(index)) / sizeof(BinCount);
-        std::vector<BinCount> bins(nbins);
+        const std::size_t bin_bytes =
+            msg.payload.size() - sizeof(index) - sizeof(WorkCounters);
+        std::vector<BinCount> bins(bin_bytes / sizeof(BinCount));
         std::memcpy(bins.data(), msg.payload.data() + sizeof(index),
-                    nbins * sizeof(BinCount));
-        if (accumulate(index, bins)) {
+                    bins.size() * sizeof(BinCount));
+        WorkCounters work;
+        std::memcpy(&work, msg.payload.data() + sizeof(index) + bin_bytes,
+                    sizeof(WorkCounters));
+        if (accumulate(index, bins, work)) {
           ++outcome[msg.src].partitions_completed;
         }
         auto& mine = open[msg.src];

@@ -53,8 +53,8 @@ struct FaultToleranceConfig {
   /// mainly a hook for exercising the degraded path in tests.
   bool master_takeover = true;
   /// Scripted failures (message delays, a rank crash, a process abort)
-  /// for tests. run_cluster_zonal refuses a crash that can never fire: one
-  /// of rank 0 or of a rank outside the run, or one at journal_record.
+  /// for tests. run_cluster_zonal refuses a crash or an abort that can
+  /// never fire (see require_faults_can_fire).
   FaultPlan faults;
 };
 
@@ -112,11 +112,16 @@ struct RankMetricsRow {
 struct ClusterRunResult {
   HistogramSet merged;                ///< per-polygon histograms (master)
   std::vector<StepTimes> per_rank;    ///< per-rank step breakdowns
-  std::vector<WorkCounters> per_rank_work;  ///< per-rank work (load balance)
+  /// Work each rank did, recomputed or unaccepted partitions included
+  /// (load balance).
+  std::vector<WorkCounters> per_rank_work;
   std::vector<double> rank_seconds;   ///< per-rank wall times (incl. comm)
   double wall_seconds = 0.0;          ///< max over ranks
   std::uint64_t comm_bytes = 0;       ///< total bytes sent
-  WorkCounters work;                  ///< summed over partitions
+  /// The work of the partitions this run accepted, once each (the copy
+  /// the master accepted). Partitions skipped on resume are in `merged`
+  /// and `partitions_skipped`, not here.
+  WorkCounters work;
   std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate
   std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics
   /// True when some partitions never completed (their contribution is
@@ -127,6 +132,13 @@ struct ClusterRunResult {
   /// never recomputed this run (resume accounting).
   std::uint64_t partitions_skipped = 0;
 };
+
+/// Throw InvalidArgument for a scripted crash or abort in `faults` that
+/// can never fire in a run of `ranks` ranks, with (`journaled`) or
+/// without a checkpoint journal. run_cluster_zonal checks its config with
+/// it; a caller can check before it reads any input.
+void require_faults_can_fire(const FaultPlan& faults, std::size_t ranks,
+                             bool journaled);
 
 /// Partition each raster of `rasters` with the matching schema in
 /// `schemas` (part_rows x part_cols pairs), then run the cluster job.

@@ -4,14 +4,8 @@
 #include <cstdlib>
 
 #include "common/contracts.hpp"
-#include "obs/obs.hpp"
 
 namespace zh {
-
-void note_values_clamped(std::uint64_t n) {
-  if (n == 0) return;
-  ZH_COUNTER_ADD("histogram.values_clamped", n);
-}
 
 ZonalStats stats_from_histogram(std::span<const BinCount> h) {
   ZonalStats s;

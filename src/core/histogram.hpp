@@ -26,22 +26,17 @@ namespace zh {
 }
 
 /// bin_index that also counts folded (out-of-range) values into
-/// `clamped`. Callers flush the tally via note_values_clamped so silent
-/// folding becomes the histogram.values_clamped metric.
+/// `clamped`, so silent folding becomes WorkCounters::values_clamped.
+/// The unit is one clamped (cell, zone) attribution -- the unit of
+/// cells_in_polygons and of the per-cell oracle: a cell inside two zones
+/// counts twice, a cell in no zone not at all. So only the executor's
+/// kernels that attribute cells to zones (the inside count and Step 4)
+/// tally; per-tile tables attribute nothing.
 [[nodiscard]] inline BinIndex bin_index(CellValue v, BinIndex bins,
                                         std::uint64_t& clamped) {
   if (v >= bins) ++clamped;
   return bin_index(v, bins);
 }
-
-/// Report `n` clamped values to the histogram.values_clamped obs
-/// counter (no-op when n == 0 or metrics are disabled). The unit is one
-/// clamped (cell, zone) attribution -- the unit of cells_in_polygons and
-/// of the per-cell oracle: a cell inside two zones counts twice, a cell
-/// in no zone not at all. So only sites that attribute cells to zones
-/// report (the executor's inside count, Step 4, the baselines); per-tile
-/// tables attribute nothing and stay silent.
-void note_values_clamped(std::uint64_t n);
 
 class HistogramSet {
  public:

@@ -23,6 +23,7 @@ void append_work_counters(obs::RunReport& report, const WorkCounters& work) {
   add("pip_rows_scanned", work.pip_rows_scanned);
   add("pip_run_cells", work.pip_run_cells);
   add("cells_in_polygons", work.cells_in_polygons);
+  add("values_clamped", work.values_clamped);
   add("compressed_bytes", work.compressed_bytes);
   add("raw_bytes", work.raw_bytes);
 }
@@ -40,6 +41,7 @@ WorkCounters& WorkCounters::operator+=(const WorkCounters& o) {
   pip_rows_scanned += o.pip_rows_scanned;
   pip_run_cells += o.pip_run_cells;
   cells_in_polygons += o.cells_in_polygons;
+  values_clamped += o.values_clamped;
   compressed_bytes += o.compressed_bytes;
   raw_bytes += o.raw_bytes;
   return *this;
@@ -61,7 +63,6 @@ ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
                                std::greater_equal<>()) == pids.end(),
             "a zone heads more than one inside group");
   plan.seconds = timer.seconds();
-  ZH_LATENCY_RECORD("latency.step2", plan.seconds);
   return plan;
 }
 
@@ -89,11 +90,10 @@ void execute_plan(Device& device, const ZonalPlan& plan,
   // count straight into the zone rows, so the paper's per-tile table is
   // never built and Step 3 reads 0. aggregate_bin_adds still carries the
   // paper's Step-3 work, which the performance model charges.
-  count_inside_tiles(device, raster, tiling, pairing.inside,
-                     result.per_polygon);
-  const double step1 = timer.seconds();
-  result.times.seconds[1] += step1;
-  ZH_LATENCY_RECORD("latency.step1", step1);
+  work.values_clamped += count_inside_tiles(device, raster, tiling,
+                                            pairing.inside,
+                                            result.per_polygon);
+  result.times.seconds[1] += timer.seconds();
   work.aggregate_bin_adds +=
       static_cast<std::uint64_t>(pairing.inside.pair_count()) * config.bins;
 
@@ -102,13 +102,12 @@ void execute_plan(Device& device, const ZonalPlan& plan,
   const RefineCounters rc = refine_boundary_tiles(
       device, pairing.intersect, soa, raster, tiling, result.per_polygon,
       config.refine_granularity, config.refine_strategy);
-  const double step4 = timer.seconds();
-  result.times.seconds[4] += step4;
-  ZH_LATENCY_RECORD("latency.step4", step4);
+  result.times.seconds[4] += timer.seconds();
   work.pip_cell_tests += rc.cell_tests;
   work.pip_edge_tests += rc.edge_tests;
   work.pip_rows_scanned += rc.rows_scanned;
   work.pip_run_cells += rc.run_cells;
+  work.values_clamped += rc.values_clamped;
   work.cells_in_polygons += result.per_polygon.total();
 }
 

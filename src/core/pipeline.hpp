@@ -63,6 +63,10 @@ struct WorkCounters {
   std::uint64_t pip_rows_scanned = 0;   ///< Step 4 scanline rows (0 = brute)
   std::uint64_t pip_run_cells = 0;      ///< Step 4 run-classified cells
   std::uint64_t cells_in_polygons = 0;  ///< final attributed cell count
+  /// Of those (cell, zone) attributions, the ones whose value folded
+  /// into the top bin (value >= bins): a nonzero count means --bins
+  /// is below the raster's value range.
+  std::uint64_t values_clamped = 0;
   std::uint64_t compressed_bytes = 0;   ///< Step 0 input volume (if any)
   std::uint64_t raw_bytes = 0;
 

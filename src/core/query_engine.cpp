@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
@@ -25,7 +24,6 @@ QueryResult QueryEngine::run(const ZonalQuery& query) {
   ZH_REQUIRE(query.zones != nullptr, "query needs a zone layer");
   ZH_REQUIRE(query.bins >= 1, "bin count must be positive");
   ZH_TRACE_SPAN("query.run", "query");
-  Timer total;
 
   const DemRaster& raster = *rasters_[query.raster];
   const PolygonSet& zones = *query.zones;
@@ -45,7 +43,6 @@ QueryResult QueryEngine::run(const ZonalQuery& query) {
   result.per_polygon = std::move(r.per_polygon);
   result.times = r.times;
   result.work = r.work;
-  ZH_LATENCY_RECORD("latency.query", total.seconds());
   return result;
 }
 

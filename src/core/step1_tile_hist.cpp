@@ -50,10 +50,8 @@ void tile_histograms_into(Device& device, const DemRaster& raster,
   // zero-initialization; the cell loop (lines 6-11) is the strided loop
   // below. Atomic adds are kept even though one block owns one tile's
   // histogram -- faithful to the paper's kernel, and required if a future
-  // scheduler splits tiles across blocks. Clamps are not reported: a
-  // per-tile table attributes no cell to a zone (see
-  // note_values_clamped).
-  std::atomic<std::uint64_t> cells_histogrammed{0};
+  // scheduler splits tiles across blocks. Clamps are not tallied: a
+  // per-tile table attributes no cell to a zone (see bin_index).
   device.launch_named(
       "CellAggrKernel", static_cast<std::uint32_t>(tiles),
       [&, nodata, cols, out](const BlockContext& ctx) {
@@ -133,10 +131,7 @@ void tile_histograms_into(Device& device, const DemRaster& raster,
         break;
       }
     }
-    cells_histogrammed.fetch_add(n, std::memory_order_relaxed);
   });
-  ZH_COUNTER_ADD("step1.cells_histogrammed", cells_histogrammed.load());
-  ZH_COUNTER_ADD("step1.tiles", tiles);
 }
 
 HistogramSet tile_histograms(Device& device, const DemRaster& raster,
@@ -147,12 +142,12 @@ HistogramSet tile_histograms(Device& device, const DemRaster& raster,
   return hist;
 }
 
-void count_inside_tiles(Device& device, const DemRaster& raster,
-                        const TilingScheme& tiling,
-                        const PolygonTileGroups& inside,
-                        HistogramSet& per_zone) {
+std::uint64_t count_inside_tiles(Device& device, const DemRaster& raster,
+                                 const TilingScheme& tiling,
+                                 const PolygonTileGroups& inside,
+                                 HistogramSet& per_zone) {
   require_matching_tiling(raster, tiling);
-  if (inside.group_count() == 0) return;
+  if (inside.group_count() == 0) return 0;
   ZH_TRACE_SPAN("step1.zone_hist", "pipeline");
 
   // A group holding more than its share of the inside tiles would run on
@@ -191,7 +186,6 @@ void count_inside_tiles(Device& device, const DemRaster& raster,
   const std::int64_t cols = raster.cols();
   BinCount* rows = per_zone.flat().data();
   std::atomic<std::uint64_t> clamped_values{0};
-  std::atomic<std::uint64_t> cells_read{0};
   device.launch_named(
       "ZoneHistKernel", static_cast<std::uint32_t>(chunks.size()),
       [&](const BlockContext& ctx) {
@@ -205,7 +199,6 @@ void count_inside_tiles(Device& device, const DemRaster& raster,
           out = priv.data();
         }
         std::uint64_t clamped = 0;
-        std::uint64_t n = 0;
         for (std::uint64_t i = chunk.pos; i < chunk.pos + chunk.num; ++i) {
           const CellWindow w = tiling.tile_window(inside.tid_v[i]);
           for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
@@ -216,7 +209,6 @@ void count_inside_tiles(Device& device, const DemRaster& raster,
               ++out[bin_index(v, bins, clamped)];
             }
           }
-          n += static_cast<std::uint64_t>(w.cell_count());
         }
         if (!chunk.owned) {
           for (BinIndex b = 0; b < bins; ++b) {
@@ -224,11 +216,8 @@ void count_inside_tiles(Device& device, const DemRaster& raster,
           }
         }
         clamped_values.fetch_add(clamped, std::memory_order_relaxed);
-        cells_read.fetch_add(n, std::memory_order_relaxed);
       });
-  ZH_COUNTER_ADD("step1.cells_histogrammed", cells_read.load());
-  ZH_COUNTER_ADD("step1.tiles", inside.pair_count());
-  note_values_clamped(clamped_values.load());
+  return clamped_values.load();
 }
 
 }  // namespace zh

@@ -55,11 +55,10 @@ void tile_histograms_into(Device& device, const DemRaster& raster,
 /// counts into a private row and adds it into the zone row once, with
 /// atomic adds. Unsplit groups own their row and use plain increments,
 /// so each zone must head at most one group (make_plan asserts it).
-/// Clamped values are counted once per (cell, zone).
-void count_inside_tiles(Device& device, const DemRaster& raster,
-                        const TilingScheme& tiling,
-                        const PolygonTileGroups& inside,
-                        HistogramSet& per_zone);
+/// Returns the values clamped into the top bin, once per (cell, zone).
+[[nodiscard]] std::uint64_t count_inside_tiles(
+    Device& device, const DemRaster& raster, const TilingScheme& tiling,
+    const PolygonTileGroups& inside, HistogramSet& per_zone);
 
 /// Compute per-tile histograms for every tile of `tiling` over `raster`.
 /// Result: one histogram group per tile, `bins` bins each.

@@ -37,16 +37,14 @@ struct SweepScratch {
 
 /// Classify every MBB candidate tile of `poly` exactly as classify_box
 /// does, appending the kept (inside or intersect) tiles in row-major
-/// order; returns the number of candidates found outside. Cost: the
-/// candidates, plus per edge the tiles around its box and the rows it
-/// crosses (DESIGN.md, "Step 2: the tile sweep").
-std::uint64_t sweep_zone(const Polygon& poly, const TilingScheme& tiling,
-                         const GeoTransform& transform, SweepScratch& s,
-                         std::vector<TileId>& tiles,
-                         std::vector<TileRelation>& rels) {
+/// order. Cost: the candidates, plus per edge the tiles around its box
+/// and the rows it crosses (DESIGN.md, "Step 2: the tile sweep").
+void sweep_zone(const Polygon& poly, const TilingScheme& tiling,
+                const GeoTransform& transform, SweepScratch& s,
+                std::vector<TileId>& tiles, std::vector<TileRelation>& rels) {
   const GeoBox mbr = poly.mbr();
   const TileRange cand = tiling.tile_range_covering(mbr, transform);
-  if (cand.empty()) return 0;
+  if (cand.empty()) return;
 
   // Tile boxes are separable: x depends on the column only, y on the row
   // only. Read both off tile_box so every test sees classify_box's box,
@@ -127,7 +125,6 @@ std::uint64_t sweep_zone(const Polygon& poly, const TilingScheme& tiling,
   // Inside or outside: an unmarked tile holds no boundary, so its centre
   // decides, by point_in_polygon's parity: inside iff an odd number of
   // the row's crossings lie strictly east of the centre.
-  std::uint64_t outside = 0;
   std::size_t k = 0;  // first crossing of the current row
   for (std::size_t r = 0; r < s.rows.size(); ++r) {
     std::size_t end = k;
@@ -143,17 +140,13 @@ std::uint64_t sweep_zone(const Polygon& poly, const TilingScheme& tiling,
           if ((end - k) % 2 == 1) rel = TileRelation::kInside;
         }
       }
-      if (rel == TileRelation::kOutside) {
-        ++outside;
-        continue;
-      }
+      if (rel == TileRelation::kOutside) continue;
       tiles.push_back(tiling.tile_id(cand.ty0 + static_cast<std::int64_t>(r),
                                      cand.tx0 + static_cast<std::int64_t>(c)));
       rels.push_back(rel);
     }
     k = end;
   }
-  return outside;
 }
 
 }  // namespace
@@ -174,13 +167,10 @@ TilePolygonPairs pair_tiles_with_polygons(const PolygonSet& polygons,
 
   ThreadPool::global().parallel_for(n, [&](std::size_t b, std::size_t e) {
     SweepScratch scratch;
-    std::uint64_t outside = 0;
     for (std::size_t i = b; i < e; ++i) {
-      outside += sweep_zone(polygons[static_cast<PolygonId>(i)], tiling,
-                            transform, scratch, locals[i].tiles,
-                            locals[i].rels);
+      sweep_zone(polygons[static_cast<PolygonId>(i)], tiling, transform,
+                 scratch, locals[i].tiles, locals[i].rels);
     }
-    ZH_COUNTER_ADD("step2.tiles_outside", outside);
   });
 
   TilePolygonPairs out;
@@ -237,12 +227,8 @@ PairingResult pair_and_group(const PolygonSet& polygons,
                              const TilingScheme& tiling,
                              const GeoTransform& transform) {
   ZH_TRACE_SPAN("step2.pairing", "pipeline");
-  PairingResult result = build_pairing_groups(
+  return build_pairing_groups(
       pair_tiles_with_polygons(polygons, tiling, transform));
-  ZH_COUNTER_ADD("step2.pairs_candidate", result.candidate_pairs);
-  ZH_COUNTER_ADD("step2.tiles_inside", result.inside.pair_count());
-  ZH_COUNTER_ADD("step2.tiles_intersect", result.intersect.pair_count());
-  return result;
 }
 
 }  // namespace zh

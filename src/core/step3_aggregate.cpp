@@ -10,9 +10,6 @@ void aggregate_inside_tiles(Device& device, const PolygonTileGroups& inside,
                             HistogramSet& polygon_hist) {
   if (inside.group_count() == 0) return;
   ZH_TRACE_SPAN("step3.aggregate", "pipeline");
-  ZH_COUNTER_ADD("step3.bin_adds",
-                 static_cast<std::uint64_t>(inside.pair_count()) *
-                     tile_hist.bins());
   ZH_REQUIRE(tile_hist.bins() == polygon_hist.bins(),
              "tile/polygon histogram bin counts differ");
   const BinIndex bins = tile_hist.bins();

@@ -188,8 +188,6 @@ RefineCounters refine_boundary_tiles(Device& device,
   if (scanline) {
     index = EdgeIndex::build(soa, raster.transform(), raster.rows(),
                              intersect.pid_v);
-    ZH_COUNTER_ADD("step4.edge_index_entries",
-                   index.stats().bucket_entries);
   }
 
   RefineCtx ctx{&soa,
@@ -300,15 +298,7 @@ RefineCounters refine_boundary_tiles(Device& device,
   counters.cells_counted = cells_counted.load();
   counters.rows_scanned = rows_scanned.load();
   counters.run_cells = run_cells.load();
-  ZH_COUNTER_ADD("step4.pip_cell_tests", counters.cell_tests);
-  ZH_COUNTER_ADD("step4.pip_edge_tests", counters.edge_tests);
-  ZH_COUNTER_ADD("step4.cells_counted", counters.cells_counted);
-  if (scanline) {
-    ZH_COUNTER_ADD("step4.rows_scanned", counters.rows_scanned);
-    ZH_COUNTER_ADD("step4.edges_in_band", counters.edge_tests);
-    ZH_COUNTER_ADD("step4.run_cells", counters.run_cells);
-  }
-  note_values_clamped(clamped.load());
+  counters.values_clamped = clamped.load();
   return counters;
 }
 

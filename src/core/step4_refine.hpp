@@ -67,6 +67,7 @@ struct RefineCounters {
   std::uint64_t cells_counted = 0;  ///< cells found inside
   std::uint64_t rows_scanned = 0;   ///< scanline rows processed (0 = brute)
   std::uint64_t run_cells = 0;      ///< cells classified via runs (0 = brute)
+  std::uint64_t values_clamped = 0;  ///< counted cells folded into the top bin
   RefineStrategy strategy = RefineStrategy::kBrute;  ///< strategy executed
 };
 

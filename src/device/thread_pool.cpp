@@ -32,21 +32,11 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::post(std::function<void()> task) {
   ZH_ASSERT(task != nullptr, "posted an empty task");
 #if defined(ZH_ENABLE_OBS)
-  // Only pay the wrapper allocation while someone is watching; the
-  // stats separate time a task sat queued from time it ran -- the
-  // queue-wait tail is the pool-saturation signal.
-  if (obs::profiling_enabled()) {
-    task = [inner = std::move(task), enqueued_us = obs::now_us()] {
-      ZH_STAT_RECORD("pool.queue_wait_us",
-                     static_cast<double>(obs::now_us() - enqueued_us));
-      const std::int64_t start_us = obs::now_us();
-      {
-        ZH_TRACE_SPAN("pool.task", "pool");
-        inner();
-      }
-      ZH_STAT_RECORD("pool.task_run_us",
-                     static_cast<double>(obs::now_us() - start_us));
-      ZH_COUNTER_ADD("pool.tasks_run", 1);
+  // Only pay the wrapper allocation while a trace is being recorded.
+  if (obs::trace_enabled()) {
+    task = [inner = std::move(task)] {
+      ZH_TRACE_SPAN("pool.task", "pool");
+      inner();
     };
   }
 #endif

@@ -14,7 +14,6 @@
 #include <limits>
 
 #include "common/crc32.hpp"
-#include "common/timer.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
@@ -80,10 +79,8 @@ void write_all(int fd, const char* data, std::size_t size,
 }
 
 void sync_fd(int fd, const std::string& path) {
-  Timer timer;
   ZH_REQUIRE_IO(::fsync(fd) == 0, "journal fsync failed for ", path, ": ",
                 std::strerror(errno));
-  ZH_LATENCY_RECORD("latency.journal_fsync", timer.seconds());
 }
 
 std::vector<char> manifest_blob(const RunManifest& m) {
@@ -224,9 +221,6 @@ JournalLoad load_journal(const std::string& path) {
   load.resume_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  ZH_COUNTER_ADD("journal.resume_ms",
-                 static_cast<std::uint64_t>(load.resume_seconds * 1e3));
-  ZH_COUNTER_ADD("journal.torn_bytes", load.torn_bytes);
   return load;
 }
 
@@ -239,10 +233,7 @@ JournalWriter::JournalWriter(int fd, std::string path,
       manifest_(manifest),
       generation_(generation),
       options_(options),
-      written_(manifest.partition_count, 0) {
-  ZH_REQUIRE(options_.fsync_interval >= 1,
-             "journal fsync interval must be at least 1");
-}
+      written_(manifest.partition_count, 0) {}
 
 JournalWriter JournalWriter::create(const std::string& path,
                                     const RunManifest& manifest,
@@ -301,7 +292,6 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       generation_(other.generation_),
       options_(other.options_),
       records_written_(other.records_written_),
-      pending_since_sync_(other.pending_since_sync_),
       written_(std::move(other.written_)) {
   other.fd_ = -1;
 }
@@ -318,7 +308,6 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     generation_ = other.generation_;
     options_ = other.options_;
     records_written_ = other.records_written_;
-    pending_since_sync_ = other.pending_since_sync_;
     written_ = std::move(other.written_);
     other.fd_ = -1;
   }
@@ -327,8 +316,8 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
 
 JournalWriter::~JournalWriter() {
   if (fd_ < 0) return;
-  // Best-effort durability on close; destructors cannot throw. Callers
-  // needing a hard guarantee call flush() themselves.
+  // Best-effort durability on close; destructors cannot throw. Every
+  // complete record was already fsynced by on_partition_complete.
   static_cast<void>(::fsync(fd_));
   static_cast<void>(::close(fd_));
 }
@@ -382,15 +371,12 @@ void JournalWriter::on_partition_complete(std::uint32_t part_index,
   write_all(fd_, frame.data(), frame.size(), path_);
   written_[part_index] = 1;
   ++records_written_;
-  ZH_COUNTER_ADD("journal.records_written", 1);
-  if (++pending_since_sync_ >= options_.fsync_interval) flush();
+  // Durable before the master acts on the acceptance.
+  sync_fd(fd_, path_);
 }
 
 void JournalWriter::flush() {
   ZH_REQUIRE(fd_ >= 0, "journal writer is closed (moved from?)");
-  if (pending_since_sync_ == 0) return;
-  sync_fd(fd_, path_);
-  pending_since_sync_ = 0;
 }
 
 std::uint64_t fingerprint_rasters(const std::vector<DemRaster>& rasters) {

@@ -9,8 +9,9 @@
 // incompatible histograms.
 //
 // Durability contract:
-//  * the writer appends whole frames and fsyncs every
-//    JournalWriterOptions::fsync_interval records (and on flush());
+//  * the writer appends whole frames and fsyncs each one before
+//    on_partition_complete returns, so every acknowledged partition is
+//    durable before the master proceeds;
 //  * a process death at ANY byte offset leaves a loadable journal: the
 //    reader walks frames front to back and truncates at the first torn
 //    frame (short, absurd length, or CRC mismatch) -- everything before
@@ -78,10 +79,6 @@ struct JournalLoad {
 [[nodiscard]] JournalLoad load_journal(const std::string& path);
 
 struct JournalWriterOptions {
-  /// fsync after every N appended records; 1 = every record durable
-  /// before the master proceeds, larger batches trade a bounded replay
-  /// window for fewer fsyncs.
-  std::uint32_t fsync_interval = 1;
   /// Scripted process abort (fault injection): at the `occurrence`-th
   /// appended record a CrashPoint::kJournalRecord abort writes only half
   /// the frame and hard-exits, leaving a torn tail for the reader.
@@ -110,14 +107,15 @@ class JournalWriter final : public CheckpointSink {
   JournalWriter& operator=(JournalWriter&& other) noexcept;
   ~JournalWriter() override;
 
-  /// Append one partition record (master thread). Throws InvalidArgument
-  /// on a duplicate partition within this generation -- the driver's
-  /// first-copy-wins acceptance makes that a logic error -- and IoError
-  /// when the write fails.
+  /// Append one partition record and fsync it (master thread). Throws
+  /// InvalidArgument on a duplicate partition within this generation --
+  /// the driver's first-copy-wins acceptance makes that a logic error --
+  /// and IoError when the write or the fsync fails.
   void on_partition_complete(std::uint32_t part_index,
                              std::span<const BinCount> bins) override;
 
-  /// fsync any records appended since the last sync.
+  /// Every record is already durable when on_partition_complete
+  /// returns, so this only checks that the writer is still open.
   void flush();
 
   [[nodiscard]] std::uint64_t records_written() const {
@@ -135,7 +133,6 @@ class JournalWriter final : public CheckpointSink {
   std::uint32_t generation_ = 0;
   JournalWriterOptions options_;
   std::uint64_t records_written_ = 0;
-  std::uint32_t pending_since_sync_ = 0;
   std::vector<char> written_;  ///< per-partition dedup guard (this gen)
 };
 

@@ -1,11 +1,10 @@
-// Umbrella header for instrumentation sites: spans (ZH_TRACE_SPAN),
-// metrics (ZH_COUNTER_ADD / ZH_STAT_RECORD / ZH_LATENCY_RECORD) and run
-// reports. All macros compile to no-ops when the ZH_OBS CMake option is
-// OFF; with it ON they cost one relaxed atomic load until a run enables
-// tracing/metrics at runtime.
+// Umbrella header for instrumentation sites: spans (ZH_TRACE_SPAN) and
+// run reports. The span macro compiles to a no-op when the ZH_OBS CMake
+// option is OFF; with it ON it costs one relaxed atomic load until a
+// run enables tracing at runtime. Counts come from what each run
+// returns (StepTimes, WorkCounters, the cluster rank table), which run
+// reports print.
 #pragma once
 
-#include "obs/latency_histogram.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/memory.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace zh::obs {
 
@@ -38,18 +37,6 @@ void append_kv(std::string& out, const char* key, double v, bool& first) {
   out += key;
   out += "\":";
   append_number(out, v);
-}
-
-const char* kind_name(MetricKind k) {
-  switch (k) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kStat:
-      return "stat";
-    case MetricKind::kLatency:
-      return "latency";
-  }
-  return "unknown";
 }
 
 }  // namespace
@@ -114,43 +101,6 @@ std::string report_json(const RunReport& report) {
       out += json_escape(k);
       out += "\":";
       out += std::to_string(v);
-    }
-    out += "}";
-  }
-
-  if (report.include_metrics) {
-    out += ",\"metrics\":{";
-    first = true;
-    for (const MetricRecord& m : metrics_snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"";
-      out += json_escape(m.name);
-      out += "\":{\"kind\":\"";
-      out += kind_name(m.kind);
-      out += "\"";
-      if (m.kind == MetricKind::kStat) {
-        out += ",\"count\":";
-        out += std::to_string(m.count);
-        bool f2 = false;  // append_kv supplies the separating comma
-        append_kv(out, "sum", m.sum, f2);
-        append_kv(out, "min", m.min, f2);
-        append_kv(out, "max", m.max, f2);
-      } else if (m.kind == MetricKind::kLatency) {
-        out += ",\"count\":";
-        out += std::to_string(m.count);
-        bool f2 = false;
-        append_kv(out, "sum", m.sum, f2);
-        append_kv(out, "min", m.min, f2);
-        append_kv(out, "max", m.max, f2);
-        append_kv(out, "p50", m.latency.quantile(0.50), f2);
-        append_kv(out, "p95", m.latency.quantile(0.95), f2);
-        append_kv(out, "p99", m.latency.quantile(0.99), f2);
-      } else {
-        out += ",\"value\":";
-        out += std::to_string(m.value);
-      }
-      out += "}";
     }
     out += "}";
   }
@@ -240,27 +190,6 @@ void print_report(std::FILE* out, const RunReport& report) {
     std::fprintf(out, "counters:\n");
     for (const auto& [k, v] : report.counters) {
       std::fprintf(out, "  %-40s %20" PRIu64 "\n", k.c_str(), v);
-    }
-  }
-  if (report.include_metrics) {
-    const std::vector<MetricRecord> metrics = metrics_snapshot();
-    if (!metrics.empty()) std::fprintf(out, "metrics:\n");
-    for (const MetricRecord& m : metrics) {
-      if (m.kind == MetricKind::kStat) {
-        std::fprintf(out,
-                     "  %-40s n=%" PRIu64 " sum=%.6g min=%.6g max=%.6g\n",
-                     m.name.c_str(), m.count, m.sum, m.min, m.max);
-      } else if (m.kind == MetricKind::kLatency) {
-        std::fprintf(out,
-                     "  %-40s n=%" PRIu64
-                     " p50=%.6g p95=%.6g p99=%.6g max=%.6g\n",
-                     m.name.c_str(), m.count, m.latency.quantile(0.50),
-                     m.latency.quantile(0.95), m.latency.quantile(0.99),
-                     m.max);
-      } else {
-        std::fprintf(out, "  %-40s %20" PRIu64 " (%s)\n", m.name.c_str(),
-                     m.value, kind_name(m.kind));
-      }
     }
   }
   if (!report.rank_columns.empty() && !report.rank_rows.empty()) {

@@ -3,7 +3,8 @@
 // One JSON schema serves three producers: `zhist --metrics`, the
 // cluster master's per-rank table, and bench/bench_util.hpp's
 // BENCH_*.json entries -- so every recorded run is self-describing
-// (git sha, config, step times, work counters, metrics registry).
+// (git sha, config, step times, work counters, rank table). A report
+// prints what the run returned.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +42,6 @@ struct RunReport {
   /// anything run-specific).
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
-  /// Embed the live metrics registry snapshot (obs/metrics.hpp).
-  bool include_metrics = true;
-
   /// Per-rank table (cluster runs): one row per rank, one entry per
   /// column name; `rank_states` optionally labels each rank's outcome.
   std::vector<std::string> rank_columns;
@@ -63,7 +61,7 @@ struct RunReport {
 void write_report_json(const std::string& path, const RunReport& report);
 
 /// Human-readable summary (the `zhist --report` output): Table-2 style
-/// step breakdown plus counters, metrics, and the per-rank table.
+/// step breakdown plus counters and the per-rank table.
 void print_report(std::FILE* out, const RunReport& report);
 
 }  // namespace zh::obs

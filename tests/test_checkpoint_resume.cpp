@@ -93,7 +93,6 @@ class InterruptedSink final : public CheckpointSink {
                              std::span<const BinCount> bins) override {
     if (inner_->records_written() < cap_) {
       inner_->on_partition_complete(part_index, bins);
-      inner_->flush();
     }
   }
 
@@ -122,7 +121,6 @@ TEST_F(CheckpointResume, FullRunJournalsEveryPartitionOnce) {
   const Scenario sc;
   JournalWriter w = JournalWriter::create(journal_, sc.manifest());
   const ClusterRunResult r = sc.run(sc.config(3), &w);
-  w.flush();
   EXPECT_EQ(r.merged, sc.reference());
   EXPECT_EQ(r.partitions_skipped, 0u);
   EXPECT_EQ(w.records_written(), 4u);
@@ -157,7 +155,6 @@ TEST_F(CheckpointResume, ResumeAfterPartialJournalIsBitIdentical) {
   JournalWriter w = JournalWriter::append(journal_, load);
   EXPECT_EQ(w.generation(), 1u);
   const ClusterRunResult r = sc.run(resume_config(sc, 3, load), &w);
-  w.flush();
 
   EXPECT_EQ(r.merged, expect);
   EXPECT_EQ(r.partitions_skipped, 2u);
@@ -202,7 +199,6 @@ TEST_F(CheckpointResume, DoubleInterruptedResumeStaysExact) {
   JournalWriter w = JournalWriter::append(journal_, load);
   EXPECT_EQ(w.generation(), 2u);
   const ClusterRunResult r = sc.run(resume_config(sc, 3, load), &w);
-  w.flush();
   EXPECT_EQ(r.merged, expect);
   EXPECT_EQ(r.partitions_skipped, 2u);
 

@@ -2,12 +2,14 @@
 // 6 extended): any single-rank crash at any pipeline step leaves the
 // merged histograms bit-identical to the per-cell oracle, a slow or
 // silent worker is never declared dead, delayed-message storms stay
-// exact, replay with the same seed is deterministic, a crash that can
-// never fire is refused, and the degraded path reports its coverage gap.
+// exact, replay with the same seed is deterministic, a crash or abort
+// that can never fire is refused, and the degraded path reports its
+// coverage gap.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <string_view>
+#include <utility>
 
 #include "cluster/fault.hpp"
 #include "core/baseline.hpp"
@@ -158,25 +160,37 @@ TEST(ClusterRecovery, CrashCombinedWithMessageFaultsStaysExact) {
   const Scenario sc;
   const HistogramSet expect = sc.reference();
 
-  // Rank 2 dies right after sending its result, which is held back
-  // 30 ms: the master may see the death first, reassign the partition
-  // and then receive the dead rank's copy too. The first copy wins.
-  ClusterRunConfig cfg = sc.config(4);
-  cfg.fault_tolerance.faults =
-      FaultPlan::parse("seed=9,delay=1.0,delay_ms=30,crash=2@result_sent");
+  // Rank 2 dies right after sending its result. Undelayed, the result
+  // is queued when the master sees the death, so the dead rank's copy is
+  // the one accepted. Held back 30 ms, the master may see the death
+  // first, reassign the partition and then receive the dead rank's copy
+  // too. Either way the first copy wins.
+  for (const char* spec :
+       {"crash=2@result_sent",
+        "seed=9,delay=1.0,delay_ms=30,crash=2@result_sent"}) {
+    SCOPED_TRACE(spec);
+    ClusterRunConfig cfg = sc.config(4);
+    cfg.fault_tolerance.faults = FaultPlan::parse(spec);
 
-  const ClusterRunResult r =
-      run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
-  EXPECT_EQ(r.merged, expect);
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(total_completed(r), 4u);  // every partition counted once
-  EXPECT_EQ(r.rank_outcomes[2].state, RankState::kCrashed);
+    const ClusterRunResult r =
+        run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg);
+    EXPECT_EQ(r.merged, expect);
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(total_completed(r), 4u);  // every partition counted once
+    EXPECT_EQ(r.rank_outcomes[2].state, RankState::kCrashed);
+    // The run's work is the accepted copies' work, once per partition,
+    // whichever rank's copy won.
+    EXPECT_EQ(r.work.cells_total, sc.rasters[0].cell_count());
+    EXPECT_EQ(r.work.cells_in_polygons, r.merged.total());
+  }
 }
 
 TEST(ClusterRecovery, CrashThatCanNeverFireIsRejected) {
   // Only the workers visit crash checkpoints: not the master (rank 0),
   // and no rank past the run's last. At journal_record only an abort
   // fires. Each such crash would pass silently, so the run refuses it.
+  // So is an abort at a rank checkpoint of a one-rank run (the master
+  // visits none), or at journal_record of a run with no journal.
   const Scenario sc;
   for (const CrashSpec crash :
        {CrashSpec{0, CrashPoint::kPartitionStart, 0},
@@ -187,6 +201,18 @@ TEST(ClusterRecovery, CrashThatCanNeverFireIsRejected) {
                                       to_string(crash.point)));
     ClusterRunConfig cfg = sc.config(3);
     cfg.fault_tolerance.faults.crash = crash;
+    EXPECT_THROW(
+        (void)run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg),
+        InvalidArgument);
+  }
+  for (const auto& [ranks, point] :
+       {std::pair{std::size_t{1}, CrashPoint::kStartup},
+        std::pair{std::size_t{1}, CrashPoint::kBeforeFinish},
+        std::pair{std::size_t{3}, CrashPoint::kJournalRecord}}) {
+    SCOPED_TRACE(detail::format_parts("abort=", to_string(point), " on ",
+                                      ranks, " ranks"));
+    ClusterRunConfig cfg = sc.config(ranks);
+    cfg.fault_tolerance.faults.abort = {point, 0};
     EXPECT_THROW(
         (void)run_cluster_zonal(sc.rasters, sc.schemas, sc.zones, cfg),
         InvalidArgument);

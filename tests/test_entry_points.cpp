@@ -20,7 +20,6 @@
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
-#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -259,35 +258,25 @@ TEST(EntryPointInputs, FarVertexZoneMatchesNaiveOnEveryPath) {
   }
 }
 
-// histogram.values_clamped counts clamped (cell, zone) attributions, the
-// unit of the per-cell oracle: a clamped cell in a tile inside both
-// overlapping zones counts twice.
+// WorkCounters::values_clamped counts clamped (cell, zone) attributions,
+// the unit of the per-cell oracle: a clamped cell in a tile inside both
+// overlapping zones counts twice. The oracle is zonal_scanline with a bin
+// for every value: its counts in bins >= kBins are the attributions the
+// kBins-bin run folds into its top bin.
 TEST(EntryPointInputs, ValuesClampedMatchesOracleOnOverlappingZones) {
-#if !defined(ZH_ENABLE_OBS)
-  GTEST_SKIP() << "reads a metric; the metrics layer is compiled out";
-#else
   const DemRaster raster = nodata_raster();
   const PolygonSet z = overlapping_zones();
-  const auto clamped_during = [](const std::function<void()>& run) {
-    obs::metrics_reset();
-    obs::set_metrics_enabled(true);
-    run();
-    obs::set_metrics_enabled(false);
-    std::uint64_t n = 0;
-    for (const obs::MetricRecord& m : obs::metrics_snapshot()) {
-      if (m.name == "histogram.values_clamped") n = m.value;
-    }
-    obs::metrics_reset();
-    return n;
-  };
-  Device dev;
-  const std::uint64_t executor = clamped_during(
-      [&] { (void)ZonalPipeline(dev, kConfig).run(raster, z); });
-  const std::uint64_t oracle =
-      clamped_during([&] { (void)zonal_scanline(raster, z, kBins); });
+  const HistogramSet wide = zonal_scanline(raster, z, kMaxValue + 1);
+  std::uint64_t oracle = 0;
+  for (std::size_t zone = 0; zone < wide.groups(); ++zone) {
+    const std::span<const BinCount> row = wide.of(zone);
+    for (BinIndex b = kBins; b < row.size(); ++b) oracle += row[b];
+  }
   EXPECT_GT(oracle, 0u);
-  EXPECT_EQ(executor, oracle);
-#endif
+  Device dev;
+  const ZonalResult r = ZonalPipeline(dev, kConfig).run(raster, z);
+  EXPECT_EQ(r.work.values_clamped, oracle);
+  EXPECT_EQ(r.per_polygon.total(), wide.total());
 }
 
 }  // namespace

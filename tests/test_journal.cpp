@@ -76,7 +76,6 @@ void write_three_records(const std::string& p) {
   w.on_partition_complete(0, bins_with({{0, 5}, {7, 2}}));
   w.on_partition_complete(2, bins_with({{7, 3}, {23, 9}}));
   w.on_partition_complete(1, bins_with({{12, 1}}));
-  w.flush();
 }
 
 TEST_F(JournalFile, RoundTripRecoversRecordsAndMergedBins) {

@@ -158,7 +158,6 @@ TEST_F(LocaleTest, ObsJsonParsesAndEmitsUnderCommaLocale) {
   obs::RunReport report;
   report.tool = "test_locale";
   report.workload = "locale";
-  report.include_metrics = false;
   report.has_times = true;
   report.times.seconds[1] = 0.125;
   const std::string json = obs::report_json(report);

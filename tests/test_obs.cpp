@@ -1,47 +1,31 @@
 // Observability layer: trace round-trips through Chrome trace_event
-// JSON, the metrics registry stays exact (and race-free -- this suite is
-// in the TSan matrix) under ThreadPool stress, run reports are
-// schema-valid, and unwritable output paths fail with IoError. The
-// direct obs:: API is exercised in both ZH_OBS build flavors; the macro
-// tests assert recording when the option is ON and no-op behavior when
-// it is OFF.
+// JSON, run reports are schema-valid, and unwritable output paths fail
+// with IoError. The direct obs:: API is exercised in both ZH_OBS build
+// flavors; the macro test asserts recording when the option is ON and
+// no-op behavior when it is OFF.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 
 #include "common/error.hpp"
-#include "device/thread_pool.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace zh {
 namespace {
 
-// Every test leaves the global flags off and the buffers clear so suite
-// order never matters.
+// Every test leaves tracing off and the buffers clear so suite order
+// never matters.
 struct ObsGuard {
   ObsGuard() {
     obs::set_trace_enabled(false);
-    obs::set_metrics_enabled(false);
     obs::trace_clear();
-    obs::metrics_reset();
   }
   ~ObsGuard() {
     obs::set_trace_enabled(false);
-    obs::set_metrics_enabled(false);
     obs::trace_clear();
-    obs::metrics_reset();
   }
 };
-
-const obs::MetricRecord* find_metric(
-    const std::vector<obs::MetricRecord>& all, const std::string& name) {
-  for (const obs::MetricRecord& m : all) {
-    if (m.name == name) return &m;
-  }
-  return nullptr;
-}
 
 TEST(ObsTrace, SpanRoundTripsThroughChromeJson) {
   ObsGuard guard;
@@ -122,116 +106,23 @@ TEST(ObsJson, EscapedStringsRoundTrip) {
   EXPECT_EQ(doc.str, raw);
 }
 
-TEST(ObsMetrics, CounterGaugeStatMergeAcrossThreads) {
-  ObsGuard guard;
-  const obs::MetricId c =
-      obs::metric_id("test.merge.count", obs::MetricKind::kCounter);
-  const obs::MetricId s =
-      obs::metric_id("test.merge.stat", obs::MetricKind::kStat);
-  std::thread a([&] {
-    obs::counter_add(c, 2);
-    obs::stat_record(s, 1.0);
-  });
-  std::thread b([&] {
-    obs::counter_add(c, 3);
-    obs::stat_record(s, 5.0);
-  });
-  a.join();
-  b.join();
-  const auto all = obs::metrics_snapshot();
-  const obs::MetricRecord* count = find_metric(all, "test.merge.count");
-  const obs::MetricRecord* stat = find_metric(all, "test.merge.stat");
-  ASSERT_NE(count, nullptr);
-  ASSERT_NE(stat, nullptr);
-  EXPECT_EQ(count->value, 5u);
-  EXPECT_EQ(stat->count, 2u);
-  EXPECT_DOUBLE_EQ(stat->sum, 6.0);
-  EXPECT_DOUBLE_EQ(stat->min, 1.0);
-  EXPECT_DOUBLE_EQ(stat->max, 5.0);
-}
-
-TEST(ObsMetrics, ReinterningWithDifferentKindThrows) {
-  (void)obs::metric_id("test.kind.fixed", obs::MetricKind::kCounter);
-  EXPECT_EQ(obs::metric_id("test.kind.fixed", obs::MetricKind::kCounter),
-            obs::metric_id("test.kind.fixed", obs::MetricKind::kCounter));
-  EXPECT_THROW(
-      (void)obs::metric_id("test.kind.fixed", obs::MetricKind::kStat),
-      InvalidArgument);
-}
-
-TEST(ObsMetricsStress, ShardedUpdatesUnderThreadPoolAreExact) {
-  ObsGuard guard;
-  const obs::MetricId c =
-      obs::metric_id("test.stress.count", obs::MetricKind::kCounter);
-  const obs::MetricId s =
-      obs::metric_id("test.stress.stat", obs::MetricKind::kStat);
-
-  // Snapshots race against updates on purpose: the registry must merge
-  // a consistent view while shards are hot (TSan checks the ordering).
-  std::atomic<bool> stop{false};
-  std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      (void)obs::metrics_snapshot();
-    }
-  });
-
-  constexpr std::size_t kN = 70000;  // multiple of 7 (stat sum below)
-  {
-    ThreadPool pool(4);
-    pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        obs::counter_add(c, 1);
-        obs::stat_record(s, static_cast<double>(i % 7));
-      }
-    });
-  }  // pool workers join and their shards retire into the registry
-  stop.store(true, std::memory_order_relaxed);
-  snapshotter.join();
-
-  const auto all = obs::metrics_snapshot();
-  const obs::MetricRecord* count = find_metric(all, "test.stress.count");
-  const obs::MetricRecord* stat = find_metric(all, "test.stress.stat");
-  ASSERT_NE(count, nullptr);
-  ASSERT_NE(stat, nullptr);
-  EXPECT_EQ(count->value, kN);
-  EXPECT_EQ(stat->count, kN);
-  EXPECT_DOUBLE_EQ(stat->sum, (kN / 7) * 21.0);  // sum of i%7 per block of 7
-  EXPECT_DOUBLE_EQ(stat->min, 0.0);
-  EXPECT_DOUBLE_EQ(stat->max, 6.0);
-}
-
 TEST(ObsMacros, KillSwitchMatchesBuildFlavor) {
   ObsGuard guard;
-#if defined(ZH_ENABLE_OBS)
-  obs::set_metrics_enabled(true);
   obs::set_trace_enabled(true);
-  ZH_COUNTER_ADD("test.macro.counter", 3);
   { ZH_TRACE_SPAN("test.macro.span", "test"); }
-  const auto all = obs::metrics_snapshot();
-  const obs::MetricRecord* m = find_metric(all, "test.macro.counter");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->value, 3u);
   const std::vector<obs::TraceEvent> events = obs::trace_snapshot();
+#if defined(ZH_ENABLE_OBS)
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "test.macro.span");
 #else
-  // ZH_OBS=OFF: the macros are no-ops even with recording force-enabled
-  // -- nothing is interned, nothing is recorded.
-  obs::set_metrics_enabled(true);
-  obs::set_trace_enabled(true);
-  ZH_COUNTER_ADD("test.macro.counter", 3);
-  { ZH_TRACE_SPAN("test.macro.span", "test"); }
-  EXPECT_EQ(find_metric(obs::metrics_snapshot(), "test.macro.counter"),
-            nullptr);
-  EXPECT_TRUE(obs::trace_snapshot().empty());
+  // ZH_OBS=OFF: the span macro is a no-op even with recording
+  // force-enabled -- nothing is recorded.
+  EXPECT_TRUE(events.empty());
 #endif
 }
 
 TEST(ObsReport, JsonIsSchemaValid) {
   ObsGuard guard;
-  obs::set_metrics_enabled(true);
-  ZH_COUNTER_ADD("test.report.metric", 4);
-
   obs::RunReport report;
   report.tool = "unit-test";
   report.workload = "synthetic";
@@ -271,14 +162,8 @@ TEST(ObsReport, JsonIsSchemaValid) {
   EXPECT_EQ(ranks->find("rows")->arr[0].arr.size(),
             ranks->find("columns")->arr.size());
   EXPECT_EQ(ranks->find("states")->arr[1].str, "crashed");
-
-#if defined(ZH_ENABLE_OBS)
-  const obs::JsonValue* metrics = doc.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const obs::JsonValue* metric = metrics->find("test.report.metric");
-  ASSERT_NE(metric, nullptr);
-  EXPECT_DOUBLE_EQ(metric->find("value")->number, 4.0);
-#endif
+  // The report holds what the run returned and nothing else.
+  EXPECT_EQ(doc.find("metrics"), nullptr);
 }
 
 TEST(ObsReport, UnwritablePathFailsWithIoError) {

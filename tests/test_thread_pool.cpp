@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -163,24 +164,25 @@ TEST(ThreadPool, ChunksNeverClaimPastNOrOverlap) {
 #if defined(ZH_ENABLE_OBS)
 TEST(ThreadPool, DegenerateRangesPostNoPoolTasks) {
   // n == 0 and n == 1 short-circuit before any task is posted: no
-  // worker wakeups, no queue traffic. The pool.tasks_run counter is
-  // recorded per posted task while metrics are on, so its absence after
-  // both calls pins the no-post fast path.
-  obs::set_metrics_enabled(false);
-  obs::metrics_reset();
-  obs::set_metrics_enabled(true);
+  // worker wakeups, no queue traffic. Every task posted while tracing
+  // is on runs inside a pool.task span, so no such span after both
+  // calls pins the no-post fast path.
+  obs::set_trace_enabled(false);
+  obs::trace_clear();
+  obs::set_trace_enabled(true);
   std::atomic<int> calls{0};
   ThreadPool::global().parallel_for(
       0, [&](std::size_t, std::size_t) { ++calls; });
   ThreadPool::global().parallel_for(
       1, [&](std::size_t, std::size_t) { ++calls; });
+  obs::set_trace_enabled(false);
   EXPECT_EQ(calls.load(), 1);  // the n == 1 call runs inline, once
-  for (const obs::MetricRecord& m : obs::metrics_snapshot()) {
-    EXPECT_NE(m.name, "pool.tasks_run")
-        << "a degenerate parallel_for posted " << m.value << " task(s)";
+  std::size_t tasks = 0;
+  for (const obs::TraceEvent& e : obs::trace_snapshot()) {
+    if (std::string_view(e.name) == "pool.task") ++tasks;
   }
-  obs::set_metrics_enabled(false);
-  obs::metrics_reset();
+  EXPECT_EQ(tasks, 0u) << "a degenerate parallel_for posted tasks";
+  obs::trace_clear();
 }
 #endif
 

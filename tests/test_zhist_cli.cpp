@@ -1,6 +1,7 @@
 // End-to-end checks of the zhist binary built alongside this suite:
 // command dispatch and usage text, flag-value checks, the outputs of the
-// .bq and catalog paths, and run reports checked by validate_obs.
+// .bq and catalog paths, run reports checked by validate_obs, and the
+// flag checks of zh_trace.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -58,6 +59,9 @@ class ZhistCli : public ::testing::Test {
   static int validate_obs(const std::string& args,
                           const std::string& err = {}) {
     return run(ZH_VALIDATE_OBS, args, err);
+  }
+  static int zh_trace(const std::string& args, const std::string& err = {}) {
+    return run(ZH_ZH_TRACE, args, err);
   }
 
   static std::string slurp(const std::string& p) {
@@ -140,16 +144,18 @@ TEST_F(ZhistCli, UsageListsEveryCommand) {
             std::string::npos);
   EXPECT_EQ(usage.find("--metrics-port"), std::string::npos) << usage;
   EXPECT_EQ(usage.find("--metrics-linger-ms"), std::string::npos) << usage;
-  // Journal flags without a journal directory are refused before any
-  // input is read (`a` does not exist).
+  // --resume without a journal directory is refused before any input
+  // is read (`a` does not exist).
   EXPECT_EQ(zhist("hist a b --resume", path("resume.txt")), 2);
   EXPECT_NE(slurp(path("resume.txt")).find("--resume needs --checkpoint-dir"),
             std::string::npos);
+  // Every journal record is fsynced: there is no interval to set.
   EXPECT_EQ(zhist("hist a b --checkpoint-interval 4", path("interval.txt")),
             2);
   EXPECT_NE(slurp(path("interval.txt"))
-                .find("--checkpoint-interval needs --checkpoint-dir"),
+                .find("unknown flag: --checkpoint-interval"),
             std::string::npos);
+  EXPECT_EQ(usage.find("--checkpoint-interval"), std::string::npos) << usage;
 }
 
 TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
@@ -184,9 +190,6 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
       {"zones '" + path("out.csv") + "' --zones 4294967299", "--zones"},
       {hist + "--ranks -1", "--ranks"},
       {hist + "--tile 12abc", "--tile"},
-      {hist + "--checkpoint-interval 4294967296 --checkpoint-dir '" +
-           path("ck") + "'",
-       "--checkpoint-interval"},
       {hist + "--partitions 2x-1", "--partitions"},
       // A trailing suffix must not be dropped, and inf would keep every
       // vertex.
@@ -196,6 +199,14 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
       // 1, and "none" would script a crash that never fires.
       {hist + "--fault-plan crash=4294967297@partition_start", "'crash'"},
       {hist + "--fault-plan crash=1@none", "crash point 'none'"},
+      // Aborts no rank can meet: a one-rank run visits no rank
+      // checkpoint, and without --checkpoint-dir no journal record is
+      // ever appended.
+      {hist + "--tile 8 --partitions 2x1 --fault-plan abort=startup",
+       "abort at startup never fires"},
+      {hist + "--tile 8 --ranks 3 --partitions 2x3 "
+              "--fault-plan abort=journal_record",
+       "abort at journal_record never fires"},
       // Batch-spec numbers follow the same rule. Cast unchecked, 2^32 + 16
       // would wrap to 16 bins, 16.7 truncate to 16 and -1 overflow; a
       // string must not fall back to the default.
@@ -212,6 +223,14 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
     EXPECT_NE(err.find(flag), std::string::npos) << err;
     EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
   }
+  // An fsync-interval flag is unknown: a usage error, before any file.
+  EXPECT_EQ(zhist(hist + "--checkpoint-interval 4294967296 --checkpoint-dir '" +
+                      path("ck") + "'",
+                  path("err.txt")),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
+  EXPECT_NE(slurp(path("err.txt")).find("unknown flag: --checkpoint-interval"),
+            std::string::npos);
 }
 
 TEST_F(ZhistCli, CatalogMatchesOracle) {
@@ -292,6 +311,12 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
                   path("one.json") + "'"),
             0);
   EXPECT_EQ(validate_obs("metrics '" + path("one.json") + "'"), 0);
+  // The report prints what the run returned: its counters, no second
+  // metrics channel.
+  const obs::JsonValue one = obs::parse_json_file(path("one.json"));
+  EXPECT_EQ(one.find("metrics"), nullptr);
+  ASSERT_NE(one.find("counters"), nullptr);
+  EXPECT_NE(one.find("counters")->find("values_clamped"), nullptr);
 
   // Rank 2 crashes when it finishes its first partition; the result is
   // unchanged and the report still has one row per rank.
@@ -320,25 +345,53 @@ TEST_F(ZhistCli, RunReportsPassValidateObs) {
     EXPECT_NE(slurp(path("usage.txt")).find("usage:"), std::string::npos);
   }
 
+  // A counter renamed to a name no run emits fails the schema check.
+  std::string report = slurp(path("three.json"));
+  const std::string counter = "\"cells_in_polygons\":";
+  const std::size_t at = report.find(counter);
+  ASSERT_NE(at, std::string::npos) << report;
+  report.replace(at, counter.size(), "\"cells_in_polygon\":");
+  std::ofstream(path("bad.json"), std::ios::binary) << report;
+  EXPECT_EQ(validate_obs("metrics '" + path("bad.json") + "' --require-ranks 3",
+                         path("bad.txt")),
+            1);
+  EXPECT_NE(slurp(path("bad.txt")).find("cells_in_polygon\""),
+            std::string::npos);
+
 #if defined(ZH_ENABLE_OBS)
   // The merged trace of that run passes the obs stage's cluster bound:
   // the run's root span is the longest, and its children cover it.
   EXPECT_EQ(validate_obs("trace '" + path("three.trace.json") +
                          "' --min-coverage 80"),
             0);
+#endif
+}
 
-  // A kind the registry cannot emit fails the schema check. (With
-  // ZH_OBS=OFF the registry records nothing, so no metric to rewrite.)
-  std::string report = slurp(path("three.json"));
-  const std::string counter = "\"kind\":\"counter\"";
-  const std::size_t at = report.find(counter);
-  ASSERT_NE(at, std::string::npos) << report;
-  report.replace(at, counter.size(), "\"kind\":\"gauge_set\"");
-  std::ofstream(path("bad.json"), std::ios::binary) << report;
-  EXPECT_EQ(validate_obs("metrics '" + path("bad.json") + "' --require-ranks 3",
-                         path("bad.txt")),
-            1);
-  EXPECT_NE(slurp(path("bad.txt")).find("gauge_set"), std::string::npos);
+TEST_F(ZhistCli, ZhTraceMinCoverageIsOneFractionInRange) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(48, 48, 4, 60,
+                                  GeoTransform(0.0, 4.8, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        5, GeoBox{0.3, 0.3, 4.5, 4.5}, 6, true));
+  ASSERT_EQ(zhist("hist '" + path("r.zgrid") + "' '" + path("zones.tsv") +
+                  "' --bins 64 --tile 8 --ranks 3 --fault-plan "
+                  "'seed=5,delay=0.05' -o '" + path("h.csv") +
+                  "' --trace '" + path("t.json") + "'"),
+            0);
+  // A gate value that is not one number from 0 to 1 is a usage error:
+  // read as 0, "x2" and "nan" would pass any trace.
+  for (const char* bad : {"x2", "nan", "-0.5", "1.5", "0.5x", ""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(zh_trace("'" + path("t.json") + "' --min-coverage '" + bad +
+                           "'",
+                       path("usage.txt")),
+              2);
+    EXPECT_NE(slurp(path("usage.txt")).find("usage:"), std::string::npos);
+  }
+#if defined(ZH_ENABLE_OBS)
+  // The critical path of the merged trace tiles its wall clock.
+  EXPECT_EQ(zh_trace("'" + path("t.json") + "' --min-coverage 0.95"), 0);
 #endif
 }
 

@@ -9,7 +9,7 @@
 #   tools/check.sh faults       # fault-injection suites (dev + asan-ubsan)
 #   tools/check.sh resume       # kill/resume soak: abort-point sweep + journal fuzz
 #   tools/check.sh query        # batch query engine: bit-identity against zhist hist
-#   tools/check.sh obs          # trace/metrics end-to-end + ZH_OBS=OFF build
+#   tools/check.sh obs          # trace/report end-to-end + ZH_OBS=OFF build
 #   tools/check.sh lint         # zh-lint project invariants + header check
 #   tools/check.sh tidy         # clang-tidy over src/ (needs clang-tidy)
 #
@@ -272,7 +272,7 @@ run_obs() {
   # End-to-end observability gate: a traced+metered run must produce
   # schema-valid outputs whose spans cover the run, the per-rank metrics
   # table must survive fault injection, and the kill-switch build
-  # (ZH_OBS=OFF, every span/counter a no-op) must stay warning-clean and
+  # (ZH_OBS=OFF, every span a no-op) must stay warning-clean and
   # within ZH_OBS_TOL_PCT percent of the instrumented build's runtime.
   configure_and_build dev
   local tmp="build-dev/obs-check"

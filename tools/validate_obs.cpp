@@ -12,13 +12,10 @@
 //     zh-run-report-v1 JSON: schema + required keys; with
 //     --require-ranks N (an integer, at least 0), the per-rank table
 //     must exist and have N rows.
-//     Counters in validated families (journal.*, step4.*, comm.*) must
-//     come from the known-key inventory -- a typo'd or renamed counter
-//     fails instead of passing unvalidated. The metrics section gets
-//     the same treatment for the latency.* family. Every metric's kind
-//     must be one the registry emits (counter, stat, latency), and
-//     carry that kind's fields (a latency metric its quantile summary,
-//     a counter its value).
+//     Every counter must be a non-negative number named in one closed
+//     list: the WorkCounters names append_work_counters emits plus the
+//     cluster and journal counters zhist adds -- a typo'd or renamed
+//     counter fails instead of passing unvalidated.
 //
 // Exits 0 when valid, 1 with a one-line reason otherwise (CI asserts on
 // the exit code and shows the reason in the log), and 2 with the usage
@@ -202,95 +199,34 @@ int check_metrics(const std::string& path, long require_ranks) {
     return fail("counters is not an object");
   }
   if (counters != nullptr) {
-    // Validated families: every counter the code emits under these
-    // prefixes is listed here, so a typo'd or renamed counter fails
-    // instead of slipping through as a new unvalidated key. Families
-    // not listed (step1.*, lazy.*, ...) stay open for growth.
+    // Every counter a report can carry: the WorkCounters names
+    // append_work_counters emits, then what zhist adds for cluster runs
+    // and for runs with a journal.
     static const char* const kKnownCounters[] = {
-        "journal.resume_ms",       "journal.torn_bytes",
-        "journal.records_written", "journal.partitions_skipped",
-        "step4.edge_index_entries", "step4.pip_cell_tests",
-        "step4.pip_edge_tests",    "step4.cells_counted",
-        "step4.rows_scanned",      "step4.edges_in_band",
-        "step4.run_cells",
-        "comm.msgs_sent",          "comm.bytes_sent",
+        "cells_total",        "tiles_total",
+        "candidate_pairs",    "pairs_inside",
+        "pairs_intersect",    "polygon_vertices",
+        "aggregate_bin_adds", "pip_cell_tests",
+        "pip_edge_tests",     "pip_rows_scanned",
+        "pip_run_cells",      "cells_in_polygons",
+        "values_clamped",     "compressed_bytes",
+        "raw_bytes",          "comm_bytes",
+        "incomplete_partitions",
+        "journal.records_written",
+        "journal.partitions_skipped",
+        "journal.resume_ms",
+        "journal.torn_bytes",
     };
-    static const char* const kValidatedFamilies[] = {"journal.", "step4.",
-                                                     "comm."};
     for (const auto& [name, value] : counters->obj) {
-      bool in_family = false;
-      for (const char* prefix : kValidatedFamilies) {
-        if (name.rfind(prefix, 0) == 0) in_family = true;
-      }
-      if (!in_family) continue;
       bool known = false;
       for (const char* key : kKnownCounters) {
         if (name == key) known = true;
       }
       if (!known) {
-        return fail("counter \"" + name +
-                    "\" not in the known-key inventory for its family");
+        return fail("counter \"" + name + "\" is not a known counter");
       }
       if (!value.is_number() || value.number < 0) {
         return fail("counter \"" + name + "\" is not a non-negative number");
-      }
-    }
-  }
-  const JsonValue* metrics = need(doc, "metrics");
-  if (metrics != nullptr) {
-    if (!metrics->is_object()) return fail("metrics is not an object");
-    // Same known-key discipline as the counters section, applied to the
-    // latency.* family: those names must render as latency summaries
-    // (count + quantiles), so a metric that changed kind or name fails
-    // here rather than silently vanishing from the report.
-    static const char* const kKnownLatency[] = {
-        "latency.query",     "latency.step1",
-        "latency.step2",     "latency.step4",
-        "latency.partition", "latency.journal_fsync",
-    };
-    for (const auto& [name, m] : metrics->obj) {
-      const JsonValue* kind = need(m, "kind");
-      if (kind == nullptr || !kind->is_string()) {
-        return fail("metric \"" + name + "\" has no kind");
-      }
-      if (kind->str != "counter" && kind->str != "stat" &&
-          kind->str != "latency") {
-        return fail("metric \"" + name + "\" has kind \"" + kind->str +
-                    "\", expected counter, stat or latency");
-      }
-      if (name.rfind("latency.", 0) == 0) {
-        bool known = false;
-        for (const char* key : kKnownLatency) {
-          if (name == key) known = true;
-        }
-        if (!known) {
-          return fail("metric \"" + name +
-                      "\" not in the latency.* known-key inventory");
-        }
-        if (kind->str != "latency") {
-          return fail("metric \"" + name + "\" has kind \"" + kind->str +
-                      "\", expected \"latency\"");
-        }
-      }
-      if (kind->str == "latency") {
-        for (const char* key :
-             {"count", "sum", "min", "max", "p50", "p95", "p99"}) {
-          if (!is_finite_number(need(m, key))) {
-            return fail("latency metric \"" + name + "\" missing \"" + key +
-                        "\"");
-          }
-        }
-      } else if (kind->str == "stat") {
-        for (const char* key : {"count", "sum", "min", "max"}) {
-          if (!is_finite_number(need(m, key))) {
-            return fail("stat metric \"" + name + "\" missing \"" + key +
-                        "\"");
-          }
-        }
-      } else {
-        if (!is_finite_number(need(m, "value"))) {
-          return fail("metric \"" + name + "\" missing \"value\"");
-        }
       }
     }
   }

@@ -4,14 +4,18 @@
 //   zh_trace <merged_trace.json> [options]
 //     --report <out.json>      write a zh-trace-report-v1 document
 //     --min-coverage <frac>    fail unless the critical path tiles at
-//                              least this fraction of the wall time
+//                              least this fraction of the wall time (a
+//                              number from 0 to 1)
 //     --validate-only          only check the flow graph, skip analysis
 //
 // Exit codes: 0 = ok; 1 = invalid flow graph (dangling recv), dropped
 // events, or coverage below threshold; 2 = usage or unreadable input.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "common/error.hpp"
@@ -26,6 +30,19 @@ int usage() {
   return 2;
 }
 
+// The --min-coverage value: the whole token must be one finite number
+// from 0 to 1 (from_chars skips no whitespace and takes no '+').
+std::optional<double> parse_fraction(const char* token) {
+  double value = 0.0;
+  const char* end = token + std::strlen(token);
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0 || value > 1.0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -38,7 +55,9 @@ int main(int argc, char** argv) {
     if (arg == "--report" && i + 1 < argc) {
       report_path = argv[++i];
     } else if (arg == "--min-coverage" && i + 1 < argc) {
-      min_coverage = std::atof(argv[++i]);
+      const std::optional<double> v = parse_fraction(argv[++i]);
+      if (!v) return usage();
+      min_coverage = *v;
     } else if (arg == "--validate-only") {
       validate_only = true;
     } else if (!arg.empty() && arg[0] == '-') {

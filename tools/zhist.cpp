@@ -12,12 +12,15 @@
 //             a worker crash and a process abort (see FaultPlan::parse),
 //             e.g. "seed=1,delay=0.05,crash=2@partition_done"; a crash
 //             no rank can meet (the master, rank 0, a rank past --ranks,
-//             or journal_record) stops the run with exit code 1.
+//             or journal_record), or an abort none can (at a rank
+//             checkpoint with one rank, or at journal_record without
+//             --checkpoint-dir), stops the run with exit code 1 before
+//             any input is read.
 //             --checkpoint-dir journals every accepted partition into
-//             DIR/run.journal (fsync every N records); after a process
-//             death, rerunning with --resume recomputes only un-journaled
-//             partitions and produces bit-identical histograms (DESIGN.md
-//             5d).
+//             DIR/run.journal, fsynced before the run goes on; after a
+//             process death, rerunning with --resume recomputes only
+//             un-journaled partitions and produces bit-identical
+//             histograms (DESIGN.md 5d).
 //   encode    BQ-Tree-compress a raster (one without a nodata value: the
 //             container cannot store it).
 //   decode    Decompress a .bq container.
@@ -83,7 +86,6 @@ struct Args {
   FaultPlan faults;        ///< that spec, parsed with the flags
   std::string checkpoint_dir;  ///< durable run-journal directory
   bool resume = false;         ///< continue from the journal in the dir
-  std::optional<std::uint32_t> checkpoint_interval;  ///< fsync every N records
   std::string trace;    ///< Chrome trace_event JSON output path
   std::string metrics;  ///< run report JSON output path
   bool report = false;  ///< print the human-readable run report
@@ -189,8 +191,6 @@ Args parse(int argc, char** argv) {
       args.checkpoint_dir = next();
     } else if (a == "--resume") {
       args.resume = true;
-    } else if (a == "--checkpoint-interval") {
-      args.checkpoint_interval = parse_int(a, next(), std::uint32_t{1});
     } else if (a == "--trace") {
       args.trace = next();
     } else if (a == "--metrics") {
@@ -236,7 +236,6 @@ bool setup_obs(const Args& args) {
     obs::set_trace_enabled(true);
   }
   if (!args.metrics.empty()) require_writable(args.metrics);
-  if (!args.metrics.empty() || args.report) obs::set_metrics_enabled(true);
   return !args.trace.empty() || !args.metrics.empty() || args.report;
 }
 
@@ -359,6 +358,7 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     // refuses a manifest mismatch, and recomputes only what is missing.
     std::optional<JournalWriter> journal;
     double resume_seconds = 0.0;
+    std::uint64_t torn_bytes = 0;
     std::uint32_t generation = 0;
     if (!args.checkpoint_dir.empty()) {
       std::filesystem::create_directories(args.checkpoint_dir);
@@ -366,7 +366,6 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       const RunManifest manifest =
           make_manifest(rasters, schemas, zones, cfg);
       JournalWriterOptions jopts;
-      jopts.fsync_interval = args.checkpoint_interval.value_or(1);
       jopts.abort = cfg.fault_tolerance.faults.abort;
       if (args.resume) {
         const JournalLoad load = load_journal(jpath);
@@ -374,6 +373,7 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
         cfg.checkpoint.completed_partitions = load.completed;
         cfg.checkpoint.resume_bins = load.merged_bins;
         resume_seconds = load.resume_seconds;
+        torn_bytes = load.torn_bytes;
         journal.emplace(JournalWriter::append(jpath, load, jopts));
         generation = journal->generation();
         std::fprintf(stderr,
@@ -390,7 +390,6 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
 
     const ClusterRunResult cres =
         run_cluster_zonal(rasters, schemas, zones, cfg);
-    if (journal.has_value()) journal->flush();
     std::fprintf(stderr, "cluster: %zu ranks, %.2f s wall%s\n", cfg.ranks,
                  cres.wall_seconds,
                  cres.degraded ? " [DEGRADED: incomplete partitions]" : "");
@@ -418,9 +417,6 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       if (journal.has_value()) {
         report.config.emplace_back("checkpoint_dir", args.checkpoint_dir);
         report.config.emplace_back("resume", args.resume ? "1" : "0");
-        report.config.emplace_back(
-            "checkpoint_interval",
-            std::to_string(args.checkpoint_interval.value_or(1)));
         report.config.emplace_back("journal_generation",
                                    std::to_string(generation));
         report.counters.emplace_back("journal.records_written",
@@ -430,6 +426,9 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
         report.counters.emplace_back(
             "journal.resume_ms",
             static_cast<std::uint64_t>(resume_seconds * 1e3));
+        if (args.resume) {
+          report.counters.emplace_back("journal.torn_bytes", torn_bytes);
+        }
       }
       report.rank_columns = rank_metrics_columns();
       for (std::size_t r = 0; r < cres.rank_metrics.size(); ++r) {
@@ -464,13 +463,15 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
 
 int cmd_hist(const Args& args) {
   if (args.positional.size() != 2) usage();
-  // The journal flags mean nothing without a journal to read or write.
-  if (args.checkpoint_dir.empty() &&
-      (args.resume || args.checkpoint_interval.has_value())) {
-    std::fprintf(stderr, "%s needs --checkpoint-dir\n",
-                 args.resume ? "--resume" : "--checkpoint-interval");
+  // --resume means nothing without a journal to read.
+  if (args.resume && args.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "--resume needs --checkpoint-dir\n");
     usage();
   }
+  // A scripted crash or abort no rank can meet stops the run before any
+  // input is read.
+  require_faults_can_fire(args.faults, args.ranks,
+                          !args.checkpoint_dir.empty());
   const bool with_obs = setup_obs(args);
   obs::RunReport report;
   int rc = 0;
@@ -705,8 +706,7 @@ constexpr Command kCommands[] = {
      "<raster> <zones.tsv> [-o hist.csv] [--bins N] [--tile N] [--stats] "
      "[--partitions RxC] [--refine brute|scanline|auto] [--ranks N] "
      "[--seed S] [--fault-plan SPEC] [--checkpoint-dir DIR] [--resume] "
-     "[--checkpoint-interval N] [--trace FILE] [--metrics FILE] "
-     "[--report]",
+     "[--trace FILE] [--metrics FILE] [--report]",
      cmd_hist},
     {"encode", "<raster> <out.bq> [--tile N]", cmd_encode},
     {"decode", "<in.bq> <out.zgrid>", cmd_decode},

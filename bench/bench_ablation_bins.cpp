@@ -22,7 +22,7 @@ int main() {
       edge, edge, GeoTransform(-100.0, 40.0, 1.0 / 3600.0, 1.0 / 3600.0),
       {.max_value = 65535});
   const TilingScheme tiling(dem.rows(), dem.cols(), tile);
-  Device device(DeviceProfile::host());
+  Device device;
 
   bench::print_header("Bin-count sweep: memory and counting strategies");
   std::printf("%8s %14s %12s %14s %10s\n", "bins", "table (MB)",
@@ -37,8 +37,9 @@ int main() {
         tile_histograms(device, dem, tiling, bins, CountMode::kAtomic);
     const double atomic_s = ta.seconds();
 
-    // Privatized counting allocates bins x block_dim counters per block;
-    // the paper rules it out for large bin counts. Cap the sweep there.
+    // Privatized counting allocates bins x 256 counters per tile (one
+    // histogram per thread of a 256-thread block); the paper rules it out
+    // for large bin counts. Cap the sweep there.
     double priv_s = -1.0;
     bool agree = true;
     if (bins <= 1024) {

@@ -19,7 +19,7 @@ int main() {
   std::printf("workload: %dx%d DEM, %u bins\n", edge, edge, bins);
   const DemRaster dem = generate_dem(
       edge, edge, GeoTransform(-100.0, 40.0, 1.0 / 3600.0, 1.0 / 3600.0));
-  Device device(DeviceProfile::host());
+  Device device;
 
   bench::print_header("Step-1 cell-order ablation (seconds, best of 3)");
   std::printf("%6s %10s %10s %10s %8s\n", "tile", "row-major", "morton",

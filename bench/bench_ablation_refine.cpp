@@ -32,7 +32,7 @@ int main() {
               "coarse-granularity worst case)\n",
               edge, edge, counties.size());
 
-  Device device(DeviceProfile::host());
+  Device device;
 
   bench::print_header("(a) Step-4 block granularity");
   HistogramSet reference;

@@ -34,7 +34,7 @@ int main() {
               edge, counties.size(),
               bench::with_commas(counties.vertex_count()).c_str());
 
-  Device device(DeviceProfile::host());
+  Device device;
   const ZonalPipeline pipe(device, {.tile_size = 60, .bins = bins});
   const ZonalResult exact = pipe.run(dem, counties);
   const double cell_size = t.cell_w();

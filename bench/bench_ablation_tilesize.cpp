@@ -30,7 +30,7 @@ int main() {
              ext.max_y + 0.1},
       cp);
 
-  Device device(DeviceProfile::host());
+  Device device;
 
   bench::print_header("Tile-size ablation (fixed raster and zones)");
   std::printf("%6s %8s %9s %9s %10s %9s %9s %9s\n", "tile", "tiles",

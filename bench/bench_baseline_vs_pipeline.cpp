@@ -49,7 +49,7 @@ int main() {
              ext.max_y + 0.1},
       cp);
 
-  Device device(DeviceProfile::host());
+  Device device;
   // The paper's pipeline, Fig.-5 kernel included.
   const ZonalPipeline pipe(device, {.tile_size = tile, .bins = bins,
                                     .refine_strategy = RefineStrategy::kBrute});

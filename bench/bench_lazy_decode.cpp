@@ -30,7 +30,7 @@ int main() {
   std::printf("compressed to %.1f%% in %.1fs\n\n",
               100.0 * compressed.compression_ratio(), enc.seconds());
 
-  Device device(DeviceProfile::host());
+  Device device;
   const ZonalConfig cfg{.tile_size = tile, .bins = bins};
   const GeoBox ext = t.extent(edge, edge);
 

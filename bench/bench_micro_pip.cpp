@@ -69,7 +69,7 @@ BENCHMARK(BM_PipMultiRing)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_TileHistogram(benchmark::State& state) {
   const std::int64_t tile = state.range(0);
-  Device dev(DeviceProfile::host());
+  Device dev;
   DemRaster raster(tile * 4, tile * 4);
   std::mt19937 rng(3);
   std::uniform_int_distribution<std::uint32_t> dist(0, 4999);

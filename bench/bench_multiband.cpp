@@ -38,7 +38,7 @@ int main() {
              ext.max_y + 0.1},
       cp);
 
-  Device device(DeviceProfile::host());
+  Device device;
   const ZonalConfig cfg{.tile_size = 60, .bins = bins};
 
   bench::print_header("Band series vs independent runs");

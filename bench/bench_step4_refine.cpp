@@ -48,7 +48,7 @@ int main() {
               bench::with_commas(soa.flattened_vertex_count()).c_str(),
               pairs.intersect.pair_count());
 
-  Device device(DeviceProfile::host());
+  Device device;
   bench::print_header("Step-4 refinement: brute vs scanline (best of "
                       + std::to_string(reps) + ")");
 

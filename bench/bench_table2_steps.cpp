@@ -42,7 +42,7 @@ int main() {
               bench::with_commas(w.counties.vertex_count()).c_str(),
               setup.seconds());
 
-  Device device(DeviceProfile::host());
+  Device device;
   // The paper's Fig.-5 kernel: PerfModel's Step-4 rate is calibrated in
   // brute edge tests.
   const ZonalPipeline pipeline(device,

@@ -426,16 +426,15 @@ ClusterRunResult run_cluster_zonal(
       for (RankId r = 1; r < comm.size(); ++r) {
         any_live = any_live || wstate[r] != WState::kDead;
       }
+      // No worker left to take the orphans: the master computes them.
+      // An unfinished partition is always in a live worker's open list
+      // or in `orphans`, so the loop ends with every partition done.
       if (!orphans.empty() && !any_live) {
-        if (!ft.master_takeover) break;  // degraded: coverage gap reported
         const std::vector<std::uint32_t> leftover = std::move(orphans);
         orphans.clear();
         for (const std::uint32_t index : leftover) {
           if (completed[index] == 0) compute_own(index);
         }
-      }
-      if (!any_live && orphans.empty() && completed_count < total) {
-        break;  // defensive: nothing can make progress any more
       }
     }
 
@@ -446,10 +445,6 @@ ClusterRunResult run_cluster_zonal(
     {
       std::lock_guard lock(result_mutex);
       result.rank_outcomes = outcome;  // counters; fates are set below
-      result.degraded = completed_count < total;
-      for (std::uint32_t i = 0; i < total; ++i) {
-        if (completed[i] == 0) result.incomplete_partitions.push_back(i);
-      }
     }
     finish();
   });

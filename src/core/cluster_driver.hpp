@@ -14,9 +14,8 @@
 // runtime reports (Communicator::rank_dead); a slow or silent worker is
 // never declared dead. A crashed rank has its unfinished partitions
 // reassigned to surviving workers (LPT order) or computed by the master
-// itself, so the merged histograms stay bit-identical to the fault-free
-// run (invariant 6 extended) whenever every partition completes; a
-// `degraded` flag plus coverage list is returned when it does not. The
+// itself, so every partition completes and the merged histograms stay
+// bit-identical to the fault-free run (invariant 6 extended). The
 // master (rank 0) is the single point of failure, like the paper's MPI
 // master: crash checkpoints never fire on it. Whole-process death
 // (including the master's) is mitigated by the durable checkpoint
@@ -48,10 +47,6 @@ enum class PartitionAssignment : std::uint8_t {
 /// Supervision knobs of the master-worker dispatch.
 struct FaultToleranceConfig {
   bool enabled = false;  ///< read by nothing; perfbench/driver.cpp sets it
-  /// The master computes partitions no surviving worker can take. Off,
-  /// such partitions are reported as incomplete (degraded result) --
-  /// mainly a hook for exercising the degraded path in tests.
-  bool master_takeover = true;
   /// Scripted failures (message delays, a rank crash, a process abort)
   /// for tests. run_cluster_zonal refuses a crash or an abort that can
   /// never fire (see require_faults_can_fire).
@@ -124,10 +119,9 @@ struct ClusterRunResult {
   WorkCounters work;
   std::vector<RankOutcome> rank_outcomes;  ///< per-rank fate
   std::vector<RankMetricsRow> rank_metrics;  ///< per-rank metrics
-  /// True when some partitions never completed (their contribution is
-  /// missing from `merged`); the indices are listed for coverage reports.
+  /// Always false: the master computes what no live worker can, so every
+  /// partition completes. Kept because perfbench/driver.cpp reads it.
   bool degraded = false;
-  std::vector<std::uint32_t> incomplete_partitions;
   /// Partitions marked done from checkpoint.completed_partitions and
   /// never recomputed this run (resume accounting).
   std::uint64_t partitions_skipped = 0;

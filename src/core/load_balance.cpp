@@ -11,6 +11,11 @@ namespace zh {
 
 namespace {
 
+/// Cost weights of estimate_partition_costs: per raster cell (Steps 0-1)
+/// and per PIP edge evaluation (Step 4).
+constexpr double kCellWeight = 1.0;
+constexpr double kPipEdgeWeight = 0.09;
+
 /// Both LPT and the imbalance diagnostic assume costs behave like work:
 /// a NaN cost poisons every load comparison (min_element and
 /// max_element are unordered under NaN), and a negative cost can drive
@@ -28,8 +33,7 @@ void require_valid_costs(const std::vector<double>& costs) {
 std::vector<double> estimate_partition_costs(
     const std::vector<RasterPartition>& parts,
     const std::vector<GeoTransform>& raster_transforms,
-    std::int64_t tile_size, const PolygonSet& polygons,
-    const PartitionCostModel& model) {
+    std::int64_t tile_size, const PolygonSet& polygons) {
   std::vector<double> costs(parts.size(), 0.0);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     const RasterPartition& part = parts[i];
@@ -53,9 +57,8 @@ std::vector<double> estimate_partition_costs(
           static_cast<double>(w.cell_count()) *
           static_cast<double>(polygons[pairs.polygon_ids[k]].vertex_count());
     }
-    costs[i] =
-        model.cell_weight * static_cast<double>(part.window.cell_count()) +
-        model.pip_edge_weight * edge_tests;
+    costs[i] = kCellWeight * static_cast<double>(part.window.cell_count()) +
+               kPipEdgeWeight * edge_tests;
   }
   return costs;
 }

@@ -18,22 +18,14 @@
 
 namespace zh {
 
-/// Relative per-unit weights of the cost terms. The defaults mirror the
-/// PerfModel rate ratio between per-cell histogramming (Steps 0+1) and
-/// per-cell PIP edge tests (Step 4).
-struct PartitionCostModel {
-  double cell_weight = 1.0;       ///< per raster cell (Steps 0-1)
-  double pip_edge_weight = 0.09;  ///< per PIP edge evaluation (Step 4)
-};
-
 /// Estimated cost of each partition: runs the Step-2 pairing over the
 /// partition's tile grid (exact, cheap -- no cell data touched) and
-/// charges cells + projected PIP edge tests.
+/// charges 1 per raster cell (Steps 0-1) plus 0.09 per projected PIP
+/// edge test (Step 4), the PerfModel rate ratio between the two.
 [[nodiscard]] std::vector<double> estimate_partition_costs(
     const std::vector<RasterPartition>& parts,
     const std::vector<GeoTransform>& raster_transforms,
-    std::int64_t tile_size, const PolygonSet& polygons,
-    const PartitionCostModel& model = {});
+    std::int64_t tile_size, const PolygonSet& polygons);
 
 /// LPT greedy: sort partitions by cost descending, place each on the
 /// currently least-loaded rank. Mutates owners. Costs must be finite

@@ -3,9 +3,9 @@
 // Two kernels read tile cells:
 //
 //  * CellAggrKernel (tile_histograms[_into]) -- the paper's kernel: one
-//    device block per raster tile; the block's virtual threads zero the
-//    tile's bins, then stride over the tile's cells updating bins with
-//    atomic adds. The reproduction benches (Step-1 ablations) time it.
+//    device block per raster tile, which loops over the tile's cells
+//    updating its bins with atomic adds. The reproduction benches
+//    (Step-1 ablations) time it.
 //  * ZoneHistKernel (count_inside_tiles) -- what the executor runs: the
 //    paper's Steps 1 and 3 fused. Each block reads the cells of one
 //    zone's completely-inside tiles and counts them straight into the
@@ -16,7 +16,9 @@
 // API total).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 #include "core/histogram.hpp"
@@ -33,7 +35,7 @@ namespace zh {
 /// histograms merged afterwards, impractical for large bin counts).
 enum class CountMode {
   kAtomic,      ///< atomicAdd into the per-tile histogram (paper default)
-  kPrivatized,  ///< per-virtual-thread histograms, merged per block
+  kPrivatized,  ///< 256 per-thread histograms per tile, merged after
 };
 
 /// Compute per-tile histograms for every tile of `tiling` over `raster`
@@ -47,14 +49,32 @@ void tile_histograms_into(Device& device, const DemRaster& raster,
                           CountMode mode, HistogramSet& out,
                           CellOrder order = CellOrder::kRowMajor);
 
+/// One block of the inside count: inside tiles tid_v[pos, pos + num) of
+/// zone `pid`. An owned chunk is the zone's whole group and increments
+/// the zone row directly; a split chunk counts into a private row first.
+struct ZoneChunk {
+  PolygonId pid;
+  bool owned;
+  std::uint64_t pos;
+  std::uint64_t num;
+};
+
+/// The blocks count_inside_tiles launches on a pool of `workers`
+/// threads: one owned chunk per group of `inside`, except that a group
+/// holding more than its share of the inside tiles (pairs / workers,
+/// rounded up) splits into near-equal contiguous chunks of at most that
+/// share.
+[[nodiscard]] std::vector<ZoneChunk> plan_zone_chunks(
+    const PolygonTileGroups& inside, std::size_t workers);
+
 /// Steps 1 and 3 fused: count the cells of every inside (zone, tile)
 /// pair of `inside` straight into the zone's row of `per_zone`
 /// (accumulates, does not clear). A tile inside two zones is read once
-/// per zone. A group holding more than its share of the inside tiles
-/// (pairs / pool threads) is split into contiguous chunks; each chunk
-/// counts into a private row and adds it into the zone row once, with
-/// atomic adds. Unsplit groups own their row and use plain increments,
-/// so each zone must head at most one group (make_plan asserts it).
+/// per zone. One block runs per chunk of plan_zone_chunks on the
+/// device's pool; a split chunk counts into a private row and adds it
+/// into the zone row once, with atomic adds. Unsplit groups own their
+/// row and use plain increments, so each zone must head at most one
+/// group (make_plan asserts it).
 /// Returns the values clamped into the top bin, once per (cell, zone).
 [[nodiscard]] std::uint64_t count_inside_tiles(
     Device& device, const DemRaster& raster, const TilingScheme& tiling,

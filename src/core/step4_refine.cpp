@@ -46,31 +46,30 @@ struct LocalCounters {
 /// sentinel-free edge count the PiP loop actually evaluates per cell.
 /// `Update` injects plain or atomic adds.
 template <typename Update>
-void refine_tile(const RefineCtx& ctx, const BlockContext& block,
-                 const CellWindow& w, std::uint32_t p_f, std::uint32_t p_t,
+void refine_tile(const RefineCtx& ctx, const CellWindow& w,
+                 std::uint32_t p_f, std::uint32_t p_t,
                  std::uint32_t tested_edges, BinCount* out,
                  LocalCounters& local, Update update) {
   const double* x_v = ctx.soa->x_v().data();
   const double* y_v = ctx.soa->y_v().data();
   const GeoTransform& t = ctx.raster->transform();
-  const std::size_t n = static_cast<std::size_t>(w.cell_count());
-  block.strided(n, [&](std::size_t p) {
-    const std::int64_t r = w.row0 + static_cast<std::int64_t>(p) / w.cols;
-    const std::int64_t c = w.col0 + static_cast<std::int64_t>(p) % w.cols;
-    const GeoPoint center = t.cell_center(r, c);
-    ++local.cell_tests;
-    local.edge_tests += tested_edges;
-    if (point_in_polygon_soa_raw(x_v, y_v, p_f, p_t, center.x, center.y)) {
-      const std::size_t cell = static_cast<std::size_t>(r * ctx.cols + c);
-      ZH_DCHECK_BOUNDS(cell, ctx.cells.size());
-      const CellValue v = ctx.cells[cell];
-      if (ctx.nodata && v == *ctx.nodata) return;
-      const BinIndex b = bin_index(v, ctx.bins, local.clamped);
-      ZH_DCHECK_BOUNDS(b, ctx.bins);
-      update(&out[b]);
-      ++local.counted;
+  for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
+    for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
+      const GeoPoint center = t.cell_center(r, c);
+      ++local.cell_tests;
+      local.edge_tests += tested_edges;
+      if (point_in_polygon_soa_raw(x_v, y_v, p_f, p_t, center.x, center.y)) {
+        const std::size_t cell = static_cast<std::size_t>(r * ctx.cols + c);
+        ZH_DCHECK_BOUNDS(cell, ctx.cells.size());
+        const CellValue v = ctx.cells[cell];
+        if (ctx.nodata && v == *ctx.nodata) continue;
+        const BinIndex b = bin_index(v, ctx.bins, local.clamped);
+        ZH_DCHECK_BOUNDS(b, ctx.bins);
+        update(&out[b]);
+        ++local.counted;
+      }
     }
-  });
+  }
 }
 
 /// Scanline: classify tile `w` against polygon `pid` row by row. Each
@@ -81,21 +80,20 @@ void refine_tile(const RefineCtx& ctx, const BlockContext& block,
 /// y is the one the brute path tests, and the intercepts come from
 /// scanline_crossing, the function the brute path calls.
 template <typename Update>
-void refine_tile_scanline(const RefineCtx& ctx, const BlockContext& block,
-                          const CellWindow& w, PolygonId pid, BinCount* out,
+void refine_tile_scanline(const RefineCtx& ctx, const CellWindow& w,
+                          PolygonId pid, BinCount* out,
                           LocalCounters& local, std::vector<double>& xints,
                           Update update) {
   const double* x_v = ctx.soa->x_v().data();
   const double* y_v = ctx.soa->y_v().data();
   const GeoTransform& t = ctx.raster->transform();
-  block.strided(static_cast<std::size_t>(w.rows), [&](std::size_t p) {
-    const std::int64_t r = w.row0 + static_cast<std::int64_t>(p);
+  for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
     ++local.rows_scanned;
     local.cell_tests += static_cast<std::uint64_t>(w.cols);
     local.run_cells += static_cast<std::uint64_t>(w.cols);
     const std::span<const std::uint32_t> band = ctx.index->row_edges(pid, r);
     local.edge_tests += band.size();
-    if (band.empty()) return;  // zero crossings: the whole row is outside
+    if (band.empty()) continue;  // zero crossings: the whole row is outside
 
     const double py = t.cell_center(r, w.col0).y;
     xints.clear();
@@ -141,7 +139,7 @@ void refine_tile_scanline(const RefineCtx& ctx, const BlockContext& block,
       }
       c = run_end;
     }
-  });
+  }
 }
 
 }  // namespace
@@ -219,11 +217,8 @@ RefineCounters refine_boundary_tiles(Device& device,
     case RefineGranularity::kPolygonGroup:
       // pip_test_kernel analog (Fig. 5 right): block idx -> (pid, num,
       // pos); plain adds -- the block owns the polygon's output row.
-      device.launch_named(
-          "pip_test_kernel",
-          static_cast<std::uint32_t>(intersect.group_count()),
-          [&](const BlockContext& block) {
-            const std::size_t idx = block.block_id();
+      device.launch(
+          intersect.group_count(), [&](std::size_t idx) {
             ZH_DCHECK_BOUNDS(idx, intersect.group_count());
             const PolygonId pid = intersect.pid_v[idx];
             const std::uint64_t num = intersect.num_v[idx];
@@ -242,11 +237,11 @@ RefineCounters refine_boundary_tiles(Device& device,
               const CellWindow w =
                   tiling.tile_window(intersect.tid_v[pos + k]);
               if (scanline) {
-                refine_tile_scanline(ctx, block, w, pid, out, local, xints,
+                refine_tile_scanline(ctx, w, pid, out, local, xints,
                                      [](BinCount* slot) { *slot += 1; });
               } else {
-                refine_tile(ctx, block, w, p_f, p_t, group_edges[idx], out,
-                            local, [](BinCount* slot) { *slot += 1; });
+                refine_tile(ctx, w, p_f, p_t, group_edges[idx], out, local,
+                            [](BinCount* slot) { *slot += 1; });
               }
             }
             flush(local);
@@ -265,11 +260,8 @@ RefineCounters refine_boundary_tiles(Device& device,
           pair_edges[intersect.pos_v[g] + k] = group_edges[g];
         }
       }
-      device.launch_named(
-          "pip_test_kernel_pairwise",
-          static_cast<std::uint32_t>(intersect.pair_count()),
-          [&](const BlockContext& block) {
-            const std::size_t idx = block.block_id();
+      device.launch(
+          intersect.pair_count(), [&](std::size_t idx) {
             ZH_DCHECK_BOUNDS(idx, pair_pid.size());
             const PolygonId pid = pair_pid[idx];
             ZH_DCHECK_BOUNDS(pid, polygon_hist.groups());
@@ -281,11 +273,11 @@ RefineCounters refine_boundary_tiles(Device& device,
             LocalCounters local;
             if (scanline) {
               std::vector<double> xints;
-              refine_tile_scanline(ctx, block, w, pid, out, local, xints,
+              refine_tile_scanline(ctx, w, pid, out, local, xints,
                                    [](BinCount* slot) { atomic_add(slot); });
             } else {
-              refine_tile(ctx, block, w, p_f, p_t, pair_edges[idx], out,
-                          local, [](BinCount* slot) { atomic_add(slot); });
+              refine_tile(ctx, w, p_f, p_t, pair_edges[idx], out, local,
+                          [](BinCount* slot) { atomic_add(slot); });
             }
             flush(local);
           });

@@ -1,7 +1,5 @@
 #include "device/device.hpp"
 
-#include <thread>
-
 namespace zh {
 
 DeviceProfile DeviceProfile::quadro6000() {
@@ -37,20 +35,6 @@ DeviceProfile DeviceProfile::k20() {
       .mem_bandwidth_gbs = 208.0,
       .pcie_bandwidth_gbs = 2.5,
       .device_memory_gb = 5.0,
-  };
-}
-
-DeviceProfile DeviceProfile::host() {
-  unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  return DeviceProfile{
-      .name = "Host CPU emulation",
-      .architecture = "Host",
-      .cuda_cores = n,
-      .core_clock_ghz = 2.0,
-      .mem_bandwidth_gbs = 20.0,
-      .pcie_bandwidth_gbs = 20.0,
-      .device_memory_gb = 8.0,
   };
 }
 

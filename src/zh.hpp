@@ -2,7 +2,7 @@
 //
 // Typical usage (see examples/quickstart.cpp):
 //
-//   zh::Device device;                       // virtual GPU
+//   zh::Device device;   // virtual GPU: one pool task per kernel block
 //   zh::ZonalPipeline pipe(device, {.tile_size = 360, .bins = 5000});
 //   zh::ZonalResult r = pipe.run(raster, counties);
 //   auto stats = zh::stats_from_histogram(r.per_polygon.of(0));

@@ -246,7 +246,6 @@ TEST_F(CheckpointResume, AllPartitionsResumedSkipsEveryDispatch) {
                         resume_config(sc, 3, load));
   EXPECT_EQ(r.merged, sc.reference());
   EXPECT_EQ(r.partitions_skipped, 4u);
-  EXPECT_TRUE(r.incomplete_partitions.empty());
 }
 
 TEST_F(CheckpointResume, SingleRankResumeWorks) {

@@ -98,7 +98,7 @@ TEST_F(ContractDeath, CommRejectsRecvFromNonexistentRank) {
 TEST_F(ContractDeath, Step3RejectsTileIdOutsideHistogramSet) {
   EXPECT_DEATH(
       {
-        Device device(DeviceProfile::host());
+        Device device;
         HistogramSet tile_hist(2, 8);
         HistogramSet poly_hist(1, 8);
         PolygonTileGroups inside;

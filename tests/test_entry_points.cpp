@@ -20,6 +20,7 @@
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
+#include "core/step1_tile_hist.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -208,8 +209,9 @@ TEST(EntryPointInputs, OverlappingZonesShareAnInsideTile) {
 
 // Guards the whole-raster input: one zone holds every tile, more than its
 // share on any pool of two or more threads, so the inside count splits
-// it. An explicit 4-thread pool makes the split independent of the host,
-// and the split result must still match the oracle.
+// it. An explicit 4-thread pool makes the split independent of the host:
+// the inside count launches four split chunks there, and the split
+// result must still match the oracle.
 TEST(EntryPointInputs, WholeRasterZoneTakesSplitPath) {
   const DemRaster raster = nodata_raster();
   const PolygonSet z = whole_raster_zone();
@@ -218,10 +220,13 @@ TEST(EntryPointInputs, WholeRasterZoneTakesSplitPath) {
   EXPECT_EQ(plan.pairing.inside.pair_count(), plan.tiling.tile_count());
 
   ThreadPool pool(4);
-  Device dev(DeviceProfile::host(), &pool);
+  Device dev(DeviceProfile::gtx_titan(), &pool);
+  const std::vector<ZoneChunk> chunks =
+      plan_zone_chunks(plan.pairing.inside, dev.concurrency());
+  ASSERT_EQ(chunks.size(), 4u);
+  for (const ZoneChunk& chunk : chunks) EXPECT_FALSE(chunk.owned);
   EXPECT_EQ(ZonalPipeline(dev, kConfig).run(raster, z).per_polygon,
             zonal_scanline(raster, z, kBins));
-  EXPECT_EQ(dev.kernel_profiles().at("ZoneHistKernel").blocks, 4u);
 }
 
 // A zone with a far but finite vertex keeps its cells on every path. The

@@ -1,7 +1,7 @@
 // End-to-end checks of the zhist binary built alongside this suite:
-// command dispatch and usage text, flag-value checks, the outputs of the
-// .bq and catalog paths, run reports checked by validate_obs, and the
-// flag checks of zh_trace.
+// command dispatch and usage text, flag-value and batch-spec checks, the
+// outputs of the .bq and catalog paths, run reports checked by
+// validate_obs, and the flag checks of zh_trace.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -231,6 +231,84 @@ TEST_F(ZhistCli, RejectsFlagValuesThatWouldWrap) {
   EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
   EXPECT_NE(slurp(path("err.txt")).find("unknown flag: --checkpoint-interval"),
             std::string::npos);
+}
+
+TEST_F(ZhistCli, QuerySpecIsCheckedBeforeAnyFile) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(24, 24, 3, 50,
+                                  GeoTransform(0.0, 2.4, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        2, GeoBox{0.2, 0.2, 2.2, 2.2}, 5, false));
+  const std::string raster = "\"raster\": \"" + path("r.zgrid") + "\"";
+  const std::string zones = "\"zones\": \"" + path("zones.tsv") + "\"";
+  const std::string out = "\"out\": \"" + path("out.csv") + "\"";
+  const std::string good = "{" + raster + ", " + zones + ", " + out + "}";
+  // Each spec and the key its one-line error names.
+  const std::pair<std::string, std::string> cases[] = {
+      // A non-string "out" must not mean "no CSV".
+      {"{\"queries\": [{" + raster + ", " + zones + ", \"out\": 7}]}",
+       "\"out\""},
+      // Unknown keys, at the top level and in a query, must not be
+      // ignored.
+      {"{\"tiles\": 8, \"queries\": [" + good + "]}", "\"tiles\""},
+      {"{\"queries\": [{" + raster + ", " + zones + ", " + out +
+           ", \"bin\": 16}]}",
+       "\"bin\""},
+      // A bad second query stops the run before the first query's
+      // raster is read or its CSV opened.
+      {"{\"queries\": [" + good + ", {" + raster +
+           ", \"zone\": \"z.tsv\"}]}",
+       "\"zone\""},
+  };
+  int specs = 0;
+  for (const auto& [spec, key] : cases) {
+    SCOPED_TRACE(spec);
+    const std::string file = path("q" + std::to_string(specs++) + ".json");
+    std::ofstream(file) << spec;
+    EXPECT_EQ(zhist("query --batch '" + file + "' --metrics '" +
+                        path("m.json") + "'",
+                    path("err.txt")),
+              1);
+    EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
+    EXPECT_FALSE(std::filesystem::exists(path("m.json")));
+    const std::string err = slurp(path("err.txt"));
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+  std::ofstream(path("good.json")) << "{\"tile\": 8, \"queries\": [" + good +
+                                          "]}";
+  EXPECT_EQ(zhist("query --batch '" + path("good.json") + "'"), 0);
+  EXPECT_TRUE(std::filesystem::exists(path("out.csv")));
+}
+
+TEST_F(ZhistCli, ReportShowsThePartitionSchemaThatRan) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(48, 48, 4, 60,
+                                  GeoTransform(0.0, 4.8, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        5, GeoBox{0.3, 0.3, 4.5, 4.5}, 6, true));
+  const std::string hist = "hist '" + path("r.zgrid") + "' '" +
+                           path("zones.tsv") + "' --bins 64 --tile 8 -o '" +
+                           path("h.csv") + "' --metrics '" + path("m.json") +
+                           "' ";
+  // Without --partitions, the cluster driver runs one stripe per rank.
+  const std::pair<std::string, std::string> cases[] = {
+      {"", "1x1"},
+      {"--ranks 3", "3x1"},
+      {"--ranks 2 --partitions 2x3", "2x3"},
+  };
+  for (const auto& [flags, schema] : cases) {
+    SCOPED_TRACE(flags);
+    ASSERT_EQ(zhist(hist + flags), 0);
+    const obs::JsonValue report = obs::parse_json_file(path("m.json"));
+    const obs::JsonValue* config = report.find("config");
+    ASSERT_NE(config, nullptr);
+    const obs::JsonValue* partitions = config->find("partitions");
+    ASSERT_NE(partitions, nullptr);
+    EXPECT_EQ(partitions->str, schema);
+  }
 }
 
 TEST_F(ZhistCli, CatalogMatchesOracle) {

@@ -211,7 +211,6 @@ int check_metrics(const std::string& path, long require_ranks) {
         "pip_run_cells",      "cells_in_polygons",
         "values_clamped",     "compressed_bytes",
         "raw_bytes",          "comm_bytes",
-        "incomplete_partitions",
         "journal.records_written",
         "journal.partitions_skipped",
         "journal.resume_ms",

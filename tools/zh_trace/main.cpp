@@ -6,7 +6,6 @@
 //     --min-coverage <frac>    fail unless the critical path tiles at
 //                              least this fraction of the wall time (a
 //                              number from 0 to 1)
-//     --validate-only          only check the flow graph, skip analysis
 //
 // Exit codes: 0 = ok; 1 = invalid flow graph (dangling recv), dropped
 // events, or coverage below threshold; 2 = usage or unreadable input.
@@ -26,7 +25,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: zh_trace <merged_trace.json> [--report out.json] "
-               "[--min-coverage frac] [--validate-only]\n");
+               "[--min-coverage frac]\n");
   return 2;
 }
 
@@ -49,7 +48,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string report_path;
   double min_coverage = 0.0;
-  bool validate_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--report" && i + 1 < argc) {
@@ -58,8 +56,6 @@ int main(int argc, char** argv) {
       const std::optional<double> v = parse_fraction(argv[++i]);
       if (!v) return usage();
       min_coverage = *v;
-    } else if (arg == "--validate-only") {
-      validate_only = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (trace_path.empty()) {
@@ -86,47 +82,44 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(model.dropped_events));
     }
     bool failed = !flows.ok() || model.dropped_events > 0;
-    if (!validate_only) {
-      const zh::trace::CriticalPath cp = zh::trace::critical_path(model);
-      const std::vector<zh::trace::RankStats> ranks =
-          zh::trace::rank_breakdown(model, cp);
+    const zh::trace::CriticalPath cp = zh::trace::critical_path(model);
+    const std::vector<zh::trace::RankStats> ranks =
+        zh::trace::rank_breakdown(model, cp);
 
+    std::printf(
+        "critical path: wall %lld us = work %lld + transit %lld + idle "
+        "%lld (coverage %.4f)\n",
+        static_cast<long long>(cp.wall_us),
+        static_cast<long long>(cp.work_us),
+        static_cast<long long>(cp.transit_us),
+        static_cast<long long>(cp.idle_us), cp.coverage);
+    for (const zh::trace::RankStats& r : ranks) {
       std::printf(
-          "critical path: wall %lld us = work %lld + transit %lld + idle "
-          "%lld (coverage %.4f)\n",
-          static_cast<long long>(cp.wall_us),
-          static_cast<long long>(cp.work_us),
-          static_cast<long long>(cp.transit_us),
-          static_cast<long long>(cp.idle_us), cp.coverage);
-      for (const zh::trace::RankStats& r : ranks) {
-        std::printf(
-            "  rank %3d: %6zu spans, busy %lld us (%.1f%%), comm-wait %lld "
-            "us, crit-work %lld us\n",
-            r.rank, r.span_count, static_cast<long long>(r.busy_us),
-            r.utilization * 100.0, static_cast<long long>(r.comm_wait_us),
-            static_cast<long long>(r.crit_work_us));
+          "  rank %3d: %6zu spans, busy %lld us (%.1f%%), comm-wait %lld "
+          "us, crit-work %lld us\n",
+          r.rank, r.span_count, static_cast<long long>(r.busy_us),
+          r.utilization * 100.0, static_cast<long long>(r.comm_wait_us),
+          static_cast<long long>(r.crit_work_us));
+    }
+    if (!report_path.empty()) {
+      const std::string json =
+          zh::trace::trace_report_json(model, flows, cp, ranks);
+      std::ofstream out(report_path, std::ios::binary | std::ios::trunc);
+      if (!out.good()) {
+        std::fprintf(stderr, "zh_trace: cannot write %s\n",
+                     report_path.c_str());
+        return 2;
       }
-      if (!report_path.empty()) {
-        const std::string json =
-            zh::trace::trace_report_json(model, flows, cp, ranks);
-        std::ofstream out(report_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out.good()) {
-          std::fprintf(stderr, "zh_trace: cannot write %s\n",
-                       report_path.c_str());
-          return 2;
-        }
-        out.write(json.data(), static_cast<std::streamsize>(json.size()));
-        out.flush();
-        std::printf("wrote %s\n", report_path.c_str());
-      }
-      if (cp.coverage + 1e-9 < min_coverage) {
-        std::fprintf(stderr,
-                     "zh_trace: ERROR: critical-path coverage %.4f below "
-                     "required %.4f\n",
-                     cp.coverage, min_coverage);
-        failed = true;
-      }
+      out.write(json.data(), static_cast<std::streamsize>(json.size()));
+      out.flush();
+      std::printf("wrote %s\n", report_path.c_str());
+    }
+    if (cp.coverage + 1e-9 < min_coverage) {
+      std::fprintf(stderr,
+                   "zh_trace: ERROR: critical-path coverage %.4f below "
+                   "required %.4f\n",
+                   cp.coverage, min_coverage);
+      failed = true;
     }
     if (failed) {
       std::fprintf(stderr, "zh_trace: FAILED\n");

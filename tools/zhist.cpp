@@ -39,6 +39,7 @@
 // whole numbers that fit their field and meet its lower bound, --eps
 // one finite number, and --fault-plan a spec FaultPlan::parse accepts;
 // anything else stops the run with exit code 1 before a file is written.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -46,6 +47,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -256,8 +258,11 @@ const char* to_string(RankState state) {
   return state == RankState::kCompleted ? "completed" : "crashed";
 }
 
+// `schema` is the partition grid the run used: 1x1 for one pipeline
+// call, the driver's schema for a cluster run.
 obs::RunReport base_report(const Args& args, std::int64_t rows,
-                           std::int64_t cols, const PolygonSet& zones) {
+                           std::int64_t cols, const PolygonSet& zones,
+                           std::pair<int, int> schema) {
   obs::RunReport report;
   report.tool = "zhist hist";
   report.workload = args.positional[0] + " + " + args.positional[1];
@@ -270,8 +275,8 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
       {"refine", args.refine == RefineStrategy::kBrute      ? "brute"
                  : args.refine == RefineStrategy::kScanline ? "scanline"
                                                             : "auto"},
-      {"partitions", std::to_string(args.part_rows) + "x" +
-                         std::to_string(args.part_cols)},
+      {"partitions", std::to_string(schema.first) + "x" +
+                         std::to_string(schema.second)},
       {"ranks", std::to_string(args.ranks)},
   };
   if (!args.fault_plan.empty()) {
@@ -304,9 +309,9 @@ void write_outputs(const Args& args, const HistogramSet& hist,
   }
 }
 
-// The body of `zhist hist`: returns its exit code and, when `with_obs`,
-// fills `report` for finish_obs.
-int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
+// The body of `zhist hist`: when `with_obs`, fills `report` for
+// finish_obs.
+void run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
   const std::string& path = args.positional[0];
   const bool cluster = args.ranks > 1 || args.part_rows > 1 ||
                        args.part_cols > 1 || !args.fault_plan.empty() ||
@@ -390,9 +395,8 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
 
     const ClusterRunResult cres =
         run_cluster_zonal(rasters, schemas, zones, cfg);
-    std::fprintf(stderr, "cluster: %zu ranks, %.2f s wall%s\n", cfg.ranks,
-                 cres.wall_seconds,
-                 cres.degraded ? " [DEGRADED: incomplete partitions]" : "");
+    std::fprintf(stderr, "cluster: %zu ranks, %.2f s wall\n", cfg.ranks,
+                 cres.wall_seconds);
     std::fprintf(stderr, "%-6s %-10s %10s %10s\n", "rank", "state",
                  "completed", "reassigned");
     for (std::size_t r = 0; r < cres.rank_outcomes.size(); ++r) {
@@ -403,7 +407,7 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     write_outputs(args, cres.merged,
                   [&]() -> const PolygonSet& { return zones; });
     if (with_obs) {
-      report = base_report(args, rows, cols, zones);
+      report = base_report(args, rows, cols, zones, schemas[0]);
       // Per-step times reduce as max over ranks -- the paper's "longest
       // runtime among all the nodes" convention.
       for (const StepTimes& t : cres.per_rank) {
@@ -412,8 +416,6 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       report.has_times = true;
       append_work_counters(report, cres.work);
       report.counters.emplace_back("comm_bytes", cres.comm_bytes);
-      report.counters.emplace_back("incomplete_partitions",
-                                   cres.incomplete_partitions.size());
       if (journal.has_value()) {
         report.config.emplace_back("checkpoint_dir", args.checkpoint_dir);
         report.config.emplace_back("resume", args.resume ? "1" : "0");
@@ -437,7 +439,7 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
         report.rank_states.push_back(to_string(cres.rank_outcomes[r].state));
       }
     }
-    return cres.degraded ? 1 : 0;
+    return;
   }
 
   Device device;
@@ -453,12 +455,11 @@ int run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
   write_outputs(args, result.per_polygon,
                 [&]() -> const PolygonSet& { return zones; });
   if (with_obs) {
-    report = base_report(args, rows, cols, zones);
+    report = base_report(args, rows, cols, zones, {1, 1});
     report.times = result.times;
     report.has_times = true;
     append_work_counters(report, result.work);
   }
-  return 0;
 }
 
 int cmd_hist(const Args& args) {
@@ -474,15 +475,14 @@ int cmd_hist(const Args& args) {
                           !args.checkpoint_dir.empty());
   const bool with_obs = setup_obs(args);
   obs::RunReport report;
-  int rc = 0;
   {
     // One root span over the whole run, closed before the trace is
     // written, so the trace's longest span is the run itself.
     ZH_TRACE_SPAN("zhist.hist", "cli");
-    rc = run_hist(args, with_obs, report);
+    run_hist(args, with_obs, report);
   }
   if (with_obs) finish_obs(args, report);
-  return rc;
+  return 0;
 }
 
 int cmd_encode(const Args& args) {
@@ -575,29 +575,84 @@ int cmd_catalog(const Args& args) {
   return 0;
 }
 
+// Throw InvalidArgument naming the first member of `object` whose key is
+// not in `allowed`; `where` names the object in the message.
+void require_known_keys(const obs::JsonValue& object,
+                        std::initializer_list<std::string_view> allowed,
+                        const std::string& where) {
+  for (const auto& [key, value] : object.obj) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      throw InvalidArgument(where + ": unknown key \"" + key + "\"");
+    }
+  }
+}
+
+// The member `key` of `object` as a string: nullopt when absent, and an
+// InvalidArgument when it is not a JSON string.
+std::optional<std::string> json_string(const obs::JsonValue& object,
+                                       const std::string& key,
+                                       const std::string& where) {
+  const obs::JsonValue* value = object.find(key);
+  if (value == nullptr) return std::nullopt;
+  if (!value->is_string()) {
+    throw InvalidArgument(where + " \"" + key + "\": not a JSON string");
+  }
+  return value->str;
+}
+
 // Batch spec (parsed with the strict obs JSON reader):
 //   {"tile": 360,                      // optional, overrides --tile
 //    "queries": [{"raster": "dem.zgrid", "zones": "zones.tsv",
 //                 "bins": 100, "out": "q0.csv"}, ...]}
-// Rasters and zone layers are deduplicated by path, so repeated paths
-// load once.
+// Each query needs "raster" and "zones" paths; "bins" (overrides --bins)
+// and "out" (the query's CSV) are optional. Every key and value is
+// checked before any file is read or written: an unknown key or a value
+// of the wrong type stops the run with exit code 1. Rasters and zone
+// layers are deduplicated by path, so repeated paths load once.
 int cmd_query(const Args& args) {
   if (args.batch.empty() || !args.positional.empty()) usage();
-  const bool with_obs = setup_obs(args);
   const obs::JsonValue spec = obs::parse_json_file(args.batch);
   ZH_REQUIRE(spec.is_object(), "batch spec must be a JSON object: ",
              args.batch);
-  const obs::JsonValue* queries = spec.find("queries");
-  ZH_REQUIRE(queries != nullptr && queries->is_array() &&
-                 !queries->arr.empty(),
-             "batch spec needs a non-empty \"queries\" array");
-
+  require_known_keys(spec, {"tile", "queries"}, "batch spec");
   QueryEngineConfig cfg;
   cfg.tile_size = args.tile;
   cfg.refine_strategy = args.refine;
   if (const obs::JsonValue* t = spec.find("tile"); t != nullptr) {
     cfg.tile_size = json_int("\"tile\"", *t, std::int64_t{1});
   }
+  const obs::JsonValue* queries = spec.find("queries");
+  ZH_REQUIRE(queries != nullptr && queries->is_array() &&
+                 !queries->arr.empty(),
+             "batch spec needs a non-empty \"queries\" array");
+  struct QuerySpec {
+    std::string raster;
+    std::string zones;
+    BinIndex bins;
+    std::optional<std::string> out;
+  };
+  std::vector<QuerySpec> specs;
+  specs.reserve(queries->arr.size());
+  for (std::size_t i = 0; i < queries->arr.size(); ++i) {
+    const obs::JsonValue& q = queries->arr[i];
+    const std::string where = "query " + std::to_string(i);
+    ZH_REQUIRE(q.is_object(), where, " must be a JSON object");
+    require_known_keys(q, {"raster", "zones", "bins", "out"}, where);
+    QuerySpec qs;
+    const std::optional<std::string> raster = json_string(q, "raster", where);
+    const std::optional<std::string> zones = json_string(q, "zones", where);
+    ZH_REQUIRE(raster.has_value(), where, " needs a \"raster\" path");
+    ZH_REQUIRE(zones.has_value(), where, " needs a \"zones\" path");
+    qs.raster = *raster;
+    qs.zones = *zones;
+    qs.bins = args.bins;
+    if (const obs::JsonValue* bins = q.find("bins"); bins != nullptr) {
+      qs.bins = json_int(where + " \"bins\"", *bins, BinIndex{1});
+    }
+    qs.out = json_string(q, "out", where);
+    specs.push_back(std::move(qs));
+  }
+  const bool with_obs = setup_obs(args);
 
   // Load each distinct path once. Deques keep element addresses stable
   // as they grow; the engine and queries hold pointers into them.
@@ -608,49 +663,31 @@ int cmd_query(const Args& args) {
 
   Device device;
   QueryEngine engine(device, cfg);
-  struct QuerySpec {
+  std::vector<ZonalQuery> plan;
+  plan.reserve(specs.size());
+  for (const QuerySpec& qs : specs) {
     ZonalQuery query;
-    std::string out;
-  };
-  std::vector<QuerySpec> plan;
-  plan.reserve(queries->arr.size());
-  for (std::size_t i = 0; i < queries->arr.size(); ++i) {
-    const obs::JsonValue& q = queries->arr[i];
-    ZH_REQUIRE(q.is_object(), "query ", i, " must be a JSON object");
-    const obs::JsonValue* raster = q.find("raster");
-    const obs::JsonValue* zones = q.find("zones");
-    ZH_REQUIRE(raster != nullptr && raster->is_string(), "query ", i,
-               " needs a \"raster\" path");
-    ZH_REQUIRE(zones != nullptr && zones->is_string(), "query ", i,
-               " needs a \"zones\" path");
-    QuerySpec qs;
-    if (const auto it = raster_by_path.find(raster->str);
+    if (const auto it = raster_by_path.find(qs.raster);
         it != raster_by_path.end()) {
-      qs.query.raster = it->second;
+      query.raster = it->second;
     } else {
-      rasters.push_back(load_raster(raster->str));
-      qs.query.raster = engine.add_raster(rasters.back());
-      raster_by_path.emplace(raster->str, qs.query.raster);
+      rasters.push_back(load_raster(qs.raster));
+      query.raster = engine.add_raster(rasters.back());
+      raster_by_path.emplace(qs.raster, query.raster);
     }
-    if (const auto it = zones_by_path.find(zones->str);
+    if (const auto it = zones_by_path.find(qs.zones);
         it != zones_by_path.end()) {
-      qs.query.zones = it->second;
+      query.zones = it->second;
     } else {
-      zone_layers.push_back(read_polygon_tsv(zones->str));
-      qs.query.zones = &zone_layers.back();
-      zones_by_path.emplace(zones->str, qs.query.zones);
+      zone_layers.push_back(read_polygon_tsv(qs.zones));
+      query.zones = &zone_layers.back();
+      zones_by_path.emplace(qs.zones, query.zones);
     }
-    qs.query.bins = args.bins;
-    if (const obs::JsonValue* bins = q.find("bins"); bins != nullptr) {
-      qs.query.bins = json_int("query " + std::to_string(i) + " \"bins\"",
-                               *bins, BinIndex{1});
-    }
-    if (const obs::JsonValue* out = q.find("out");
-        out != nullptr && out->is_string()) {
-      qs.out = out->str;
-      require_writable(qs.out);
-    }
-    plan.push_back(std::move(qs));
+    query.bins = qs.bins;
+    plan.push_back(query);
+  }
+  for (const QuerySpec& qs : specs) {
+    if (qs.out) require_writable(*qs.out);
   }
 
   std::fprintf(stderr,
@@ -663,16 +700,16 @@ int cmd_query(const Args& args) {
   StepTimes total_times;
   WorkCounters total_work;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    const QueryResult r = engine.run(plan[i].query);
+    const QueryResult r = engine.run(plan[i]);
     for (std::size_t st = 0; st < StepTimes::kSteps; ++st) {
       total_times.seconds[st] += r.times.seconds[st];
     }
     total_work += r.work;
     std::fprintf(stderr, "query %zu: %zu zones, steps %.3f s\n", i,
                  r.per_polygon.groups(), r.times.step_total());
-    if (!plan[i].out.empty()) {
-      write_histogram_csv(plan[i].out, r.per_polygon);
-      std::fprintf(stderr, "wrote %s\n", plan[i].out.c_str());
+    if (const std::optional<std::string>& out = specs[i].out) {
+      write_histogram_csv(*out, r.per_polygon);
+      std::fprintf(stderr, "wrote %s\n", out->c_str());
     }
   }
   std::fprintf(stderr, "batch done: %.2f s\n", timer.seconds());

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -83,92 +84,44 @@ class Cluster {
     box.cv.notify_all();
   }
 
-  /// Deadline-bounded matching receive. kRankDead is only reported when
-  /// nothing from `src` is pending or in flight, so messages sent before
-  /// a crash remain receivable.
-  [[nodiscard]] Status await(RankId dst, RankId src, int tag,
-                             Deadline deadline, std::vector<std::byte>& out,
-                             std::uint64_t& flow_id) {
-    ZH_ASSERT(src < ranks_, "recv from rank ", src,
-              " which is outside the cluster of ", ranks_, " ranks");
+  /// The one receive loop: waits up to `deadline` for the first visible
+  /// message in `dst`'s mailbox that `match` accepts and moves it into
+  /// `out`. A delayed message stays invisible until its release time.
+  /// Given a `src`, the wait ends with kRankDead once that rank is dead
+  /// with nothing matching pending or in flight, so messages sent before
+  /// a crash remain receivable; otherwise only kTimeout, at the
+  /// deadline, ends it unmatched.
+  template <typename Match>
+  [[nodiscard]] StatusCode await(RankId dst, std::optional<RankId> src,
+                                 const Match& match, Deadline deadline,
+                                 Message& out) {
     Mailbox& box = mailboxes_[dst];
     std::unique_lock lock(box.mutex);
     for (;;) {
       const Clock::time_point now = Clock::now();
+      // Release time of the first held-back match; max() if none.
       Clock::time_point earliest = Clock::time_point::max();
-      bool future_match = false;
       for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-        if (it->src != src || it->tag != tag) continue;
+        if (!match(*it)) continue;
         if (it->visible_at > now) {
-          future_match = true;
           earliest = std::min(earliest, it->visible_at);
           continue;
         }
         ZH_ASSERT(it->framed_size == it->payload.size(),
                   "message framing corrupted in mailbox");
-        if (!delays_) check_fifo_order(box, src, tag, it->seq);
-        out = std::move(it->payload);
-        flow_id = it->flow_id;
+        if (!delays_) check_fifo_order(box, it->src, it->tag, it->seq);
+        out = std::move(*it);
         box.queue.erase(it);
-        return Status::ok();
+        return StatusCode::kOk;
       }
-      if (!future_match && dead_[src].load(std::memory_order_acquire)) {
-        return Status::error(
-            StatusCode::kRankDead,
-            detail::format_parts("rank ", dst, ": recv from rank ", src,
-                                 " tag ", tag,
-                                 ": peer is dead with no message in flight"));
+      const bool in_flight = earliest != Clock::time_point::max();
+      if (src && !in_flight && dead_[*src].load(std::memory_order_acquire)) {
+        return StatusCode::kRankDead;
       }
       if (!deadline.is_never() && now >= deadline.when()) {
-        return Status::error(
-            StatusCode::kTimeout,
-            detail::format_parts("rank ", dst, ": recv from rank ", src,
-                                 " tag ", tag, " timed out"));
+        return StatusCode::kTimeout;
       }
-      Clock::time_point wake = deadline.when();
-      if (future_match) wake = std::min(wake, earliest);
-      if (wake == Clock::time_point::max()) {
-        box.cv.wait(lock);
-      } else {
-        box.cv.wait_until(lock, wake);
-      }
-    }
-  }
-
-  /// First visible message from any source with a tag in `tags`.
-  [[nodiscard]] Status await_any(RankId dst, std::span<const int> tags,
-                                 Deadline deadline, AnyMessage& out,
-                                 std::uint64_t& flow_id) {
-    Mailbox& box = mailboxes_[dst];
-    std::unique_lock lock(box.mutex);
-    for (;;) {
-      const Clock::time_point now = Clock::now();
-      Clock::time_point earliest = Clock::time_point::max();
-      bool future_match = false;
-      for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-        const bool tag_match =
-            std::find(tags.begin(), tags.end(), it->tag) != tags.end();
-        if (!tag_match) continue;
-        if (it->visible_at > now) {
-          future_match = true;
-          earliest = std::min(earliest, it->visible_at);
-          continue;
-        }
-        out.src = it->src;
-        out.tag = it->tag;
-        out.payload = std::move(it->payload);
-        flow_id = it->flow_id;
-        box.queue.erase(it);
-        return Status::ok();
-      }
-      if (!deadline.is_never() && now >= deadline.when()) {
-        return Status::error(
-            StatusCode::kTimeout,
-            detail::format_parts("rank ", dst,
-                                 ": recv_any timed out with no message"));
-      }
-      Clock::time_point wake = deadline.when();
-      if (future_match) wake = std::min(wake, earliest);
+      const Clock::time_point wake = std::min(deadline.when(), earliest);
       if (wake == Clock::time_point::max()) {
         box.cv.wait(lock);
       } else {
@@ -310,18 +263,45 @@ void Communicator::send_bytes(RankId dst, int tag,
 Status Communicator::recv_bytes(RankId src, int tag, Deadline deadline,
                                 std::vector<std::byte>& out) {
   ZH_TRACE_SPAN("comm.recv", "comm");
-  std::uint64_t flow_id = 0;
-  const Status s = cluster_->await(rank_, src, tag, deadline, out, flow_id);
-  if (s.is_ok()) finish_flow(flow_id);
-  return s;
+  ZH_ASSERT(src < size(), "recv from rank ", src,
+            " which is outside the cluster of ", size(), " ranks");
+  Message msg{};
+  const StatusCode code = cluster_->await(
+      rank_, src,
+      [&](const Message& m) { return m.src == src && m.tag == tag; },
+      deadline, msg);
+  if (code != StatusCode::kOk) {
+    return Status::error(
+        code, detail::format_parts(
+                  "rank ", rank_, ": recv from rank ", src, " tag ", tag,
+                  code == StatusCode::kRankDead
+                      ? ": peer is dead with no message in flight"
+                      : " timed out"));
+  }
+  out = std::move(msg.payload);
+  finish_flow(msg.flow_id);
+  return Status::ok();
 }
 
 Status Communicator::recv_any(std::span<const int> tags, Deadline deadline,
                               AnyMessage& out) {
-  std::uint64_t flow_id = 0;
-  const Status s = cluster_->await_any(rank_, tags, deadline, out, flow_id);
-  if (s.is_ok()) finish_flow(flow_id);
-  return s;
+  Message msg{};
+  const StatusCode code = cluster_->await(
+      rank_, std::nullopt,
+      [&](const Message& m) {
+        return std::find(tags.begin(), tags.end(), m.tag) != tags.end();
+      },
+      deadline, msg);
+  if (code != StatusCode::kOk) {
+    return Status::error(code, detail::format_parts(
+                                   "rank ", rank_,
+                                   ": recv_any timed out with no message"));
+  }
+  out.src = msg.src;
+  out.tag = msg.tag;
+  out.payload = std::move(msg.payload);
+  finish_flow(msg.flow_id);
+  return Status::ok();
 }
 
 bool Communicator::rank_dead(RankId r) const {

@@ -119,22 +119,23 @@ std::string format_parts(Args&&... args) {
 
 }  // namespace zh
 
-/// Throw InvalidArgument if `cond` is false. The message is only formatted
-/// on failure, so checks stay cheap on the hot path.
+/// Throw InvalidArgument if `cond` is false. The message, formatted only
+/// on failure so checks stay cheap on the hot path, is all the exception
+/// says: these checks refuse inputs, and a refused input is reported by
+/// what was wrong with it, not by where the check sits. (ZH_ASSERT, for
+/// internal invariants, prints its source location.)
 #define ZH_REQUIRE(cond, ...)                                       \
   do {                                                              \
     if (!(cond)) {                                                  \
-      throw ::zh::InvalidArgument(::zh::detail::format_parts(       \
-          __FILE__, ":", __LINE__, ": requirement failed: ", #cond, \
-          " -- ", __VA_ARGS__));                                    \
+      throw ::zh::InvalidArgument(                                  \
+          ::zh::detail::format_parts(__VA_ARGS__));                 \
     }                                                               \
   } while (false)
 
-/// Throw IoError if `cond` is false.
+/// Throw IoError with the formatted message if `cond` is false.
 #define ZH_REQUIRE_IO(cond, ...)                                      \
   do {                                                                \
     if (!(cond)) {                                                    \
-      throw ::zh::IoError(::zh::detail::format_parts(                 \
-          __FILE__, ":", __LINE__, ": I/O failure: ", __VA_ARGS__));  \
+      throw ::zh::IoError(::zh::detail::format_parts(__VA_ARGS__));   \
     }                                                                 \
   } while (false)

@@ -55,13 +55,16 @@ ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
   plan.pairing = pair_and_group(polygons, tiling, transform);
   plan.zones = polygons.size();
   plan.zone_vertices = polygons.vertex_count();
-  // The inside count increments unsplit zone rows without atomics, which
-  // is safe only if each zone heads one inside group; the Fig.-4
-  // reduce_by_key emits them in strictly increasing zone order.
-  const std::vector<PolygonId>& pids = plan.pairing.inside.pid_v;
-  ZH_ASSERT(std::adjacent_find(pids.begin(), pids.end(),
-                               std::greater_equal<>()) == pids.end(),
-            "a zone heads more than one inside group");
+  // The zone-row kernel increments unsplit zone rows without atomics,
+  // which is safe only if each zone heads one group of a class; the
+  // Fig.-4 grouping emits them in strictly increasing zone order.
+  for (const PolygonTileGroups* groups :
+       {&plan.pairing.inside, &plan.pairing.intersect}) {
+    const std::vector<PolygonId>& pids = groups->pid_v;
+    ZH_ASSERT(std::adjacent_find(pids.begin(), pids.end(),
+                                 std::greater_equal<>()) == pids.end(),
+              "a zone heads more than one group of a class");
+  }
   plan.seconds = timer.seconds();
   return plan;
 }
@@ -90,10 +93,11 @@ void execute_plan(Device& device, const ZonalPlan& plan,
   // count straight into the zone rows, so the paper's per-tile table is
   // never built and Step 3 reads 0. aggregate_bin_adds still carries the
   // paper's Step-3 work, which the performance model charges.
-  work.values_clamped += count_inside_tiles(device, raster, tiling,
-                                            pairing.inside,
-                                            result.per_polygon);
+  const ZoneRowTally inside = count_inside_tiles(
+      device, raster, tiling, pairing.inside, result.per_polygon);
   result.times.seconds[1] += timer.seconds();
+  work.cells_in_polygons += inside.counted;
+  work.values_clamped += inside.clamped;
   work.aggregate_bin_adds +=
       static_cast<std::uint64_t>(pairing.inside.pair_count()) * config.bins;
 
@@ -101,14 +105,14 @@ void execute_plan(Device& device, const ZonalPlan& plan,
   timer.reset();
   const RefineCounters rc = refine_boundary_tiles(
       device, pairing.intersect, soa, raster, tiling, result.per_polygon,
-      config.refine_granularity, config.refine_strategy);
+      RefineGranularity::kPolygonGroup, config.refine_strategy);
   result.times.seconds[4] += timer.seconds();
   work.pip_cell_tests += rc.cell_tests;
   work.pip_edge_tests += rc.edge_tests;
   work.pip_rows_scanned += rc.rows_scanned;
   work.pip_run_cells += rc.run_cells;
+  work.cells_in_polygons += rc.cells_counted;
   work.values_clamped += rc.values_clamped;
-  work.cells_in_polygons += result.per_polygon.total();
 }
 
 namespace {

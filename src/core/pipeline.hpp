@@ -39,8 +39,8 @@ struct ZonalConfig {
   CountMode count_mode = CountMode::kAtomic;
   /// Read by perfbench's Step-1 replay only; the executor ignores it.
   CellOrder cell_order = CellOrder::kRowMajor;
-  RefineGranularity refine_granularity =
-      RefineGranularity::kPolygonGroup;  ///< Step-4 block scheduling
+  /// Read by perfbench's Step-4 replay only; selects nothing.
+  RefineGranularity refine_granularity = RefineGranularity::kPolygonGroup;
   /// Step-4 cell classification path. The paper-reproduction benches pin
   /// kBrute, the kernel PerfModel's Step-4 rate is calibrated on.
   RefineStrategy refine_strategy = RefineStrategy::kAuto;
@@ -62,7 +62,9 @@ struct WorkCounters {
   std::uint64_t pip_edge_tests = 0;     ///< Step 4 edge evaluations
   std::uint64_t pip_rows_scanned = 0;   ///< Step 4 scanline rows (0 = brute)
   std::uint64_t pip_run_cells = 0;      ///< Step 4 run-classified cells
-  std::uint64_t cells_in_polygons = 0;  ///< final attributed cell count
+  /// (cell, zone) attributions the zone-row kernels counted: the sum of
+  /// the zone histograms.
+  std::uint64_t cells_in_polygons = 0;
   /// Of those (cell, zone) attributions, the ones whose value folded
   /// into the top bin (value >= bins): a nonzero count means --bins
   /// is below the raster's value range.

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
 namespace zh {
@@ -25,20 +24,11 @@ QueryResult QueryEngine::run(const ZonalQuery& query) {
   ZH_REQUIRE(query.bins >= 1, "bin count must be positive");
   ZH_TRACE_SPAN("query.run", "query");
 
-  const DemRaster& raster = *rasters_[query.raster];
-  const PolygonSet& zones = *query.zones;
-  const ZonalConfig config{.tile_size = config_.tile_size,
-                           .bins = query.bins,
-                           .refine_granularity = config_.refine_granularity,
-                           .refine_strategy = config_.refine_strategy};
-  ZonalResult r;
-  execute_plan(*device_,
-               make_plan(zones,
-                         TilingScheme(raster.rows(), raster.cols(),
-                                      config.tile_size),
-                         raster.transform()),
-               raster, PolygonSoA::build(zones), config, r);
-
+  ZonalResult r = ZonalPipeline(*device_,
+                                {.tile_size = config_.tile_size,
+                                 .bins = query.bins,
+                                 .refine_strategy = config_.refine_strategy})
+                      .run(*rasters_[query.raster], *query.zones);
   QueryResult result;
   result.per_polygon = std::move(r.per_polygon);
   result.times = r.times;

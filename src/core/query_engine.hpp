@@ -35,8 +35,7 @@ struct TileCacheStats {
 struct QueryEngineConfig {
   /// Tile edge shared by every query.
   std::int64_t tile_size = 360;
-  /// Step-4 settings for every query.
-  RefineGranularity refine_granularity = RefineGranularity::kPolygonGroup;
+  /// Step-4 strategy of every query.
   RefineStrategy refine_strategy = RefineStrategy::kAuto;
 };
 

@@ -1,7 +1,5 @@
 #include "core/step1_tile_hist.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <optional>
 #include <vector>
 
@@ -128,86 +126,24 @@ HistogramSet tile_histograms(Device& device, const DemRaster& raster,
   return hist;
 }
 
-std::vector<ZoneChunk> plan_zone_chunks(const PolygonTileGroups& inside,
-                                        std::size_t workers) {
-  // A group holding more than its share of the inside tiles would run on
-  // one thread while the others idle (a whole-raster AOI, a coarse
-  // zone): split it into near-equal contiguous chunks of at most `share`
-  // tiles.
-  const std::uint64_t threads = std::max<std::uint64_t>(1, workers);
-  const std::uint64_t share = (inside.pair_count() + threads - 1) / threads;
-  std::vector<ZoneChunk> chunks;
-  chunks.reserve(inside.group_count());
-  for (std::size_t g = 0; g < inside.group_count(); ++g) {
-    const PolygonId pid = inside.pid_v[g];
-    const std::uint64_t pos = inside.pos_v[g];
-    const std::uint64_t num = inside.num_v[g];
-    ZH_ASSERT(pos + num <= inside.pair_count(), "group tile slice [", pos,
-              ", ", pos + num, ") exceeds pair count ", inside.pair_count());
-    if (num <= share) {
-      chunks.push_back({pid, true, pos, num});
-      continue;
-    }
-    const std::uint64_t parts = (num + share - 1) / share;
-    for (std::uint64_t k = 0; k < parts; ++k) {
-      const std::uint64_t begin = num * k / parts;
-      const std::uint64_t end = num * (k + 1) / parts;
-      chunks.push_back({pid, false, pos + begin, end - begin});
-    }
-  }
-  return chunks;
-}
-
-std::uint64_t count_inside_tiles(Device& device, const DemRaster& raster,
-                                 const TilingScheme& tiling,
-                                 const PolygonTileGroups& inside,
-                                 HistogramSet& per_zone) {
+ZoneRowTally count_inside_tiles(Device& device, const DemRaster& raster,
+                                const TilingScheme& tiling,
+                                const PolygonTileGroups& inside,
+                                HistogramSet& per_zone) {
   require_matching_tiling(raster, tiling);
-  if (inside.group_count() == 0) return 0;
+  if (inside.group_count() == 0) return {};
   ZH_TRACE_SPAN("step1.zone_hist", "pipeline");
-  for (const PolygonId pid : inside.pid_v) {
-    ZH_REQUIRE(pid < per_zone.groups(), "inside group zone ", pid,
-               " has no histogram row (", per_zone.groups(), " zones)");
-  }
-  const std::vector<ZoneChunk> chunks =
-      plan_zone_chunks(inside, device.concurrency());
-
-  const BinIndex bins = per_zone.bins();
-  const std::optional<CellValue> nodata = raster.nodata();
-  const CellValue* cells = raster.cells().data();
-  const std::int64_t cols = raster.cols();
-  BinCount* rows = per_zone.flat().data();
-  std::atomic<std::uint64_t> clamped_values{0};
-  device.launch(chunks.size(), [&](std::size_t block) {
-    ZH_DCHECK_BOUNDS(block, chunks.size());
-    const ZoneChunk& chunk = chunks[block];
-    BinCount* zone_row = rows + static_cast<std::size_t>(chunk.pid) * bins;
-    std::vector<BinCount> priv;
-    BinCount* out = zone_row;
-    if (!chunk.owned) {
-      priv.assign(bins, 0);
-      out = priv.data();
-    }
-    std::uint64_t clamped = 0;
-    for (std::uint64_t i = chunk.pos; i < chunk.pos + chunk.num; ++i) {
-      const CellWindow w = tiling.tile_window(inside.tid_v[i]);
-      for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
-        const CellValue* row = cells + r * cols + w.col0;
-        for (std::int64_t c = 0; c < w.cols; ++c) {
-          const CellValue v = row[c];
-          if (nodata && v == *nodata) continue;
-          ++out[bin_index(v, bins, clamped)];
+  // Every cell of an inside tile counts.
+  return count_zone_rows(
+      device, raster, inside, per_zone,
+      [&](const ZoneChunk& chunk, ZoneRow& row) {
+        for (std::uint64_t i = chunk.pos; i < chunk.pos + chunk.num; ++i) {
+          const CellWindow w = tiling.tile_window(inside.tid_v[i]);
+          for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
+            row.add_run(r, w.col0, w.col0 + w.cols);
+          }
         }
-      }
-    }
-    if (!chunk.owned) {
-      for (BinIndex b = 0; b < bins; ++b) {
-        if (priv[b] != 0) atomic_add(&zone_row[b], priv[b]);
-      }
-    }
-    clamped_values.fetch_add(clamped, std::memory_order_relaxed);
-  });
-  return clamped_values.load();
+      });
 }
 
 }  // namespace zh

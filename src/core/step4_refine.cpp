@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/zone_rows.hpp"
 #include "geom/edge_index.hpp"
 #include "geom/pip.hpp"
 #include "obs/obs.hpp"
@@ -19,79 +20,56 @@ namespace {
 /// testing the handful of edges per cell.
 constexpr double kAutoEdgeDensity = 8.0;
 
-/// Everything the per-cell test needs, shared by both granularities.
-struct RefineCtx {
-  const PolygonSoA* soa;
-  const DemRaster* raster;
-  const TilingScheme* tiling;
-  const EdgeIndex* index;  ///< null under kBrute
-  std::span<const CellValue> cells;
-  std::int64_t cols;
-  BinIndex bins;
-  std::optional<CellValue> nodata;
-  BinCount* polys;
-};
-
+/// Per-block tallies of the classification work (the cells counted and
+/// clamped are the zone row's).
 struct LocalCounters {
   std::uint64_t cell_tests = 0;
   std::uint64_t edge_tests = 0;
-  std::uint64_t counted = 0;
   std::uint64_t rows_scanned = 0;
   std::uint64_t run_cells = 0;
-  std::uint64_t clamped = 0;
 };
 
-/// Brute force: test every cell of tile `w` against polygon [p_f, p_t),
-/// updating the polygon's histogram row. `tested_edges` is the
+/// Brute force: test every cell of tile `w` against polygon [p_f, p_t)
+/// and count the inside ones into `row`. `tested_edges` is the
 /// sentinel-free edge count the PiP loop actually evaluates per cell.
-/// `Update` injects plain or atomic adds.
-template <typename Update>
-void refine_tile(const RefineCtx& ctx, const CellWindow& w,
-                 std::uint32_t p_f, std::uint32_t p_t,
-                 std::uint32_t tested_edges, BinCount* out,
-                 LocalCounters& local, Update update) {
-  const double* x_v = ctx.soa->x_v().data();
-  const double* y_v = ctx.soa->y_v().data();
-  const GeoTransform& t = ctx.raster->transform();
+void refine_tile(const PolygonSoA& soa, const GeoTransform& t,
+                 const CellWindow& w, std::uint32_t p_f, std::uint32_t p_t,
+                 std::uint32_t tested_edges, ZoneRow& row,
+                 LocalCounters& local) {
+  const double* x_v = soa.x_v().data();
+  const double* y_v = soa.y_v().data();
+  const auto cells = static_cast<std::uint64_t>(w.cell_count());
+  local.cell_tests += cells;
+  local.edge_tests += cells * tested_edges;
   for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
     for (std::int64_t c = w.col0; c < w.col0 + w.cols; ++c) {
       const GeoPoint center = t.cell_center(r, c);
-      ++local.cell_tests;
-      local.edge_tests += tested_edges;
       if (point_in_polygon_soa_raw(x_v, y_v, p_f, p_t, center.x, center.y)) {
-        const std::size_t cell = static_cast<std::size_t>(r * ctx.cols + c);
-        ZH_DCHECK_BOUNDS(cell, ctx.cells.size());
-        const CellValue v = ctx.cells[cell];
-        if (ctx.nodata && v == *ctx.nodata) continue;
-        const BinIndex b = bin_index(v, ctx.bins, local.clamped);
-        ZH_DCHECK_BOUNDS(b, ctx.bins);
-        update(&out[b]);
-        ++local.counted;
+        row.add_run(r, c, c + 1);
       }
     }
   }
 }
 
-/// Scanline: classify tile `w` against polygon `pid` row by row. Each
-/// row gathers only the banded edges crossing its cell-center y,
-/// computes their sorted x-intercepts once, and walks the row as
-/// inside/outside runs. Parity matches the brute path bit-for-bit: a
-/// cell is inside iff the count of intercepts > px is odd, the scanline
-/// y is the one the brute path tests, and the intercepts come from
-/// scanline_crossing, the function the brute path calls.
-template <typename Update>
-void refine_tile_scanline(const RefineCtx& ctx, const CellWindow& w,
-                          PolygonId pid, BinCount* out,
-                          LocalCounters& local, std::vector<double>& xints,
-                          Update update) {
-  const double* x_v = ctx.soa->x_v().data();
-  const double* y_v = ctx.soa->y_v().data();
-  const GeoTransform& t = ctx.raster->transform();
+/// Scanline: classify tile `w` against polygon `pid` row by row and count
+/// its inside runs into `row`. Each row gathers only the banded edges
+/// crossing its cell-center y, computes their sorted x-intercepts once,
+/// and walks the row as inside/outside runs. Parity matches the brute
+/// path bit-for-bit: a cell is inside iff the count of intercepts > px
+/// is odd, the scanline y is the one the brute path tests, and the
+/// intercepts come from scanline_crossing, the function the brute path
+/// calls.
+void refine_tile_scanline(const PolygonSoA& soa, const GeoTransform& t,
+                          const EdgeIndex& index, const CellWindow& w,
+                          PolygonId pid, ZoneRow& row, LocalCounters& local,
+                          std::vector<double>& xints) {
+  const double* x_v = soa.x_v().data();
+  const double* y_v = soa.y_v().data();
   for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
     ++local.rows_scanned;
     local.cell_tests += static_cast<std::uint64_t>(w.cols);
     local.run_cells += static_cast<std::uint64_t>(w.cols);
-    const std::span<const std::uint32_t> band = ctx.index->row_edges(pid, r);
+    const std::span<const std::uint32_t> band = index.row_edges(pid, r);
     local.edge_tests += band.size();
     if (band.empty()) continue;  // zero crossings: the whole row is outside
 
@@ -123,20 +101,7 @@ void refine_tile_scanline(const RefineCtx& ctx, const CellWindow& w,
           ++run_end;
         }
       }
-      if (inside) {
-        const std::size_t row_base = static_cast<std::size_t>(r * ctx.cols);
-        for (std::int64_t cc = c; cc < run_end; ++cc) {
-          const std::size_t cell =
-              row_base + static_cast<std::size_t>(w.col0 + cc);
-          ZH_DCHECK_BOUNDS(cell, ctx.cells.size());
-          const CellValue v = ctx.cells[cell];
-          if (ctx.nodata && v == *ctx.nodata) continue;
-          const BinIndex b = bin_index(v, ctx.bins, local.clamped);
-          ZH_DCHECK_BOUNDS(b, ctx.bins);
-          update(&out[b]);
-          ++local.counted;
-        }
-      }
+      if (inside) row.add_run(r, w.col0 + c, w.col0 + run_end);
       c = run_end;
     }
   }
@@ -150,24 +115,25 @@ RefineCounters refine_boundary_tiles(Device& device,
                                      const DemRaster& raster,
                                      const TilingScheme& tiling,
                                      HistogramSet& polygon_hist,
-                                     RefineGranularity granularity,
+                                     RefineGranularity /*granularity*/,
                                      RefineStrategy strategy) {
   RefineCounters counters;
   if (strategy != RefineStrategy::kAuto) counters.strategy = strategy;
   if (intersect.pair_count() == 0) return counters;
   ZH_TRACE_SPAN("step4.refine", "pipeline");
 
-  // Sentinel-free edge counts per group: exact pip_edge_tests accounting
+  // Sentinel-free edge counts per zone: exact pip_edge_tests accounting
   // for the brute path and the density input of the kAuto heuristic.
   const double* x_v = soa.x_v().data();
   const double* y_v = soa.y_v().data();
-  std::vector<std::uint32_t> group_edges(intersect.group_count());
+  std::vector<std::uint32_t> zone_edges(soa.polygon_count(), 0);
   std::uint64_t weighted_edges = 0;
   for (std::size_t g = 0; g < intersect.group_count(); ++g) {
-    const auto [p_f, p_t] = soa.vertex_range(intersect.pid_v[g]);
-    group_edges[g] = soa_tested_edges(x_v, y_v, p_f, p_t);
+    const PolygonId pid = intersect.pid_v[g];
+    const auto [p_f, p_t] = soa.vertex_range(pid);  // checks pid
+    zone_edges[pid] = soa_tested_edges(x_v, y_v, p_f, p_t);
     weighted_edges +=
-        static_cast<std::uint64_t>(group_edges[g]) * intersect.num_v[g];
+        static_cast<std::uint64_t>(zone_edges[pid]) * intersect.num_v[g];
   }
   RefineStrategy resolved = strategy;
   if (resolved == RefineStrategy::kAuto) {
@@ -188,109 +154,42 @@ RefineCounters refine_boundary_tiles(Device& device,
                              intersect.pid_v);
   }
 
-  RefineCtx ctx{&soa,
-                &raster,
-                &tiling,
-                scanline ? &index : nullptr,
-                raster.cells(),
-                raster.cols(),
-                polygon_hist.bins(),
-                raster.nodata(),
-                polygon_hist.flat().data()};
-
+  // pip_test_kernel analog (Fig. 5 right): a block refines one chunk of
+  // a zone's boundary tiles, counting the inside runs (scanline) or
+  // inside cells (brute) of each tile row into the zone row.
+  const GeoTransform& t = raster.transform();
   std::atomic<std::uint64_t> cell_tests{0};
   std::atomic<std::uint64_t> edge_tests{0};
-  std::atomic<std::uint64_t> cells_counted{0};
   std::atomic<std::uint64_t> rows_scanned{0};
   std::atomic<std::uint64_t> run_cells{0};
-  std::atomic<std::uint64_t> clamped{0};
-  auto flush = [&](const LocalCounters& local) {
-    cell_tests.fetch_add(local.cell_tests, std::memory_order_relaxed);
-    edge_tests.fetch_add(local.edge_tests, std::memory_order_relaxed);
-    cells_counted.fetch_add(local.counted, std::memory_order_relaxed);
-    rows_scanned.fetch_add(local.rows_scanned, std::memory_order_relaxed);
-    run_cells.fetch_add(local.run_cells, std::memory_order_relaxed);
-    clamped.fetch_add(local.clamped, std::memory_order_relaxed);
-  };
-
-  switch (granularity) {
-    case RefineGranularity::kPolygonGroup:
-      // pip_test_kernel analog (Fig. 5 right): block idx -> (pid, num,
-      // pos); plain adds -- the block owns the polygon's output row.
-      device.launch(
-          intersect.group_count(), [&](std::size_t idx) {
-            ZH_DCHECK_BOUNDS(idx, intersect.group_count());
-            const PolygonId pid = intersect.pid_v[idx];
-            const std::uint64_t num = intersect.num_v[idx];
-            const std::uint64_t pos = intersect.pos_v[idx];
-            ZH_DCHECK_BOUNDS(pid, polygon_hist.groups());
-            ZH_ASSERT(static_cast<std::size_t>(pos) + num <=
-                          intersect.pair_count(),
-                      "group tile slice [", pos, ", ", pos + num,
-                      ") exceeds pair count ", intersect.pair_count());
-            const auto [p_f, p_t] = soa.vertex_range(pid);
-            BinCount* out =
-                ctx.polys + static_cast<std::size_t>(pid) * ctx.bins;
-            LocalCounters local;
-            std::vector<double> xints;
-            for (std::uint32_t k = 0; k < num; ++k) {
-              const CellWindow w =
-                  tiling.tile_window(intersect.tid_v[pos + k]);
-              if (scanline) {
-                refine_tile_scanline(ctx, w, pid, out, local, xints,
-                                     [](BinCount* slot) { *slot += 1; });
-              } else {
-                refine_tile(ctx, w, p_f, p_t, group_edges[idx], out, local,
-                            [](BinCount* slot) { *slot += 1; });
-              }
-            }
-            flush(local);
-          });
-      break;
-
-    case RefineGranularity::kPolygonTile: {
-      // One block per (polygon, tile) pair. Blocks of the same polygon
-      // race on its histogram row, so updates are atomic -- the
-      // tradeoff for intra-step load balance.
-      std::vector<PolygonId> pair_pid(intersect.pair_count());
-      std::vector<std::uint32_t> pair_edges(intersect.pair_count());
-      for (std::size_t g = 0; g < intersect.group_count(); ++g) {
-        for (std::uint64_t k = 0; k < intersect.num_v[g]; ++k) {
-          pair_pid[intersect.pos_v[g] + k] = intersect.pid_v[g];
-          pair_edges[intersect.pos_v[g] + k] = group_edges[g];
+  const ZoneRowTally tally = count_zone_rows(
+      device, raster, intersect, polygon_hist,
+      [&](const ZoneChunk& chunk, ZoneRow& row) {
+        const auto [p_f, p_t] = soa.vertex_range(chunk.pid);
+        LocalCounters local;
+        std::vector<double> xints;
+        for (std::uint64_t i = chunk.pos; i < chunk.pos + chunk.num; ++i) {
+          const CellWindow w = tiling.tile_window(intersect.tid_v[i]);
+          if (scanline) {
+            refine_tile_scanline(soa, t, index, w, chunk.pid, row, local,
+                                 xints);
+          } else {
+            refine_tile(soa, t, w, p_f, p_t, zone_edges[chunk.pid], row,
+                        local);
+          }
         }
-      }
-      device.launch(
-          intersect.pair_count(), [&](std::size_t idx) {
-            ZH_DCHECK_BOUNDS(idx, pair_pid.size());
-            const PolygonId pid = pair_pid[idx];
-            ZH_DCHECK_BOUNDS(pid, polygon_hist.groups());
-            const auto [p_f, p_t] = soa.vertex_range(pid);
-            BinCount* out =
-                ctx.polys + static_cast<std::size_t>(pid) * ctx.bins;
-            const CellWindow w =
-                tiling.tile_window(intersect.tid_v[idx]);
-            LocalCounters local;
-            if (scanline) {
-              std::vector<double> xints;
-              refine_tile_scanline(ctx, w, pid, out, local, xints,
-                                   [](BinCount* slot) { atomic_add(slot); });
-            } else {
-              refine_tile(ctx, w, p_f, p_t, pair_edges[idx], out, local,
-                          [](BinCount* slot) { atomic_add(slot); });
-            }
-            flush(local);
-          });
-      break;
-    }
-  }
+        cell_tests.fetch_add(local.cell_tests, std::memory_order_relaxed);
+        edge_tests.fetch_add(local.edge_tests, std::memory_order_relaxed);
+        rows_scanned.fetch_add(local.rows_scanned, std::memory_order_relaxed);
+        run_cells.fetch_add(local.run_cells, std::memory_order_relaxed);
+      });
 
   counters.cell_tests = cell_tests.load();
   counters.edge_tests = edge_tests.load();
-  counters.cells_counted = cells_counted.load();
+  counters.cells_counted = tally.counted;
   counters.rows_scanned = rows_scanned.load();
   counters.run_cells = run_cells.load();
-  counters.values_clamped = clamped.load();
+  counters.values_clamped = tally.clamped;
   return counters;
 }
 

@@ -1,9 +1,11 @@
 // Step 4: cell-in-polygon refinement for boundary tiles (Sec. III.D,
 // Fig. 5).
 //
-// One device block per intersect polygon group (or per pair, see
-// RefineGranularity). Two strategies classify the cells of a boundary
-// tile:
+// A launch of the zone-row kernel (core/zone_rows.hpp) over the
+// intersect groups: a block refines one chunk of a zone's boundary
+// tiles, the whole group unless the group holds more than its share of
+// the boundary tiles, and counts the cells it finds inside into the
+// zone's row. Two strategies classify the cells of a boundary tile:
 //
 //  * kBrute -- the paper's kernel verbatim: every cell center goes
 //    through the ray-crossing test against the polygon's flattened (SoA)
@@ -35,18 +37,11 @@
 
 namespace zh {
 
-/// Block-scheduling granularity of the refinement kernel.
-///
-/// kPolygonGroup is the paper's Fig.-5 kernel: one block per polygon,
-/// looping its boundary tiles -- no atomics (each block owns its output
-/// row), but a polygon with many boundary tiles serializes inside one
-/// block, the intra-step imbalance behind the paper's Sec.-IV.C
-/// observations. kPolygonTile launches one block per (polygon, tile)
-/// pair: finer, self-balancing, at the cost of atomic histogram updates
-/// (several blocks share a polygon's row). Results are identical.
+/// Kept only because perfbench/ still passes it to refine_boundary_tiles
+/// and ZonalConfig; it selects nothing. Step 4 runs the zone-row
+/// kernel's chunk plan, the inside count's.
 enum class RefineGranularity : std::uint8_t {
   kPolygonGroup,
-  kPolygonTile,
 };
 
 /// Cell-classification strategy of the refinement kernel. kAuto picks
@@ -72,10 +67,11 @@ struct RefineCounters {
 };
 
 /// Run cell-in-polygon tests for every (cell, polygon) combination in the
-/// intersect groups, accumulating hits into `polygon_hist`. Both
-/// granularities support every strategy and produce bit-identical
-/// histograms. Callers pass both knobs: the library default lives in
-/// ZonalConfig alone.
+/// intersect groups, accumulating hits into `polygon_hist`. Every
+/// strategy produces bit-identical histograms and cell_tests, and the
+/// same edge_tests and rows_scanned on any pool size. Callers pass the
+/// strategy: the library default lives in ZonalConfig alone. The
+/// granularity is ignored (see RefineGranularity).
 RefineCounters refine_boundary_tiles(
     Device& device, const PolygonTileGroups& intersect,
     const PolygonSoA& soa, const DemRaster& raster,

@@ -6,13 +6,17 @@
 // Three zone layers run against it: zones in the western part of the
 // raster (some tiles are never demanded), two overlapping zones (a tile
 // inside both is counted once per zone), and one zone covering the whole
-// raster (its inside group is split across the pool).
+// raster (its inside group is split across the pool). Each run's
+// cells_in_polygons, which the zone-row kernels tally, must equal the
+// sum of the histograms it counted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/baseline.hpp"
@@ -20,7 +24,7 @@
 #include "core/multiband.hpp"
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
-#include "core/step1_tile_hist.hpp"
+#include "core/zone_rows.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -88,19 +92,34 @@ ZonalPlan plan_for(const DemRaster& r, const PolygonSet& z) {
                    r.transform());
 }
 
+/// What an entry point returns: the zone histograms checked against the
+/// oracle, the run's cells_in_polygons, and the total of every histogram
+/// the run counted (all bands of a series).
+struct EntryRun {
+  HistogramSet hist;
+  std::uint64_t cells_in_polygons = 0;
+  std::uint64_t counted_total = 0;
+};
+
+EntryRun entry_run(HistogramSet hist, const WorkCounters& work) {
+  const std::uint64_t total = hist.total();
+  return {std::move(hist), work.cells_in_polygons, total};
+}
+
 /// The cluster driver over a 2x3 partition schema on `ranks` ranks.
-HistogramSet run_driver(const DemRaster& r, const PolygonSet& z,
-                         std::size_t ranks) {
+EntryRun run_driver(const DemRaster& r, const PolygonSet& z,
+                    std::size_t ranks) {
   ClusterRunConfig cfg;
   cfg.ranks = ranks;
   cfg.zonal = kConfig;
-  return run_cluster_zonal({r}, {{2, 3}}, z, cfg).merged;
+  ClusterRunResult res = run_cluster_zonal({r}, {{2, 3}}, z, cfg);
+  return entry_run(std::move(res.merged), res.work);
 }
 
 struct EntryPoint {
   std::string name;
   bool bq = false;  ///< runs from BQ input (raster without nodata)
-  std::function<HistogramSet(const DemRaster&, const PolygonSet&)> run;
+  std::function<EntryRun(const DemRaster&, const PolygonSet&)> run;
 };
 
 // Listings show the entry point's name, not its bytes.
@@ -111,14 +130,16 @@ std::vector<EntryPoint> entry_points() {
       {"RunRaw", false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
-         return ZonalPipeline(dev, kConfig).run(r, z).per_polygon;
+         ZonalResult res = ZonalPipeline(dev, kConfig).run(r, z);
+         return entry_run(std::move(res.per_polygon), res.work);
        }},
       {"RunCompressed", true,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
-         return ZonalPipeline(dev, kConfig)
-             .run(BqCompressedRaster::encode(r, kConfig.tile_size), z)
-             .per_polygon;
+         ZonalResult res =
+             ZonalPipeline(dev, kConfig)
+                 .run(BqCompressedRaster::encode(r, kConfig.tile_size), z);
+         return entry_run(std::move(res.per_polygon), res.work);
        }},
       {"Cluster1Rank", false,
        [](const DemRaster& r, const PolygonSet& z) {
@@ -131,18 +152,19 @@ std::vector<EntryPoint> entry_points() {
       {"RunLazy", true,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
-         return run_lazy(dev,
-                         BqCompressedRaster::encode(r, kConfig.tile_size),
-                         z, kConfig)
-             .per_polygon;
+         ZonalResult res = run_lazy(
+             dev, BqCompressedRaster::encode(r, kConfig.tile_size), z,
+             kConfig);
+         return entry_run(std::move(res.per_polygon), res.work);
        }},
       {"QueryEngine", false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
          QueryEngine engine(dev, {.tile_size = kConfig.tile_size});
          const RasterHandle h = engine.add_raster(r);
-         return engine.run({.raster = h, .zones = &z, .bins = kBins})
-             .per_polygon;
+         QueryResult res =
+             engine.run({.raster = h, .zones = &z, .bins = kBins});
+         return entry_run(std::move(res.per_polygon), res.work);
        }},
       {"RunSeriesBandK", false,
        [](const DemRaster& r, const PolygonSet& z) {
@@ -155,7 +177,10 @@ std::vector<EntryPoint> entry_points() {
                                              kMaxValue, r.transform()));
          Device dev;
          SeriesResult s = run_series(dev, bands, z, kConfig);
-         return std::move(s.per_band.at(1));
+         std::uint64_t total = 0;
+         for (const HistogramSet& band : s.per_band) total += band.total();
+         return EntryRun{std::move(s.per_band.at(1)),
+                         s.work.cells_in_polygons, total};
        }},
   };
 }
@@ -173,8 +198,9 @@ TEST_P(EntryPoints, MatchPerCellOracle) {
   const DemRaster raster = entry.bq ? dense_raster() : nodata_raster();
   for (const ZoneInput& input : zone_inputs()) {
     SCOPED_TRACE(input.name);
-    EXPECT_EQ(entry.run(raster, input.zones),
-              zonal_scanline(raster, input.zones, kBins));
+    const EntryRun run = entry.run(raster, input.zones);
+    EXPECT_EQ(run.hist, zonal_scanline(raster, input.zones, kBins));
+    EXPECT_EQ(run.cells_in_polygons, run.counted_total);
   }
 }
 

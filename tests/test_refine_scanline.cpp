@@ -1,11 +1,12 @@
 // Step-4 refinement-strategy properties (DESIGN.md, "Refinement
 // strategies"): the scanline path must be bit-identical to the
-// brute-force oracle on both granularities -- including adversarial
+// brute-force oracle -- including adversarial
 // geometry (horizontal edges exactly on a cell-center scanline, vertices
 // coincident with cell centers, holes, multi-part polygons) -- its
 // counters must obey the strategy contract, the y-banded edge index must
-// match the ray-crossing y-predicate edge-for-edge, and kAuto must
-// resolve by edge density.
+// match the ray-crossing y-predicate edge-for-edge, kAuto must resolve
+// by edge density, and a zone whose boundary tiles split across blocks
+// must count as if one block refined them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,8 @@
 #include "core/pipeline.hpp"
 #include "core/step2_pairing.hpp"
 #include "core/step4_refine.hpp"
+#include "core/zone_rows.hpp"
+#include "device/thread_pool.hpp"
 #include "geom/edge_index.hpp"
 #include "geom/pip.hpp"
 #include "geom/soa.hpp"
@@ -34,14 +37,15 @@ struct RefineRun {
 /// from Step 1/3 so histogram differences can only come from refinement.
 RefineRun run_refine(const DemRaster& raster, const TilingScheme& tiling,
                      const PolygonSet& polys, BinIndex bins,
-                     RefineGranularity g, RefineStrategy s) {
+                     RefineStrategy s) {
   Device dev;
   const PolygonSoA soa = PolygonSoA::build(polys);
   const PairingResult pairs =
       pair_and_group(polys, tiling, raster.transform());
   RefineRun out{HistogramSet(polys.size(), bins), {}};
   out.rc = refine_boundary_tiles(dev, pairs.intersect, soa, raster,
-                                 tiling, out.hist, g, s);
+                                 tiling, out.hist,
+                                 RefineGranularity::kPolygonGroup, s);
   return out;
 }
 
@@ -89,32 +93,28 @@ TEST(RefineScanline, BitIdenticalToBruteOnRandomGeometry) {
     const PolygonSet polys = test::random_polygon_set(
         seed * 13, GeoBox{0.5, 0.5, 7.5, 9.1}, 8, seed % 2 == 1);
 
-    for (const RefineGranularity g : {RefineGranularity::kPolygonGroup,
-                                      RefineGranularity::kPolygonTile}) {
-      const RefineRun brute =
-          run_refine(raster, tiling, polys, 50, g, RefineStrategy::kBrute);
-      const RefineRun scan = run_refine(raster, tiling, polys, 50, g,
-                                        RefineStrategy::kScanline);
-      EXPECT_EQ(brute.hist, scan.hist)
-          << "seed " << seed << " granularity " << static_cast<int>(g);
+    const RefineRun brute =
+        run_refine(raster, tiling, polys, 50, RefineStrategy::kBrute);
+    const RefineRun scan =
+        run_refine(raster, tiling, polys, 50, RefineStrategy::kScanline);
+    EXPECT_EQ(brute.hist, scan.hist) << "seed " << seed;
 
-      // Strategy-invariant counters.
-      EXPECT_EQ(brute.rc.cell_tests, scan.rc.cell_tests);
-      EXPECT_EQ(brute.rc.cells_counted, scan.rc.cells_counted);
-      ASSERT_GT(scan.rc.cell_tests, 0u);
+    // Strategy-invariant counters.
+    EXPECT_EQ(brute.rc.cell_tests, scan.rc.cell_tests);
+    EXPECT_EQ(brute.rc.cells_counted, scan.rc.cells_counted);
+    ASSERT_GT(scan.rc.cell_tests, 0u);
 
-      // Strategy contract: brute never scans rows, scanline classifies
-      // every cell through runs and tests at most the banded edges (a
-      // row's band is a subset of the polygon's tested edges, charged
-      // once per row instead of once per cell).
-      EXPECT_EQ(brute.rc.rows_scanned, 0u);
-      EXPECT_EQ(brute.rc.run_cells, 0u);
-      EXPECT_EQ(brute.rc.strategy, RefineStrategy::kBrute);
-      EXPECT_GT(scan.rc.rows_scanned, 0u);
-      EXPECT_EQ(scan.rc.run_cells, scan.rc.cell_tests);
-      EXPECT_EQ(scan.rc.strategy, RefineStrategy::kScanline);
-      EXPECT_LE(scan.rc.edge_tests, brute.rc.edge_tests);
-    }
+    // Strategy contract: brute never scans rows, scanline classifies
+    // every cell through runs and tests at most the banded edges (a
+    // row's band is a subset of the polygon's tested edges, charged
+    // once per row instead of once per cell).
+    EXPECT_EQ(brute.rc.rows_scanned, 0u);
+    EXPECT_EQ(brute.rc.run_cells, 0u);
+    EXPECT_EQ(brute.rc.strategy, RefineStrategy::kBrute);
+    EXPECT_GT(scan.rc.rows_scanned, 0u);
+    EXPECT_EQ(scan.rc.run_cells, scan.rc.cell_tests);
+    EXPECT_EQ(scan.rc.strategy, RefineStrategy::kScanline);
+    EXPECT_LE(scan.rc.edge_tests, brute.rc.edge_tests);
   }
 }
 
@@ -128,28 +128,24 @@ TEST(RefineScanline, AdversarialGeometryMatchesBruteAndGroundTruth) {
   const PolygonSet set = adversarial_polygons();
   const PolygonSoA soa = PolygonSoA::build(set);
 
-  for (const RefineGranularity g : {RefineGranularity::kPolygonGroup,
-                                    RefineGranularity::kPolygonTile}) {
-    const RefineRun brute =
-        run_refine(raster, tiling, set, 4, g, RefineStrategy::kBrute);
-    const RefineRun scan =
-        run_refine(raster, tiling, set, 4, g, RefineStrategy::kScanline);
-    EXPECT_EQ(brute.hist, scan.hist);
+  const RefineRun brute =
+      run_refine(raster, tiling, set, 4, RefineStrategy::kBrute);
+  const RefineRun scan =
+      run_refine(raster, tiling, set, 4, RefineStrategy::kScanline);
+  EXPECT_EQ(brute.hist, scan.hist);
 
-    BinCount expect = 0;
-    for (std::int64_t r = 0; r < 8; ++r) {
-      for (std::int64_t c = 0; c < 8; ++c) {
-        const GeoPoint pt = raster.transform().cell_center(r, c);
-        const bool in = point_in_polygon_soa(soa, 0, pt.x, pt.y);
-        EXPECT_EQ(in, point_in_polygon(set[0], pt))
-            << "SoA/object disagreement at (" << pt.x << "," << pt.y
-            << ")";
-        expect += in;
-      }
+  BinCount expect = 0;
+  for (std::int64_t r = 0; r < 8; ++r) {
+    for (std::int64_t c = 0; c < 8; ++c) {
+      const GeoPoint pt = raster.transform().cell_center(r, c);
+      const bool in = point_in_polygon_soa(soa, 0, pt.x, pt.y);
+      EXPECT_EQ(in, point_in_polygon(set[0], pt))
+          << "SoA/object disagreement at (" << pt.x << "," << pt.y << ")";
+      expect += in;
     }
-    EXPECT_EQ(brute.hist.of(0)[2], expect);
-    EXPECT_EQ(scan.hist.of(0)[2], expect);
   }
+  EXPECT_EQ(brute.hist.of(0)[2], expect);
+  EXPECT_EQ(scan.hist.of(0)[2], expect);
 }
 
 TEST(RefineScanline, CrossingParityMatchesWindingOffBoundary) {
@@ -288,8 +284,7 @@ TEST(RefineAuto, ResolvesByEdgeDensity) {
   PolygonSet sparse;
   sparse.add(Polygon({{{0.7, 0.7}, {5.7, 0.9}, {2.9, 5.7}}}));
   const RefineRun lo =
-      run_refine(raster, tiling, sparse, 10, RefineGranularity::kPolygonGroup,
-                 RefineStrategy::kAuto);
+      run_refine(raster, tiling, sparse, 10, RefineStrategy::kAuto);
   EXPECT_EQ(lo.rc.strategy, RefineStrategy::kBrute);
   EXPECT_EQ(lo.rc.rows_scanned, 0u);
 
@@ -298,18 +293,15 @@ TEST(RefineAuto, ResolvesByEdgeDensity) {
   PolygonSet dense;
   dense.add(test::random_star_polygon(rng, 3.2, 3.2, 2.8, 64));
   const RefineRun hi =
-      run_refine(raster, tiling, dense, 10, RefineGranularity::kPolygonGroup,
-                 RefineStrategy::kAuto);
+      run_refine(raster, tiling, dense, 10, RefineStrategy::kAuto);
   EXPECT_EQ(hi.rc.strategy, RefineStrategy::kScanline);
   EXPECT_GT(hi.rc.rows_scanned, 0u);
 
   // Either way the result equals the explicitly-requested strategy's.
   const RefineRun lo_brute =
-      run_refine(raster, tiling, sparse, 10, RefineGranularity::kPolygonGroup,
-                 RefineStrategy::kBrute);
+      run_refine(raster, tiling, sparse, 10, RefineStrategy::kBrute);
   const RefineRun hi_scan =
-      run_refine(raster, tiling, dense, 10, RefineGranularity::kPolygonGroup,
-                 RefineStrategy::kScanline);
+      run_refine(raster, tiling, dense, 10, RefineStrategy::kScanline);
   EXPECT_EQ(lo.hist, lo_brute.hist);
   EXPECT_EQ(hi.hist, hi_scan.hist);
 }
@@ -322,37 +314,81 @@ TEST(RefinePipeline, StrategiesAgreeEndToEnd) {
       17, GeoBox{0.5, 0.5, 10.5, 8.5}, 10, /*holes=*/true);
   const HistogramSet expect = zonal_mbb_filter(raster, polys, 100);
 
-  for (const RefineGranularity g : {RefineGranularity::kPolygonGroup,
-                                    RefineGranularity::kPolygonTile}) {
-    const ZonalResult brute =
-        ZonalPipeline(dev, {.tile_size = 10,
-                            .bins = 100,
-                            .refine_granularity = g,
-                            .refine_strategy = RefineStrategy::kBrute})
-            .run(raster, polys);
-    const ZonalResult scan =
-        ZonalPipeline(dev, {.tile_size = 10,
-                            .bins = 100,
-                            .refine_granularity = g,
-                            .refine_strategy = RefineStrategy::kScanline})
-            .run(raster, polys);
-    const ZonalResult autos =
-        ZonalPipeline(dev, {.tile_size = 10,
-                            .bins = 100,
-                            .refine_granularity = g,
-                            .refine_strategy = RefineStrategy::kAuto})
-            .run(raster, polys);
-    EXPECT_EQ(brute.per_polygon, expect);
-    EXPECT_EQ(scan.per_polygon, expect);
-    EXPECT_EQ(autos.per_polygon, expect);
+  const ZonalResult brute =
+      ZonalPipeline(dev, {.tile_size = 10,
+                          .bins = 100,
+                          .refine_strategy = RefineStrategy::kBrute})
+          .run(raster, polys);
+  const ZonalResult scan =
+      ZonalPipeline(dev, {.tile_size = 10,
+                          .bins = 100,
+                          .refine_strategy = RefineStrategy::kScanline})
+          .run(raster, polys);
+  const ZonalResult autos =
+      ZonalPipeline(dev, {.tile_size = 10,
+                          .bins = 100,
+                          .refine_strategy = RefineStrategy::kAuto})
+          .run(raster, polys);
+  EXPECT_EQ(brute.per_polygon, expect);
+  EXPECT_EQ(scan.per_polygon, expect);
+  EXPECT_EQ(autos.per_polygon, expect);
 
-    // Work-counter contract survives the full pipeline.
-    EXPECT_EQ(brute.work.pip_rows_scanned, 0u);
-    EXPECT_EQ(brute.work.pip_run_cells, 0u);
-    EXPECT_GT(scan.work.pip_rows_scanned, 0u);
-    EXPECT_EQ(scan.work.pip_run_cells, scan.work.pip_cell_tests);
-    EXPECT_EQ(brute.work.pip_cell_tests, scan.work.pip_cell_tests);
-    EXPECT_LE(scan.work.pip_edge_tests, brute.work.pip_edge_tests);
+  // Work-counter contract survives the full pipeline.
+  EXPECT_EQ(brute.work.pip_rows_scanned, 0u);
+  EXPECT_EQ(brute.work.pip_run_cells, 0u);
+  EXPECT_GT(scan.work.pip_rows_scanned, 0u);
+  EXPECT_EQ(scan.work.pip_run_cells, scan.work.pip_cell_tests);
+  EXPECT_EQ(brute.work.pip_cell_tests, scan.work.pip_cell_tests);
+  EXPECT_LE(scan.work.pip_edge_tests, brute.work.pip_edge_tests);
+}
+
+// A zone holding more than its share of the boundary tiles splits across
+// blocks, which count into private rows and merge them into the zone row.
+// The split run must match the per-cell oracle, and its classification
+// work must equal a 1-thread pool's, where no group splits. Nodata cells
+// and values past the bin count go through the private rows too.
+TEST(RefineSplitChunks, ZoneOverItsShareMatchesOracleAndOneThreadRun) {
+  constexpr BinIndex kBins = 200;
+  DemRaster raster = test::random_raster(96, 80, 11, 299,
+                                         GeoTransform(0.0, 9.6, 0.1, 0.1));
+  raster.set_nodata(7);
+  std::mt19937 rng(12);
+  PolygonSet zones;
+  zones.add(test::random_star_polygon(rng, 4.0, 4.8, 3.6, 64,
+                                      /*with_hole=*/true));
+  zones.add(Polygon({{{6.55, 0.45}, {7.45, 0.45}, {7.05, 1.35}}}));
+  const HistogramSet oracle = zonal_scanline(raster, zones, kBins);
+
+  const ZonalConfig base{.tile_size = 8, .bins = kBins};
+  const ZonalPlan plan = make_plan(
+      zones, TilingScheme(raster.rows(), raster.cols(), base.tile_size),
+      raster.transform());
+  const std::vector<ZoneChunk> chunks =
+      plan_zone_chunks(plan.pairing.intersect, 4);
+  EXPECT_TRUE(std::any_of(chunks.begin(), chunks.end(),
+                          [](const ZoneChunk& c) { return !c.owned; }));
+  EXPECT_TRUE(std::any_of(chunks.begin(), chunks.end(),
+                          [](const ZoneChunk& c) { return c.owned; }));
+
+  ThreadPool four_threads(4);
+  ThreadPool one_thread(1);
+  Device four(DeviceProfile::gtx_titan(), &four_threads);
+  Device one(DeviceProfile::gtx_titan(), &one_thread);
+  for (const RefineStrategy s :
+       {RefineStrategy::kBrute, RefineStrategy::kScanline}) {
+    SCOPED_TRACE(s == RefineStrategy::kBrute ? "brute" : "scanline");
+    ZonalConfig cfg = base;
+    cfg.refine_strategy = s;
+    const ZonalResult split = ZonalPipeline(four, cfg).run(raster, zones);
+    const ZonalResult whole = ZonalPipeline(one, cfg).run(raster, zones);
+    EXPECT_EQ(split.per_polygon, oracle);
+    EXPECT_EQ(whole.per_polygon, oracle);
+    EXPECT_GT(split.work.pip_cell_tests, 0u);
+    EXPECT_EQ(split.work.pip_cell_tests, whole.work.pip_cell_tests);
+    EXPECT_EQ(split.work.pip_edge_tests, whole.work.pip_edge_tests);
+    EXPECT_EQ(split.work.pip_rows_scanned, whole.work.pip_rows_scanned);
+    EXPECT_EQ(split.work.cells_in_polygons, oracle.total());
+    EXPECT_EQ(split.work.values_clamped, whole.work.values_clamped);
   }
 }
 

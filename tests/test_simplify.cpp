@@ -1,4 +1,4 @@
-// Step-4 granularity ablation and boundary simplification.
+// Boundary simplification.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
@@ -8,26 +8,6 @@
 
 namespace zh {
 namespace {
-
-TEST(RefineGranularity, PolygonTileBlocksMatchPolygonGroupBlocks) {
-  Device dev;
-  const DemRaster raster = test::random_raster(
-      90, 110, 23, 199, GeoTransform(0.0, 9.0, 0.1, 0.1));
-  const PolygonSet zones = test::random_polygon_set(
-      31, GeoBox{0.5, 0.5, 10.5, 8.5}, 9, /*holes=*/true);
-
-  const ZonalPipeline coarse(
-      dev, {.tile_size = 12, .bins = 200,
-            .refine_granularity = RefineGranularity::kPolygonGroup});
-  const ZonalPipeline fine(
-      dev, {.tile_size = 12, .bins = 200,
-            .refine_granularity = RefineGranularity::kPolygonTile});
-  const ZonalResult a = coarse.run(raster, zones);
-  const ZonalResult b = fine.run(raster, zones);
-  EXPECT_EQ(a.per_polygon, b.per_polygon);
-  EXPECT_EQ(a.work.pip_cell_tests, b.work.pip_cell_tests);
-  EXPECT_EQ(a.work.pip_edge_tests, b.work.pip_edge_tests);
-}
 
 TEST(Simplify, ToleranceZeroIsIdentity) {
   std::mt19937 rng(3);

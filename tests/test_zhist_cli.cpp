@@ -1,6 +1,7 @@
 // End-to-end checks of the zhist binary built alongside this suite:
-// command dispatch and usage text, flag-value and batch-spec checks, the
-// outputs of the .bq and catalog paths, run reports checked by
+// command dispatch, usage text and the flags each command takes,
+// flag-value and batch-spec checks, one-line errors, the outputs and
+// Step-0 times of the .bq and catalog paths, run reports checked by
 // validate_obs, and the flag checks of zh_trace.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "core/baseline.hpp"
 #include "data/dem_synth.hpp"
 #include "io/ascii_grid.hpp"
+#include "io/bq_file.hpp"
 #include "io/catalog.hpp"
 #include "io/histogram_io.hpp"
 #include "io/vector_io.hpp"
@@ -124,6 +126,153 @@ TEST_F(ZhistCli, HistOnBqTimesStep0AndMatchesZgrid) {
   const obs::JsonValue* step0 = times->find("step0");
   ASSERT_NE(step0, nullptr);
   EXPECT_GT(step0->number, 0.0);
+}
+
+// Every decode a run does is its Step 0: the whole-file decode of the
+// cluster path, of a --tile that re-tiles the file and of a query batch,
+// as well as the filter-first decode. The same runs over the .zgrid
+// decode nothing and report 0.
+TEST_F(ZhistCli, EveryBqDecodeIsStep0) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(48, 64, 9, 80,
+                                  GeoTransform(0.0, 4.8, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        4, GeoBox{0.4, 0.4, 4.0, 4.4}, 6, true));
+  ASSERT_EQ(zhist("encode '" + path("r.zgrid") + "' '" + path("r.bq") +
+                  "' --tile 8"),
+            0);
+  const auto step0 = [&](const std::string& args) {
+    const std::string metrics = path("m.json");
+    std::filesystem::remove(metrics);
+    EXPECT_EQ(zhist(args + " --metrics '" + metrics + "'"), 0) << args;
+    const obs::JsonValue report = obs::parse_json_file(metrics);
+    const obs::JsonValue* times = report.find("times_s");
+    const obs::JsonValue* s0 = times ? times->find("step0") : nullptr;
+    EXPECT_NE(s0, nullptr) << args;
+    return s0 ? s0->number : -1.0;
+  };
+  for (const char* ext : {".bq", ".zgrid"}) {
+    SCOPED_TRACE(ext);
+    const std::string raster = path(std::string("r") + ext);
+    const std::string hist = "hist '" + raster + "' '" + path("zones.tsv") +
+                             "' --bins 64 -o '" + path("h.csv") + "' ";
+    std::ofstream(path("batch.json"))
+        << "{\"tile\": 8, \"queries\": [{\"raster\": \"" << raster
+        << "\", \"zones\": \"" << path("zones.tsv")
+        << "\", \"bins\": 64, \"out\": \"" << path("q.csv") << "\"}]}";
+    const std::string runs[] = {
+        hist + "--tile 8",                    // filter-first on the .bq
+        hist + "--tile 8 --partitions 2x1",   // cluster driver
+        hist + "--tile 16",                   // re-tiled
+        "query --batch '" + path("batch.json") + "'",
+    };
+    for (const std::string& run : runs) {
+      if (std::string(ext) == ".bq") {
+        EXPECT_GT(step0(run), 0.0) << run;
+      } else {
+        EXPECT_EQ(step0(run), 0.0) << run;
+      }
+    }
+  }
+}
+
+// A command takes only the flags its synopsis lists: any other flag is a
+// usage error, before an input is read or an output written.
+TEST_F(ZhistCli, CommandsRefuseFlagsTheyDoNotTake) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(24, 24, 3, 50,
+                                  GeoTransform(0.0, 2.4, 0.1, 0.1)));
+  const PolygonSet zones =
+      test::random_polygon_set(2, GeoBox{0.2, 0.2, 2.2, 2.2}, 5, false);
+  write_polygon_tsv(path("zones.tsv"), zones);
+  const BqCompressedRaster bq = BqCompressedRaster::encode(
+      test::random_raster(24, 24, 4, 50, GeoTransform(0.0, 2.4, 0.1, 0.1)),
+      8);
+  write_bq(path("r.bq"), bq);
+  write_catalog(path("cat"), {{"r", &bq}}, zones);
+  std::ofstream(path("batch.json"))
+      << "{\"tile\": 8, \"queries\": [{\"raster\": \"" << path("r.zgrid")
+      << "\", \"zones\": \"" << path("zones.tsv") << "\", \"out\": \""
+      << path("out.csv") << "\"}]}";
+  const std::string r = "'" + path("r.zgrid") + "' ";
+  const std::string z = "'" + path("zones.tsv") + "' ";
+  const std::string out = "'" + path("out.csv") + "' ";
+  // Each command line writes out.csv when its foreign flag is ignored.
+  const std::string cases[] = {
+      "catalog '" + path("cat") + "' -o " + out + "--tile 8 --metrics '" +
+          path("m.json") + "'",
+      "catalog '" + path("cat") + "' -o " + out + "--trace '" +
+          path("t.json") + "'",
+      "catalog '" + path("cat") + "' -o " + out + "--report",
+      "encode " + r + out + "--tile 8 --ranks 7",
+      "encode " + r + out + "--metrics '" + path("m.json") + "'",
+      "decode '" + path("r.bq") + "' " + out + "--tile 8",
+      "synth " + out + "--rows 8 --cols 8 --bins 16",
+      "zones " + out + "--zones 3 --tile 8",
+      "simplify " + z + out + "--eps 0.01 --stats",
+      "query --batch '" + path("batch.json") + "' -o " + out,
+      "query --batch '" + path("batch.json") + "' --ranks 2",
+      "hist " + r + z + "-o " + out + "--eps 0.1",
+      "hist " + r + z + "-o " + out + "--batch '" + path("batch.json") + "'",
+  };
+  for (const std::string& args : cases) {
+    SCOPED_TRACE(args);
+    for (const char* output : {"out.csv", "m.json", "t.json"}) {
+      std::filesystem::remove(path(output));
+    }
+    EXPECT_EQ(zhist(args, path("err.txt")), 2);
+    const std::string err = slurp(path("err.txt"));
+    EXPECT_NE(err.find("unknown flag: "), std::string::npos) << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
+    EXPECT_FALSE(std::filesystem::exists(path("m.json")));
+    EXPECT_FALSE(std::filesystem::exists(path("t.json")));
+  }
+  EXPECT_EQ(zhist("validate " + z + "--stats"), 2);
+}
+
+// A refused input prints one line: "error: " and what was wrong with it,
+// not where in the source the check sits.
+TEST_F(ZhistCli, RefusedInputPrintsItsMessageAlone) {
+  write_zgrid(path("r.zgrid"),
+              test::random_raster(32, 48, 3, 50,
+                                  GeoTransform(0.0, 3.2, 0.1, 0.1)));
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        2, GeoBox{0.2, 0.2, 3.0, 3.0}, 5, false));
+  ASSERT_EQ(zhist("encode '" + path("r.zgrid") + "' '" + path("r.bq") +
+                  "' --tile 8"),
+            0);
+  std::string bytes = slurp(path("r.bq"));
+  bytes[bytes.size() / 2] ^= 1;
+  std::ofstream(path("bad.bq"), std::ios::binary) << bytes;
+  std::ofstream(path("nozones.json"))
+      << "{\"queries\": [{\"raster\": \"" << path("r.zgrid") << "\"}]}";
+  // Each command line and the message its one line must carry.
+  const std::pair<std::string, std::string> cases[] = {
+      {"query --batch '" + path("nozones.json") + "'",
+       "query 0 needs a \"zones\" path"},
+      // 32 x 48 cells at tile 8: 4 x 6 tiles.
+      {"hist '" + path("r.zgrid") + "' '" + path("zones.tsv") +
+           "' --tile 8 --partitions 9x9 -o '" + path("out.csv") + "'",
+       "fewer tiles than partitions: 4x6 tiles vs 9x9 blocks"},
+      {"hist '" + path("bad.bq") + "' '" + path("zones.tsv") + "' -o '" +
+           path("out.csv") + "'",
+       "CRC"},
+  };
+  for (const auto& [args, message] : cases) {
+    SCOPED_TRACE(args);
+    std::filesystem::remove(path("out.csv"));
+    EXPECT_EQ(zhist(args, path("err.txt")), 1);
+    EXPECT_FALSE(std::filesystem::exists(path("out.csv")));
+    const std::string err = slurp(path("err.txt"));
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_EQ(err.rfind("error: ", 0), 0u) << err;
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+    EXPECT_EQ(err.find(".cpp:"), std::string::npos) << err;
+    EXPECT_EQ(err.find("requirement failed"), std::string::npos) << err;
+  }
 }
 
 TEST_F(ZhistCli, UsageListsEveryCommand) {

@@ -5,7 +5,8 @@
 //             WKT-TSV zone layer; optional classic statistics table; CSV
 //             output. Without cluster flags the whole raster runs in one
 //             pipeline call, and a .bq raster whose tiles match --tile
-//             decodes only the tiles some zone touches, timed as Step 0.
+//             decodes only the tiles some zone touches; any other .bq run
+//             decodes the whole file first. Either decode is Step 0.
 //             --partitions, --ranks, --fault-plan and --checkpoint-dir
 //             run the supervised cluster driver instead (one rank unless
 //             --ranks says more); --fault-plan scripts message delays,
@@ -31,14 +32,17 @@
 //   catalog   Out-of-core run over a catalog directory; CSV output and
 //             the statistics table as for hist.
 //   query     Multi-query batch through the QueryEngine: rasters and zone
-//             layers load once and every query runs the filter-first
-//             pipeline. The JSON spec holds the query list (see
-//             cmd_query).
+//             layers load once (a .bq raster decoded whole, as Step 0)
+//             and every query runs the filter-first pipeline. The JSON
+//             spec holds the query list (see cmd_query).
 //
-// Integer flag values, and the batch spec's "tile" and "bins", must be
-// whole numbers that fit their field and meet its lower bound, --eps
-// one finite number, and --fault-plan a spec FaultPlan::parse accepts;
-// anything else stops the run with exit code 1 before a file is written.
+// Each command takes exactly the flags its kCommands synopsis lists; any
+// other flag stops the run with exit code 2 and the usage text before any
+// input is read. Integer flag values, and the batch spec's "tile" and
+// "bins", must be whole numbers that fit their field and meet its lower
+// bound, --eps one finite number, and --fault-plan a spec
+// FaultPlan::parse accepts; anything else stops the run with exit code 1
+// before a file is written.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -140,7 +144,25 @@ T json_int(const std::string& key, const obs::JsonValue& value, T min) {
   return parse_int(key, std::string(text, end), min);
 }
 
-Args parse(int argc, char** argv) {
+// Whether `synopsis` lists `flag`, as "[-o hist.csv]", "[--stats]" and
+// "--batch spec.json" list theirs.
+bool lists_flag(std::string_view synopsis, std::string_view flag) {
+  for (std::size_t at = synopsis.find(flag); at != std::string_view::npos;
+       at = synopsis.find(flag, at + 1)) {
+    const std::size_t end = at + flag.size();
+    const bool starts =
+        at == 0 || synopsis[at - 1] == ' ' || synopsis[at - 1] == '[';
+    const bool ends =
+        end == synopsis.size() || synopsis[end] == ' ' || synopsis[end] == ']';
+    if (starts && ends) return true;
+  }
+  return false;
+}
+
+// Parse the arguments of command `name`, which takes the flags its
+// `synopsis` lists and no others.
+Args parse(std::string_view name, std::string_view synopsis, int argc,
+           char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -148,6 +170,11 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    if (!a.empty() && a[0] == '-' && !lists_flag(synopsis, a)) {
+      std::fprintf(stderr, "zhist %.*s: unknown flag: %s\n",
+                   static_cast<int>(name.size()), name.data(), a.c_str());
+      usage();
+    }
     if (a == "-o") {
       args.out = next();
     } else if (a == "--bins") {
@@ -201,9 +228,6 @@ Args parse(int argc, char** argv) {
       args.report = true;
     } else if (a == "--batch") {
       args.batch = next();
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      usage();
     } else {
       args.positional.push_back(a);
     }
@@ -216,9 +240,19 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-DemRaster load_raster(const std::string& path) {
+// Decode every tile of `bq`, adding the wall time to `step0`: a run
+// report's Step 0 is all the decoding its run did.
+DemRaster decode_whole(const BqCompressedRaster& bq, double& step0) {
+  const Timer timer;
+  DemRaster raster = bq.decode_all();
+  step0 += timer.seconds();
+  return raster;
+}
+
+// A .bq raster decodes whole (timed into `step0`).
+DemRaster load_raster(const std::string& path, double& step0) {
   if (ends_with(path, ".asc")) return read_ascii_grid(path);
-  if (ends_with(path, ".bq")) return read_bq(path).decode_all();
+  if (ends_with(path, ".bq")) return decode_whole(read_bq(path), step0);
   return read_zgrid(path);
 }
 
@@ -318,24 +352,37 @@ void run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
                        !args.checkpoint_dir.empty();
   // A single-process run takes .bq input compressed, so Step 0 decodes
   // only the tiles some zone touches. A cluster run, and a --tile that
-  // re-tiles the file, decode the whole raster up front.
+  // re-tiles the file, decode the whole raster up front, and that decode
+  // is their Step 0.
   std::optional<BqCompressedRaster> compressed;
   DemRaster raster;
+  double step0 = 0.0;
   if (ends_with(path, ".bq")) {
     BqCompressedRaster bq = read_bq(path);
     if (!cluster && bq.tiling().tile_size() == args.tile) {
       compressed.emplace(std::move(bq));
     } else {
-      raster = bq.decode_all();
+      raster = decode_whole(bq, step0);
     }
   } else {
-    raster = load_raster(path);
+    raster = load_raster(path, step0);
   }
   const std::int64_t rows =
       compressed ? compressed->tiling().raster_rows() : raster.rows();
   const std::int64_t cols =
       compressed ? compressed->tiling().raster_cols() : raster.cols();
   const PolygonSet zones = read_polygon_tsv(args.positional[1]);
+  // The cluster's partition schema: --partitions, else one stripe per
+  // rank. One the raster's tiles cannot fill is refused here, before the
+  // run prints anything.
+  const std::pair<int, int> schema{
+      args.part_rows == 1 && args.part_cols == 1
+          ? static_cast<int>(args.ranks)
+          : args.part_rows,
+      args.part_cols};
+  if (cluster) {
+    (void)grid_partition(rows, cols, schema.first, schema.second, args.tile);
+  }
   std::fprintf(stderr, "raster %lldx%lld, %zu zones, %u bins, tile %lld\n",
                static_cast<long long>(rows), static_cast<long long>(cols),
                zones.size(), args.bins, static_cast<long long>(args.tile));
@@ -349,14 +396,9 @@ void run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
     if (cfg.fault_tolerance.faults.seed == 0) {
       cfg.fault_tolerance.faults.seed = args.seed;
     }
-    // Partition schema: honor --partitions, else one stripe per rank.
-    const int pr =
-        (args.part_rows == 1 && args.part_cols == 1)
-            ? static_cast<int>(cfg.ranks)
-            : args.part_rows;
     std::vector<DemRaster> rasters;
     rasters.push_back(std::move(raster));
-    const std::vector<std::pair<int, int>> schemas{{pr, args.part_cols}};
+    const std::vector<std::pair<int, int>> schemas{schema};
 
     // Durable checkpoint/resume: journal every accepted partition into
     // <dir>/run.journal; --resume loads the journal (torn tail and all),
@@ -413,6 +455,7 @@ void run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
       for (const StepTimes& t : cres.per_rank) {
         report.times = report.times.max_with(t);
       }
+      report.times.seconds[0] += step0;
       report.has_times = true;
       append_work_counters(report, cres.work);
       report.counters.emplace_back("comm_bytes", cres.comm_bytes);
@@ -457,6 +500,7 @@ void run_hist(const Args& args, bool with_obs, obs::RunReport& report) {
   if (with_obs) {
     report = base_report(args, rows, cols, zones, {1, 1});
     report.times = result.times;
+    report.times.seconds[0] += step0;
     report.has_times = true;
     append_work_counters(report, result.work);
   }
@@ -487,7 +531,8 @@ int cmd_hist(const Args& args) {
 
 int cmd_encode(const Args& args) {
   if (args.positional.size() != 2) usage();
-  const DemRaster raster = load_raster(args.positional[0]);
+  double step0 = 0.0;  // encode prints no run report
+  const DemRaster raster = load_raster(args.positional[0], step0);
   const BqCompressedRaster compressed =
       BqCompressedRaster::encode(raster, args.tile);
   write_bq(args.positional[1], compressed);
@@ -665,13 +710,14 @@ int cmd_query(const Args& args) {
   QueryEngine engine(device, cfg);
   std::vector<ZonalQuery> plan;
   plan.reserve(specs.size());
+  StepTimes total_times;  // a .bq raster's decode is the batch's Step 0
   for (const QuerySpec& qs : specs) {
     ZonalQuery query;
     if (const auto it = raster_by_path.find(qs.raster);
         it != raster_by_path.end()) {
       query.raster = it->second;
     } else {
-      rasters.push_back(load_raster(qs.raster));
+      rasters.push_back(load_raster(qs.raster, total_times.seconds[0]));
       query.raster = engine.add_raster(rasters.back());
       raster_by_path.emplace(qs.raster, query.raster);
     }
@@ -697,7 +743,6 @@ int cmd_query(const Args& args) {
                static_cast<long long>(cfg.tile_size));
 
   Timer timer;
-  StepTimes total_times;
   WorkCounters total_work;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const QueryResult r = engine.run(plan[i]);
@@ -784,7 +829,7 @@ int main(int argc, char** argv) {
     usage();
   }
   try {
-    return cmd->run(parse(argc, argv));
+    return cmd->run(parse(cmd->name, cmd->synopsis, argc, argv));
   } catch (const zh::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

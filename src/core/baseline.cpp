@@ -61,7 +61,7 @@ HistogramSet zonal_naive(const DemRaster& raster, const PolygonSet& polygons,
         for (std::size_t i = b; i < e; ++i) {
           const CellWindow whole{0, 0, raster.rows(), raster.cols()};
           sweep_window(raster, polygons[static_cast<PolygonId>(i)], whole,
-                       bins, hist.of(i));
+                       bins, hist.row(i));
         }
       });
   return hist;
@@ -80,7 +80,7 @@ HistogramSet zonal_mbb_filter(const DemRaster& raster,
           const GeoBox mbr = poly.mbr();
           if (!raster_ext.intersects(mbr)) continue;
           sweep_window(raster, poly, mbb_window(raster, mbr), bins,
-                       hist.of(i));
+                       hist.row(i));
         }
       });
   return hist;
@@ -103,7 +103,7 @@ HistogramSet zonal_scanline(const DemRaster& raster,
           const GeoBox mbr = poly.mbr();
           if (!raster_ext.intersects(mbr)) continue;
           const CellWindow w = mbb_window(raster, mbr);
-          auto row_hist = hist.of(i);
+          auto row_hist = hist.row(i);
 
           for (std::int64_t r = w.row0; r < w.row0 + w.rows; ++r) {
             const double py = t.cell_center(r, 0).y;

@@ -27,9 +27,9 @@ class CheckpointSink {
   /// Called on the master thread immediately after the first-copy-wins
   /// acceptance of partition `part_index`, before the master acts on the
   /// completion (journal-before-acknowledge). `bins` is the partition's
-  /// flat per-polygon histogram (groups x bins). Implementations must
-  /// make the record durable before returning, subject to their fsync
-  /// batching policy; a throw fails the run.
+  /// flat per-polygon histogram over every zone (groups x bins; the zones
+  /// the partition did not pair read zero). Implementations must make
+  /// the record durable before returning; a throw fails the run.
   virtual void on_partition_complete(std::uint32_t part_index,
                                      std::span<const BinCount> bins) = 0;
 };

@@ -15,7 +15,7 @@ namespace zh {
 namespace {
 
 // Protocol tags of the supervised dispatch (worker <-> master).
-/// worker -> master: u32 index + histogram + the partition's WorkCounters
+/// worker -> master: one partition's result (encode_partition_result)
 constexpr int kTagResult = 101;
 constexpr int kTagMore = 102;    ///< worker -> master: request for more work
 constexpr int kTagAssign = 103;  ///< master -> worker: u32 list (empty=done)
@@ -27,19 +27,8 @@ constexpr std::int64_t kPollMs = 20;
 // A result message carries the partition's WorkCounters as raw bytes.
 static_assert(std::is_trivially_copyable_v<WorkCounters>);
 
-std::vector<std::byte> encode_result(std::uint32_t part_index,
-                                     const ZonalResult& r) {
-  const std::span<const BinCount> bins = r.per_polygon.flat();
-  std::vector<std::byte> bytes(sizeof(part_index) + bins.size_bytes() +
-                               sizeof(WorkCounters));
-  std::byte* out = bytes.data();
-  std::memcpy(out, &part_index, sizeof(part_index));
-  out += sizeof(part_index);
-  std::memcpy(out, bins.data(), bins.size_bytes());
-  out += bins.size_bytes();
-  std::memcpy(out, &r.work, sizeof(WorkCounters));
-  return bytes;
-}
+// Result header: partition index, then the count of held zones.
+constexpr std::size_t kResultHeader = 2 * sizeof(std::uint32_t);
 
 // Fold one partition's wall time into a rank's latency columns.
 void tally_latency(RankMetricsRow& row, double seconds) {
@@ -49,6 +38,69 @@ void tally_latency(RankMetricsRow& row, double seconds) {
 }
 
 }  // namespace
+
+std::vector<std::byte> encode_partition_result(std::uint32_t part_index,
+                                               const ZonalResult& r) {
+  const std::span<const PolygonId> held = r.per_polygon.held();
+  const std::span<const BinCount> rows = r.per_polygon.flat();
+  const auto count = static_cast<std::uint32_t>(held.size());
+  std::vector<std::byte> bytes(kResultHeader + held.size_bytes() +
+                               rows.size_bytes() + sizeof(WorkCounters));
+  std::byte* out = bytes.data();
+  const auto put = [&out](const void* from, std::size_t n) {
+    if (n != 0) std::memcpy(out, from, n);
+    out += n;
+  };
+  put(&part_index, sizeof(part_index));
+  put(&count, sizeof(count));
+  put(held.data(), held.size_bytes());
+  put(rows.data(), rows.size_bytes());
+  put(&r.work, sizeof(WorkCounters));
+  return bytes;
+}
+
+PartitionResult decode_partition_result(std::span<const std::byte> payload,
+                                        RankId src, std::size_t partitions,
+                                        std::size_t zones, BinIndex bins) {
+  ZH_REQUIRE_IO(payload.size() >= kResultHeader + sizeof(WorkCounters),
+                "short partition result from rank ", src);
+  std::size_t pos = 0;
+  const auto take = [&](void* to, std::size_t n) {
+    if (n != 0) std::memcpy(to, payload.data() + pos, n);
+    pos += n;
+  };
+  PartitionResult result;
+  std::uint32_t count = 0;
+  take(&result.part_index, sizeof(result.part_index));
+  take(&count, sizeof(count));
+  ZH_REQUIRE_IO(result.part_index < partitions, "partition index ",
+                result.part_index, " out of range from rank ", src);
+  // The ids and rows of `count` zones fill exactly what the header and
+  // the counters leave; dividing keeps a corrupt count from overflowing.
+  const std::size_t body =
+      payload.size() - kResultHeader - sizeof(WorkCounters);
+  const std::size_t per_zone =
+      sizeof(PolygonId) + static_cast<std::size_t>(bins) * sizeof(BinCount);
+  ZH_REQUIRE_IO(body % per_zone == 0 && body / per_zone == count,
+                "partition result from rank ", src, " has ",
+                payload.size(), " bytes, which do not fit its ", count,
+                " held zones of ", bins, " bins");
+  std::vector<PolygonId> held(count);
+  take(held.data(), held.size() * sizeof(PolygonId));
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    ZH_REQUIRE_IO(held[i] < zones, "zone id ", held[i],
+                  " out of range (", zones, " zones) in the partition "
+                  "result from rank ", src);
+    ZH_REQUIRE_IO(i == 0 || held[i - 1] < held[i],
+                  "zone ids do not increase strictly in the partition "
+                  "result from rank ", src);
+  }
+  result.per_polygon = HistogramSet(zones, bins, std::move(held));
+  const std::span<BinCount> rows = result.per_polygon.flat();
+  take(rows.data(), rows.size_bytes());
+  take(&result.work, sizeof(WorkCounters));
+  return result;
+}
 
 std::vector<std::string> rank_metrics_columns() {
   return {"partitions",     "comm_bytes",     "cells_total",
@@ -231,7 +283,8 @@ ClusterRunResult run_cluster_zonal(
           const ZonalResult r = compute_partition(pipeline, index);
           tally_latency(row, part_timer.seconds());
           comm.checkpoint(CrashPoint::kPartitionDone);
-          comm.send_bytes(kRoot, kTagResult, encode_result(index, r));
+          comm.send_bytes(kRoot, kTagResult,
+                          encode_partition_result(index, r));
           comm.checkpoint(CrashPoint::kResultSent);
           flush(r);
         };
@@ -274,25 +327,35 @@ ClusterRunResult run_cluster_zonal(
     }
     std::vector<RankOutcome> outcome(comm.size());
 
+    // A journal record is a dense all-zones table (the span
+    // CheckpointSink takes): each accepted partition's rows are
+    // scattered into this one table for its record and cleared after.
+    HistogramSet record_rows;
+    if (ck.sink != nullptr) {
+      record_rows = HistogramSet(polygons.size(), config.zonal.bins);
+    }
+
     // The run's work sums the accepted copies, once per partition;
     // only the master thread writes result.work.
     const auto accumulate = [&](std::uint32_t index,
-                                std::span<const BinCount> bins,
+                                const HistogramSet& rows,
                                 const WorkCounters& work) {
       if (completed[index] != 0) return false;  // first copy wins
       completed[index] = 1;
       ++completed_count;
-      auto flat = result.merged.flat();
-      ZH_REQUIRE(bins.size() == flat.size(),
-                 "partition result size mismatch: got ", bins.size(),
-                 " bins, expected ", flat.size());
-      for (std::size_t i = 0; i < flat.size(); ++i) flat[i] += bins[i];
+      result.merged.add(rows);
       result.work += work;
       // Journal-before-acknowledge: the acceptance becomes durable
       // before the master acts on it (serving more work, finishing the
       // run), so a process death after this point never forgets an
       // acknowledged partition. Runs on the master thread only.
-      if (ck.sink != nullptr) ck.sink->on_partition_complete(index, bins);
+      if (ck.sink != nullptr) {
+        record_rows.add(rows);
+        ck.sink->on_partition_complete(index, record_rows.flat());
+        for (const PolygonId zone : rows.held()) {
+          std::ranges::fill(record_rows.row(zone), BinCount{0});
+        }
+      }
       return true;
     };
 
@@ -300,7 +363,7 @@ ClusterRunResult run_cluster_zonal(
       Timer part_timer;
       const ZonalResult r = compute_partition(pipeline, index);
       tally_latency(row, part_timer.seconds());
-      accumulate(index, r.per_polygon.flat(), r.work);
+      accumulate(index, r.per_polygon, r.work);
       ++outcome[kRoot].partitions_completed;
       flush(r);
     };
@@ -363,25 +426,14 @@ ClusterRunResult run_cluster_zonal(
     constexpr std::array<int, 2> kTags{kTagResult, kTagMore};
     const auto handle = [&](const AnyMessage& msg) {
       if (msg.tag == kTagResult) {
-        std::uint32_t index = 0;
-        ZH_REQUIRE(msg.payload.size() >= sizeof(index) + sizeof(WorkCounters),
-                   "short partition result from rank ", msg.src);
-        std::memcpy(&index, msg.payload.data(), sizeof(index));
-        ZH_REQUIRE(index < total, "partition index ", index,
-                   " out of range from rank ", msg.src);
-        const std::size_t bin_bytes =
-            msg.payload.size() - sizeof(index) - sizeof(WorkCounters);
-        std::vector<BinCount> bins(bin_bytes / sizeof(BinCount));
-        std::memcpy(bins.data(), msg.payload.data() + sizeof(index),
-                    bins.size() * sizeof(BinCount));
-        WorkCounters work;
-        std::memcpy(&work, msg.payload.data() + sizeof(index) + bin_bytes,
-                    sizeof(WorkCounters));
-        if (accumulate(index, bins, work)) {
+        const PartitionResult r =
+            decode_partition_result(msg.payload, msg.src, total,
+                                    polygons.size(), config.zonal.bins);
+        if (accumulate(r.part_index, r.per_polygon, r.work)) {
           ++outcome[msg.src].partitions_completed;
         }
         auto& mine = open[msg.src];
-        mine.erase(std::remove(mine.begin(), mine.end(), index),
+        mine.erase(std::remove(mine.begin(), mine.end(), r.part_index),
                    mine.end());
       } else {  // kTagMore
         if (!serve(msg.src)) {

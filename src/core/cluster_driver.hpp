@@ -3,7 +3,9 @@
 // Partitions a multi-raster dataset per its Table-1 partition schemas,
 // assigns partitions to ranks, runs the full pipeline per partition on
 // each rank, and sum-reduces per-polygon histograms at the master rank
-// (polygons can span partitions, so the merge is additive). The reported
+// (polygons can span partitions, so the merge is additive). A partition's
+// result message carries only the zones its plan pairs, keyed by zone
+// id; the master adds them into its all-zones table. The reported
 // wall time is the maximum across ranks including the MPI communication
 // -- the paper's measurement convention.
 //
@@ -25,7 +27,9 @@
 // merge; DESIGN.md section 5d).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,7 +109,7 @@ struct RankMetricsRow {
     const RankMetricsRow& row);
 
 struct ClusterRunResult {
-  HistogramSet merged;                ///< per-polygon histograms (master)
+  HistogramSet merged;  ///< per-polygon histograms of every zone (master)
   std::vector<StepTimes> per_rank;    ///< per-rank step breakdowns
   /// Work each rank did, recomputed or unaccepted partitions included
   /// (load balance).
@@ -126,6 +130,27 @@ struct ClusterRunResult {
   /// never recomputed this run (resume accounting).
   std::uint64_t partitions_skipped = 0;
 };
+
+/// One partition's result as a worker sends it to the master.
+struct PartitionResult {
+  std::uint32_t part_index = 0;
+  HistogramSet per_polygon;  ///< the zones the partition's plan paired
+  WorkCounters work;
+};
+
+/// The result message of partition `part_index`: the index, the count of
+/// zones `r.per_polygon` holds, their ids and rows, and `r.work`.
+[[nodiscard]] std::vector<std::byte> encode_partition_result(
+    std::uint32_t part_index, const ZonalResult& r);
+
+/// Parse a result message rank `src` sent in a run of `partitions`
+/// partitions over a `zones`-zone layer of `bins` bins. Throws IoError,
+/// naming `src`, when the payload's length disagrees with its held count,
+/// its zone ids do not increase strictly, or a zone id or the partition
+/// index is out of range.
+[[nodiscard]] PartitionResult decode_partition_result(
+    std::span<const std::byte> payload, RankId src, std::size_t partitions,
+    std::size_t zones, BinIndex bins);
 
 /// Throw InvalidArgument for a scripted crash or abort in `faults` that
 /// can never fire in a run of `ranks` ranks, with (`journaled`) or

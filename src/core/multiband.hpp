@@ -18,7 +18,8 @@
 namespace zh {
 
 struct SeriesResult {
-  /// One polygons x bins histogram set per band, in input order.
+  /// One histogram set per band, in input order; each holds the zones
+  /// the stack's one plan pairs.
   std::vector<HistogramSet> per_band;
   StepTimes times;    ///< Step 2 counted once; Steps 1/3/4 summed
   WorkCounters work;  ///< pairing counters once; cell counters summed

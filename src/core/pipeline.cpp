@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 
 #include "obs/obs.hpp"
 
@@ -65,6 +66,11 @@ ZonalPlan make_plan(const PolygonSet& polygons, const TilingScheme& tiling,
                                  std::greater_equal<>()) == pids.end(),
               "a zone heads more than one group of a class");
   }
+  // So the union of the two classes' zones is increasing too.
+  const std::vector<PolygonId>& inside = plan.pairing.inside.pid_v;
+  const std::vector<PolygonId>& intersect = plan.pairing.intersect.pid_v;
+  std::set_union(inside.begin(), inside.end(), intersect.begin(),
+                 intersect.end(), std::back_inserter(plan.paired_zones));
   plan.seconds = timer.seconds();
   return plan;
 }
@@ -76,7 +82,8 @@ void execute_plan(Device& device, const ZonalPlan& plan,
              "SoA does not match the plan's zone layer");
   const TilingScheme& tiling = plan.tiling;
   const PairingResult& pairing = plan.pairing;
-  result.per_polygon = HistogramSet(plan.zones, config.bins);
+  result.per_polygon =
+      HistogramSet(plan.zones, config.bins, plan.paired_zones);
   result.times.seconds[2] = plan.seconds;
   WorkCounters& work = result.work;
   work.tiles_total = tiling.tile_count();

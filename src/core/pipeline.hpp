@@ -2,12 +2,14 @@
 //
 // Every entry point runs Steps 0-4 through one filter-first executor:
 // make_plan runs the Step-2 pairing first (tile boxes only, no cell
-// data); execute_plan then counts the cells of each zone's
-// completely-inside tiles straight into the zone's histogram row (the
-// paper's Steps 1 and 3 in one pass, with no per-tile table) and refines
-// the boundary tiles (Step 4). Compressed input decodes only the tiles
-// some zone touches (Step 0). Outputs are identical to the paper's
-// all-tiles order; only the undemanded work is skipped. Each run reports
+// data) and lists the zones it pairs with a tile; execute_plan gives
+// each of those zones a histogram row, and no other zone one, then
+// counts the cells of each zone's completely-inside tiles straight into
+// the zone's row (the paper's Steps 1 and 3 in one pass, with no
+// per-tile table) and refines the boundary tiles (Step 4). Compressed
+// input decodes only the tiles some zone touches (Step 0). Outputs are
+// identical to the paper's all-tiles order; only the undemanded work is
+// skipped. Each run reports
 // per-step wall times (the Table-2 breakdown; the fused pass is timed as
 // Step 1 and Step 3 reads 0) and work counters (input to the
 // performance model and the ablation benches).
@@ -76,7 +78,7 @@ struct WorkCounters {
 };
 
 struct ZonalResult {
-  HistogramSet per_polygon;
+  HistogramSet per_polygon;  ///< holds the zones the run's plan pairs
   StepTimes times;
   WorkCounters work;
 };
@@ -95,7 +97,10 @@ void append_work_counters(obs::RunReport& report, const WorkCounters& work);
 struct ZonalPlan {
   TilingScheme tiling{0, 0, 1};
   PairingResult pairing;
-  std::size_t zones = 0;
+  std::size_t zones = 0;  ///< zones in the layer
+  /// The zones the pairing pairs with at least one tile, increasing:
+  /// the only zones a run of the plan can count a cell into.
+  std::vector<PolygonId> paired_zones;
   std::uint64_t zone_vertices = 0;
   double seconds = 0.0;  ///< Step-2 wall time
 };
@@ -107,10 +112,11 @@ struct ZonalPlan {
 
 /// Steps 1, 3 and 4 of `plan` over `raster`, which must match the plan's
 /// tiling; only the cells of the plan's tiles are read. Replaces
-/// `result.per_polygon` with the zones x config.bins histograms and adds
-/// the step times and per-cell work into `result`; Step 2's time and the
-/// pairing counters are set, not added, so a plan executed once per band
-/// charges them once.
+/// `result.per_polygon` with config.bins-bin histograms that hold a row
+/// for each of plan.paired_zones and for no other zone of the layer
+/// (those read as zeros), and adds the step times and per-cell work into
+/// `result`; Step 2's time and the pairing counters are set, not added,
+/// so a plan executed once per band charges them once.
 void execute_plan(Device& device, const ZonalPlan& plan,
                   const DemRaster& raster, const PolygonSoA& soa,
                   const ZonalConfig& config, ZonalResult& result);

@@ -7,8 +7,9 @@
 // query's zones with the raster's tiles, the cells of each zone's
 // completely-inside tiles count straight into its histogram row (Steps 1
 // and 3 in one pass) and Step 4 refines the boundary tiles. A query
-// allocates only its zones x bins rows, never a per-tile table. Results
-// are bit-identical to ZonalPipeline::run on the same inputs.
+// allocates a row only for each zone its plan pairs with a tile, never a
+// per-tile table. Results are bit-identical to ZonalPipeline::run on the
+// same inputs.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +52,7 @@ struct ZonalQuery {
 };
 
 struct QueryResult {
-  HistogramSet per_polygon;
+  HistogramSet per_polygon;  ///< holds the zones the query's plan pairs
   StepTimes times;
   WorkCounters work;  ///< same accounting as ZonalPipeline
   /// Read only by perfbench/ (see TileCacheStats); always zero.

@@ -12,6 +12,9 @@ void aggregate_inside_tiles(Device& device, const PolygonTileGroups& inside,
   ZH_TRACE_SPAN("step3.aggregate", "pipeline");
   ZH_REQUIRE(tile_hist.bins() == polygon_hist.bins(),
              "tile/polygon histogram bin counts differ");
+  ZH_REQUIRE(tile_hist.held().size() == tile_hist.groups() &&
+                 polygon_hist.held().size() == polygon_hist.groups(),
+             "Step 3 indexes rows by id: both tables must hold every group");
   const BinIndex bins = tile_hist.bins();
   const BinCount* tiles = tile_hist.flat().data();
   BinCount* polys = polygon_hist.flat().data();

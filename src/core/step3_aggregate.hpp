@@ -18,7 +18,8 @@
 namespace zh {
 
 /// Add inside-tile histograms into `polygon_hist` (groups = polygons,
-/// pre-sized by the caller; accumulates, does not clear).
+/// pre-sized by the caller and, like `tile_hist`, dense; accumulates,
+/// does not clear).
 /// Read only by perfbench's paper-order replay, not by the executor.
 void aggregate_inside_tiles(Device& device,
                             const PolygonTileGroups& inside,

@@ -10,7 +10,8 @@
 // cells and bins through bin_index. An owned chunk (a zone's whole group)
 // adds into the zone's row with plain increments; a split chunk adds into
 // a private row, which the block adds into the zone row once, with atomic
-// adds.
+// adds. The rows belong to a HistogramSet that may hold only the
+// launch's zones; each chunk looks its zone's row up once.
 #pragma once
 
 #include <atomic>
@@ -103,7 +104,8 @@ class ZoneRow {
 /// Launch the zone-row kernel over `groups`: one block per chunk of
 /// plan_zone_chunks(groups, device.concurrency()), each calling
 /// `count_chunk(chunk, row)`, which adds the chunk's cells through `row`.
-/// Every zone of `groups` needs a row in `per_zone` and must head at most
+/// `per_zone` must hold a row for every zone of `groups` (each chunk looks
+/// its row up once, before the launch), and each zone must head at most
 /// one group, since an owned chunk increments its row without atomics
 /// (build_pairing_groups emits each class's groups in increasing zone
 /// order). Accumulates into `per_zone`; returns the launch's tally.
@@ -112,21 +114,19 @@ ZoneRowTally count_zone_rows(Device& device, const DemRaster& raster,
                              const PolygonTileGroups& groups,
                              HistogramSet& per_zone,
                              const CountChunk& count_chunk) {
-  for (const PolygonId pid : groups.pid_v) {
-    ZH_REQUIRE(pid < per_zone.groups(), "zone ", pid,
-               " has no histogram row (", per_zone.groups(), " zones)");
-  }
   const std::vector<ZoneChunk> chunks =
       plan_zone_chunks(groups, device.concurrency());
+  std::vector<BinCount*> zone_rows(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    zone_rows[i] = per_zone.row(chunks[i].pid).data();  // refuses unheld
+  }
   const BinIndex bins = per_zone.bins();
-  BinCount* const rows = per_zone.flat().data();
   std::atomic<std::uint64_t> counted{0};
   std::atomic<std::uint64_t> clamped{0};
   device.launch(chunks.size(), [&](std::size_t block) {
     ZH_DCHECK_BOUNDS(block, chunks.size());
     const ZoneChunk& chunk = chunks[block];
-    BinCount* const zone_row =
-        rows + static_cast<std::size_t>(chunk.pid) * bins;
+    BinCount* const zone_row = zone_rows[block];
     std::vector<BinCount> priv;
     if (!chunk.owned) priv.assign(bins, 0);
     ZoneRow row(raster, bins, chunk.owned ? zone_row : priv.data());

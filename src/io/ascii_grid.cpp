@@ -39,6 +39,7 @@ void write_ascii_grid(const std::string& path, const DemRaster& raster) {
     }
     os << '\n';
   }
+  os.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
 }
 

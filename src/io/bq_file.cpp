@@ -116,6 +116,7 @@ void write_bq(const std::string& path, const BqCompressedRaster& raster) {
     body.bytes(t.payload.data(), t.payload.size());
   }
   write_pod(os, body.crc());
+  os.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
 }
 

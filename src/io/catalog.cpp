@@ -46,6 +46,7 @@ void write_catalog(
   for (const auto& [name, raster] : rasters) {
     manifest << "raster " << name << ".bq\n";
   }
+  manifest.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(manifest.good(), "manifest write failed in ", directory);
 }
 
@@ -95,7 +96,8 @@ CatalogRunResult run_catalog(Device& device, const Catalog& catalog,
   const PolygonSet zones = read_polygon_tsv(catalog.zones_path());
 
   CatalogRunResult result;
-  result.per_polygon = HistogramSet(zones.size(), config.bins);
+  // Holds no zone yet: each raster's result adds the zones it paired.
+  result.per_polygon = HistogramSet(zones.size(), config.bins, {});
   const ZonalPipeline pipeline(device, config);
 
   for (std::size_t i = 0; i < catalog.raster_files.size(); ++i) {

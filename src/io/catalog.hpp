@@ -48,6 +48,7 @@ void write_catalog(const std::string& directory,
 [[nodiscard]] Catalog open_catalog(const std::string& directory);
 
 struct CatalogRunResult {
+  /// Holds the zones some raster's plan paired with a tile.
   HistogramSet per_polygon;
   StepTimes times;
   WorkCounters work;
@@ -56,8 +57,8 @@ struct CatalogRunResult {
 };
 
 /// Stream every raster of the catalog through the filter-first pipeline,
-/// merging per-zone histograms. Rasters are loaded one at a time: peak
-/// memory is one raster, not the dataset.
+/// merging per-zone histograms by zone. Rasters are loaded one at a time:
+/// peak memory is one raster, not the dataset.
 [[nodiscard]] CatalogRunResult run_catalog(Device& device,
                                            const Catalog& catalog,
                                            const ZonalConfig& config);

@@ -17,7 +17,8 @@ void write_histogram_csv(const std::string& path, const HistogramSet& h) {
   // like "123.456" and break the reader.
   os.imbue(std::locale::classic());
   os << "zone,bin,count\n";
-  for (std::size_t g = 0; g < h.groups(); ++g) {
+  // Only held zones can have a non-zero bin; they come in zone order.
+  for (const PolygonId g : h.held()) {
     const auto row = h.of(g);
     for (BinIndex b = 0; b < h.bins(); ++b) {
       if (row[b] != 0) {
@@ -25,6 +26,7 @@ void write_histogram_csv(const std::string& path, const HistogramSet& h) {
       }
     }
   }
+  os.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
 }
 
@@ -55,7 +57,7 @@ HistogramSet read_histogram_csv(const std::string& path,
         "malformed row at line ", lineno, " of ", path);
     ZH_REQUIRE_IO(zone < groups, "zone id out of range at line ", lineno);
     ZH_REQUIRE_IO(bin < bins, "bin out of range at line ", lineno);
-    h.of(zone)[bin] = static_cast<BinCount>(count);
+    h.row(zone)[bin] = static_cast<BinCount>(count);
   }
   return h;
 }

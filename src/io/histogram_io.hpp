@@ -15,7 +15,8 @@
 
 namespace zh {
 
-/// Write non-zero bins as zone,bin,count rows (header included).
+/// Write non-zero bins as zone,bin,count rows (header included), in zone
+/// then bin order. Throws IoError when the file cannot be written.
 void write_histogram_csv(const std::string& path, const HistogramSet& h);
 
 /// Read a zone,bin,count CSV. `groups`/`bins` size the result; rows out

@@ -15,6 +15,7 @@ void write_polygon_tsv(const std::string& path, const PolygonSet& set) {
   for (PolygonId id = 0; id < set.size(); ++id) {
     os << set.name(id) << '\t' << to_wkt(set[id]) << '\n';
   }
+  os.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
 }
 

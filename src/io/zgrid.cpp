@@ -101,6 +101,7 @@ void write_zgrid(const std::string& path, const DemRaster& raster) {
   os.write(reinterpret_cast<const char*>(cells.data()),
            static_cast<std::streamsize>(cells.size_bytes()));
   write_pod(os, crc32(cells.data(), cells.size_bytes()));
+  os.flush();  // surface an error in the last buffered block here
   ZH_REQUIRE_IO(os.good(), "write failed: ", path);
 }
 

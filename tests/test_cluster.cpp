@@ -1,10 +1,13 @@
 // Cluster substrate and multi-rank zonal runs (DESIGN.md invariant 6):
 // merged multi-rank results equal the single-device result for any rank
-// count, and partitions tile-align, cover, and stay disjoint.
+// count, partitions tile-align, cover, and stay disjoint, and a result
+// message carries only the zones its partition pairs, checked exactly.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "cluster/comm.hpp"
 #include "cluster/partition.hpp"
@@ -151,6 +154,132 @@ TEST_P(ClusterSweep, MergedResultEqualsSingleDeviceRun) {
   if (ranks > 1) {
     EXPECT_GT(result.comm_bytes, 0u);
   }
+}
+
+/// A partition result of two held zones of a 9-zone, 5-bin layer.
+ZonalResult sample_result() {
+  ZonalResult r;
+  r.per_polygon = HistogramSet(9, 5, {2, 6});
+  r.per_polygon.row(2)[1] = 7;
+  r.per_polygon.row(6)[4] = 11;
+  r.work.cells_total = 123;
+  r.work.cells_in_polygons = 18;
+  r.work.pip_cell_tests = 5;
+  return r;
+}
+
+TEST(ClusterCodec, ResultRoundTripsHeldZonesRowsAndCounters) {
+  const ZonalResult r = sample_result();
+  const std::vector<std::byte> bytes = encode_partition_result(3, r);
+  // Index and held count, two ids, two 5-bin rows, the counters.
+  EXPECT_EQ(bytes.size(), 2 * sizeof(std::uint32_t) +
+                              2 * (sizeof(PolygonId) + 5 * sizeof(BinCount)) +
+                              sizeof(WorkCounters));
+  const PartitionResult back = decode_partition_result(bytes, 2, 4, 9, 5);
+  EXPECT_EQ(back.part_index, 3u);
+  EXPECT_EQ(std::vector<PolygonId>(back.per_polygon.held().begin(),
+                                   back.per_polygon.held().end()),
+            (std::vector<PolygonId>{2, 6}));
+  EXPECT_EQ(back.per_polygon, r.per_polygon);
+  EXPECT_EQ(std::memcmp(&back.work, &r.work, sizeof(WorkCounters)), 0);
+
+  // A partition that pairs no zone sends no row.
+  ZonalResult none;
+  none.per_polygon = HistogramSet(9, 5, {});
+  const PartitionResult empty = decode_partition_result(
+      encode_partition_result(0, none), 1, 4, 9, 5);
+  EXPECT_TRUE(empty.per_polygon.held().empty());
+  EXPECT_EQ(empty.per_polygon, HistogramSet(9, 5));
+}
+
+TEST(ClusterCodec, RefusesMalformedResultsNamingTheRank) {
+  const std::vector<std::byte> good =
+      encode_partition_result(3, sample_result());
+  // Whether decoding `payload` from rank 2 throws an IoError naming it.
+  const auto refused = [](const std::vector<std::byte>& payload) {
+    try {
+      (void)decode_partition_result(payload, 2, 4, 9, 5);
+    } catch (const IoError& e) {
+      return std::string(e.what()).find("from rank 2") != std::string::npos;
+    }
+    return false;
+  };
+  const auto with_id = [&](std::size_t k, PolygonId id) {
+    std::vector<std::byte> bad = good;
+    std::memcpy(bad.data() + 2 * sizeof(std::uint32_t) +
+                    k * sizeof(PolygonId),
+                &id, sizeof(id));
+    return bad;
+  };
+  ASSERT_FALSE(refused(good));
+
+  // A length that disagrees with the held count: trailing bytes, a
+  // truncated row, a count the rows do not fill, a short header.
+  for (std::size_t extra = 1; extra <= 3; ++extra) {
+    std::vector<std::byte> bad = good;
+    bad.resize(good.size() + extra);
+    EXPECT_TRUE(refused(bad)) << extra << " trailing bytes";
+  }
+  EXPECT_TRUE(refused({good.begin(), good.end() - 1}));
+  std::vector<std::byte> three = good;
+  const std::uint32_t count = 3;
+  std::memcpy(three.data() + sizeof(std::uint32_t), &count, sizeof(count));
+  EXPECT_TRUE(refused(three));
+  EXPECT_TRUE(refused({good.begin(), good.begin() + 6}));
+
+  // Zone ids that do not increase strictly, or reach the zone count.
+  EXPECT_TRUE(refused(with_id(0, 6)));  // 6, 6
+  EXPECT_TRUE(refused(with_id(0, 7)));  // 7, 6
+  EXPECT_TRUE(refused(with_id(1, 9)));  // 2, 9 of 9 zones
+  EXPECT_FALSE(refused(with_id(1, 8)));
+
+  // A partition index past the run's partitions.
+  std::vector<std::byte> index = good;
+  const std::uint32_t four = 4;
+  std::memcpy(index.data(), &four, sizeof(four));
+  EXPECT_TRUE(refused(index));
+}
+
+// A partition's result message holds only the zones its plan pairs: the
+// bytes a fault-free 3-rank run sends are exactly the workers' result
+// messages (their requests for work and the master's releases are
+// empty), sized from each partition's own plan.
+TEST(ClusterDriver, ResultMessagesCarryOnlyPairedZones) {
+  const DemRaster raster = generate_dem(
+      64, 96, GeoTransform(0.0, 6.4, 0.1, 0.1), {.seed = 3, .max_value = 49});
+  PolygonSet zones =
+      test::random_polygon_set(5, GeoBox{0.3, 0.3, 9.3, 6.1}, 6, true);
+  const PolygonSet far =
+      test::random_polygon_set(6, GeoBox{20.0, 0.3, 40.0, 6.1}, 10, false);
+  for (PolygonId z = 0; z < far.size(); ++z) zones.add(far[z]);
+  constexpr BinIndex kBins = 50;
+  constexpr std::int64_t kTile = 8;
+  ClusterRunConfig cfg;
+  cfg.ranks = 3;
+  cfg.zonal = {.tile_size = kTile, .bins = kBins};
+  const ClusterRunResult r = run_cluster_zonal({raster}, {{2, 3}}, zones, cfg);
+  EXPECT_EQ(r.merged, zonal_scanline(raster, zones, kBins));
+
+  const std::vector<CellWindow> windows =
+      grid_partition(raster.rows(), raster.cols(), 2, 3, kTile);
+  std::uint64_t expect = 0;
+  std::uint64_t dense = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (i % cfg.ranks == 0) continue;  // the master's own partitions
+    const DemRaster part = raster.copy_window(windows[i]);
+    const ZonalPlan plan = make_plan(
+        zones, TilingScheme(part.rows(), part.cols(), kTile),
+        part.transform());
+    const auto message = [&](std::size_t held) {
+      return 2 * sizeof(std::uint32_t) +
+             held * (sizeof(PolygonId) + kBins * sizeof(BinCount)) +
+             sizeof(WorkCounters);
+    };
+    expect += message(plan.paired_zones.size());
+    dense += message(zones.size());
+  }
+  EXPECT_EQ(r.comm_bytes, expect);
+  EXPECT_LT(expect, dense / 2);
 }
 
 TEST(ClusterDriver, SchemaCountMismatchThrows) {

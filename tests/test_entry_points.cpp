@@ -3,17 +3,26 @@
 // Raw entry points get a raster with a nodata value; BQ entry points get
 // the same cells without one (the container cannot store nodata). Cell
 // values reach past the bin count, so the top-bin clamp is exercised.
-// Three zone layers run against it: zones in the western part of the
+// Four zone layers run against it: zones in the western part of the
 // raster (some tiles are never demanded), two overlapping zones (a tile
-// inside both is counted once per zone), and one zone covering the whole
-// raster (its inside group is split across the pool). Each run's
+// inside both is counted once per zone), one zone covering the whole
+// raster (its inside group is split across the pool), and twelve zones
+// of which nine miss the raster (a result holds three rows). Each run's
 // cells_in_polygons, which the zone-row kernels tally, must equal the
-// sum of the histograms it counted.
+// sum of the histograms it counted; each result holds a row for exactly
+// the zones its plan pairs, and writes the oracle's CSV byte for byte.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <numeric>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -25,6 +34,9 @@
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
 #include "core/zone_rows.hpp"
+#include "io/catalog.hpp"
+#include "io/histogram_io.hpp"
+#include "io/journal.hpp"
 #include "test_util.hpp"
 
 namespace zh {
@@ -76,6 +88,23 @@ PolygonSet whole_raster_zone() {
   return set;
 }
 
+/// Twelve zones, nine of them east of the raster: only zones 2, 7 and
+/// 10 can pair with a tile.
+PolygonSet mostly_missing_zones() {
+  const PolygonSet on =
+      test::random_polygon_set(13, GeoBox{0.3, 0.3, 9.3, 6.1}, 3, true);
+  const PolygonSet off =
+      test::random_polygon_set(14, GeoBox{20.0, 0.3, 40.0, 6.1}, 9, true);
+  PolygonSet set;
+  PolygonId next_on = 0;
+  PolygonId next_off = 0;
+  for (PolygonId z = 0; z < 12; ++z) {
+    const bool is_on = z == 2 || z == 7 || z == 10;
+    set.add(is_on ? on[next_on++] : off[next_off++]);
+  }
+  return set;
+}
+
 struct ZoneInput {
   const char* name;
   PolygonSet zones;
@@ -84,7 +113,39 @@ struct ZoneInput {
 std::vector<ZoneInput> zone_inputs() {
   return {{"western", zones()},
           {"overlapping", overlapping_zones()},
-          {"whole_raster", whole_raster_zone()}};
+          {"whole_raster", whole_raster_zone()},
+          {"mostly_missing", mostly_missing_zones()}};
+}
+
+/// A scratch directory of its own for each call, removed on scope exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    static std::atomic<int> next{0};
+    path_ = std::filesystem::temp_directory_path() /
+            ("zh_entry_" + std::to_string(::getpid()) + "_" +
+             std::to_string(next++));
+    std::filesystem::create_directories(path_);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+
+  [[nodiscard]] std::string path(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// The bytes write_histogram_csv writes for `h`.
+std::string csv_bytes(const HistogramSet& h) {
+  const ScratchDir dir;
+  write_histogram_csv(dir.path("h.csv"), h);
+  std::ifstream in(dir.path("h.csv"), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 ZonalPlan plan_for(const DemRaster& r, const PolygonSet& z) {
@@ -99,6 +160,24 @@ struct EntryRun {
   HistogramSet hist;
   std::uint64_t cells_in_polygons = 0;
   std::uint64_t counted_total = 0;
+};
+
+/// Journals the first `cap` acceptances and drops the rest: the journal a
+/// process killed after `cap` records leaves behind.
+class CappedSink final : public CheckpointSink {
+ public:
+  CappedSink(JournalWriter& inner, std::uint64_t cap)
+      : inner_(&inner), cap_(cap) {}
+  void on_partition_complete(std::uint32_t part_index,
+                             std::span<const BinCount> bins) override {
+    if (inner_->records_written() < cap_) {
+      inner_->on_partition_complete(part_index, bins);
+    }
+  }
+
+ private:
+  JournalWriter* inner_;
+  std::uint64_t cap_;
 };
 
 EntryRun entry_run(HistogramSet hist, const WorkCounters& work) {
@@ -116,9 +195,59 @@ EntryRun run_driver(const DemRaster& r, const PolygonSet& z,
   return entry_run(std::move(res.merged), res.work);
 }
 
+/// The cluster driver on 3 ranks with a journal: a first generation
+/// journals two of the six partitions, as a process killed after two
+/// records would, and a second resumes from that journal.
+EntryRun run_journaled(const DemRaster& r, const PolygonSet& z) {
+  const ScratchDir dir;
+  const std::string path = dir.path("run.journal");
+  ClusterRunConfig cfg;
+  cfg.ranks = 3;
+  cfg.zonal = kConfig;
+  const std::vector<DemRaster> rasters{r};
+  const std::vector<std::pair<int, int>> schemas{{2, 3}};
+  {
+    JournalWriter journal = JournalWriter::create(
+        path, make_manifest(rasters, schemas, z, cfg));
+    CappedSink first_two(journal, 2);
+    cfg.checkpoint.sink = &first_two;
+    (void)run_cluster_zonal(rasters, schemas, z, cfg);
+  }
+  const JournalLoad load = load_journal(path);
+  EXPECT_EQ(load.completed.size(), 2u);
+  JournalWriter journal = JournalWriter::append(path, load);
+  cfg.checkpoint.sink = &journal;
+  cfg.checkpoint.completed_partitions = load.completed;
+  cfg.checkpoint.resume_bins = load.merged_bins;
+  ClusterRunResult res = run_cluster_zonal(rasters, schemas, z, cfg);
+  EXPECT_EQ(res.partitions_skipped, 2u);
+  EXPECT_EQ(journal.records_written(), 4u);
+  // The resumed run counted the four partitions it computed; the
+  // journaled two are in its histograms but not in its counters.
+  const std::uint64_t journaled = std::accumulate(
+      load.merged_bins.begin(), load.merged_bins.end(), std::uint64_t{0});
+  const std::uint64_t counted = res.merged.total() - journaled;
+  return {std::move(res.merged), res.work.cells_in_polygons, counted};
+}
+
+/// run_catalog over a catalog of the one raster, BQ-encoded.
+EntryRun run_one_raster_catalog(const DemRaster& r, const PolygonSet& z) {
+  const ScratchDir dir;
+  const BqCompressedRaster bq =
+      BqCompressedRaster::encode(r, kConfig.tile_size);
+  write_catalog(dir.path("cat"), {{"r", &bq}}, z);
+  Device dev;
+  CatalogRunResult res = run_catalog(dev, open_catalog(dir.path("cat")),
+                                     kConfig);
+  return entry_run(std::move(res.per_polygon), res.work);
+}
+
 struct EntryPoint {
   std::string name;
   bool bq = false;  ///< runs from BQ input (raster without nodata)
+  /// The cluster master merges into a table of every zone; every other
+  /// entry point's result holds only the zones its plan pairs.
+  bool all_zones = false;
   std::function<EntryRun(const DemRaster&, const PolygonSet&)> run;
 };
 
@@ -127,13 +256,13 @@ void PrintTo(const EntryPoint& e, std::ostream* os) { *os << e.name; }
 
 std::vector<EntryPoint> entry_points() {
   return {
-      {"RunRaw", false,
+      {"RunRaw", false, false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
          ZonalResult res = ZonalPipeline(dev, kConfig).run(r, z);
          return entry_run(std::move(res.per_polygon), res.work);
        }},
-      {"RunCompressed", true,
+      {"RunCompressed", true, false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
          ZonalResult res =
@@ -141,15 +270,17 @@ std::vector<EntryPoint> entry_points() {
                  .run(BqCompressedRaster::encode(r, kConfig.tile_size), z);
          return entry_run(std::move(res.per_polygon), res.work);
        }},
-      {"Cluster1Rank", false,
+      {"Cluster1Rank", false, true,
        [](const DemRaster& r, const PolygonSet& z) {
          return run_driver(r, z, 1);
        }},
-      {"Cluster3Ranks", false,
+      {"Cluster3Ranks", false, true,
        [](const DemRaster& r, const PolygonSet& z) {
          return run_driver(r, z, 3);
        }},
-      {"RunLazy", true,
+      {"ClusterJournalResume", false, true, run_journaled},
+      {"Catalog", true, false, run_one_raster_catalog},
+      {"RunLazy", true, false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
          ZonalResult res = run_lazy(
@@ -157,7 +288,7 @@ std::vector<EntryPoint> entry_points() {
              kConfig);
          return entry_run(std::move(res.per_polygon), res.work);
        }},
-      {"QueryEngine", false,
+      {"QueryEngine", false, false,
        [](const DemRaster& r, const PolygonSet& z) {
          Device dev;
          QueryEngine engine(dev, {.tile_size = kConfig.tile_size});
@@ -166,7 +297,7 @@ std::vector<EntryPoint> entry_points() {
              engine.run({.raster = h, .zones = &z, .bins = kBins});
          return entry_run(std::move(res.per_polygon), res.work);
        }},
-      {"RunSeriesBandK", false,
+      {"RunSeriesBandK", false, false,
        [](const DemRaster& r, const PolygonSet& z) {
          // Band 1 of three co-registered bands.
          std::vector<DemRaster> bands;
@@ -199,8 +330,16 @@ TEST_P(EntryPoints, MatchPerCellOracle) {
   for (const ZoneInput& input : zone_inputs()) {
     SCOPED_TRACE(input.name);
     const EntryRun run = entry.run(raster, input.zones);
-    EXPECT_EQ(run.hist, zonal_scanline(raster, input.zones, kBins));
+    const HistogramSet oracle = zonal_scanline(raster, input.zones, kBins);
+    EXPECT_EQ(run.hist, oracle);
     EXPECT_EQ(run.cells_in_polygons, run.counted_total);
+    std::vector<PolygonId> held(input.zones.size());
+    std::iota(held.begin(), held.end(), PolygonId{0});
+    if (!entry.all_zones) held = plan_for(raster, input.zones).paired_zones;
+    EXPECT_EQ(std::vector<PolygonId>(run.hist.held().begin(),
+                                     run.hist.held().end()),
+              held);
+    EXPECT_EQ(csv_bytes(run.hist), csv_bytes(oracle));
   }
 }
 
@@ -220,6 +359,15 @@ TEST(EntryPointInputs, CoverNodataClampAndUndemandedTiles) {
                  kConfig, &counters);
   EXPECT_GT(counters.tiles_histogrammed, 0u);
   EXPECT_LT(counters.tiles_decoded, counters.tiles_total);
+}
+
+// Guards the mostly-missing input: three of its twelve zones pair with a
+// tile, and they are neither the first nor the last zone.
+TEST(EntryPointInputs, MostlyMissingZonesPairThreeOfTwelve) {
+  const PolygonSet z = mostly_missing_zones();
+  ASSERT_EQ(z.size(), 12u);
+  EXPECT_EQ(plan_for(nodata_raster(), z).paired_zones,
+            (std::vector<PolygonId>{2, 7, 10}));
 }
 
 // Guards the overlapping input: some tile lies inside both zones.

@@ -7,6 +7,9 @@
 #include <fstream>
 
 #include "io/ascii_grid.hpp"
+#include "io/bq_file.hpp"
+#include "io/catalog.hpp"
+#include "io/histogram_io.hpp"
 #include "io/vector_io.hpp"
 #include "io/zgrid.hpp"
 #include "test_util.hpp"
@@ -132,6 +135,30 @@ TEST_F(IoTest, PolygonTsvSkipsBlankLinesAndRejectsMissingTab) {
     os << "A POLYGON ((0 0, 1 0, 1 1, 0 0))\n";
   }
   EXPECT_THROW(read_polygon_tsv(path("p2.tsv")), IoError);
+}
+
+// Every writer flushes before it checks its stream, so an error in the
+// last buffered block -- here the whole small file, refused by /dev/full
+// -- is an IoError instead of being dropped by the stream's destructor.
+TEST_F(IoTest, WritersReportAnErrorInTheirLastBlock) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const DemRaster r =
+      test::random_raster(4, 4, 1, 50, GeoTransform(0.0, 0.4, 0.1, 0.1));
+  const BqCompressedRaster bq = BqCompressedRaster::encode(r, 2);
+  const PolygonSet zones =
+      test::random_polygon_set(1, GeoBox{0.1, 0.1, 0.3, 0.3}, 1);
+  HistogramSet h(1, 4);
+  h.row(0)[2] = 3;
+  EXPECT_THROW(write_histogram_csv("/dev/full", h), IoError);
+  EXPECT_THROW(write_polygon_tsv("/dev/full", zones), IoError);
+  EXPECT_THROW(write_zgrid("/dev/full", r), IoError);
+  EXPECT_THROW(write_bq("/dev/full", bq), IoError);
+  EXPECT_THROW(write_ascii_grid("/dev/full", r), IoError);
+  // The catalog's manifest: its zone layer and raster go to the
+  // directory, the manifest to /dev/full.
+  std::filesystem::create_directories(path("cat"));
+  std::filesystem::create_symlink("/dev/full", path("cat/catalog.txt"));
+  EXPECT_THROW(write_catalog(path("cat"), {{"r", &bq}}, zones), IoError);
 }
 
 }  // namespace

@@ -129,8 +129,8 @@ TEST_F(LocaleTest, HistogramCsvSurvivesGroupingLocale) {
   // Counts above 1000: a grouping locale would write "1.234" and the
   // reader would stop at the separator.
   HistogramSet h(2, 3);
-  h.of(0)[1] = 1234567;
-  h.of(1)[2] = 1000;
+  h.row(0)[1] = 1234567;
+  h.row(1)[2] = 1000;
   CommaLocaleScope comma;
   write_histogram_csv(path("h.csv"), h);
   const HistogramSet back = read_histogram_csv(path("h.csv"), 2, 3);

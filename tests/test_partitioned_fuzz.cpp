@@ -58,7 +58,7 @@ TEST_F(HistCsvTest, RoundTrip) {
   HistogramSet h(3, 100);
   std::mt19937 rng(2);
   std::uniform_int_distribution<BinIndex> bin(0, 99);
-  for (int i = 0; i < 500; ++i) h.of(i % 3)[bin(rng)] += 1 + i % 7;
+  for (int i = 0; i < 500; ++i) h.row(i % 3)[bin(rng)] += 1 + i % 7;
 
   const std::string path = (dir_ / "h.csv").string();
   write_histogram_csv(path, h);

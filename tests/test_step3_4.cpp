@@ -15,10 +15,10 @@ TEST(Step3, AggregatesOwnedTilesOnly) {
   Device dev;
   // Three tiles with known histograms.
   HistogramSet tiles(3, 4);
-  tiles.of(0)[1] = 10;
-  tiles.of(1)[1] = 5;
-  tiles.of(1)[3] = 2;
-  tiles.of(2)[0] = 9;
+  tiles.row(0)[1] = 10;
+  tiles.row(1)[1] = 5;
+  tiles.row(1)[3] = 2;
+  tiles.row(2)[0] = 9;
 
   // Polygon 0 owns tiles {0, 1}; polygon 2 owns tile {2}.
   PolygonTileGroups groups;
@@ -28,7 +28,7 @@ TEST(Step3, AggregatesOwnedTilesOnly) {
   groups.tid_v = {0, 1, 2};
 
   HistogramSet polys(3, 4);
-  polys.of(0)[1] = 100;  // pre-existing counts must accumulate
+  polys.row(0)[1] = 100;  // pre-existing counts must accumulate
   aggregate_inside_tiles(dev, groups, tiles, polys);
 
   EXPECT_EQ(polys.of(0)[1], 115u);

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -45,18 +46,19 @@ class ZhistCli : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  /// Run `<exe> <args>` with stdout discarded and stderr sent to `err`
-  /// (discarded when empty); returns its exit code.
+  /// Run `<exe> <args>` with stdout sent to `out` and stderr to `err`
+  /// (each discarded when empty); returns its exit code.
   static int run(const char* exe, const std::string& args,
-                 const std::string& err) {
-    const std::string cmd = std::string("'") + exe + "' " + args +
-                            " >/dev/null 2>" +
-                            (err.empty() ? "&1" : "'" + err + "'");
+                 const std::string& err, const std::string& out = {}) {
+    const std::string cmd = std::string("'") + exe + "' " + args + " >" +
+                            (out.empty() ? "/dev/null" : "'" + out + "'") +
+                            " 2>" + (err.empty() ? "&1" : "'" + err + "'");
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
-  static int zhist(const std::string& args, const std::string& err = {}) {
-    return run(ZH_ZHIST, args, err);
+  static int zhist(const std::string& args, const std::string& err = {},
+                   const std::string& out = {}) {
+    return run(ZH_ZHIST, args, err, out);
   }
   static int validate_obs(const std::string& args,
                           const std::string& err = {}) {
@@ -200,11 +202,10 @@ TEST_F(ZhistCli, CommandsRefuseFlagsTheyDoNotTake) {
   const std::string out = "'" + path("out.csv") + "' ";
   // Each command line writes out.csv when its foreign flag is ignored.
   const std::string cases[] = {
-      "catalog '" + path("cat") + "' -o " + out + "--tile 8 --metrics '" +
-          path("m.json") + "'",
-      "catalog '" + path("cat") + "' -o " + out + "--trace '" +
-          path("t.json") + "'",
-      "catalog '" + path("cat") + "' -o " + out + "--report",
+      "catalog '" + path("cat") + "' -o " + out + "--tile 8 --ranks 2",
+      "catalog '" + path("cat") + "' -o " + out + "--partitions 2x1",
+      "catalog '" + path("cat") + "' -o " + out + "--checkpoint-dir '" +
+          path("ck") + "'",
       "encode " + r + out + "--tile 8 --ranks 7",
       "encode " + r + out + "--metrics '" + path("m.json") + "'",
       "decode '" + path("r.bq") + "' " + out + "--tile 8",
@@ -484,6 +485,101 @@ TEST_F(ZhistCli, CatalogMatchesOracle) {
               0);
     EXPECT_EQ(slurp(out), slurp(path("expect.csv"))) << refine;
   }
+}
+
+// A catalog run reports what run_catalog returns: its report passes the
+// schema check, and its cells_in_polygons is the count sum of its CSV.
+TEST_F(ZhistCli, CatalogReportCountsItsCsv) {
+  const DemRaster west = generate_dem(
+      64, 64, GeoTransform(0.0, 6.4, 0.1, 0.1), {.max_value = 99});
+  const DemRaster east = generate_dem(
+      64, 96, GeoTransform(6.4, 6.4, 0.1, 0.1), {.max_value = 99});
+  const BqCompressedRaster cwest = BqCompressedRaster::encode(west, 8);
+  const BqCompressedRaster ceast = BqCompressedRaster::encode(east, 8);
+  const PolygonSet zones = test::random_polygon_set(
+      9, GeoBox{0.5, 0.5, 15.5, 5.9}, 5, /*holes=*/true);
+  write_catalog(path("cat"), {{"west", &cwest}, {"east", &ceast}}, zones);
+  ASSERT_EQ(zhist("catalog '" + path("cat") + "' -o '" + path("c.csv") +
+                  "' --bins 64 --tile 8 --report --metrics '" +
+                  path("m.json") + "' --trace '" + path("t.json") + "'"),
+            0);
+  EXPECT_EQ(validate_obs("metrics '" + path("m.json") + "'"), 0);
+  const obs::JsonValue report = obs::parse_json_file(path("m.json"));
+  ASSERT_NE(report.find("tool"), nullptr);
+  EXPECT_EQ(report.find("tool")->str, "zhist catalog");
+  ASSERT_NE(report.find("times_s"), nullptr);
+  ASSERT_NE(report.find("times_s")->find("step0"), nullptr);
+  EXPECT_GT(report.find("times_s")->find("step0")->number, 0.0);
+  const obs::JsonValue* counters = report.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const obs::JsonValue* cells = counters->find("cells_in_polygons");
+  ASSERT_NE(cells, nullptr);
+  const HistogramSet csv = read_histogram_csv(path("c.csv"), zones.size(), 64);
+  EXPECT_GT(csv.total(), 0u);
+  EXPECT_EQ(cells->number, static_cast<double>(csv.total()));
+  EXPECT_TRUE(std::filesystem::exists(path("t.json")));
+}
+
+// The statistics table lists every zone of the layer, in layer order,
+// including the zones no tile of the raster meets and the run holds no
+// row for: they read 0 cells.
+TEST_F(ZhistCli, StatsListEveryZone) {
+  const DemRaster r = test::random_raster(48, 64, 9, 63,
+                                          GeoTransform(0.0, 4.8, 0.1, 0.1));
+  write_zgrid(path("r.zgrid"), r);
+  const PolygonSet on =
+      test::random_polygon_set(4, GeoBox{0.4, 0.4, 6.0, 4.4}, 2, true);
+  const PolygonSet off =
+      test::random_polygon_set(5, GeoBox{20.0, 0.4, 30.0, 4.4}, 4, false);
+  PolygonSet zones;
+  PolygonId next_on = 0;
+  PolygonId next_off = 0;
+  for (PolygonId z = 0; z < 6; ++z) {
+    const bool is_on = z == 1 || z == 4;
+    zones.add(is_on ? on[next_on++] : off[next_off++],
+              "z" + std::to_string(z));
+  }
+  write_polygon_tsv(path("zones.tsv"), zones);
+  ASSERT_EQ(zhist("hist '" + path("r.zgrid") + "' '" + path("zones.tsv") +
+                      "' --bins 64 --tile 8 --stats -o '" + path("h.csv") +
+                      "'",
+                  path("err.txt"), path("stats.txt")),
+            0);
+  const HistogramSet oracle = zonal_scanline(r, zones, 64);
+  std::istringstream table(slurp(path("stats.txt")));
+  std::string line;
+  ASSERT_TRUE(std::getline(table, line));  // header
+  for (PolygonId z = 0; z < zones.size(); ++z) {
+    SCOPED_TRACE(z);
+    ASSERT_TRUE(std::getline(table, line));
+    std::istringstream fields(line);
+    std::string name;
+    std::uint64_t cells = 0;
+    ASSERT_TRUE(static_cast<bool>(fields >> name >> cells));
+    EXPECT_EQ(name, "z" + std::to_string(z));
+    EXPECT_EQ(cells, oracle.group_total(z));
+    EXPECT_EQ(cells > 0, z == 1 || z == 4);
+  }
+  EXPECT_FALSE(std::getline(table, line));
+}
+
+// A CSV that cannot be written fails the run: the write error of the last
+// buffered block is checked after the flush, not dropped at close.
+TEST_F(ZhistCli, HistFailsWhenItsCsvCannotBeWritten) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ASSERT_EQ(zhist("synth '" + path("r.zgrid") + "' --rows 40 --cols 40"), 0);
+  // The synth raster spans x -110..-109.6, y 44.6..45.
+  write_polygon_tsv(path("zones.tsv"),
+                    test::random_polygon_set(
+                        7, GeoBox{-109.95, 44.65, -109.65, 44.95}, 4, false));
+  EXPECT_EQ(zhist("hist '" + path("r.zgrid") + "' '" + path("zones.tsv") +
+                      "' --bins 64 --tile 10 -o /dev/full",
+                  path("err.txt")),
+            1);
+  const std::string err = slurp(path("err.txt"));
+  EXPECT_NE(err.find("error: write failed: /dev/full"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("wrote /dev/full"), std::string::npos) << err;
 }
 
 TEST_F(ZhistCli, QueryHonorsRefine) {

@@ -29,8 +29,8 @@
 //   zones     Generate a synthetic county-style zone layer.
 //   simplify  Douglas-Peucker generalization of a zone layer.
 //   validate  Geometry validity report.
-//   catalog   Out-of-core run over a catalog directory; CSV output and
-//             the statistics table as for hist.
+//   catalog   Out-of-core run over a catalog directory; CSV output, the
+//             statistics table and the run report as for hist.
 //   query     Multi-query batch through the QueryEngine: rasters and zone
 //             layers load once (a .bq raster decoded whole, as Step 0)
 //             and every query runs the filter-first pipeline. The JSON
@@ -292,6 +292,12 @@ const char* to_string(RankState state) {
   return state == RankState::kCompleted ? "completed" : "crashed";
 }
 
+const char* to_string(RefineStrategy refine) {
+  return refine == RefineStrategy::kBrute      ? "brute"
+         : refine == RefineStrategy::kScanline ? "scanline"
+                                               : "auto";
+}
+
 // `schema` is the partition grid the run used: 1x1 for one pipeline
 // call, the driver's schema for a cluster run.
 obs::RunReport base_report(const Args& args, std::int64_t rows,
@@ -306,9 +312,7 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
       {"zones", std::to_string(zones.size())},
       {"bins", std::to_string(args.bins)},
       {"tile", std::to_string(args.tile)},
-      {"refine", args.refine == RefineStrategy::kBrute      ? "brute"
-                 : args.refine == RefineStrategy::kScanline ? "scanline"
-                                                            : "auto"},
+      {"refine", to_string(args.refine)},
       {"partitions", std::to_string(schema.first) + "x" +
                          std::to_string(schema.second)},
       {"ranks", std::to_string(args.ranks)},
@@ -322,7 +326,8 @@ obs::RunReport base_report(const Args& args, std::int64_t rows,
 // The outputs of hist and catalog: the -o CSV with its "wrote" line, and
 // the zone-statistics table with --stats or without -o. `zones()` gives
 // the zone layer that names the table's rows; it runs only for the table,
-// so catalog reads its zone file only then.
+// so catalog reads its zone file only then. The table lists every zone of
+// the layer: one the run holds no row for reads as an empty histogram.
 template <typename Zones>
 void write_outputs(const Args& args, const HistogramSet& hist,
                    const Zones& zones) {
@@ -605,18 +610,39 @@ int cmd_validate(const Args& args) {
 
 int cmd_catalog(const Args& args) {
   if (args.positional.size() != 1) usage();
-  const Catalog catalog = open_catalog(args.positional[0]);
-  Device device;
-  Timer timer;
-  const CatalogRunResult r =
-      run_catalog(device, catalog,
-                  {.tile_size = args.tile, .bins = args.bins,
-                   .refine_strategy = args.refine});
-  std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
-               r.rasters_processed,
-               static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
-  write_outputs(args, r.per_polygon,
-                [&] { return read_polygon_tsv(catalog.zones_path()); });
+  const bool with_obs = setup_obs(args);
+  obs::RunReport report;
+  {
+    // The run's root span, as for hist.
+    ZH_TRACE_SPAN("zhist.catalog", "cli");
+    const Catalog catalog = open_catalog(args.positional[0]);
+    Device device;
+    Timer timer;
+    const CatalogRunResult r =
+        run_catalog(device, catalog,
+                    {.tile_size = args.tile, .bins = args.bins,
+                     .refine_strategy = args.refine});
+    std::fprintf(stderr, "%zu rasters, %.1f MB read, %.2f s\n",
+                 r.rasters_processed,
+                 static_cast<double>(r.bytes_read) / 1e6, timer.seconds());
+    write_outputs(args, r.per_polygon,
+                  [&] { return read_polygon_tsv(catalog.zones_path()); });
+    if (with_obs) {
+      report.tool = "zhist catalog";
+      report.workload = args.positional[0];
+      report.config = {
+          {"rasters", std::to_string(r.rasters_processed)},
+          {"zones", std::to_string(r.per_polygon.groups())},
+          {"bins", std::to_string(args.bins)},
+          {"tile", std::to_string(args.tile)},
+          {"refine", to_string(args.refine)},
+      };
+      report.times = r.times;
+      report.has_times = true;
+      append_work_counters(report, r.work);
+    }
+  }
+  if (with_obs) finish_obs(args, report);
   return 0;
 }
 
@@ -798,7 +824,8 @@ constexpr Command kCommands[] = {
     {"validate", "<zones.tsv>", cmd_validate},
     {"catalog",
      "<dir> [-o hist.csv] [--bins N] [--tile N] [--stats] "
-     "[--refine brute|scanline|auto]",
+     "[--refine brute|scanline|auto] [--trace FILE] [--metrics FILE] "
+     "[--report]",
      cmd_catalog},
     {"query",
      "--batch spec.json [--tile N] [--bins N] "

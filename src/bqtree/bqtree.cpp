@@ -1,7 +1,9 @@
 #include "bqtree/bqtree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstring>
 
 #include "bqtree/bitstream.hpp"
 
@@ -94,50 +96,110 @@ void encode_quad(const EncodeCtx& ctx, std::uint32_t r0, std::uint32_t c0,
   encode_quad(ctx, r0 + half, c0 + half, half);
 }
 
-struct DecodeCtx {
-  std::span<CellValue> cells;
-  std::uint32_t rows, cols;
-  CellValue mask;
-  BitReader* in;
-};
+// Literal rows are written four cells at a time: kRowLanes[n] has lane j
+// all ones when bit 3 - j of the row's nibble n is set (the first cell
+// is the top bit), with lane j where cell j of four consecutive cells
+// lands when they are copied into one uint64_t.
+static_assert(kBqLeafEdge == 4, "a literal row must fill four lanes");
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "lane order needs a little- or big-endian host");
 
-void decode_quad(const DecodeCtx& ctx, std::uint32_t r0, std::uint32_t c0,
-                 std::uint32_t edge) {
-  const std::uint32_t code = ctx.in->get_bits(2);
-  const std::uint32_t r1 = std::min(r0 + edge, ctx.rows);
-  const std::uint32_t c1 = std::min(c0 + edge, ctx.cols);
-  switch (code) {
-    case 0b00:
-      return;  // all zero: output pre-cleared
-    case 0b01:
-      for (std::uint32_t r = r0; r < r1; ++r) {
-        for (std::uint32_t c = c0; c < c1; ++c) {
-          ctx.cells[static_cast<std::size_t>(r) * ctx.cols + c] |= ctx.mask;
-        }
-      }
-      return;
-    case 0b10:
-      if (edge <= kBqLeafEdge) {
-        for (std::uint32_t r = r0; r < r1; ++r) {
-          for (std::uint32_t c = c0; c < c1; ++c) {
-            if (ctx.in->get()) {
-              ctx.cells[static_cast<std::size_t>(r) * ctx.cols + c] |=
-                  ctx.mask;
-            }
-          }
-        }
-      } else {
-        const std::uint32_t half = edge / 2;
-        decode_quad(ctx, r0, c0, half);
-        decode_quad(ctx, r0, c0 + half, half);
-        decode_quad(ctx, r0 + half, c0, half);
-        decode_quad(ctx, r0 + half, c0 + half, half);
-      }
-      return;
-    default:
-      throw IoError("corrupt BQ-Tree stream: reserved node code 11");
+constexpr std::array<std::uint64_t, 16> make_row_lanes() {
+  std::array<std::uint64_t, 16> lanes{};
+  for (unsigned n = 0; n < 16; ++n) {
+    for (unsigned j = 0; j < 4; ++j) {
+      if (((n >> (3u - j)) & 1u) == 0) continue;
+      const unsigned lane =
+          std::endian::native == std::endian::little ? j : 3u - j;
+      lanes[n] |= std::uint64_t{0xFFFF} << (16u * lane);
+    }
   }
+  return lanes;
 }
+
+constexpr std::array<std::uint64_t, 16> kRowLanes = make_row_lanes();
+
+// Decodes the bitplanes of one tile into its pre-cleared cells, one
+// plane's quadtree after the other, reading each node with one call.
+class QuadDecoder {
+ public:
+  QuadDecoder(std::span<CellValue> cells, std::uint32_t rows,
+              std::uint32_t cols, BitReader& in)
+      : cells_(cells), rows_(rows), cols_(cols), in_(in) {}
+
+  void plane(CellValue mask, std::uint32_t edge) {
+    mask_ = mask;
+    lanes_ = std::uint64_t{mask} * 0x0001000100010001ull;
+    quad(0, 0, edge);
+  }
+
+ private:
+  void quad(std::uint32_t r0, std::uint32_t c0, std::uint32_t edge) {
+    switch (in_.get_bits(2)) {
+      case 0b00:
+        return;  // all zero: output pre-cleared
+      case 0b01:
+        fill(r0, c0, edge);
+        return;
+      case 0b10:
+        if (edge <= kBqLeafEdge) {
+          leaf(r0, c0);
+        } else {
+          const std::uint32_t half = edge / 2;
+          quad(r0, c0, half);
+          quad(r0, c0 + half, half);
+          quad(r0 + half, c0, half);
+          quad(r0 + half, c0 + half, half);
+        }
+        return;
+      default:
+        throw IoError("corrupt BQ-Tree stream: reserved node code 11");
+    }
+  }
+
+  // All-ones quadrant: OR the mask into its in-bounds span of each row.
+  void fill(std::uint32_t r0, std::uint32_t c0, std::uint32_t edge) {
+    const std::uint32_t r1 = std::min(r0 + edge, rows_);
+    const std::uint32_t c1 = std::min(c0 + edge, cols_);
+    for (std::uint32_t r = r0; r < r1; ++r) {
+      CellValue* row = cells_.data() + static_cast<std::size_t>(r) * cols_;
+      for (std::uint32_t c = c0; c < c1; ++c) row[c] |= mask_;
+    }
+  }
+
+  // Literal leaf: the in-bounds cells' bits, row-major, in one read.
+  void leaf(std::uint32_t r0, std::uint32_t c0) {
+    const std::uint32_t r1 = std::min(r0 + kBqLeafEdge, rows_);
+    const std::uint32_t c1 = std::min(c0 + kBqLeafEdge, cols_);
+    if (r0 >= r1 || c0 >= c1) return;  // outside the tile: no bits
+    const std::uint32_t width = c1 - c0;
+    std::uint32_t left = (r1 - r0) * width;  // bits not yet written
+    const std::uint32_t bits = in_.get_bits(left);
+    for (std::uint32_t r = r0; r < r1; ++r) {
+      CellValue* row =
+          cells_.data() + static_cast<std::size_t>(r) * cols_ + c0;
+      if (width == kBqLeafEdge) {
+        left -= kBqLeafEdge;
+        std::uint64_t word = 0;
+        std::memcpy(&word, row, sizeof word);
+        word |= kRowLanes[(bits >> left) & 0xFu] & lanes_;
+        std::memcpy(row, &word, sizeof word);
+      } else {
+        // A row the tile's right edge clips, cell by cell.
+        for (std::uint32_t c = 0; c < width; ++c) {
+          if ((bits >> --left) & 1u) row[c] |= mask_;
+        }
+      }
+    }
+  }
+
+  std::span<CellValue> cells_;
+  std::uint32_t rows_, cols_;
+  BitReader& in_;
+  CellValue mask_ = 0;
+  std::uint64_t lanes_ = 0;  // mask_ in each of four 16-bit lanes
+};
 
 std::uint32_t root_edge(std::uint32_t rows, std::uint32_t cols) {
   const std::uint32_t m = std::max(rows, cols);
@@ -181,12 +243,11 @@ void bq_decode(const BqEncodedTile& tile, std::span<CellValue> out) {
   if (tile.rows == 0 || tile.cols == 0) return;
 
   BitReader reader(tile.payload);
+  QuadDecoder decoder(out, tile.rows, tile.cols, reader);
   const std::uint32_t edge = root_edge(tile.rows, tile.cols);
   for (unsigned p = 0; p < kPlanes; ++p) {
     const CellValue mask = static_cast<CellValue>(1u << p);
-    if ((tile.plane_mask & mask) == 0) continue;
-    DecodeCtx ctx{out, tile.rows, tile.cols, mask, &reader};
-    decode_quad(ctx, 0, 0, edge);
+    if ((tile.plane_mask & mask) != 0) decoder.plane(mask, edge);
   }
 }
 

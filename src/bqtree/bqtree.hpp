@@ -51,7 +51,8 @@ inline constexpr std::uint32_t kBqLeafEdge = 4;
                                       std::uint32_t cols);
 
 /// Decode into `out` (must hold rows*cols values). Exact inverse of
-/// bq_encode for every input.
+/// bq_encode for every input. A corrupt stream (a reserved node code, or
+/// a payload that ends before its plane mask's last node) raises IoError.
 void bq_decode(const BqEncodedTile& tile, std::span<CellValue> out);
 
 }  // namespace zh

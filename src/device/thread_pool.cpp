@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -147,7 +148,14 @@ void ThreadPool::parallel_for(
     std::this_thread::yield();
   }
   ZH_TSAN_ACQUIRE(&batch->error);
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the error out of the batch, so the exception dies on this thread
+  // once the caller's handler is done with it. A helper may drop the
+  // batch last, and freeing the exception there is ordered after the
+  // handler only by the runtime's exception refcount, which TSan cannot
+  // see (it reports the helper's destructor racing with what()).
+  if (std::exception_ptr error = std::exchange(batch->error, nullptr)) {
+    std::rethrow_exception(error);
+  }
 }
 
 std::size_t ThreadPool::div_up_local(std::size_t a, std::size_t b) {

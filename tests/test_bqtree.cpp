@@ -38,7 +38,7 @@ TEST(BitStream, ExhaustionThrows) {
   const auto bytes = w.take();
   BitReader r(bytes);
   r.get_bits(8);  // padding bits within the byte are readable
-  EXPECT_THROW(r.get(), InvalidArgument);
+  EXPECT_THROW(r.get(), IoError);
 }
 
 class BqRoundTrip
@@ -50,7 +50,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1u, 1u}, std::pair{4u, 4u},
                       std::pair{7u, 13u}, std::pair{64u, 64u},
                       std::pair{100u, 37u}, std::pair{360u, 360u},
-                      std::pair{1u, 257u}));
+                      std::pair{1u, 257u}, std::pair{12u, 12u}));
 
 TEST_P(BqRoundTrip, RandomDataDecodesExactly) {
   const auto [rows, cols] = GetParam();

@@ -1,21 +1,27 @@
 // Fault-injection layer: deterministic FaultPlan decisions, delayed
 // messages, deadline-bounded receives, dead-rank fail-fast, scripted
 // rank crashes, and corruption-detecting container I/O (CRC32 bit-flip
-// fuzz).
+// fuzz, and BQ-Tree tile streams mutated under a reference decoder).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bqtree/compressed_raster.hpp"
 #include "cluster/comm.hpp"
 #include "cluster/fault.hpp"
 #include "common/crc32.hpp"
+#include "data/dem_synth.hpp"
 #include "io/bq_file.hpp"
 #include "io/zgrid.hpp"
 #include "test_util.hpp"
@@ -299,6 +305,40 @@ TEST_F(CorruptIoFault, Crc32KnownAnswerAndIncremental) {
   EXPECT_EQ(crc32(msg, 0), 0u);
 }
 
+// The table-driven CRC against the bytewise definition: every length
+// and alignment around the 16-byte step, every split of one buffer over
+// two update calls, and one large buffer.
+TEST_F(CorruptIoFault, Crc32MatchesBytewiseReference) {
+  const auto bytewise = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::mt19937 rng(31);
+  std::vector<unsigned char> buf(std::size_t{1} << 20);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len), bytewise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const std::uint32_t whole = bytewise(buf.data(), 64);
+  for (std::size_t split = 0; split <= 64; ++split) {
+    Crc32 inc;
+    inc.update(buf.data(), split);
+    inc.update(buf.data() + split, 64 - split);
+    ASSERT_EQ(inc.value(), whole) << "split at " << split;
+  }
+  EXPECT_EQ(crc32(buf.data(), buf.size()), bytewise(buf.data(), buf.size()));
+}
+
 TEST_F(CorruptIoFault, ZgridDetectsEverySingleBitFlip) {
   const DemRaster r = test::random_raster(6, 5, 21, 4000);
   write_zgrid(path("v2.zgrid"), r);
@@ -391,6 +431,217 @@ TEST_F(CorruptIoFault, BqRejectsAbsurdTileCountWithoutAllocating) {
   std::memcpy(bytes.data() + off, &absurd, sizeof(absurd));
   spit(path("absurd.bq"), bytes);
   EXPECT_THROW((void)read_bq(path("absurd.bq")), IoError);
+}
+
+// A tile stream that ends early is a corrupt file, not a caller error:
+// the container's CRCs hold (write_bq computed them over the short
+// payloads), so the decoder is what must refuse it.
+TEST_F(CorruptIoFault, BqShortTileStreamRaisesIoError) {
+  const DemRaster dem =
+      generate_dem(40, 40, GeoTransform(-110.0, 45.0, 0.01, 0.01));
+  write_bq(path("short.bq"),
+           test::halve_tile_streams(BqCompressedRaster::encode(dem, 10)));
+  const BqCompressedRaster bq = read_bq(path("short.bq"));
+  try {
+    (void)bq.decode_all();
+    FAIL() << "a truncated tile stream decoded";
+  } catch (const IoError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("corrupt BQ-Tree stream", 0), 0u)
+        << e.what();
+  }
+}
+
+// ------------------------------------ BQ-Tree streams against a reference
+
+// The bit-at-a-time decoder the library used before its reader moved to a
+// 64-bit window, kept here as the oracle for mutated tile streams.
+namespace reference {
+
+class Bits {
+ public:
+  explicit Bits(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  bool get() {
+    if (pos_ >= bytes_.size() * 8) throw std::out_of_range("exhausted");
+    const bool v = (bytes_[pos_ >> 3u] & (0x80u >> (pos_ & 7u))) != 0;
+    ++pos_;
+    return v;
+  }
+  std::uint32_t get_bits(unsigned count) {
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < count; ++i) v = (v << 1u) | (get() ? 1u : 0u);
+    return v;
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t pos_ = 0;
+};
+
+struct Ctx {
+  std::span<CellValue> cells;
+  std::uint32_t rows, cols;
+  CellValue mask;
+  Bits* in;
+};
+
+void decode_quad(const Ctx& ctx, std::uint32_t r0, std::uint32_t c0,
+                 std::uint32_t edge) {
+  const std::uint32_t code = ctx.in->get_bits(2);
+  const std::uint32_t r1 = std::min(r0 + edge, ctx.rows);
+  const std::uint32_t c1 = std::min(c0 + edge, ctx.cols);
+  switch (code) {
+    case 0b00:
+      return;
+    case 0b01:
+      for (std::uint32_t r = r0; r < r1; ++r) {
+        for (std::uint32_t c = c0; c < c1; ++c) {
+          ctx.cells[static_cast<std::size_t>(r) * ctx.cols + c] |= ctx.mask;
+        }
+      }
+      return;
+    case 0b10:
+      if (edge <= kBqLeafEdge) {
+        for (std::uint32_t r = r0; r < r1; ++r) {
+          for (std::uint32_t c = c0; c < c1; ++c) {
+            if (ctx.in->get()) {
+              ctx.cells[static_cast<std::size_t>(r) * ctx.cols + c] |=
+                  ctx.mask;
+            }
+          }
+        }
+      } else {
+        const std::uint32_t half = edge / 2;
+        decode_quad(ctx, r0, c0, half);
+        decode_quad(ctx, r0, c0 + half, half);
+        decode_quad(ctx, r0 + half, c0, half);
+        decode_quad(ctx, r0 + half, c0 + half, half);
+      }
+      return;
+    default:
+      throw std::runtime_error("reserved node code 11");
+  }
+}
+
+void decode(const BqEncodedTile& tile, std::span<CellValue> out) {
+  std::fill(out.begin(), out.end(), CellValue{0});
+  if (tile.rows == 0 || tile.cols == 0) return;
+  Bits in(tile.payload);
+  const std::uint32_t edge = std::bit_ceil(
+      std::max({tile.rows, tile.cols, kBqLeafEdge}));
+  for (unsigned p = 0; p < 16; ++p) {
+    const auto mask = static_cast<CellValue>(1u << p);
+    if ((tile.plane_mask & mask) == 0) continue;
+    decode_quad(Ctx{out, tile.rows, tile.cols, mask, &in}, 0, 0, edge);
+  }
+}
+
+}  // namespace reference
+
+// Seeded mutants of encoded tiles (bit flips, an overwritten byte,
+// truncations, appended bytes, a flipped plane-mask bit) decode like the
+// reference: to the same cells, or both refuse and bq_decode says IoError.
+TEST_F(CorruptIoFault, BqMutantsDecodeLikeTheReference) {
+  std::mt19937 rng(20140519);
+  std::vector<BqEncodedTile> corpus;
+  const auto add = [&](std::uint32_t rows, std::uint32_t cols,
+                       auto&& value) {
+    std::vector<CellValue> cells(static_cast<std::size_t>(rows) * cols);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t c = 0; c < cols; ++c) {
+        cells[static_cast<std::size_t>(r) * cols + c] = value(r, c);
+      }
+    }
+    corpus.push_back(bq_encode(cells, rows, cols));
+  };
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1}, {4, 4}, {7, 13}, {12, 12}, {64, 64}, {1, 257}};
+  for (const auto& [rows, cols] : shapes) {
+    add(rows, cols,
+        [&](auto, auto) { return static_cast<CellValue>(rng()); });
+    add(rows, cols, [](std::uint32_t r, std::uint32_t c) {
+      return static_cast<CellValue>((r / 8) * 16 + (c / 8));
+    });
+    add(rows, cols, [](auto, auto) { return CellValue{0x2A5}; });
+    const DemRaster dem = generate_dem(
+        rows, cols, GeoTransform(-104.0, 41.0, 0.01, 0.01));
+    add(rows, cols, [&](std::uint32_t r, std::uint32_t c) {
+      return dem.at(r, c);
+    });
+  }
+  const DemRaster big = generate_dem(
+      360, 360, GeoTransform(-100.0, 40.0, 1.0 / 3600.0, 1.0 / 3600.0));
+  add(360, 360, [&](std::uint32_t r, std::uint32_t c) {
+    return big.at(r, c);
+  });
+
+  std::size_t decoded = 0;
+  std::size_t refused = 0;
+  const auto check = [&](const BqEncodedTile& m, const std::string& what) {
+    SCOPED_TRACE(what + " of a " + std::to_string(m.rows) + "x" +
+                 std::to_string(m.cols) + " tile");
+    const std::size_t n = static_cast<std::size_t>(m.rows) * m.cols;
+    std::vector<CellValue> want(n);
+    bool ref_threw = false;
+    try {
+      reference::decode(m, want);
+    } catch (const std::exception&) {
+      ref_threw = true;
+    }
+    std::vector<CellValue> got(n);
+    try {
+      bq_decode(m, got);
+      EXPECT_FALSE(ref_threw) << "decoded a stream the reference refuses";
+      EXPECT_EQ(got, want);
+      ++decoded;
+    } catch (const IoError&) {
+      EXPECT_TRUE(ref_threw) << "refused a stream the reference decodes";
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "refused with a non-IoError: " << e.what();
+    }
+  };
+  for (const BqEncodedTile& tile : corpus) {
+    check(tile, "the original");
+    const std::size_t size = tile.payload.size();
+    if (size > 0) {
+      std::uniform_int_distribution<std::size_t> bit(0, size * 8 - 1);
+      for (int flips = 1; flips <= 3; ++flips) {
+        for (int rep = 0; rep < 3; ++rep) {
+          BqEncodedTile m = tile;
+          for (int f = 0; f < flips; ++f) {
+            const std::size_t b = bit(rng);
+            m.payload[b / 8] ^= static_cast<std::uint8_t>(0x80u >> (b % 8));
+          }
+          check(m, std::to_string(flips) + " bit flips");
+        }
+      }
+      for (int rep = 0; rep < 2; ++rep) {
+        BqEncodedTile m = tile;
+        m.payload[bit(rng) / 8] = static_cast<std::uint8_t>(rng());
+        check(m, "an overwritten byte");
+      }
+      for (const std::size_t len : {std::size_t{0}, size / 3, size / 2,
+                                    size - 1}) {
+        BqEncodedTile m = tile;
+        m.payload.resize(len);
+        check(m, "truncation to " + std::to_string(len) + " bytes");
+      }
+    }
+    BqEncodedTile longer = tile;
+    for (int i = 0; i < 3; ++i) {
+      longer.payload.push_back(static_cast<std::uint8_t>(rng()));
+    }
+    check(longer, "3 appended bytes");
+    for (int rep = 0; rep < 2; ++rep) {
+      BqEncodedTile m = tile;
+      m.plane_mask =
+          static_cast<std::uint16_t>(m.plane_mask ^ (1u << (rng() % 16)));
+      check(m, "a flipped plane-mask bit");
+    }
+  }
+  // The corpus reaches both outcomes.
+  EXPECT_GT(decoded, corpus.size());
+  EXPECT_GT(refused, corpus.size());
 }
 
 }  // namespace

@@ -433,6 +433,31 @@ TEST_F(JournalFile, ConfigFingerprintMatchesJournalsOnDisk) {
   EXPECT_EQ(fingerprint_config({{2, 4}}, cli), 0x8580f04d680cd883ull);
 }
 
+TEST_F(JournalFile, InputFingerprintsMatchJournalsOnDisk) {
+  // A fixed 256 x 160 raster (80 KiB of cells) and a 12-zone layer, both
+  // from integer recipes, so the values depend on the fingerprint code
+  // alone. Journals already on disk carry these fingerprints in their
+  // manifest; a change here makes every one of them refuse to resume.
+  DemRaster raster(256, 160, GeoTransform(-100.0, 40.0, 0.01, 0.01));
+  std::uint32_t state = 1;
+  for (CellValue& v : raster.cells()) {
+    state = state * 1664525u + 1013904223u;
+    v = static_cast<CellValue>(state >> 16);
+  }
+  PolygonSet zones;
+  for (int z = 0; z < 12; ++z) {
+    const double x0 = -100.0 + 0.125 * z;
+    const double y0 = 38.0 + 0.0625 * z;
+    zones.add(Polygon({Ring{{x0, y0},
+                            {x0 + 0.5, y0},
+                            {x0 + 0.5, y0 + 0.75},
+                            {x0 + 0.25, y0 + 1.0},
+                            {x0, y0 + 0.75}}}));
+  }
+  EXPECT_EQ(fingerprint_rasters({raster}), 0x28576ca7c888a8e4ull);
+  EXPECT_EQ(fingerprint_zones(zones), 0x139be6a8b42bbd64ull);
+}
+
 TEST_F(JournalFile, MakeManifestAgreesWithDriverPartitioning) {
   std::vector<DemRaster> rasters;
   rasters.push_back(

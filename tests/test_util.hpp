@@ -1,7 +1,7 @@
 // Shared helpers for the test suite: seeded random rasters, random
 // simple polygons (star polygons are simple by construction, so PIP
-// ground truth is well-defined) and a bounded typed receive for
-// run_cluster bodies.
+// ground truth is well-defined), a .bq raster with truncated tile
+// streams, and a bounded typed receive for run_cluster bodies.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "bqtree/compressed_raster.hpp"
 #include "cluster/comm.hpp"
 #include "geom/polygon.hpp"
 #include "grid/raster.hpp"
@@ -80,6 +81,19 @@ inline PolygonSet random_polygon_set(std::uint32_t seed,
                                 hole));
   }
   return set;
+}
+
+/// `raster` with each tile's payload cut to half its bytes. The result is
+/// a well-formed container (write_bq gives it fresh CRCs, so read_bq
+/// accepts it), but every tile with a payload ends before its last node.
+inline BqCompressedRaster halve_tile_streams(const BqCompressedRaster& raster) {
+  std::vector<BqEncodedTile> tiles;
+  for (TileId id = 0; id < raster.tiling().tile_count(); ++id) {
+    tiles.push_back(raster.tile(id));
+    tiles.back().payload.resize(tiles.back().payload.size() / 2);
+  }
+  return BqCompressedRaster::from_tiles(raster.tiling(), raster.transform(),
+                                        std::move(tiles));
 }
 
 /// Receive the next `tag` message from `src` as T elements inside a

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "data/dem_synth.hpp"
@@ -274,6 +275,31 @@ TEST_F(ZhistCli, RefusedInputPrintsItsMessageAlone) {
     EXPECT_EQ(err.find(".cpp:"), std::string::npos) << err;
     EXPECT_EQ(err.find("requirement failed"), std::string::npos) << err;
   }
+}
+
+// A .bq whose CRCs hold but whose tile streams end early is a corrupt
+// input like any other: exit 1, one error line, no CSV. The file's
+// header reads fine, so the run's `raster ...` line comes first.
+TEST_F(ZhistCli, ShortTileStreamIsACorruptInput) {
+  ASSERT_EQ(zhist("synth '" + path("dem.zgrid") + "' --rows 40 --cols 40"),
+            0);
+  ASSERT_EQ(zhist("zones '" + path("z.tsv") + "' --zones 9"), 0);
+  write_bq(path("short.bq"),
+           test::halve_tile_streams(
+               BqCompressedRaster::encode(read_zgrid(path("dem.zgrid")), 10)));
+  EXPECT_EQ(zhist("hist '" + path("short.bq") + "' '" + path("z.tsv") +
+                      "' --bins 64 --tile 10 -o '" + path("x.csv") + "'",
+                  path("err.txt")),
+            1);
+  EXPECT_FALSE(std::filesystem::exists(path("x.csv")));
+  std::istringstream err(slurp(path("err.txt")));
+  std::vector<std::string> errors;
+  for (std::string line; std::getline(err, line);) {
+    if (line.rfind("error: ", 0) == 0) errors.push_back(line);
+  }
+  ASSERT_EQ(errors.size(), 1u) << err.str();
+  EXPECT_EQ(errors[0].rfind("error: corrupt BQ-Tree stream", 0), 0u)
+      << errors[0];
 }
 
 TEST_F(ZhistCli, UsageListsEveryCommand) {

@@ -1,6 +1,7 @@
 #include "bqtree/compressed_raster.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "device/thread_pool.hpp"
 #include "obs/obs.hpp"
@@ -41,7 +42,7 @@ BqCompressedRaster BqCompressedRaster::encode(const DemRaster& raster,
 
 BqCompressedRaster BqCompressedRaster::from_tiles(
     const TilingScheme& tiling, const GeoTransform& transform,
-    std::vector<BqEncodedTile> tiles) {
+    std::vector<BqEncodedTile> tiles, std::string source) {
   ZH_REQUIRE_IO(tiles.size() == tiling.tile_count(),
                 "tile count does not match tiling: ", tiles.size(), " vs ",
                 tiling.tile_count());
@@ -53,7 +54,19 @@ BqCompressedRaster BqCompressedRaster::from_tiles(
   }
   BqCompressedRaster out(tiling, transform);
   out.tiles_ = std::move(tiles);
+  out.source_ = std::move(source);
   return out;
+}
+
+void BqCompressedRaster::decode_tile(TileId id,
+                                     std::span<CellValue> out) const {
+  try {
+    bq_decode(tile(id), out);
+  } catch (const IoError& e) {
+    throw IoError(detail::format_parts(e.what(), " (tile ", id,
+                                       source_.empty() ? "" : " of ",
+                                       source_, ")"));
+  }
 }
 
 DemRaster BqCompressedRaster::decode_all() const {

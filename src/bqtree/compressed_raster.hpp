@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bqtree/bqtree.hpp"
@@ -29,9 +30,11 @@ class BqCompressedRaster {
 
   /// Assemble from already-encoded tiles (deserialization path). Tile
   /// dims must match the tiling's windows; throws IoError otherwise.
+  /// `source` names the file the tiles were read from.
   static BqCompressedRaster from_tiles(const TilingScheme& tiling,
                                        const GeoTransform& transform,
-                                       std::vector<BqEncodedTile> tiles);
+                                       std::vector<BqEncodedTile> tiles,
+                                       std::string source = {});
 
   [[nodiscard]] const TilingScheme& tiling() const { return tiling_; }
   [[nodiscard]] const GeoTransform& transform() const { return transform_; }
@@ -42,10 +45,9 @@ class BqCompressedRaster {
   }
 
   /// Decode one tile into `out`, sized tile_window(id).cell_count(),
-  /// row-major within the tile window.
-  void decode_tile(TileId id, std::span<CellValue> out) const {
-    bq_decode(tile(id), out);
-  }
+  /// row-major within the tile window. A corrupt tile stream's IoError
+  /// names the tile and the source file.
+  void decode_tile(TileId id, std::span<CellValue> out) const;
 
   /// Decode the full raster (tiles decoded in parallel).
   [[nodiscard]] DemRaster decode_all() const;
@@ -71,6 +73,7 @@ class BqCompressedRaster {
   TilingScheme tiling_{0, 0, 1};
   GeoTransform transform_;
   std::vector<BqEncodedTile> tiles_;
+  std::string source_;  ///< the file read_bq read; empty if encoded here
 };
 
 }  // namespace zh

@@ -32,6 +32,13 @@ class InvalidArgument : public Error {
   explicit InvalidArgument(const std::string& what) : Error(what) {}
 };
 
+/// A histogram count would pass the 32-bit range of BinCount: a sum that
+/// would wrap is refused rather than written.
+class OverflowError : public Error {
+ public:
+  explicit OverflowError(const std::string& what) : Error(what) {}
+};
+
 /// A blocking operation exceeded its deadline (cluster comm timeouts).
 class TimeoutError : public Error {
  public:

@@ -13,6 +13,14 @@
 
 namespace zh {
 
+void throw_count_overflow(std::size_t zone, BinIndex bin, BinCount64 held,
+                          BinCount64 added, std::string_view source) {
+  throw OverflowError(detail::format_parts(
+      "count overflow: zone ", zone, ", bin ", bin, " holds ", held,
+      " and adding ", added, " passes 2^32 - 1",
+      source.empty() ? "" : " in ", source));
+}
+
 HistogramSet::HistogramSet(std::size_t groups, BinIndex bins,
                            std::vector<PolygonId> held)
     : groups_(groups), bins_(bins), held_(std::move(held)) {
@@ -96,7 +104,18 @@ void HistogramSet::add(const HistogramSet& other) {
         counts_.data() + row * static_cast<std::size_t>(bins_);
     const BinCount* const src =
         other.counts_.data() + k * static_cast<std::size_t>(bins_);
-    for (BinIndex b = 0; b < bins_; ++b) dst[b] += src[b];
+    // A bin wrapped iff its sum reads below the count added.
+    bool wrapped = false;
+    for (BinIndex b = 0; b < bins_; ++b) {
+      dst[b] += src[b];
+      wrapped |= dst[b] < src[b];
+    }
+    if (wrapped) {
+      BinIndex b = 0;
+      while (dst[b] >= src[b]) ++b;
+      throw_count_overflow(group, b, static_cast<BinCount>(dst[b] - src[b]),
+                           src[b]);
+    }
   }
 }
 

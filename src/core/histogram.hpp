@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -42,6 +44,18 @@ namespace zh {
   if (v >= bins) ++clamped;
   return bin_index(v, bins);
 }
+
+/// The largest count one bin holds: sums of BinCounts are checked
+/// against it, never left to wrap.
+inline constexpr BinCount64 kMaxBinCount =
+    std::numeric_limits<BinCount>::max();
+
+/// Throw OverflowError: bin `bin` of zone `zone` holds `held`, and adding
+/// `added` would pass kMaxBinCount. `source`, if not empty, names the
+/// input the counts came from.
+[[noreturn]] void throw_count_overflow(std::size_t zone, BinIndex bin,
+                                       BinCount64 held, BinCount64 added,
+                                       std::string_view source = {});
 
 /// Rows of `bins` counts for the held groups of a `groups`-group layer
 /// (zones or tiles), stored in group order -- the group*bins layout of
@@ -116,7 +130,9 @@ class HistogramSet {
 
   /// Group-wise accumulate (the catalog and cluster merges). A group
   /// `other` holds and this set does not becomes held here: the sum
-  /// holds the union of both sets' groups.
+  /// holds the union of both sets' groups. A bin whose sum would pass
+  /// kMaxBinCount throws OverflowError, naming the group and the bin;
+  /// the counts are then unspecified.
   void add(const HistogramSet& other);
 
   /// Equal shape and equal counts in every group, held or not.

@@ -135,7 +135,7 @@ ZoneRowTally count_inside_tiles(Device& device, const DemRaster& raster,
   ZH_TRACE_SPAN("step1.zone_hist", "pipeline");
   // Every cell of an inside tile counts.
   return count_zone_rows(
-      device, raster, inside, per_zone,
+      device, raster, tiling, inside, per_zone,
       [&](const ZoneChunk& chunk, ZoneRow& row) {
         for (std::uint64_t i = chunk.pos; i < chunk.pos + chunk.num; ++i) {
           const CellWindow w = tiling.tile_window(inside.tid_v[i]);

@@ -163,7 +163,7 @@ RefineCounters refine_boundary_tiles(Device& device,
   std::atomic<std::uint64_t> rows_scanned{0};
   std::atomic<std::uint64_t> run_cells{0};
   const ZoneRowTally tally = count_zone_rows(
-      device, raster, intersect, polygon_hist,
+      device, raster, tiling, intersect, polygon_hist,
       [&](const ZoneChunk& chunk, ZoneRow& row) {
         const auto [p_f, p_t] = soa.vertex_range(chunk.pid);
         LocalCounters local;

@@ -74,11 +74,11 @@ class Device {
 
 /// atomicAdd analog on a plain counter (Fig. 2 line 11): kernels keep
 /// plain uint32 histogram arrays as the paper does, and blocks that share
-/// one add through a relaxed atomic view of the slot -- only the final
-/// per-bin totals matter, never inter-thread ordering.
-inline void atomic_add(BinCount* slot, BinCount v = 1) {
-  static_assert(sizeof(std::atomic<BinCount>) == sizeof(BinCount));
-  reinterpret_cast<std::atomic<BinCount>*>(slot)->fetch_add(
+/// one add through a relaxed atomic_ref to the slot -- only the final
+/// per-bin totals matter, never inter-thread ordering. Returns the count
+/// the slot held before the add, as atomicAdd does.
+inline BinCount atomic_add(BinCount* slot, BinCount v = 1) {
+  return std::atomic_ref<BinCount>(*slot).fetch_add(
       v, std::memory_order_relaxed);
 }
 

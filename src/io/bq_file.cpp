@@ -190,9 +190,8 @@ BqCompressedRaster read_bq(const std::string& path) {
   }();
   ZH_REQUIRE_IO(body.crc() == payload_crc, "bq payload CRC mismatch in ",
                 path, " (corrupted tile data)");
-  return BqCompressedRaster::from_tiles(tiling,
-                                        GeoTransform(ox, oy, cw, ch),
-                                        std::move(tiles));
+  return BqCompressedRaster::from_tiles(
+      tiling, GeoTransform(ox, oy, cw, ch), std::move(tiles), path);
 }
 
 }  // namespace zh

@@ -14,6 +14,7 @@
 #include <limits>
 
 #include "common/crc32.hpp"
+#include "core/histogram.hpp"
 #include "geom/soa.hpp"
 #include "obs/obs.hpp"
 
@@ -205,7 +206,14 @@ JournalLoad load_journal(const std::string& path) {
       ZH_REQUIRE_IO(index < flat, "journal bin index ", index,
                     " out of range (", flat, " slots) in ", path);
       if (fresh) {
-        load.merged_bins[static_cast<std::size_t>(index)] += count;
+        BinCount& slot = load.merged_bins[static_cast<std::size_t>(index)];
+        if (slot > kMaxBinCount - count) {
+          throw_count_overflow(index / load.manifest.bins,
+                               static_cast<BinIndex>(index %
+                                                     load.manifest.bins),
+                               slot, count, path);
+        }
+        slot += count;
       }
     }
     if (fresh) {
@@ -338,25 +346,40 @@ void JournalWriter::on_partition_complete(std::uint32_t part_index,
 
   // Sparse encoding: zonal histograms over fine bins are mostly zero, so
   // (flat index, count) pairs beat a dense dump by orders of magnitude.
-  std::uint64_t nnz = 0;
-  for (const BinCount c : bins) {
-    if (c != 0) ++nnz;
+  // One pass over the span: an all-zero block of four counts costs one
+  // 16-byte test, and the length and nnz fields are patched after it.
+  std::vector<char> frame(4 + kMinPayload);
+  constexpr std::size_t kPayloadOff = 4;
+  std::memcpy(frame.data() + kPayloadOff, &generation_, 4);
+  std::memcpy(frame.data() + kPayloadOff + 4, &part_index, 4);
+  const auto put_entry = [&frame](std::uint64_t index, BinCount count) {
+    const std::size_t at = frame.size();
+    frame.resize(at + kEntryBytes);
+    std::memcpy(frame.data() + at, &index, 8);
+    std::memcpy(frame.data() + at + 8, &count, 4);
+  };
+  const BinCount* const counts = bins.data();
+  const std::size_t n = bins.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::memcpy(&lo, counts + i, 8);
+    std::memcpy(&hi, counts + i + 2, 8);
+    if ((lo | hi) == 0) continue;
+    for (std::size_t j = i; j < i + 4; ++j) {
+      if (counts[j] != 0) put_entry(j, counts[j]);
+    }
   }
-  std::vector<char> frame;
-  frame.reserve(4 + kMinPayload + nnz * kEntryBytes + 4);
-  put_pod(frame,
-          static_cast<std::uint32_t>(kMinPayload + nnz * kEntryBytes));
-  const std::size_t payload_off = frame.size();
-  put_pod(frame, generation_);
-  put_pod(frame, part_index);
-  put_pod(frame, nnz);
-  for (std::uint64_t i = 0; i < bins.size(); ++i) {
-    if (bins[static_cast<std::size_t>(i)] == 0) continue;
-    put_pod(frame, i);
-    put_pod(frame, bins[static_cast<std::size_t>(i)]);
+  for (; i < n; ++i) {
+    if (counts[i] != 0) put_entry(i, counts[i]);
   }
-  put_pod(frame,
-          crc32(frame.data() + payload_off, frame.size() - payload_off));
+  const std::uint64_t nnz =
+      (frame.size() - kPayloadOff - kMinPayload) / kEntryBytes;
+  const auto len = static_cast<std::uint32_t>(kMinPayload + nnz * kEntryBytes);
+  std::memcpy(frame.data(), &len, 4);
+  std::memcpy(frame.data() + kPayloadOff + 8, &nnz, 8);
+  put_pod(frame, crc32(frame.data() + kPayloadOff, len));
 
   // Scripted torn write: persist only half the frame, then die as a
   // SIGKILL would -- the reader's torn-tail rule must recover cleanly.

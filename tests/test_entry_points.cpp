@@ -3,11 +3,14 @@
 // Raw entry points get a raster with a nodata value; BQ entry points get
 // the same cells without one (the container cannot store nodata). Cell
 // values reach past the bin count, so the top-bin clamp is exercised.
-// Four zone layers run against it: zones in the western part of the
+// Five zone layers run against it: zones in the western part of the
 // raster (some tiles are never demanded), two overlapping zones (a tile
 // inside both is counted once per zone), one zone covering the whole
-// raster (its inside group is split across the pool), and twelve zones
-// of which nine miss the raster (a result holds three rows). Each run's
+// raster (its inside group is split across the pool), four congruent
+// quadrant boxes (each inside group a chunk of its own), and twelve
+// zones of which nine miss the raster (a result holds three rows). The
+// raster is large enough that the whole-raster and quadrant zones count
+// through the zone-row kernel's sub-rows, owned and split. Each run's
 // cells_in_polygons, which the zone-row kernels tally, must equal the
 // sum of the histograms it counted; each result holds a row for exactly
 // the zones its plan pairs, and writes the oracle's CSV byte for byte.
@@ -47,10 +50,11 @@ constexpr CellValue kMaxValue = 299;  // values >= kBins clamp
 constexpr CellValue kNodata = 7;
 const ZonalConfig kConfig{.tile_size = 8, .bins = kBins};
 
-/// The BQ-path raster: no nodata value.
+/// The BQ-path raster: no nodata value. 128 x 192 cells of 0.05 over
+/// the extent x 0..9.6, y 0..6.4, in 16 x 24 tiles of 0.4.
 DemRaster dense_raster() {
-  return test::random_raster(64, 96, 3, kMaxValue,
-                             GeoTransform(0.0, 6.4, 0.1, 0.1));
+  return test::random_raster(128, 192, 3, kMaxValue,
+                             GeoTransform(0.0, 6.4, 0.05, 0.05));
 }
 
 /// The raw-path raster: the same cells, with kNodata declared.
@@ -88,6 +92,19 @@ PolygonSet whole_raster_zone() {
   return set;
 }
 
+/// Four congruent boxes, 12 tiles apart in x and 8 in y, with edges
+/// inside tiles: each holds 10 x 6 inside tiles, so each inside group is
+/// one owned chunk on a pool of up to four threads.
+PolygonSet quadrant_zones() {
+  PolygonSet set;
+  for (const double y0 : {0.3, 3.5}) {
+    for (const double x0 : {0.3, 5.1}) {
+      set.add(Polygon({box_ring(x0, y0, x0 + 4.2, y0 + 2.8)}));
+    }
+  }
+  return set;
+}
+
 /// Twelve zones, nine of them east of the raster: only zones 2, 7 and
 /// 10 can pair with a tile.
 PolygonSet mostly_missing_zones() {
@@ -114,6 +131,7 @@ std::vector<ZoneInput> zone_inputs() {
   return {{"western", zones()},
           {"overlapping", overlapping_zones()},
           {"whole_raster", whole_raster_zone()},
+          {"quadrants", quadrant_zones()},
           {"mostly_missing", mostly_missing_zones()}};
 }
 
@@ -401,6 +419,48 @@ TEST(EntryPointInputs, WholeRasterZoneTakesSplitPath) {
   for (const ZoneChunk& chunk : chunks) EXPECT_FALSE(chunk.owned);
   EXPECT_EQ(ZonalPipeline(dev, kConfig).run(raster, z).per_polygon,
             zonal_scanline(raster, z, kBins));
+}
+
+// Guards the sub-row path of the zone-row kernel (16 x kBins = 3200
+// cells per chunk): on pools of 1 to 4 threads each quadrant's inside
+// group is one owned chunk of 60 tiles (3840 cells), and the
+// whole-raster zone's 384 inside tiles make chunks of 96 tiles or more
+// (6144 cells), split on 2 to 4 threads (a 1-thread pool splits
+// nothing). On an explicit 4-thread pool both kinds of chunk must match
+// the oracle, on the raw path (nodata) and on the BQ path.
+TEST(EntryPointInputs, SubRowChunksOwnedAndSplit) {
+  const auto sub_row_chunks = [](const PolygonSet& z, std::size_t workers,
+                                 bool owned) {
+    const ZonalPlan plan = plan_for(nodata_raster(), z);
+    std::size_t n = 0;
+    for (const ZoneChunk& chunk :
+         plan_zone_chunks(plan.pairing.inside, workers)) {
+      n += chunk.owned == owned &&
+           chunk_counting(chunk, plan.tiling, kBins) ==
+               ChunkCounting::kSubRows;
+    }
+    return n;
+  };
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SCOPED_TRACE(workers);
+    EXPECT_EQ(sub_row_chunks(quadrant_zones(), workers, true), 4u);
+    EXPECT_EQ(sub_row_chunks(whole_raster_zone(), workers, false),
+              workers == 1 ? 0 : workers);
+  }
+
+  ThreadPool pool(4);
+  Device dev(DeviceProfile::gtx_titan(), &pool);
+  for (const PolygonSet& z : {quadrant_zones(), whole_raster_zone()}) {
+    const DemRaster raw = nodata_raster();
+    EXPECT_EQ(ZonalPipeline(dev, kConfig).run(raw, z).per_polygon,
+              zonal_scanline(raw, z, kBins));
+    const DemRaster dense = dense_raster();
+    EXPECT_EQ(ZonalPipeline(dev, kConfig)
+                  .run(BqCompressedRaster::encode(dense, kConfig.tile_size),
+                       z)
+                  .per_polygon,
+              zonal_scanline(dense, z, kBins));
+  }
 }
 
 // A zone with a far but finite vertex keeps its cells on every path. The

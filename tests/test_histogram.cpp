@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/histogram.hpp"
@@ -31,6 +32,32 @@ TEST(HistogramSet, AddAccumulatesElementwise) {
   EXPECT_EQ(a.of(1)[2], 5u);
   HistogramSet c(2, 5);
   EXPECT_THROW(a.add(c), InvalidArgument);
+}
+
+// A merge never wraps a count: a bin whose sum would pass 2^32 - 1
+// throws, naming the zone and the bin, and a sum of exactly 2^32 - 1 is
+// kept.
+TEST(HistogramSet, AddRefusesASumPastTheCountRange) {
+  HistogramSet a(3, 5);
+  a.row(1)[2] = 4000000000u;
+  HistogramSet b(3, 5, {1});
+  b.row(1)[2] = 294967295u;
+  HistogramSet exact = a;
+  exact.add(b);
+  EXPECT_EQ(exact.of(1)[2], 4294967295u);
+
+  b.row(1)[2] = 294967296u;
+  try {
+    a.add(b);
+    ADD_FAILURE() << "a sum past 2^32 - 1 was accepted";
+  } catch (const OverflowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("zone 1, bin 2"), std::string::npos) << what;
+  }
+  // A set that holds no row of the sum's zone grows one, and checks too.
+  HistogramSet held(3, 5, {1});
+  held.row(1)[2] = 4000000000u;
+  EXPECT_THROW(held.add(b), OverflowError);
 }
 
 TEST(HistogramSet, EqualityAndZeroInit) {

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -340,6 +342,79 @@ TEST_F(JournalFile, LoaderRejectsOutOfRangeContent) {
   write_three_records(path("k"));
   append_raw(path("k"), craft_frame(0, 3, {{24, 1}}));  // slot 24 of 24
   EXPECT_THROW((void)load_journal(path("k")), IoError);
+}
+
+/// The record the writer's earlier two-pass encoder wrote for `bins`:
+/// count the non-zero slots, then encode them.
+std::vector<char> two_pass_frame(std::uint32_t generation, std::uint32_t part,
+                                 const std::vector<BinCount>& bins) {
+  std::uint64_t nnz = 0;
+  for (const BinCount c : bins) nnz += c != 0 ? 1 : 0;
+  std::vector<char> payload;
+  put_u32(payload, generation);
+  put_u32(payload, part);
+  put_u64(payload, nnz);
+  for (std::uint64_t i = 0; i < bins.size(); ++i) {
+    if (bins[i] == 0) continue;
+    put_u64(payload, i);
+    put_u32(payload, bins[i]);
+  }
+  std::vector<char> frame;
+  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  put_u32(frame, crc32(payload.data(), payload.size()));
+  return frame;
+}
+
+// The writer encodes a record in one pass, skipping all-zero blocks of
+// four counts, and writes the two-pass encoder's bytes. The 21 slots end
+// in a partial block; the non-zeros sit in the first and last slots and
+// at both ends of two 4-slot blocks.
+TEST_F(JournalFile, OnePassRecordMatchesTwoPassReference) {
+  RunManifest m = test_manifest();
+  m.bins = 7;
+  std::vector<BinCount> bins(21, 0);
+  for (const auto& [slot, count] :
+       {std::pair<std::size_t, BinCount>{0, 1}, {4, 4294967295u}, {7, 3},
+        {12, 5}, {15, 6}, {20, 7}}) {
+    bins[slot] = count;
+  }
+  const std::vector<BinCount> zeros(21, 0);
+  {
+    JournalWriter w = JournalWriter::create(path("j"), m);
+    w.on_partition_complete(2, bins);
+    w.on_partition_complete(1, zeros);
+  }
+  const std::vector<char> file = slurp(path("j"));
+  ASSERT_GT(file.size(), kHeaderBytes);
+  std::vector<char> want = two_pass_frame(0, 2, bins);
+  const std::vector<char> empty = two_pass_frame(0, 1, zeros);
+  want.insert(want.end(), empty.begin(), empty.end());
+  EXPECT_EQ(std::vector<char>(file.begin() + kHeaderBytes, file.end()),
+            want);
+  EXPECT_EQ(load_journal(path("j")).merged_bins, bins);
+}
+
+// Resume never wraps a merged slot: records whose counts sum past
+// 2^32 - 1 in one slot are refused, naming the zone, the bin and the
+// journal; a sum of exactly 2^32 - 1 loads.
+TEST_F(JournalFile, LoaderRefusesASlotSumPastTheCountRange) {
+  {
+    JournalWriter w = JournalWriter::create(path("j"), test_manifest());
+    w.on_partition_complete(0, bins_with({{13, 4000000000u}}));
+    w.on_partition_complete(1, bins_with({{13, 294967295u}}));
+  }
+  EXPECT_EQ(load_journal(path("j")).merged_bins,
+            bins_with({{13, 4294967295u}}));
+  append_raw(path("j"), craft_frame(0, 2, {{13, 1}}));
+  try {
+    (void)load_journal(path("j"));
+    ADD_FAILURE() << "a slot sum past 2^32 - 1 was accepted";
+  } catch (const OverflowError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("zone 1, bin 5"), std::string::npos) << what;
+    EXPECT_NE(what.find(path("j")), std::string::npos) << what;
+  }
 }
 
 TEST_F(JournalFile, RejectsForeignMagicAndVersion) {

@@ -3,6 +3,8 @@
 // behave as documented.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/step1_tile_hist.hpp"
 #include "test_util.hpp"
 
@@ -90,6 +92,47 @@ TEST(Step1, MismatchedTilingThrows) {
   const DemRaster r = test::random_raster(10, 10, 1, 9);
   const TilingScheme wrong(20, 10, 5);
   EXPECT_THROW(tile_histograms(dev, r, wrong, 10), InvalidArgument);
+}
+
+// The inside count folds a sub-row chunk into the zone row with checked
+// adds: a bin that would pass 2^32 - 1 throws, naming the zone and the
+// bin, with plain adds (one owned chunk on one thread) and with atomic
+// adds (split chunks on four). The thread's scratch reads zero after the
+// throw, so the next count on the pool is exact.
+TEST(Step1, InsideCountRefusesToWrapAZoneRow) {
+  constexpr BinIndex kBins = 4;
+  const DemRaster r(64, 64, GeoTransform(), CellValue{3});
+  const TilingScheme tiling(r.rows(), r.cols(), 8);
+  PolygonTileGroups inside;
+  inside.pid_v = {2};
+  inside.pos_v = {0};
+  inside.num_v = {tiling.tile_count()};
+  for (TileId t = 0; t < tiling.tile_count(); ++t) inside.tid_v.push_back(t);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    Device dev(DeviceProfile::gtx_titan(), &pool);
+    for (const ZoneChunk& chunk : plan_zone_chunks(inside, threads)) {
+      EXPECT_EQ(chunk.owned, threads == 1);
+      EXPECT_EQ(chunk_counting(chunk, tiling, kBins),
+                ChunkCounting::kSubRows);
+    }
+    HistogramSet full(3, kBins, {2});
+    full.row(2)[3] = 4294967280u;  // 2^32 - 16
+    try {
+      (void)count_inside_tiles(dev, r, tiling, inside, full);
+      ADD_FAILURE() << "the zone row wrapped";
+    } catch (const OverflowError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("zone 2, bin 3"), std::string::npos) << what;
+    }
+    HistogramSet empty(3, kBins, {2});
+    const ZoneRowTally tally =
+        count_inside_tiles(dev, r, tiling, inside, empty);
+    EXPECT_EQ(tally.counted, 4096u);
+    EXPECT_EQ(empty.of(2)[3], 4096u);
+    EXPECT_EQ(empty.total(), 4096u);
+  }
 }
 
 TEST(Step1, EmptyRaster) {

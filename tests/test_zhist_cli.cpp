@@ -278,28 +278,54 @@ TEST_F(ZhistCli, RefusedInputPrintsItsMessageAlone) {
 }
 
 // A .bq whose CRCs hold but whose tile streams end early is a corrupt
-// input like any other: exit 1, one error line, no CSV. The file's
-// header reads fine, so the run's `raster ...` line comes first.
+// input like any other: exit 1, one error line, no output. The line
+// keeps the decoder's message and names the tile and the .bq file, on
+// every command that decodes one: hist at the file's tile size (only the
+// tiles a zone touches decode) and re-tiled (the whole file decodes
+// first), decode, catalog and query.
 TEST_F(ZhistCli, ShortTileStreamIsACorruptInput) {
   ASSERT_EQ(zhist("synth '" + path("dem.zgrid") + "' --rows 40 --cols 40"),
             0);
   ASSERT_EQ(zhist("zones '" + path("z.tsv") + "' --zones 9"), 0);
-  write_bq(path("short.bq"),
-           test::halve_tile_streams(
-               BqCompressedRaster::encode(read_zgrid(path("dem.zgrid")), 10)));
-  EXPECT_EQ(zhist("hist '" + path("short.bq") + "' '" + path("z.tsv") +
-                      "' --bins 64 --tile 10 -o '" + path("x.csv") + "'",
-                  path("err.txt")),
-            1);
-  EXPECT_FALSE(std::filesystem::exists(path("x.csv")));
-  std::istringstream err(slurp(path("err.txt")));
-  std::vector<std::string> errors;
-  for (std::string line; std::getline(err, line);) {
-    if (line.rfind("error: ", 0) == 0) errors.push_back(line);
+  const BqCompressedRaster short_bq = test::halve_tile_streams(
+      BqCompressedRaster::encode(read_zgrid(path("dem.zgrid")), 10));
+  write_bq(path("short.bq"), short_bq);
+  write_catalog(path("cat"), {{"short", &short_bq}},
+                read_polygon_tsv(path("z.tsv")));
+  std::ofstream(path("batch.json"))
+      << "{\"tile\": 10, \"queries\": [{\"raster\": \"" << path("short.bq")
+      << "\", \"zones\": \"" << path("z.tsv")
+      << "\", \"bins\": 64, \"out\": \"" << path("x.csv") << "\"}]}";
+  const std::string hist = "hist '" + path("short.bq") + "' '" +
+                           path("z.tsv") + "' --bins 64 -o '" +
+                           path("x.csv") + "' ";
+  const std::pair<std::string, std::string> runs[] = {
+      {hist + "--tile 10", path("short.bq")},
+      {hist + "--tile 20", path("short.bq")},
+      {"decode '" + path("short.bq") + "' '" + path("x.zgrid") + "'",
+       path("short.bq")},
+      {"catalog '" + path("cat") + "' --bins 64 --tile 10 -o '" +
+           path("x.csv") + "'",
+       open_catalog(path("cat")).raster_path(0)},
+      {"query --batch '" + path("batch.json") + "'", path("short.bq")},
+  };
+  for (const auto& [args, file] : runs) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(zhist(args, path("err.txt")), 1);
+    EXPECT_FALSE(std::filesystem::exists(path("x.csv")));
+    EXPECT_FALSE(std::filesystem::exists(path("x.zgrid")));
+    std::istringstream err(slurp(path("err.txt")));
+    std::vector<std::string> errors;
+    for (std::string line; std::getline(err, line);) {
+      if (line.rfind("error: ", 0) == 0) errors.push_back(line);
+    }
+    ASSERT_EQ(errors.size(), 1u) << err.str();
+    EXPECT_EQ(errors[0].rfind("error: corrupt BQ-Tree stream", 0), 0u)
+        << errors[0];
+    EXPECT_NE(errors[0].find(" (tile "), std::string::npos) << errors[0];
+    EXPECT_NE(errors[0].find(" of " + file + ")"), std::string::npos)
+        << errors[0];
   }
-  ASSERT_EQ(errors.size(), 1u) << err.str();
-  EXPECT_EQ(errors[0].rfind("error: corrupt BQ-Tree stream", 0), 0u)
-      << errors[0];
 }
 
 TEST_F(ZhistCli, UsageListsEveryCommand) {
